@@ -56,7 +56,6 @@
 namespace sentinel {
 namespace {
 
-using net::ClientOptions;
 using net::Connection;
 using net::GatewayServer;
 using net::LocalPublisher;
@@ -73,9 +72,8 @@ int g_soak_samples = 500;
 constexpr int kWarmup = 200;  ///< Untimed ops before each timed section.
 constexpr int kSoakWarmup = 50;
 
-std::unique_ptr<Connection> Dial(uint16_t port,
-                                 ClientOptions options = ClientOptions{}) {
-  return std::move(Connection::Dial("127.0.0.1", port, options)).value();
+std::unique_ptr<Connection> Dial(uint16_t port) {
+  return std::move(Connection::Dial("127.0.0.1", port)).value();
 }
 
 struct Row {
@@ -295,8 +293,6 @@ SoakPoint RunSoakPoint(const std::filesystem::path& dir, int sessions) {
 
   // Parked sessions subscribe to the `begin` occurrence, which the kEnd
   // raises below never trigger: they sit parked for the whole run.
-  ClientOptions plain;
-  plain.negotiate = false;  // One dial round-trip less, ×1024 sessions.
   std::vector<std::unique_ptr<Connection>> parked;
   parked.reserve(static_cast<size_t>(sessions));
   net::FetchMsg park;
@@ -305,7 +301,7 @@ SoakPoint RunSoakPoint(const std::filesystem::path& dir, int sessions) {
   Encoder park_enc;
   park.Encode(&park_enc);
   for (int i = 0; i < sessions; ++i) {
-    auto conn = Dial(server.port(), plain);
+    auto conn = Dial(server.port());
     Subscriber sub(conn.get());
     if (!sub.Subscribe("begin Sensor::Report").ok()) std::exit(1);
     // Written but never read: the worker parks the fetch server-side.

@@ -70,7 +70,7 @@ int main() {
   // --- Monitor process: installs a rule, subscribes, long-polls. ----------
   auto monitor = std::move(
       Connection::Dial("127.0.0.1", server.port())).value();
-  std::printf("monitor: speaking protocol v%u\n", monitor->protocol_version());
+  std::printf("monitor: connected to %s\n", monitor->server_banner().c_str());
   monitor->Ping().ok();
 
   net::CreateRuleMsg rule;

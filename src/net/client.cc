@@ -57,67 +57,27 @@ Result<std::unique_ptr<Connection>> Connection::Dial(const std::string& host,
                                                      ClientOptions options) {
   SENTINEL_ASSIGN_OR_RETURN(int fd, DialSocket(host, port));
   std::unique_ptr<Connection> conn(new Connection(fd));
-  if (!options.negotiate) return conn;
-
-  bool negotiated = false;
-  Status s = conn->Negotiate(options, &negotiated);
-  if (s.ok() && negotiated) return conn;
-  if (s.ok()) {
-    // Pre-Hello server: it answered the Hello with an error StatusReply.
-    // The connection survives, but its framing state is suspect (some
-    // servers drop after a protocol error) — redial plain and speak v1.
-    // This is the new-client / old-server path.
-    conn.reset();
-    SENTINEL_ASSIGN_OR_RETURN(fd, DialSocket(host, port));
-    return std::unique_ptr<Connection>(new Connection(fd));
-  }
-  if (s.IsIOError()) {
-    // Hard close on Hello: same story, older server.
-    conn.reset();
-    SENTINEL_ASSIGN_OR_RETURN(fd, DialSocket(host, port));
-    return std::unique_ptr<Connection>(new Connection(fd));
-  }
-  return s;  // Real negotiation failure (e.g. incompatible version range).
+  SENTINEL_RETURN_IF_ERROR(conn->Hello(options));
+  return conn;
 }
 
-Status Connection::Negotiate(const ClientOptions& options, bool* negotiated) {
-  *negotiated = false;
+Status Connection::Hello(const ClientOptions& options) {
   HelloMsg hello;
-  hello.min_version = options.min_version;
-  hello.max_version = options.max_version;
   hello.tenant = options.tenant;
   Encoder enc;
   hello.Encode(&enc);
   Frame reply;
-  // The Hello itself always travels with a version-0 header: the server's
-  // version is unknown until it answers.
   SENTINEL_RETURN_IF_ERROR(Call(FrameType::kHello, enc.buffer(), &reply));
   if (reply.type == FrameType::kStatusReply) {
-    SENTINEL_ASSIGN_OR_RETURN(StatusReplyMsg msg,
-                              StatusReplyMsg::Decode(reply.body));
-    Status s = msg.ToStatus();
-    if (s.IsInvalidArgument() && options.min_version > kProtocolV1) {
-      // The server understood the Hello and rejected the range — that is a
-      // genuine incompatibility, not an old server.
-      return s;
-    }
-    return Status::OK();  // Old server; *negotiated stays false.
+    return ExpectStatusReply(reply, nullptr);
   }
   if (reply.type != FrameType::kHelloReply) {
     return Status::Internal("expected HelloReply");
   }
   SENTINEL_ASSIGN_OR_RETURN(HelloReplyMsg msg,
                             HelloReplyMsg::Decode(reply.body));
-  if (msg.version < options.min_version ||
-      msg.version > options.max_version) {
-    return Status::Internal("server negotiated version " +
-                            std::to_string(msg.version) +
-                            " outside the offered range");
-  }
-  version_ = msg.version;
   server_max_frame_body_ = msg.max_frame_body;
   server_ = msg.server;
-  *negotiated = true;
   return Status::OK();
 }
 
@@ -141,7 +101,7 @@ Status Connection::SendRaw(const std::string& bytes) {
 
 Status Connection::SendFrame(FrameType type, const std::string& body) {
   std::string wire;
-  EncodeFrame(type, body, &wire, wire_version());
+  EncodeFrame(type, body, &wire);
   return SendRaw(wire);
 }
 
@@ -615,7 +575,7 @@ Status LocalPublisher::RaisePipelinedShmInternal(
       wire.clear();
       enc.Clear();
       msgs[sent].Encode(&enc);
-      EncodeFrame(FrameType::kRaiseEvent, enc.buffer(), &wire, kProtocolV2);
+      EncodeFrame(FrameType::kRaiseEvent, enc.buffer(), &wire);
       Status s = shm_->PushFrame(wire);
       if (s.IsResourceExhausted()) {
         ring_full = true;
@@ -652,15 +612,6 @@ Status LocalPublisher::RaisePipelinedShmInternal(
   }
   if (rejected != nullptr) *rejected = rejected_count;
   return first_error;
-}
-
-// --- GatewayClient (deprecated facade) ---------------------------------------
-
-Result<std::unique_ptr<GatewayClient>> GatewayClient::Connect(
-    const std::string& host, uint16_t port, ClientOptions options) {
-  SENTINEL_ASSIGN_OR_RETURN(std::unique_ptr<Connection> conn,
-                            Connection::Dial(host, port, options));
-  return std::unique_ptr<GatewayClient>(new GatewayClient(std::move(conn)));
 }
 
 }  // namespace net

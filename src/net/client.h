@@ -2,8 +2,8 @@
 //
 // Client library for the Sentinel event gateway, split by role:
 //
-//   * Connection — one TCP connection: dialing, Hello-time protocol
-//     negotiation, framing, and the unary control-plane calls (ping, rule
+//   * Connection — one TCP connection: dialing, the Hello that names the
+//     tenant, framing, and the unary control-plane calls (ping, rule
 //     management, stats). Not thread safe; one instance per thread.
 //   * Publisher — the producer role layered on a Connection: single raises
 //     with retry, and windowed pipelined raises that keep a bounded number
@@ -15,8 +15,7 @@
 // Producers and consumers typically use separate connections so a
 // consumer's long-poll never blocks a producer's raises — mirroring the
 // paper's separation of the synchronous call interface from asynchronous
-// event propagation. GatewayClient below bundles all three behind the
-// pre-redesign monolithic API; new code should hold the pieces directly.
+// event propagation.
 
 #ifndef SENTINEL_NET_CLIENT_H_
 #define SENTINEL_NET_CLIENT_H_
@@ -49,13 +48,6 @@ struct RetryPolicy {
 
 /// Dial-time options.
 struct ClientOptions {
-  /// Open with a Hello exchange. When the server predates Hello (it
-  /// answers with an error or drops the connection), Dial transparently
-  /// redials and speaks protocol v1 — new client, old server, no caller
-  /// involvement.
-  bool negotiate = true;
-  uint8_t min_version = kProtocolV1;
-  uint8_t max_version = kProtocolVersionMax;
   /// Admission-quota domain this connection bills to ("" = default tenant).
   std::string tenant;
 };
@@ -64,8 +56,8 @@ struct ClientOptions {
 /// unary request/response calls every role needs. Not thread safe.
 class Connection {
  public:
-  /// Connects to host:port (IPv4 dotted quad) and, per `options`,
-  /// negotiates the protocol version.
+  /// Connects to host:port (IPv4 dotted quad) and sends a Hello naming
+  /// `options.tenant`.
   static Result<std::unique_ptr<Connection>> Dial(const std::string& host,
                                                   uint16_t port,
                                                   ClientOptions options = {});
@@ -75,16 +67,14 @@ class Connection {
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
-  /// Protocol both sides settled on (kProtocolV1 when no Hello happened).
-  uint8_t protocol_version() const { return version_; }
-  /// Server's frame-body ceiling from the HelloReply (default when v1).
+  /// Server's frame-body ceiling from the HelloReply.
   uint32_t server_max_frame_body() const { return server_max_frame_body_; }
-  /// Server banner from the HelloReply ("" when v1).
+  /// Server banner from the HelloReply.
   const std::string& server_banner() const { return server_; }
 
   // --- Framing (exposed for pipelining, benchmarks, and tests) ---------------
 
-  /// Writes one request frame (stamped with the negotiated version).
+  /// Writes one request frame.
   Status SendFrame(FrameType type, const std::string& body);
   /// Writes pre-encoded frame bytes verbatim. Lets a pipelining caller (or
   /// a benchmark that must not encode inside its timed section) build the
@@ -101,7 +91,7 @@ class Connection {
   /// building block for pre-encoded pipelined bursts.
   void EncodeFrameTo(FrameType type, const std::string& body,
                      std::string* out) const {
-    EncodeFrame(type, body, out, wire_version());
+    EncodeFrame(type, body, out);
   }
 
   // --- Unary control plane ---------------------------------------------------
@@ -126,18 +116,12 @@ class Connection {
   explicit Connection(int fd) : fd_(fd) {}
 
   static Result<int> DialSocket(const std::string& host, uint16_t port);
-  /// Runs the Hello exchange; OK with `*negotiated=false` means the server
-  /// is pre-Hello and the caller should redial plain.
-  Status Negotiate(const ClientOptions& options, bool* negotiated);
+  /// Runs the Hello exchange.
+  Status Hello(const ClientOptions& options);
   Status RuleToggle(FrameType type, const std::string& name);
-
-  uint8_t wire_version() const {
-    return version_ >= kProtocolV2 ? version_ : 0;
-  }
 
   int fd_ = -1;
   std::string inbuf_;  ///< Bytes read past the last complete frame.
-  uint8_t version_ = kProtocolV1;
   uint32_t server_max_frame_body_ = kDefaultMaxFrameBody;
   std::string server_;
 };
@@ -253,7 +237,7 @@ class Subscriber {
 /// (src/shmtp) when one is reachable and pushes raise frames with zero
 /// syscalls on the hot path; otherwise it transparently dials TCP and
 /// behaves exactly like a Publisher. The raise surface is a subset of
-/// Publisher's, with identical semantics — acks are the same v2
+/// Publisher's, with identical semantics — acks are the same
 /// StatusReply / ranged BatchStatusReply frames either way.
 class LocalPublisher {
  public:
@@ -309,74 +293,6 @@ class LocalPublisher {
   std::unique_ptr<Publisher> tcp_;        ///< Lives on conn_.
   size_t window_ = 256;
   uint32_t ack_timeout_ms_ = 5000;
-};
-
-/// Deprecated monolithic client: the pre-redesign API, now a thin facade
-/// over Connection + Publisher + Subscriber so existing call sites keep
-/// compiling while they migrate to the role types.
-class GatewayClient {
- public:
-  static Result<std::unique_ptr<GatewayClient>> Connect(
-      const std::string& host, uint16_t port, ClientOptions options = {});
-
-  GatewayClient(const GatewayClient&) = delete;
-  GatewayClient& operator=(const GatewayClient&) = delete;
-
-  Connection* connection() { return conn_.get(); }
-  Publisher* publisher() { return &publisher_; }
-  Subscriber* subscriber() { return &subscriber_; }
-
-  using RetryPolicy = net::RetryPolicy;
-
-  void set_retry_policy(const RetryPolicy& policy) {
-    publisher_.set_retry_policy(policy);
-  }
-  const RetryPolicy& retry_policy() const {
-    return publisher_.retry_policy();
-  }
-  uint64_t retries_total() const { return publisher_.retries_total(); }
-
-  Status Ping() { return conn_->Ping(); }
-  Result<uint64_t> RaiseEvent(const std::string& class_name,
-                              const std::string& method,
-                              EventModifier modifier, const ValueList& params,
-                              uint64_t oid = 0) {
-    return publisher_.Raise(class_name, method, modifier, params, oid);
-  }
-  Status RaisePipelined(const std::vector<RaiseEventMsg>& msgs,
-                        uint64_t* rejected = nullptr) {
-    return publisher_.RaisePipelined(msgs, rejected);
-  }
-  Status CreateRule(const CreateRuleMsg& spec) {
-    return conn_->CreateRule(spec);
-  }
-  Status EnableRule(const std::string& name) {
-    return conn_->EnableRule(name);
-  }
-  Status DisableRule(const std::string& name) {
-    return conn_->DisableRule(name);
-  }
-  Status Subscribe(const std::string& key) {
-    return subscriber_.Subscribe(key);
-  }
-  Result<std::vector<Notification>> Fetch(uint32_t max, uint32_t wait_ms) {
-    return subscriber_.Fetch(max, wait_ms);
-  }
-  Result<std::string> GetStats(
-      uint32_t sections = StatsRequestMsg::kDatabase |
-                          StatsRequestMsg::kGateway) {
-    return conn_->GetStats(sections);
-  }
-
- private:
-  explicit GatewayClient(std::unique_ptr<Connection> conn)
-      : conn_(std::move(conn)),
-        publisher_(conn_.get()),
-        subscriber_(conn_.get()) {}
-
-  std::unique_ptr<Connection> conn_;
-  Publisher publisher_;
-  Subscriber subscriber_;
 };
 
 }  // namespace net

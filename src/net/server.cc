@@ -841,11 +841,6 @@ void GatewayServer::WorkerLoop(size_t shard) {
 
 void GatewayServer::AckBatcher::Ack(const std::shared_ptr<Session>& session,
                                     const StatusReplyMsg& msg) {
-  if (session->wire_version() < kProtocolV2) {
-    // Legacy peer: one StatusReply per request, exactly as before.
-    session->Reply(FrameType::kStatusReply, msg);
-    return;
-  }
   Pending* p = nullptr;
   for (Pending& candidate : pending_) {
     if (candidate.session.get() == session.get()) {
@@ -1154,26 +1149,10 @@ StatusReplyMsg GatewayServer::HandleSubscribe(
 
 void GatewayServer::HandleHello(const std::shared_ptr<Session>& session,
                                 const HelloMsg& msg) {
-  // Pick the highest mutually supported version. Decode already bounded
-  // min <= max; an entirely-too-new client gets an error it can downgrade
-  // on.
-  if (msg.min_version > kProtocolVersionMax) {
-    session->Reply(FrameType::kStatusReply,
-                   StatusReplyMsg::FromStatus(Status::InvalidArgument(
-                       "unsupported protocol range (server max " +
-                       std::to_string(kProtocolVersionMax) + ")")));
-    return;
-  }
-  uint8_t version = std::min(msg.max_version, kProtocolVersionMax);
   session->tenant.store(TenantFor(msg.tenant), std::memory_order_release);
-  session->version.store(version, std::memory_order_release);
-
   HelloReplyMsg reply;
-  reply.version = version;
   reply.max_frame_body = options_.max_frame_body;
-  reply.server = "sentinel-gateway/" + std::to_string(kProtocolVersionMax);
-  // Queued after the version store, so the HelloReply itself is the first
-  // frame stamped with the negotiated header version.
+  reply.server = "sentinel-gateway/" + std::to_string(kProtocolV2);
   session->Reply(FrameType::kHelloReply, reply);
 }
 
@@ -1289,7 +1268,7 @@ void GatewayServer::HandleHistoryScan(Session* session,
                                       const HistoryScanMsg& msg) {
   // Hard ceiling regardless of the request: each notification is tens to
   // hundreds of bytes, so 4096 keeps the reply comfortably inside any
-  // negotiated frame cap. `complete` tells the client it was clamped.
+  // configured frame cap. `complete` tells the client it was clamped.
   constexpr uint32_t kMaxScanItems = 4096;
   const uint32_t limit = msg.limit == 0
                              ? kMaxScanItems

@@ -15,7 +15,7 @@
 // per-connection cost stays O(1) in the total session count (no poll-set
 // rebuild, no O(sessions) scans). Egress is batched: replies accumulate in
 // per-session outbox chunks and each drain writes them with one writev;
-// consecutive raise acks for a v2 session coalesce into ranged
+// consecutive raise acks for a session coalesce into ranged
 // BatchStatusReply frames. On top of the bounded ingress queues, admission
 // quotas (per-session and per-tenant in-flight raises, per-session queued
 // notify bytes) stop one hot client from starving the plane: quota hits
@@ -122,10 +122,6 @@ struct ServerOptions {
   /// Per-ring completion (host -> producer) byte capacity.
   uint64_t shm_completion_bytes = 256u << 10;
 };
-
-/// Deprecated name of ServerOptions, kept so pre-redesign call sites
-/// compile while they migrate.
-using GatewayOptions = ServerOptions;
 
 /// Counters exposed for benchmarks and tests (all monotone).
 struct GatewayStats {
@@ -258,7 +254,7 @@ class GatewayServer {
 
   // --- Worker thread helpers --------------------------------------------------
   /// Buffers consecutive same-session raise acks so a drain can answer
-  /// them with one ranged BatchStatusReply (v2 sessions) instead of a
+  /// them with one ranged BatchStatusReply instead of a
   /// frame per raise. Order within a session is preserved: any non-ack
   /// reply flushes the buffer first.
   class AckBatcher {
@@ -297,7 +293,7 @@ class GatewayServer {
   void HandleGetStats(Session* session, const StatsRequestMsg& msg);
   /// Replays spilled occurrence history (Database::HistoryScan) back to the
   /// session as a HistoryBatch. The request limit is clamped so one scan
-  /// cannot balloon a reply frame past the session's negotiated cap.
+  /// cannot balloon a reply frame past the server's frame-body cap.
   void HandleHistoryScan(Session* session, const HistoryScanMsg& msg);
   /// Forwards one replication poll to the attached handler and answers
   /// with a kReplBatch (or an error StatusReply when none is attached).

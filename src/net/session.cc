@@ -36,7 +36,7 @@ void Session::QueueReply(FrameType type, const std::string& body) {
       outbox_.back().reserve(
           std::min(kOutChunkTarget, kFrameHeaderSize + body.size()));
     }
-    EncodeFrame(type, body, &outbox_.back(), wire_version());
+    EncodeFrame(type, body, &outbox_.back());
   }
   if (was_empty && flush_notifier_) flush_notifier_(this);
 }
@@ -48,7 +48,7 @@ void Session::QueueReplyQuiet(FrameType type, const std::string& body) {
     outbox_.back().reserve(
         std::min(kOutChunkTarget, kFrameHeaderSize + body.size()));
   }
-  EncodeFrame(type, body, &outbox_.back(), wire_version());
+  EncodeFrame(type, body, &outbox_.back());
 }
 
 void Session::TakeOutput(std::deque<std::string>* wq) {

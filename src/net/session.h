@@ -19,7 +19,7 @@
 //   * the encoded outbox — shared; guarded by a per-session mutex, because
 //     workers queue replies while the IO thread drains chunks, and a
 //     backpressure rejection is queued directly from the IO thread.
-//   * version / closed / inflight_raises / tenant — atomics crossed between
+//   * closed / inflight_raises / tenant — atomics crossed between
 //     the IO shard and workers.
 //
 // Lock order: note_mu before out_mu_ (ReplyWithBatch queues the reply while
@@ -65,10 +65,9 @@ class Session {
 
   uint64_t id() const { return id_; }
 
-  /// Encodes (type, body) into a frame — stamped with the negotiated
-  /// protocol version — and appends it to the outbox. Invokes the flush
-  /// notifier (outside the outbox lock) when the outbox was empty, so the
-  /// owning IO shard learns it has bytes to write.
+  /// Encodes (type, body) into a frame and appends it to the outbox.
+  /// Invokes the flush notifier (outside the outbox lock) when the outbox
+  /// was empty, so the owning IO shard learns it has bytes to write.
   void QueueReply(FrameType type, const std::string& body);
 
   /// QueueReply without invoking the flush notifier. The caller takes on
@@ -104,13 +103,6 @@ class Session {
     flush_notifier_ = std::move(fn);
   }
 
-  /// Header version byte for frames sent to this peer: 0 until the session
-  /// negotiated kProtocolV2 or later.
-  uint8_t wire_version() const {
-    uint8_t v = version.load(std::memory_order_relaxed);
-    return v >= kProtocolV2 ? v : 0;
-  }
-
   // --- IO-shard state (owning epoll thread only) -------------------------------
 
   int fd = -1;                ///< Socket; closed (and set to -1) under wr_mu.
@@ -127,7 +119,6 @@ class Session {
 
   // --- Cross-thread flags ------------------------------------------------------
 
-  std::atomic<uint8_t> version{kProtocolV1};  ///< Negotiated protocol.
   std::atomic<bool> closed{false};       ///< Set when the IO shard reaps.
   std::atomic<bool> flush_queued{false}; ///< Deduplicates flush requests.
   std::atomic<uint32_t> inflight_raises{0};  ///< Admitted, not yet acked.

@@ -61,8 +61,7 @@ void EncodeFrame(FrameType type, const std::string& body, std::string* out,
                  uint8_t version) {
   Encoder enc;
   // Length and version share one little-endian u32: low 24 bits length,
-  // high byte version. Version-0 output is byte-identical to pre-versioning
-  // frames.
+  // high byte version.
   enc.PutU32(static_cast<uint32_t>(body.size()) |
              (static_cast<uint32_t>(version) << 24));
   enc.PutU8(static_cast<uint8_t>(type));
@@ -84,9 +83,9 @@ DecodeProgress TryDecodeFrame(std::string_view buf, uint32_t max_body,
   uint8_t version = static_cast<uint8_t>(len_word >> 24);
 
   // Validate the header before waiting for the body: an oversized length,
-  // an unknown type, or a version from the future can never become a good
-  // frame, so fail fast.
-  if (version > kProtocolVersionMax) {
+  // an unknown type, or a foreign version can never become a good frame,
+  // so fail fast.
+  if (version != kProtocolV2) {
     *error = Status::InvalidArgument("unsupported protocol version " +
                                      std::to_string(version));
     return DecodeProgress::kError;
@@ -105,7 +104,6 @@ DecodeProgress TryDecodeFrame(std::string_view buf, uint32_t max_body,
   if (buf.size() < kFrameHeaderSize + body_len) return DecodeProgress::kNeedMore;
 
   frame->type = static_cast<FrameType>(raw_type);
-  frame->version = version;
   frame->body.assign(buf.substr(kFrameHeaderSize, body_len));
   *consumed = kFrameHeaderSize + body_len;
   return DecodeProgress::kFrame;
@@ -276,8 +274,6 @@ Result<HistoryScanMsg> HistoryScanMsg::Decode(const std::string& body) {
 
 void HelloMsg::Encode(Encoder* enc) const {
   enc->PutU32(magic);
-  enc->PutU8(min_version);
-  enc->PutU8(max_version);
   enc->PutString(tenant);
 }
 
@@ -285,17 +281,10 @@ Result<HelloMsg> HelloMsg::Decode(const std::string& body) {
   Decoder dec(body);
   HelloMsg msg;
   SENTINEL_RETURN_IF_ERROR(dec.GetU32(&msg.magic));
-  SENTINEL_RETURN_IF_ERROR(dec.GetU8(&msg.min_version));
-  SENTINEL_RETURN_IF_ERROR(dec.GetU8(&msg.max_version));
   SENTINEL_RETURN_IF_ERROR(dec.GetString(&msg.tenant));
   SENTINEL_RETURN_IF_ERROR(ExpectEnd(dec));
   if (msg.magic != kMagic) {
     return Status::InvalidArgument("bad hello magic");
-  }
-  if (msg.min_version == 0 || msg.min_version > msg.max_version) {
-    return Status::InvalidArgument("bad hello version range [" +
-                                   std::to_string(msg.min_version) + ", " +
-                                   std::to_string(msg.max_version) + "]");
   }
   return msg;
 }
@@ -303,7 +292,6 @@ Result<HelloMsg> HelloMsg::Decode(const std::string& body) {
 // --- HelloReplyMsg -----------------------------------------------------------
 
 void HelloReplyMsg::Encode(Encoder* enc) const {
-  enc->PutU8(version);
   enc->PutU32(max_frame_body);
   enc->PutString(server);
 }
@@ -311,13 +299,9 @@ void HelloReplyMsg::Encode(Encoder* enc) const {
 Result<HelloReplyMsg> HelloReplyMsg::Decode(const std::string& body) {
   Decoder dec(body);
   HelloReplyMsg msg;
-  SENTINEL_RETURN_IF_ERROR(dec.GetU8(&msg.version));
   SENTINEL_RETURN_IF_ERROR(dec.GetU32(&msg.max_frame_body));
   SENTINEL_RETURN_IF_ERROR(dec.GetString(&msg.server));
   SENTINEL_RETURN_IF_ERROR(ExpectEnd(dec));
-  if (msg.version == 0) {
-    return Status::InvalidArgument("hello reply names version 0");
-  }
   return msg;
 }
 

@@ -8,13 +8,11 @@
 //
 //   u24 body-length | u8 protocol version | u8 frame type | body
 //
-// (little endian; the length and version share one u32 word). Version 0 is
-// what pre-versioning peers emit — their body lengths were capped far below
-// 2^24, so the byte now carrying the version was always zero and old frames
-// parse unchanged. A client opts into a newer protocol with a kHello
-// exchange; until that succeeds both sides speak version-0 framing and only
-// the v1 frame set, which is how a new server keeps serving old clients and
-// a new client survives an old server.
+// (little endian; the length and version share one u32 word). There is one
+// protocol: every frame in both directions carries kProtocolV2 in the
+// version byte, from the first frame on, and a decoder rejects any other
+// value. An optional kHello exchange names the connection's tenant and
+// reports the server's frame-body ceiling.
 //
 // Bodies are encoded by common/codec (the same Encoder/Decoder the object
 // store and WAL use). Decoding never trusts the peer: truncated, oversized,
@@ -67,12 +65,8 @@ enum class FrameType : uint8_t {
 /// True when `raw` names a defined FrameType.
 bool IsKnownFrameType(uint8_t raw);
 
-/// Protocol versions a Hello exchange can settle on. Version 1 is the
-/// pre-Hello protocol (exactly what version-0 framing carries); version 2
-/// adds the header version byte and ranged kBatchStatusReply acks.
-constexpr uint8_t kProtocolV1 = 1;
+/// The header version byte every frame carries.
 constexpr uint8_t kProtocolV2 = 2;
-constexpr uint8_t kProtocolVersionMax = kProtocolV2;
 
 /// Hard framing ceiling: the length field is 24 bits.
 constexpr uint32_t kFrameBodyLimit = (1u << 24) - 1;
@@ -87,14 +81,13 @@ constexpr size_t kFrameHeaderSize = 5;  // u24 length + u8 version + u8 type
 /// One decoded frame.
 struct Frame {
   FrameType type = FrameType::kPing;
-  uint8_t version = 0;  ///< Header version byte (0 = legacy framing).
   std::string body;
 };
 
 /// Appends the framed encoding of (type, body) to `out`. `version` is the
-/// header version byte; emit 0 unless the peer negotiated >= kProtocolV2.
+/// header version byte; only tests forging hostile headers pass another.
 void EncodeFrame(FrameType type, const std::string& body, std::string* out,
-                 uint8_t version = 0);
+                 uint8_t version = kProtocolV2);
 
 /// Outcome of TryDecodeFrame.
 enum class DecodeProgress {
@@ -105,8 +98,9 @@ enum class DecodeProgress {
 
 /// Attempts to split one frame off the front of `buf` (an accumulation
 /// buffer of raw socket bytes). On kFrame, `*frame` holds the result and
-/// `*consumed` the bytes to discard. On kError, `*error` says why (an
-/// oversized length prefix or an unknown frame type).
+/// `*consumed` the bytes to discard. On kError, `*error` says why (a
+/// version byte other than kProtocolV2, an oversized length prefix or an
+/// unknown frame type).
 DecodeProgress TryDecodeFrame(std::string_view buf, uint32_t max_body,
                               Frame* frame, size_t* consumed, Status* error);
 
@@ -186,18 +180,13 @@ struct FetchMsg {
   static Result<FetchMsg> Decode(const std::string& body);
 };
 
-/// Opens protocol negotiation (the first frame a version-aware client
-/// sends, always with a version-0 header). The server picks the highest
-/// version inside [min_version, max_version] it also supports and answers
-/// with a HelloReply; a pre-Hello server answers with an error instead,
-/// which the client treats as "speak v1". `tenant` names the admission
-/// domain this connection bills its quotas to ("" = the default tenant).
+/// Names the connection's tenant: the admission domain it bills its quotas
+/// to ("" = the default tenant). Optional; the server answers with a
+/// HelloReply. A session that never sends one bills the default tenant.
 struct HelloMsg {
   static constexpr uint32_t kMagic = 0x534E544Cu;  // "SNTL"
 
   uint32_t magic = kMagic;
-  uint8_t min_version = kProtocolV1;
-  uint8_t max_version = kProtocolVersionMax;
   std::string tenant;
 
   void Encode(Encoder* enc) const;
@@ -278,11 +267,10 @@ struct StatusReplyMsg {
   static Result<StatusReplyMsg> Decode(const std::string& body);
 };
 
-/// Reply to Hello: the version both sides will speak from here on, plus
-/// the server's frame-body ceiling so a well-behaved client never sends a
-/// frame the server would have to kill the connection over.
+/// Reply to Hello: the server's frame-body ceiling, so a well-behaved
+/// client never sends a frame the server would have to kill the
+/// connection over, plus an informational banner.
 struct HelloReplyMsg {
-  uint8_t version = kProtocolV1;
   uint32_t max_frame_body = kDefaultMaxFrameBody;
   std::string server;  ///< Informational banner, e.g. "sentinel-gateway/2".
 
@@ -290,9 +278,9 @@ struct HelloReplyMsg {
   static Result<HelloReplyMsg> Decode(const std::string& body);
 };
 
-/// Ranged, coalesced acks (protocol >= v2 only). Answers a run of
-/// consecutive same-session requests whose StatusReplies would have been
-/// identical with one frame: `count` acks of (code, message). `payload`
+/// Ranged, coalesced acks. Answers a run of consecutive same-session
+/// requests whose StatusReplies would have been identical with one frame:
+/// `count` acks of (code, message). `payload`
 /// carries the per-request payload only when count == 1 (a run of raises
 /// against one relay shares its oid, so coalescing keeps that case exact
 /// too — the encoder only merges acks whose payloads match).

@@ -228,9 +228,6 @@ void ShmHost::AttachRing(uint32_t i) {
   Ring* ring = rings_[i].get();
   auto session =
       std::make_shared<net::Session>(env_.alloc_session_id(), /*fd=*/-1);
-  // Shm peers are born v2: the completion stream reuses the ranged
-  // BatchStatusReply coalescing wholesale.
-  session->version.store(net::kProtocolV2, std::memory_order_relaxed);
   session->tenant.store(env_.default_tenant, std::memory_order_release);
   session->SetFlushNotifier(
       [this, i](net::Session* s) { WriteCompletions(i, s); });

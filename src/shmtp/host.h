@@ -7,7 +7,7 @@
 // and feeds them into the *same* per-shard IngressQueues the TCP gateway
 // uses — so sharding, admission quotas, worker ordering, metrics, and ack
 // batching are shared, not reimplemented. Each attached ring is fronted by
-// a socketless net::Session (fd = -1, protocol v2): workers ack through
+// a socketless net::Session (fd = -1): workers ack through
 // the normal AckBatcher path, the session's flush notifier lands the
 // encoded reply frames in the ring's completion region, and the handle
 // decodes them exactly as a TCP client would.

@@ -80,62 +80,39 @@ Status WalManager::Open(const std::string& path) {
   std::fseek(file_, 0, SEEK_END);
   long size = std::ftell(file_);
 
-  if (size == 0) {
-    // Fresh log: version-2 header, records start at LSN 0.
-    format_version_ = kFormatVersion;
-    header_size_ = kHeaderSize;
-    base_lsn_ = 0;
-    Status s = WriteHeader(file_, 0);
-    if (!s.ok()) {
-      std::fclose(file_);
-      file_ = nullptr;
-      return s;
-    }
-    return Status::OK();
-  }
-
-  // Existing log: versioned header, or a legacy headerless (v1) file.
-  std::fseek(file_, 0, SEEK_SET);
-  char magic[4] = {0, 0, 0, 0};
-  size_t got = std::fread(magic, 1, 4, file_);
-  if (got == 4 && std::memcmp(magic, kMagic, 4) == 0) {
-    std::string rest(kHeaderSize - 4, '\0');
-    if (std::fread(rest.data(), 1, rest.size(), file_) != rest.size()) {
-      std::fclose(file_);
-      file_ = nullptr;
-      return Status::Corruption("wal header truncated");
-    }
-    Decoder dec(rest);
-    uint32_t version = 0, stored_crc = 0;
-    uint64_t base = 0;
-    dec.GetU32(&version).ok();
-    dec.GetU64(&base).ok();
-    dec.GetU32(&stored_crc).ok();
-    uint32_t crc = Crc32c(kMagic, 4);
-    crc = ExtendCrc32c(crc, rest.data(), 12);  // version + base_lsn.
-    if (crc != stored_crc) {
-      std::fclose(file_);
-      file_ = nullptr;
-      return Status::Corruption("wal header crc mismatch");
-    }
-    if (version == 0 || version > kFormatVersion) {
-      std::fclose(file_);
-      file_ = nullptr;
-      return Status::Corruption("unsupported wal version " +
-                                std::to_string(version));
-    }
-    format_version_ = version;
-    header_size_ = kHeaderSize;
-    base_lsn_ = base;
-  } else {
-    // No header: a log written before versioning. Records carry no CRC;
-    // keep appending in the same frame format so replay stays uniform —
-    // the next Reset/TruncateTo rewrites the file as version 2.
-    format_version_ = 1;
-    header_size_ = 0;
-    base_lsn_ = 0;
+  Status s = size == 0 ? WriteHeader(file_, 0) : ReadHeader();
+  if (!s.ok()) {
+    std::fclose(file_);
+    file_ = nullptr;
+    return s;
   }
   std::fseek(file_, 0, SEEK_END);
+  return Status::OK();
+}
+
+Status WalManager::ReadHeader() {
+  std::fseek(file_, 0, SEEK_SET);
+  char header[kHeaderSize];
+  size_t got = std::fread(header, 1, kHeaderSize, file_);
+  if (got < 4 || std::memcmp(header, kMagic, 4) != 0) {
+    // Not a log this code wrote; refuse it rather than append to it.
+    return Status::Corruption("wal file lacks the SWAL header");
+  }
+  if (got < kHeaderSize) return Status::Corruption("wal header truncated");
+  Decoder dec(header + 4, kHeaderSize - 4);
+  uint32_t version = 0, stored_crc = 0;
+  uint64_t base = 0;
+  dec.GetU32(&version).ok();
+  dec.GetU64(&base).ok();
+  dec.GetU32(&stored_crc).ok();
+  if (Crc32c(header, 16) != stored_crc) {  // magic + version + base_lsn.
+    return Status::Corruption("wal header crc mismatch");
+  }
+  if (version != kFormatVersion) {
+    return Status::Corruption("unsupported wal version " +
+                              std::to_string(version));
+  }
+  base_lsn_ = base;
   return Status::OK();
 }
 
@@ -162,17 +139,13 @@ Status WalManager::Append(const WalRecord& record) {
   body.PutU64(record.txn);
   body.PutU64(record.oid);
   body.PutString(record.payload);
+  Encoder framed;
+  framed.PutU32(static_cast<uint32_t>(body.size()));
+  framed.PutU32(Crc32c(body.buffer().data(), body.size()));
+  framed.PutRaw(body.buffer().data(), body.size());
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (file_ == nullptr) return Status::FailedPrecondition("wal not open");
-  // Framed under the lock: the record format follows the file's version,
-  // which TruncateTo may upgrade concurrently.
-  Encoder framed;
-  framed.PutU32(static_cast<uint32_t>(body.size()));
-  if (format_version_ >= 2) {
-    framed.PutU32(Crc32c(body.buffer().data(), body.size()));
-  }
-  framed.PutRaw(body.buffer().data(), body.size());
   if (FailPoints::AnyActive()) {
     size_t partial = 0;
     Status fp = FailPoints::Instance().Check("wal.append", &partial);
@@ -228,62 +201,8 @@ Status WalManager::Sync() {
 Status WalManager::ReadAll(std::vector<WalRecord>* out) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (file_ == nullptr) return Status::FailedPrecondition("wal not open");
-  out->clear();
-  std::fflush(file_);
-  std::fseek(file_, 0, SEEK_END);
-  long file_size = std::ftell(file_);
-  if (std::fseek(file_, static_cast<long>(header_size_), SEEK_SET) != 0) {
-    return Status::IOError("wal seek failed");
-  }
-  const bool with_crc = format_version_ >= 2;
-  const size_t frame_overhead = with_crc ? 8 : 4;
-  long pos = static_cast<long>(header_size_);
-  Status result = Status::OK();
-  for (;;) {
-    uint32_t len = 0;
-    size_t got = std::fread(&len, 1, 4, file_);
-    if (got < 4) break;  // Clean end or torn length: stop.
-    uint64_t remaining = static_cast<uint64_t>(file_size - pos);
-    if (len > kMaxRecordBody || frame_overhead + len > remaining) {
-      break;  // Torn record (claims more bytes than exist): crash tail.
-    }
-    uint32_t stored_crc = 0;
-    if (with_crc && std::fread(&stored_crc, 1, 4, file_) < 4) break;
-    std::string record_body(len, '\0');
-    got = std::fread(record_body.data(), 1, len, file_);
-    if (got < len) break;  // Torn record body: stop (crash tail).
-    if (with_crc && Crc32c(record_body) != stored_crc) {
-      // The record is fully present but its bytes are wrong: this is
-      // media/software corruption, not a crash tail — surface it rather
-      // than replaying garbage (or silently dropping valid records that
-      // may follow).
-      result = Status::Corruption(
-          "wal record crc mismatch at lsn " +
-          std::to_string(base_lsn_ + (pos - header_size_)));
-      break;
-    }
-    Decoder dec(record_body);
-    WalRecord rec;
-    uint8_t type = 0;
-    Status s = dec.GetU8(&type);
-    if (s.ok()) s = dec.GetU64(&rec.txn);
-    if (s.ok()) s = dec.GetU64(&rec.oid);
-    if (s.ok()) s = dec.GetString(&rec.payload);
-    if (!s.ok()) {
-      if (with_crc) {
-        // CRC passed but the body does not decode: structural corruption.
-        result = Status::Corruption("malformed wal record at lsn " +
-                                    std::to_string(base_lsn_ +
-                                                   (pos - header_size_)));
-      }
-      break;  // v1: indistinguishable from a torn tail.
-    }
-    rec.type = static_cast<WalRecordType>(type);
-    out->push_back(std::move(rec));
-    pos += static_cast<long>(frame_overhead + len);
-  }
-  std::fseek(file_, 0, SEEK_END);
-  return result;
+  uint64_t next_lsn = 0;
+  return ReadFromLocked(base_lsn_, SIZE_MAX, out, &next_lsn);
 }
 
 Status WalManager::ReadFrom(uint64_t from_lsn, size_t max_records,
@@ -291,6 +210,12 @@ Status WalManager::ReadFrom(uint64_t from_lsn, size_t max_records,
                             uint64_t* next_lsn) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (file_ == nullptr) return Status::FailedPrecondition("wal not open");
+  return ReadFromLocked(from_lsn, max_records, out, next_lsn);
+}
+
+Status WalManager::ReadFromLocked(uint64_t from_lsn, size_t max_records,
+                                  std::vector<WalRecord>* out,
+                                  uint64_t* next_lsn) {
   out->clear();
   *next_lsn = from_lsn;
   if (from_lsn < base_lsn_) {
@@ -301,7 +226,7 @@ Status WalManager::ReadFrom(uint64_t from_lsn, size_t max_records,
   std::fflush(file_);
   std::fseek(file_, 0, SEEK_END);
   long file_size = std::ftell(file_);
-  long pos = static_cast<long>(header_size_ + (from_lsn - base_lsn_));
+  long pos = static_cast<long>(kHeaderSize + (from_lsn - base_lsn_));
   if (pos > file_size) {
     return Status::OutOfRange("lsn " + std::to_string(from_lsn) +
                               " past the log end");
@@ -309,24 +234,29 @@ Status WalManager::ReadFrom(uint64_t from_lsn, size_t max_records,
   if (std::fseek(file_, pos, SEEK_SET) != 0) {
     return Status::IOError("wal seek failed");
   }
-  const bool with_crc = format_version_ >= 2;
-  const size_t frame_overhead = with_crc ? 8 : 4;
+  constexpr size_t kFrameOverhead = 8;  // u32 length + u32 crc.
   Status result = Status::OK();
   while (out->size() < max_records) {
     uint32_t len = 0;
     size_t got = std::fread(&len, 1, 4, file_);
     if (got < 4) break;  // Clean end or torn length: stop.
     uint64_t remaining = static_cast<uint64_t>(file_size - pos);
-    if (len > kMaxRecordBody || frame_overhead + len > remaining) break;
+    if (len > kMaxRecordBody || kFrameOverhead + len > remaining) {
+      break;  // Torn record (claims more bytes than exist): crash tail.
+    }
     uint32_t stored_crc = 0;
-    if (with_crc && std::fread(&stored_crc, 1, 4, file_) < 4) break;
+    if (std::fread(&stored_crc, 1, 4, file_) < 4) break;
     std::string record_body(len, '\0');
     got = std::fread(record_body.data(), 1, len, file_);
-    if (got < len) break;
-    if (with_crc && Crc32c(record_body) != stored_crc) {
-      result = Status::Corruption(
-          "wal record crc mismatch at lsn " +
-          std::to_string(base_lsn_ + (pos - header_size_)));
+    if (got < len) break;  // Torn record body: stop (crash tail).
+    const uint64_t lsn = base_lsn_ + (pos - kHeaderSize);
+    if (Crc32c(record_body) != stored_crc) {
+      // The record is fully present but its bytes are wrong: this is
+      // media/software corruption, not a crash tail — surface it rather
+      // than replaying garbage (or silently dropping valid records that
+      // may follow).
+      result = Status::Corruption("wal record crc mismatch at lsn " +
+                                  std::to_string(lsn));
       break;
     }
     Decoder dec(record_body);
@@ -337,17 +267,15 @@ Status WalManager::ReadFrom(uint64_t from_lsn, size_t max_records,
     if (s.ok()) s = dec.GetU64(&rec.oid);
     if (s.ok()) s = dec.GetString(&rec.payload);
     if (!s.ok()) {
-      if (with_crc) {
-        result = Status::Corruption("malformed wal record at lsn " +
-                                    std::to_string(base_lsn_ +
-                                                   (pos - header_size_)));
-      }
+      // CRC passed but the body does not decode: structural corruption.
+      result = Status::Corruption("malformed wal record at lsn " +
+                                  std::to_string(lsn));
       break;
     }
     rec.type = static_cast<WalRecordType>(type);
     out->push_back(std::move(rec));
-    pos += static_cast<long>(frame_overhead + len);
-    *next_lsn = base_lsn_ + (pos - header_size_);
+    pos += static_cast<long>(kFrameOverhead + len);
+    *next_lsn = base_lsn_ + (pos - kHeaderSize);
   }
   std::fseek(file_, 0, SEEK_END);
   return result;
@@ -364,7 +292,7 @@ Result<uint64_t> WalManager::CurrentLsn() {
   if (file_ == nullptr) return Status::FailedPrecondition("wal not open");
   long pos = std::ftell(file_);
   if (pos < 0) return Status::IOError("ftell failed");
-  return base_lsn_ + (static_cast<uint64_t>(pos) - header_size_);
+  return base_lsn_ + (static_cast<uint64_t>(pos) - kHeaderSize);
 }
 
 Status WalManager::TruncateToLocked(uint64_t stable_lsn) {
@@ -373,7 +301,7 @@ Status WalManager::TruncateToLocked(uint64_t stable_lsn) {
   long end_pos = std::ftell(file_);
   if (end_pos < 0) return Status::IOError("ftell failed");
   uint64_t end_lsn = base_lsn_ + (static_cast<uint64_t>(end_pos) -
-                                  header_size_);
+                                  kHeaderSize);
   if (stable_lsn < base_lsn_) {
     return Status::OK();  // Already truncated past this point.
   }
@@ -383,7 +311,7 @@ Status WalManager::TruncateToLocked(uint64_t stable_lsn) {
 
   // Read the surviving suffix [stable_lsn, end_lsn).
   long suffix_off =
-      static_cast<long>(header_size_ + (stable_lsn - base_lsn_));
+      static_cast<long>(kHeaderSize + (stable_lsn - base_lsn_));
   std::string suffix(static_cast<size_t>(end_pos - suffix_off), '\0');
   if (std::fseek(file_, suffix_off, SEEK_SET) != 0 ||
       std::fread(suffix.data(), 1, suffix.size(), file_) != suffix.size()) {
@@ -429,8 +357,6 @@ Status WalManager::TruncateToLocked(uint64_t stable_lsn) {
   }
   std::fseek(file_, 0, SEEK_END);
   uint64_t dropped = stable_lsn - base_lsn_;
-  format_version_ = kFormatVersion;
-  header_size_ = kHeaderSize;
   base_lsn_ = stable_lsn;
   metrics::Add(m_truncated_bytes_, dropped);
   return Status::OK();
@@ -450,7 +376,7 @@ Status WalManager::Reset() {
   long pos = std::ftell(file_);
   if (pos < 0) return Status::IOError("ftell failed");
   return TruncateToLocked(base_lsn_ +
-                          (static_cast<uint64_t>(pos) - header_size_));
+                          (static_cast<uint64_t>(pos) - kHeaderSize));
 }
 
 Result<uint64_t> WalManager::SizeBytes() {
@@ -459,7 +385,7 @@ Result<uint64_t> WalManager::SizeBytes() {
   std::fflush(file_);
   long pos = std::ftell(file_);
   if (pos < 0) return Status::IOError("ftell failed");
-  return static_cast<uint64_t>(pos) - header_size_;
+  return static_cast<uint64_t>(pos) - kHeaderSize;
 }
 
 }  // namespace sentinel

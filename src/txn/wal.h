@@ -17,9 +17,9 @@
 // LSN captured before a checkpoint still names the same boundary after the
 // prefix behind it is dropped. A torn tail is detected by the length check
 // and truncated; a corrupted *middle* record fails its CRC and surfaces as
-// Corruption instead of silently replaying garbage. Version-1 logs (no
-// header, no record CRCs — written before this format existed) are still
-// replayed; the first Reset/TruncateTo rewrites them as version 2.
+// Corruption instead of silently replaying garbage. Open refuses, with
+// Corruption and without touching the file, any non-empty file that lacks
+// a valid version-2 header.
 //
 // Sync failures are sticky: after the first failed flush the log refuses
 // every further Sync with IOError. A failed fsync means the kernel may have
@@ -71,7 +71,7 @@ class WalManager {
   WalManager& operator=(const WalManager&) = delete;
 
   /// Opens (creating if absent) the log at `path`. A fresh log gets a
-  /// version-2 header; an existing headerless log is read as version 1.
+  /// version-2 header; an existing file must already carry one.
   Status Open(const std::string& path);
   Status Close();
 
@@ -146,6 +146,12 @@ class WalManager {
  private:
   /// Writes a fresh v2 header to `f` (positioned at 0). Caller holds mutex_.
   Status WriteHeader(std::FILE* f, uint64_t base_lsn);
+  /// Validates file_'s header and loads base_lsn_. Caller holds mutex_.
+  Status ReadHeader();
+  /// The one record-decode loop behind ReadAll and ReadFrom. Caller holds
+  /// mutex_ with file_ open.
+  Status ReadFromLocked(uint64_t from_lsn, size_t max_records,
+                        std::vector<WalRecord>* out, uint64_t* next_lsn);
 
   /// Shared tail of TruncateTo/Reset. Caller holds mutex_.
   Status TruncateToLocked(uint64_t stable_lsn);
@@ -153,8 +159,6 @@ class WalManager {
   std::mutex mutex_;
   std::FILE* file_ = nullptr;
   std::string path_;
-  uint32_t format_version_ = 2;  ///< 1 = legacy headerless log.
-  uint64_t header_size_ = 0;     ///< 0 for v1 logs.
   uint64_t base_lsn_ = 0;        ///< LSN of the first byte after the header.
   std::atomic<bool> sync_failed_{false};
   std::atomic<uint64_t> sync_count_{0};

@@ -53,6 +53,10 @@ struct ModifierCase {
   EventModifier expected;
 };
 
+// Without this gtest prints the raw bytes of the case (a pointer and padding),
+// which differ from run to run and so change the listed test names.
+void PrintTo(const ModifierCase& c, std::ostream* os) { *os << c.word; }
+
 class ModifierSynonymTest : public ::testing::TestWithParam<ModifierCase> {};
 
 TEST_P(ModifierSynonymTest, AllSynonymsParse) {

@@ -3,15 +3,9 @@
 // The epoll IO plane end to end: many sessions spread over several IO
 // shards mixing raises, long-poll fetches, and disconnect-while-parked;
 // admission quotas answering ResourceExhausted instead of hanging; and the
-// Hello version-negotiation matrix (old client / new server, new client /
-// old server, incompatible ranges). Runs under TSan in CI — every assertion
-// here is also a data-race probe across IO shards, workers, and client
-// threads.
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
+// Hello exchange with its batched acks. Runs under TSan in CI — every
+// assertion here is also a data-race probe across IO shards, workers, and
+// client threads.
 
 #include <gtest/gtest.h>
 
@@ -133,12 +127,10 @@ TEST_F(EpollPlaneTest, ThousandParkedSessionsBroadcastAndDisconnect) {
   constexpr size_t kSessions = 1024;
 #endif
 
-  ClientOptions plain;
-  plain.negotiate = false;  // Parked sockets exercise the v1 path too.
   std::vector<std::unique_ptr<Connection>> parked;
   parked.reserve(kSessions);
   for (size_t i = 0; i < kSessions; ++i) {
-    auto conn = Connection::Dial("127.0.0.1", server_->port(), plain);
+    auto conn = Connection::Dial("127.0.0.1", server_->port());
     ASSERT_TRUE(conn.ok()) << i << ": " << conn.status().ToString();
     Subscriber sub(conn->get());
     ASSERT_TRUE(sub.Subscribe("end Sensor::Report").ok());
@@ -263,9 +255,7 @@ TEST_F(EpollPlaneTest, SessionQuotaRejectsInsteadOfHanging) {
 // same-key order into the database.
 TEST_F(EpollPlaneTest, SameSessionAcksAreNeverReordered) {
   StartServer(ServerOptions{});
-  ClientOptions plain;
-  plain.negotiate = false;  // v1: exactly one StatusReply per raise.
-  auto conn = Dial(plain);
+  auto conn = Dial();
 
   RaiseEventMsg first;
   first.oid = 111;
@@ -285,13 +275,27 @@ TEST_F(EpollPlaneTest, SameSessionAcksAreNeverReordered) {
     // the acks in request order.
     ASSERT_TRUE(conn->SendFrame(FrameType::kRaiseEvent, e1.buffer()).ok());
     ASSERT_TRUE(conn->SendFrame(FrameType::kRaiseEvent, e2.buffer()).ok());
-    uint64_t oids[2] = {0, 0};
-    for (uint64_t& oid : oids) {
+    // The two acks arrive as two StatusReplies or as one ranged
+    // BatchStatusReply whose runs carry them in order.
+    std::vector<uint64_t> oids;
+    while (oids.size() < 2) {
       Frame frame;
       ASSERT_TRUE(conn->ReadFrame(&frame).ok());
-      Status s = Connection::ExpectStatusReply(frame, &oid);
-      ASSERT_TRUE(s.ok()) << s.ToString();
+      if (frame.type == FrameType::kBatchStatusReply) {
+        auto batch = BatchStatusReplyMsg::Decode(frame.body);
+        ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+        for (const BatchStatusReplyMsg::Run& run : batch->runs) {
+          ASSERT_EQ(run.code, 0) << run.message;
+          oids.insert(oids.end(), run.count, run.payload);
+        }
+      } else {
+        uint64_t oid = 0;
+        Status s = Connection::ExpectStatusReply(frame, &oid);
+        ASSERT_TRUE(s.ok()) << s.ToString();
+        oids.push_back(oid);
+      }
     }
+    ASSERT_EQ(oids.size(), 2u) << "iteration " << i;
     ASSERT_EQ(oids[0], 111u) << "iteration " << i;
     ASSERT_EQ(oids[1], 222u) << "iteration " << i;
   }
@@ -372,19 +376,18 @@ TEST_F(EpollPlaneTest, TenantQuotaPoolsSessions) {
   EXPECT_GE(server_->stats().quota_rejections, rejected_total.load());
 }
 
-// --- Version negotiation matrix ----------------------------------------------
+// --- Hello and batched acks --------------------------------------------------
 
 TEST_F(EpollPlaneTest, NewClientNegotiatesV2AndGetsBatchedAcks) {
   StartServer({});
   auto conn = Dial();
-  EXPECT_EQ(conn->protocol_version(), kProtocolV2);
   EXPECT_FALSE(conn->server_banner().empty());
 
-  // Pipelined bursts on a v2 session come back as coalesced ranged acks.
-  // Coalescing is opportunistic — it needs >1 raise ack in one worker
-  // drain — so a worker that happens to keep perfect pace with the IO
-  // shard can answer a whole burst singly; send bursts until one batches
-  // (in practice the first or second).
+  // Pipelined bursts come back as coalesced ranged acks. Coalescing is
+  // opportunistic — it needs >1 raise ack in one worker drain — so a
+  // worker that happens to keep perfect pace with the IO shard can answer
+  // a whole burst singly; send bursts until one batches (in practice the
+  // first or second).
   Publisher pub(conn.get(), 64);
   std::vector<RaiseEventMsg> burst(64);
   for (RaiseEventMsg& msg : burst) {
@@ -398,123 +401,6 @@ TEST_F(EpollPlaneTest, NewClientNegotiatesV2AndGetsBatchedAcks) {
     ASSERT_TRUE(pub.RaisePipelined(burst).ok());
   }
   EXPECT_GT(server_->stats().batched_acks, 0u);
-}
-
-TEST_F(EpollPlaneTest, OldClientSpeaksV1Unchanged) {
-  StartServer({});
-  ClientOptions old_client;
-  old_client.negotiate = false;  // Exactly the pre-Hello byte stream.
-  auto conn = Dial(old_client);
-  EXPECT_EQ(conn->protocol_version(), kProtocolV1);
-
-  // Pipelined raises still get one StatusReply each — never a
-  // BatchStatusReply, which a v1 peer cannot decode.
-  Publisher pub(conn.get(), 32);
-  std::vector<RaiseEventMsg> burst(32);
-  for (RaiseEventMsg& msg : burst) {
-    msg.class_name = "Sensor";
-    msg.method = "Report";
-  }
-  RetryPolicy retry;
-  retry.max_attempts = 100;
-  pub.set_retry_policy(retry);
-  ASSERT_TRUE(pub.RaisePipelined(burst).ok());
-  EXPECT_EQ(server_->stats().batched_acks, 0u);
-  EXPECT_TRUE(conn->Ping().ok());
-}
-
-TEST_F(EpollPlaneTest, IncompatibleVersionRangeFailsLoudly) {
-  StartServer({});
-  ClientOptions future;
-  future.min_version = kProtocolVersionMax + 1;
-  future.max_version = kProtocolVersionMax + 1;
-  auto conn =
-      Connection::Dial("127.0.0.1", server_->port(), future);
-  ASSERT_FALSE(conn.ok());
-  EXPECT_TRUE(conn.status().IsInvalidArgument())
-      << conn.status().ToString();
-}
-
-// New client against a pre-Hello server: the fake server answers the
-// Hello with a v1-style error and drops the connection — Dial must fall
-// back to protocol v1 transparently.
-TEST(VersionFallbackTest, NewClientSurvivesOldServer) {
-  int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(listen_fd, 0);
-  int one = 1;
-  ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                   sizeof(addr)),
-            0);
-  ASSERT_EQ(::listen(listen_fd, 4), 0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                          &len),
-            0);
-  uint16_t port = ntohs(addr.sin_port);
-
-  std::thread fake_server([listen_fd] {
-    // First connection: receive the Hello, answer like an old server that
-    // has never heard of frame type 9 — an error StatusReply with a
-    // version-0 header, then a hard close.
-    int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) return;
-    char buf[512];
-    (void)!::recv(fd, buf, sizeof(buf), 0);
-    StatusReplyMsg err = StatusReplyMsg::FromStatus(
-        Status::InvalidArgument("unknown frame type 9"));
-    Encoder enc;
-    err.Encode(&enc);
-    std::string wire;
-    EncodeFrame(FrameType::kStatusReply, enc.buffer(), &wire);
-    (void)!::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL);
-    ::close(fd);
-
-    // Second connection: the client's plain redial. Serve one Ping.
-    fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) return;
-    std::string inbuf;
-    Frame frame;
-    while (true) {
-      size_t consumed = 0;
-      Status error;
-      DecodeProgress p = TryDecodeFrame(inbuf, kDefaultMaxFrameBody, &frame,
-                                        &consumed, &error);
-      if (p == DecodeProgress::kFrame) break;
-      if (p == DecodeProgress::kError) {
-        ::close(fd);
-        return;
-      }
-      ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      if (n <= 0) {
-        ::close(fd);
-        return;
-      }
-      inbuf.append(buf, static_cast<size_t>(n));
-    }
-    auto ping = PingMsg::Decode(frame.body);
-    PongMsg pong;
-    if (ping.ok()) pong.token = ping->token;
-    Encoder penc;
-    pong.Encode(&penc);
-    std::string wire2;
-    EncodeFrame(FrameType::kPong, penc.buffer(), &wire2);
-    (void)!::send(fd, wire2.data(), wire2.size(), MSG_NOSIGNAL);
-    ::close(fd);
-  });
-
-  auto conn = Connection::Dial("127.0.0.1", port);
-  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
-  EXPECT_EQ((*conn)->protocol_version(), kProtocolV1);
-  EXPECT_TRUE((*conn)->server_banner().empty());
-  EXPECT_TRUE((*conn)->Ping().ok());
-
-  fake_server.join();
-  ::close(listen_fd);
 }
 
 }  // namespace

@@ -3,9 +3,7 @@
 // End-to-end gateway tests over loopback TCP: a remote raise triggers
 // rules and reaches another connection's subscription, long-polls complete
 // on raise, and malformed streams are rejected without taking the server
-// down. Clients use the role API (Connection + Publisher + Subscriber);
-// one test pins the deprecated GatewayClient facade so the migration shim
-// keeps working until it is removed.
+// down. Clients use the role API (Connection + Publisher + Subscriber).
 
 #include "net/server.h"
 
@@ -65,7 +63,7 @@ class GatewayTest : public ::testing::Test {
     return std::move(c).value();
   }
 
-  GatewayOptions options_;
+  ServerOptions options_;
   std::unique_ptr<testing_util::TempDir> tmp_;
   std::unique_ptr<Database> db_;
   std::unique_ptr<GatewayServer> server_;
@@ -347,28 +345,6 @@ TEST_F(GatewayTest, PipelinedRejectionStallsWindowAndWithholdsTail) {
   EXPECT_EQ(processed_after - processed_before, kWindow);
 }
 
-TEST_F(GatewayTest, DeprecatedGatewayClientShimStillWorks) {
-  // The monolithic facade must stay a faithful veneer over the role types
-  // until every external caller has migrated: same wire behaviour, same
-  // retry plumbing, bundled on one connection.
-  auto connected = GatewayClient::Connect("127.0.0.1", server_->port());
-  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
-  auto client = std::move(connected).value();
-
-  EXPECT_TRUE(client->Ping().ok());
-  ASSERT_TRUE(client->Subscribe("end Sensor::Report").ok());
-  auto oid = client->RaiseEvent("Sensor", "Report", EventModifier::kEnd,
-                                {Value(5.5)});
-  ASSERT_TRUE(oid.ok()) << oid.status().ToString();
-  auto batch = client->Fetch(16, 2000);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_EQ(batch->size(), 1u);
-  EXPECT_EQ((*batch)[0].key, "end Sensor::Report");
-  // The facade exposes its role pieces for incremental migration.
-  EXPECT_EQ(client->publisher()->retries_total(), client->retries_total());
-  EXPECT_TRUE(client->connection()->Ping().ok());
-}
-
 TEST_F(GatewayTest, DisconnectWhileParkedReapsFetchAndSubscriptions) {
   // Regression: a session that died while parked on a long-poll fetch used
   // to stay registered in the hub's parked set, and its subscriptions kept
@@ -453,47 +429,58 @@ TEST_F(GatewayTest, DisconnectWhileParkedReapsFetchAndSubscriptions) {
 }
 
 TEST_F(GatewayTest, GarbageBytesGetErrorReplyThenDisconnect) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server_->port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-
   // An unknown frame type right in the header.
-  Encoder enc;
-  enc.PutU32(3);
-  enc.PutU8(200);
-  enc.PutRaw("abc", 3);
-  ASSERT_EQ(::send(fd, enc.buffer().data(), enc.size(), 0),
-            static_cast<ssize_t>(enc.size()));
+  Encoder unknown_type;
+  unknown_type.PutU32(3 | (uint32_t{kProtocolV2} << 24));
+  unknown_type.PutU8(200);
+  unknown_type.PutRaw("abc", 3);
+  // A well-formed Ping whose header carries version 0: the pre-versioning
+  // framing, which no longer parses.
+  std::string version_zero;
+  Encoder ping;
+  PingMsg{}.Encode(&ping);
+  EncodeFrame(FrameType::kPing, ping.buffer(), &version_zero, 0);
 
-  // The server answers with a StatusReply frame, then closes.
-  std::string got;
-  char buf[4096];
-  while (true) {
-    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    got.append(buf, static_cast<size_t>(n));
+  for (const std::string& bytes : {unknown_type.buffer(), version_zero}) {
+    const uint64_t errors_before = server_->stats().protocol_errors;
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server_->port());
+    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    ASSERT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), 0),
+              static_cast<ssize_t>(bytes.size()));
+
+    // The server answers with a StatusReply frame, then closes.
+    std::string got;
+    char buf[4096];
+    while (true) {
+      ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) break;
+      got.append(buf, static_cast<size_t>(n));
+    }
+    ::close(fd);
+
+    Frame frame;
+    size_t consumed = 0;
+    Status error;
+    ASSERT_EQ(TryDecodeFrame(got, kDefaultMaxFrameBody, &frame, &consumed,
+                             &error),
+              DecodeProgress::kFrame);
+    ASSERT_EQ(frame.type, FrameType::kStatusReply);
+    auto reply = StatusReplyMsg::Decode(frame.body);
+    ASSERT_TRUE(reply.ok());
+    EXPECT_TRUE(reply->ToStatus().IsInvalidArgument())
+        << reply->ToStatus().ToString();
+    EXPECT_EQ(server_->stats().protocol_errors, errors_before + 1);
+
+    // The server survived: a fresh client still works.
+    auto conn = Dial();
+    EXPECT_TRUE(conn->Ping().ok());
   }
-  ::close(fd);
-
-  Frame frame;
-  size_t consumed = 0;
-  Status error;
-  ASSERT_EQ(TryDecodeFrame(got, kDefaultMaxFrameBody, &frame, &consumed,
-                           &error),
-            DecodeProgress::kFrame);
-  ASSERT_EQ(frame.type, FrameType::kStatusReply);
-  auto reply = StatusReplyMsg::Decode(frame.body);
-  ASSERT_TRUE(reply.ok());
-  EXPECT_FALSE(reply->ToStatus().ok());
-
-  // The server survived: a fresh client still works.
-  auto conn = Dial();
-  EXPECT_TRUE(conn->Ping().ok());
 }
 
 TEST_F(GatewayTest, OversizedFrameIsRejected) {
@@ -507,7 +494,7 @@ TEST_F(GatewayTest, OversizedFrameIsRejected) {
             0);
 
   Encoder enc;
-  enc.PutU32(kDefaultMaxFrameBody + 1);
+  enc.PutU32((kDefaultMaxFrameBody + 1) | (uint32_t{kProtocolV2} << 24));
   enc.PutU8(static_cast<uint8_t>(FrameType::kPing));
   ASSERT_EQ(::send(fd, enc.buffer().data(), enc.size(), 0),
             static_cast<ssize_t>(enc.size()));

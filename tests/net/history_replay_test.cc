@@ -36,7 +36,7 @@ class HistoryReplayTest : public ::testing::Test {
                                                           .end = true})
                                        .Build())
                     .ok());
-    server_ = std::make_unique<GatewayServer>(db_.get(), GatewayOptions{});
+    server_ = std::make_unique<GatewayServer>(db_.get(), ServerOptions{});
     Status s = server_->Start();
     ASSERT_TRUE(s.ok()) << s.ToString();
   }

@@ -66,7 +66,7 @@ WorkloadCounts RunWorkload(size_t shards, bool overlapping) {
   };
   EXPECT_TRUE(db->DeclareClassRule("Sensor", spec).ok());
 
-  GatewayOptions options;
+  ServerOptions options;
   options.ingress_capacity = 4096;  // Nothing should bounce at this size.
   GatewayServer server(db.get(), options);
   EXPECT_TRUE(server.Start().ok());

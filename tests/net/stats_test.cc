@@ -112,7 +112,7 @@ class GatewayStatsTest : public ::testing::Test {
                                        .Method("Report", {.end = true})
                                        .Build())
                     .ok());
-    server_ = std::make_unique<GatewayServer>(db_.get(), GatewayOptions{});
+    server_ = std::make_unique<GatewayServer>(db_.get(), ServerOptions{});
     Status s = server_->Start();
     ASSERT_TRUE(s.ok()) << s.ToString();
   }

@@ -86,7 +86,7 @@ TEST(FrameTest, TwoFramesSplitInOrder) {
 
 TEST(FrameTest, OversizedLengthPrefixIsRejectedBeforeBuffering) {
   Encoder enc;
-  enc.PutU32(kDefaultMaxFrameBody + 1);
+  enc.PutU32((kDefaultMaxFrameBody + 1) | (uint32_t{kProtocolV2} << 24));
   enc.PutU8(static_cast<uint8_t>(FrameType::kPing));
 
   Frame frame;
@@ -100,7 +100,7 @@ TEST(FrameTest, OversizedLengthPrefixIsRejectedBeforeBuffering) {
 
 TEST(FrameTest, UnknownFrameTypeIsRejected) {
   Encoder enc;
-  enc.PutU32(0);
+  enc.PutU32(uint32_t{kProtocolV2} << 24);
   enc.PutU8(42);  // Not a FrameType.
 
   Frame frame;
@@ -288,7 +288,10 @@ TEST(FrameVersionTest, VersionByteRoundTripsInHeader) {
   PingMsg ping;
   ping.token = 7;
   std::string wire;
-  EncodeFrame(FrameType::kPing, BodyOf(ping), &wire, kProtocolV2);
+  EncodeFrame(FrameType::kPing, BodyOf(ping), &wire);
+  // The length word's high byte carries the version, by default.
+  ASSERT_GE(wire.size(), kFrameHeaderSize);
+  EXPECT_EQ(static_cast<uint8_t>(wire[3]), kProtocolV2);
 
   Frame frame;
   size_t consumed = 0;
@@ -296,28 +299,31 @@ TEST(FrameVersionTest, VersionByteRoundTripsInHeader) {
   ASSERT_EQ(TryDecodeFrame(wire, kDefaultMaxFrameBody, &frame, &consumed,
                            &error),
             DecodeProgress::kFrame);
-  EXPECT_EQ(frame.version, kProtocolV2);
   EXPECT_EQ(consumed, wire.size());
   EXPECT_TRUE(PingMsg::Decode(frame.body).ok());
 }
 
-TEST(FrameVersionTest, LegacyZeroHeaderStaysVersionZero) {
-  // A pre-versioning peer encodes exactly this byte stream; the top byte
-  // of its length word was always zero.
-  std::string wire = Framed(FrameType::kPing, BodyOf(PingMsg{}));
-  Frame frame;
-  size_t consumed = 0;
-  Status error;
-  ASSERT_EQ(TryDecodeFrame(wire, kDefaultMaxFrameBody, &frame, &consumed,
-                           &error),
-            DecodeProgress::kFrame);
-  EXPECT_EQ(frame.version, 0);
+TEST(FrameVersionTest, LegacyVersionBytesAreRejected) {
+  // Version 0 is what pre-versioning peers emitted (the top byte of their
+  // length word was always zero); version 1 named that same framing.
+  // Neither is spoken any more.
+  for (uint8_t version : {uint8_t{0}, uint8_t{1}}) {
+    std::string wire;
+    EncodeFrame(FrameType::kPing, BodyOf(PingMsg{}), &wire, version);
+    Frame frame;
+    size_t consumed = 0;
+    Status error;
+    EXPECT_EQ(TryDecodeFrame(wire, kDefaultMaxFrameBody, &frame, &consumed,
+                             &error),
+              DecodeProgress::kError)
+        << int{version};
+    EXPECT_TRUE(error.IsInvalidArgument()) << error.ToString();
+  }
 }
 
 TEST(FrameVersionTest, FutureVersionIsAProtocolError) {
   std::string wire;
-  EncodeFrame(FrameType::kPing, BodyOf(PingMsg{}), &wire,
-              kProtocolVersionMax + 1);
+  EncodeFrame(FrameType::kPing, BodyOf(PingMsg{}), &wire, kProtocolV2 + 1);
   Frame frame;
   size_t consumed = 0;
   Status error;
@@ -328,14 +334,10 @@ TEST(FrameVersionTest, FutureVersionIsAProtocolError) {
 
 TEST(WireMessageTest, HelloRoundTripsAndValidates) {
   HelloMsg hello;
-  hello.min_version = kProtocolV1;
-  hello.max_version = kProtocolV2;
   hello.tenant = "acme";
   auto decoded = HelloMsg::Decode(BodyOf(hello));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->magic, HelloMsg::kMagic);
-  EXPECT_EQ(decoded->min_version, kProtocolV1);
-  EXPECT_EQ(decoded->max_version, kProtocolV2);
   EXPECT_EQ(decoded->tenant, "acme");
 
   // Wrong magic.
@@ -343,26 +345,21 @@ TEST(WireMessageTest, HelloRoundTripsAndValidates) {
   bad.magic = 0xdeadbeef;
   EXPECT_FALSE(HelloMsg::Decode(BodyOf(bad)).ok());
 
-  // Inverted range.
-  bad = hello;
-  bad.min_version = 3;
-  bad.max_version = 1;
-  EXPECT_FALSE(HelloMsg::Decode(BodyOf(bad)).ok());
+  // Trailing bytes.
+  EXPECT_FALSE(HelloMsg::Decode(BodyOf(hello) + "x").ok());
 }
 
-TEST(WireMessageTest, HelloReplyRoundTripsAndRejectsVersionZero) {
+TEST(WireMessageTest, HelloReplyRoundTripsAndRejectsTrailingBytes) {
   HelloReplyMsg reply;
-  reply.version = kProtocolV2;
   reply.max_frame_body = 123456;
   reply.server = "sentinel-gateway/2";
   auto decoded = HelloReplyMsg::Decode(BodyOf(reply));
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->version, kProtocolV2);
   EXPECT_EQ(decoded->max_frame_body, 123456u);
   EXPECT_EQ(decoded->server, "sentinel-gateway/2");
 
-  reply.version = 0;
-  EXPECT_FALSE(HelloReplyMsg::Decode(BodyOf(reply)).ok());
+  EXPECT_FALSE(HelloReplyMsg::Decode(BodyOf(reply) + "x").ok());
+  EXPECT_FALSE(HelloReplyMsg::Decode("").ok());
 }
 
 TEST(WireMessageTest, BatchStatusReplyRoundTripsRuns) {

@@ -82,7 +82,7 @@ class ReplicationTest : public ::testing::Test {
                     ->Start();
     ASSERT_TRUE(rs.ok()) << rs.ToString();
     node->server = std::make_unique<net::GatewayServer>(node->db.get(),
-                                                        net::GatewayOptions{});
+                                                        net::ServerOptions{});
     node->server->SetReplication(node->replicator.get());
     Status ss = node->server->Start();
     ASSERT_TRUE(ss.ok()) << ss.ToString();
@@ -116,7 +116,7 @@ class ReplicationTest : public ::testing::Test {
                     ->Start();
     ASSERT_TRUE(rs.ok()) << rs.ToString();
     node->server = std::make_unique<net::GatewayServer>(node->db.get(),
-                                                        net::GatewayOptions{});
+                                                        net::ServerOptions{});
     node->server->SetReplication(node->replicator.get());
     Status ss = node->server->Start();
     ASSERT_TRUE(ss.ok()) << ss.ToString();

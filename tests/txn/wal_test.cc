@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
+#include <iterator>
+#include <random>
 
 #include "../test_util.h"
 #include "common/codec.h"
+#include "common/crc32c.h"
 #include "common/failpoint.h"
 
 namespace sentinel {
@@ -205,52 +209,157 @@ TEST(WalTest, TruncateToDropsPrefixAndLsnsStayMonotone) {
   EXPECT_EQ(records[0].payload, "new-c");
 }
 
-TEST(WalTest, LegacyHeaderlessLogReplaysAndUpgrades) {
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(WalTest, OpenRefusesFilesWithoutAV2HeaderAndLeavesThemUntouched) {
   TempDir dir("wal");
   std::string path = dir.path() + "/wal.log";
-  // Hand-write a v1 log: no header, records framed [u32 len][body] with no
-  // CRC — what every log written before versioning looks like.
-  {
-    Encoder body;
-    body.PutU8(static_cast<uint8_t>(WalRecordType::kPut));
-    body.PutU64(42);   // txn
-    body.PutU64(77);   // oid
-    body.PutString("legacy payload");
-    Encoder framed;
-    framed.PutU32(static_cast<uint32_t>(body.size()));
-    framed.PutRaw(body.buffer().data(), body.size());
-    std::ofstream out(path, std::ios::binary);
-    out.write(framed.buffer().data(),
-              static_cast<std::streamsize>(framed.size()));
-  }
-  WalManager wal;
-  ASSERT_TRUE(wal.Open(path).ok());
-  std::vector<WalRecord> records;
-  ASSERT_TRUE(wal.ReadAll(&records).ok());
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].txn, 42u);
-  EXPECT_EQ(records[0].oid, 77u);
-  EXPECT_EQ(records[0].payload, "legacy payload");
 
-  // Appends to a v1 log keep v1 framing (uniform replay)...
-  ASSERT_TRUE(wal.Append({WalRecordType::kCommit, 42, 0, ""}).ok());
-  ASSERT_TRUE(wal.ReadAll(&records).ok());
-  EXPECT_EQ(records.size(), 2u);
-  // ...and the first Reset/TruncateTo rewrites the file as version 2.
-  ASSERT_TRUE(wal.Reset().ok());
-  ASSERT_TRUE(wal.Append({WalRecordType::kPut, 1, 5, "modern"}).ok());
-  ASSERT_TRUE(wal.Close().ok());
-  {
-    std::ifstream in(path, std::ios::binary);
-    char magic[4] = {0, 0, 0, 0};
-    in.read(magic, 4);
-    EXPECT_EQ(std::string(magic, 4), "SWAL");
+  // A headerless log: records framed [u32 len][body] with no CRC.
+  Encoder body;
+  body.PutU8(static_cast<uint8_t>(WalRecordType::kPut));
+  body.PutU64(42);  // txn
+  body.PutU64(77);  // oid
+  body.PutString("headerless payload");
+  Encoder headerless;
+  headerless.PutU32(static_cast<uint32_t>(body.size()));
+  headerless.PutRaw(body.buffer().data(), body.size());
+
+  // A well-formed header (valid CRC) that names version 1, then one record.
+  Encoder v1_header;
+  v1_header.PutRaw("SWAL", 4);
+  v1_header.PutU32(1);
+  v1_header.PutU64(0);
+  v1_header.PutU32(Crc32c(v1_header.buffer().data(), v1_header.size()));
+  v1_header.PutU32(0);
+  v1_header.PutRaw(headerless.buffer().data(), headerless.size());
+
+  for (const std::string& bytes :
+       {headerless.buffer(), v1_header.buffer(), std::string("SW")}) {
+    WriteFile(path, bytes);
+    WalManager wal;
+    Status s = wal.Open(path);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    // Refused without appending to or rewriting the file.
+    EXPECT_EQ(ReadFile(path), bytes);
+    EXPECT_TRUE(wal.Append({WalRecordType::kBegin, 1, 0, ""})
+                    .IsFailedPrecondition());
   }
-  WalManager wal2;
-  ASSERT_TRUE(wal2.Open(path).ok());
-  ASSERT_TRUE(wal2.ReadAll(&records).ok());
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].payload, "modern");
+}
+
+void ExpectSameRecords(const std::vector<WalRecord>& a,
+                       const std::vector<WalRecord>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].type, b[i].type) << i;
+    EXPECT_EQ(a[i].txn, b[i].txn) << i;
+    EXPECT_EQ(a[i].oid, b[i].oid) << i;
+    EXPECT_EQ(a[i].payload, b[i].payload) << i;
+  }
+}
+
+/// ReadAll must be exactly ReadFrom(BaseLsn(), SIZE_MAX): same records,
+/// same Status.
+void ExpectReadAllEqualsReadFromBase(WalManager* wal) {
+  std::vector<WalRecord> all;
+  Status all_status = wal->ReadAll(&all);
+  auto base = wal->BaseLsn();
+  ASSERT_TRUE(base.ok());
+  std::vector<WalRecord> from;
+  uint64_t next_lsn = 0;
+  Status from_status = wal->ReadFrom(*base, SIZE_MAX, &from, &next_lsn);
+  EXPECT_EQ(all_status.ToString(), from_status.ToString());
+  ExpectSameRecords(all, from);
+}
+
+/// Appends `n` seeded records of mixed types and payload sizes; returns
+/// the LSN at which each record starts.
+std::vector<uint64_t> AppendSeeded(WalManager* wal, uint32_t seed, int n) {
+  std::mt19937 rng(seed);
+  std::vector<uint64_t> starts;
+  for (int i = 0; i < n; ++i) {
+    starts.push_back(*wal->CurrentLsn());
+    WalRecord rec;
+    rec.type = static_cast<WalRecordType>(1 + rng() % 6);
+    rec.txn = rng() % 100;
+    rec.oid = rng();
+    rec.payload.assign(rng() % 200, static_cast<char>('a' + rng() % 26));
+    EXPECT_TRUE(wal->Append(rec).ok());
+  }
+  EXPECT_TRUE(wal->Sync().ok());
+  return starts;
+}
+
+TEST(WalTest, ReadAllEqualsReadFromBaseOnDamagedLogs) {
+  TempDir dir("wal");
+  constexpr int kRecords = 40;
+
+  // Torn tail: a length prefix claiming more bytes than follow.
+  std::string torn = dir.path() + "/torn.log";
+  {
+    WalManager wal;
+    ASSERT_TRUE(wal.Open(torn).ok());
+    AppendSeeded(&wal, 13, kRecords);
+    ASSERT_TRUE(wal.Close().ok());
+    std::ofstream out(torn, std::ios::binary | std::ios::app);
+    uint32_t bogus_len = 1000;
+    out.write(reinterpret_cast<const char*>(&bogus_len), 4);
+    out.write("abc", 3);
+  }
+  {
+    WalManager wal;
+    ASSERT_TRUE(wal.Open(torn).ok());
+    std::vector<WalRecord> records;
+    ASSERT_TRUE(wal.ReadAll(&records).ok());
+    EXPECT_EQ(records.size(), static_cast<size_t>(kRecords));
+    ExpectReadAllEqualsReadFromBase(&wal);
+  }
+
+  // Mid-log CRC flip: one body byte of a middle record is rotted.
+  std::string rotted = dir.path() + "/rotted.log";
+  std::vector<uint64_t> starts;
+  {
+    WalManager wal;
+    ASSERT_TRUE(wal.Open(rotted).ok());
+    starts = AppendSeeded(&wal, 29, kRecords);
+    ASSERT_TRUE(wal.Close().ok());
+    std::fstream f(rotted, std::ios::binary | std::ios::in | std::ios::out);
+    // 24-byte header; LSN 0 is the first record byte. Skip [len][crc] and
+    // the type byte, then flip every bit of a txn byte.
+    const auto off =
+        static_cast<std::streamoff>(24 + starts[kRecords / 2] + 8 + 1);
+    f.seekg(off);
+    const char byte = static_cast<char>(f.get());
+    f.seekp(off);
+    f.put(static_cast<char>(~byte));
+  }
+  {
+    WalManager wal;
+    ASSERT_TRUE(wal.Open(rotted).ok());
+    std::vector<WalRecord> records;
+    EXPECT_TRUE(wal.ReadAll(&records).IsCorruption());
+    EXPECT_EQ(records.size(), static_cast<size_t>(kRecords / 2));
+    ExpectReadAllEqualsReadFromBase(&wal);
+
+    // After a TruncateTo past the rotted record, both read the clean
+    // suffix; truncating to just before it keeps the Corruption.
+    ASSERT_TRUE(wal.TruncateTo(starts[kRecords / 2]).ok());
+    EXPECT_TRUE(wal.ReadAll(&records).IsCorruption());
+    ExpectReadAllEqualsReadFromBase(&wal);
+    ASSERT_TRUE(wal.TruncateTo(starts[kRecords / 2 + 1]).ok());
+    ASSERT_TRUE(wal.ReadAll(&records).ok());
+    EXPECT_EQ(records.size(), static_cast<size_t>(kRecords / 2 - 1));
+    ExpectReadAllEqualsReadFromBase(&wal);
+  }
 }
 
 TEST(WalTest, OperationsOnClosedWalFail) {
