@@ -16,28 +16,6 @@ constexpr uint8_t kTagOid = 5;
 
 }  // namespace
 
-void Encoder::PutU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-
-void Encoder::PutU16(uint16_t v) {
-  char b[2];
-  std::memcpy(b, &v, 2);
-  buf_.append(b, 2);
-}
-
-void Encoder::PutU32(uint32_t v) {
-  char b[4];
-  std::memcpy(b, &v, 4);
-  buf_.append(b, 4);
-}
-
-void Encoder::PutU64(uint64_t v) {
-  char b[8];
-  std::memcpy(b, &v, 8);
-  buf_.append(b, 8);
-}
-
-void Encoder::PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
-
 void Encoder::PutDouble(double v) {
   uint64_t bits;
   std::memcpy(&bits, &v, 8);
@@ -88,46 +66,9 @@ void Encoder::PutValueList(const ValueList& vs) {
   for (const Value& v : vs) PutValue(v);
 }
 
-Status Decoder::Need(size_t n) {
-  if (pos_ + n > len_) {
-    return Status::Corruption("decode underflow: need " + std::to_string(n) +
-                              " bytes, have " + std::to_string(len_ - pos_));
-  }
-  return Status::OK();
-}
-
-Status Decoder::GetU8(uint8_t* v) {
-  SENTINEL_RETURN_IF_ERROR(Need(1));
-  *v = static_cast<uint8_t>(data_[pos_++]);
-  return Status::OK();
-}
-
-Status Decoder::GetU16(uint16_t* v) {
-  SENTINEL_RETURN_IF_ERROR(Need(2));
-  std::memcpy(v, data_ + pos_, 2);
-  pos_ += 2;
-  return Status::OK();
-}
-
-Status Decoder::GetU32(uint32_t* v) {
-  SENTINEL_RETURN_IF_ERROR(Need(4));
-  std::memcpy(v, data_ + pos_, 4);
-  pos_ += 4;
-  return Status::OK();
-}
-
-Status Decoder::GetU64(uint64_t* v) {
-  SENTINEL_RETURN_IF_ERROR(Need(8));
-  std::memcpy(v, data_ + pos_, 8);
-  pos_ += 8;
-  return Status::OK();
-}
-
-Status Decoder::GetI64(int64_t* v) {
-  uint64_t u;
-  SENTINEL_RETURN_IF_ERROR(GetU64(&u));
-  *v = static_cast<int64_t>(u);
-  return Status::OK();
+Status Decoder::Underflow(size_t n) const {
+  return Status::Corruption("decode underflow: need " + std::to_string(n) +
+                            " bytes, have " + std::to_string(len_ - pos_));
 }
 
 Status Decoder::GetDouble(double* v) {

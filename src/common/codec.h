@@ -19,11 +19,12 @@ namespace sentinel {
 /// Appends primitive values to a growable byte buffer.
 class Encoder {
  public:
-  void PutU8(uint8_t v);
-  void PutU16(uint16_t v);
-  void PutU32(uint32_t v);
-  void PutU64(uint64_t v);
-  void PutI64(int64_t v);
+  // Inline like the Decoder's fixed-width reads (host byte order).
+  void PutU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
+  void PutU16(uint16_t v) { PutFixed(v); }
+  void PutU32(uint32_t v) { PutFixed(v); }
+  void PutU64(uint64_t v) { PutFixed(v); }
+  void PutI64(int64_t v) { PutFixed(v); }
   void PutDouble(double v);
   void PutBool(bool v);
   /// Length-prefixed (u32) byte string.
@@ -43,6 +44,11 @@ class Encoder {
   size_t size() const { return buf_.size(); }
 
  private:
+  template <typename T>
+  void PutFixed(T v) {
+    buf_.append(reinterpret_cast<const char*>(&v), sizeof(T));
+  }
+
   std::string buf_;
 };
 
@@ -55,11 +61,13 @@ class Decoder {
       : data_(static_cast<const char*>(data)), len_(len) {}
   explicit Decoder(const std::string& s) : Decoder(s.data(), s.size()) {}
 
-  Status GetU8(uint8_t* v);
-  Status GetU16(uint16_t* v);
-  Status GetU32(uint32_t* v);
-  Status GetU64(uint64_t* v);
-  Status GetI64(int64_t* v);
+  // The fixed-width reads are inline: message decoding is a chain of them,
+  // and only their (rare) underflow error leaves the header.
+  Status GetU8(uint8_t* v) { return GetFixed(v); }
+  Status GetU16(uint16_t* v) { return GetFixed(v); }
+  Status GetU32(uint32_t* v) { return GetFixed(v); }
+  Status GetU64(uint64_t* v) { return GetFixed(v); }
+  Status GetI64(int64_t* v) { return GetFixed(v); }
   Status GetDouble(double* v);
   Status GetBool(bool* v);
   Status GetString(std::string* s);
@@ -71,7 +79,20 @@ class Decoder {
   bool AtEnd() const { return pos_ == len_; }
 
  private:
-  Status Need(size_t n);
+  Status Need(size_t n) {
+    return n <= len_ - pos_ ? Status::OK() : Underflow(n);
+  }
+  Status Underflow(size_t n) const;
+
+  /// Reads one little-endian fixed-width value (the host order, as the
+  /// Encoder writes it).
+  template <typename T>
+  Status GetFixed(T* v) {
+    if (sizeof(T) > len_ - pos_) return Underflow(sizeof(T));
+    std::memcpy(v, data_ + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return Status::OK();
+  }
 
   const char* data_;
   size_t len_;

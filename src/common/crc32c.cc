@@ -3,6 +3,11 @@
 #include "common/crc32c.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace sentinel {
 
@@ -34,9 +39,49 @@ const Tables& tables() {
   return tables;
 }
 
+#if defined(__x86_64__)
+/// SSE4.2 path: eight bytes per CRC32 instruction, then the tail bytewise.
+/// The instruction implements the same reflected Castagnoli CRC without
+/// the pre/post inversion, which is applied here exactly as in the table
+/// path.
+__attribute__((target("sse4.2"))) uint32_t ExtendCrc32cHardware(
+    uint32_t crc, const void* data, size_t n) {
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  uint64_t state = static_cast<uint32_t>(~crc);
+  while (n >= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, sizeof(word));  // Unaligned-safe load.
+    state = _mm_crc32_u64(state, word);
+    p += 8;
+    n -= 8;
+  }
+  uint32_t state32 = static_cast<uint32_t>(state);
+  while (n-- > 0) state32 = _mm_crc32_u8(state32, *p++);
+  return ~state32;
+}
+
+bool DetectHardware() {
+  __builtin_cpu_init();  // Needed when called from a static initializer.
+  return __builtin_cpu_supports("sse4.2");
+}
+#else
+uint32_t ExtendCrc32cHardware(uint32_t crc, const void* data, size_t n) {
+  return ExtendCrc32cPortable(crc, data, n);
+}
+
+bool DetectHardware() { return false; }
+#endif
+
+const bool kHardware = DetectHardware();
+
 }  // namespace
 
 uint32_t ExtendCrc32c(uint32_t crc, const void* data, size_t n) {
+  return kHardware ? ExtendCrc32cHardware(crc, data, n)
+                   : ExtendCrc32cPortable(crc, data, n);
+}
+
+uint32_t ExtendCrc32cPortable(uint32_t crc, const void* data, size_t n) {
   const auto& t = tables().t;
   const uint8_t* p = static_cast<const uint8_t*>(data);
   crc = ~crc;

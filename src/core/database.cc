@@ -475,38 +475,57 @@ void Database::AssignRuleShard(const RulePtr& rule, size_t shard) {
 Status Database::RegisterLiveObject(ReactiveObject* object) {
   if (object == nullptr) return Status::InvalidArgument("null object");
   std::lock_guard<std::recursive_mutex> ddl(ddl_mu_);
-  if (!catalog_.HasClass(object->class_name())) {
+  // One catalog lookup both checks the class and primes the object's
+  // event-interface cache for its first raise.
+  uint64_t epoch = 0;
+  std::shared_ptr<const EventInterface> iface =
+      catalog_.EventInterfaceOf(object->class_name(), &epoch);
+  if (iface == nullptr) {
     return Status::InvalidArgument("unregistered class " +
                                    object->class_name());
   }
   if (object->oid() == kInvalidOid) object->set_oid(store_.NewOid());
   object->AttachContext(this);
+  object->CacheEventInterface(std::move(iface), epoch);
   {
     std::unique_lock<std::shared_mutex> lock(live_mu_);
     live_[object->oid()] = object;
   }
 
-  // Class-level rules (inheritance-aware) pick up the new instance. A rule
-  // not yet owned by a shard is claimed by the class-name hash, so every
-  // instance of the class routes to the owner without forwarding.
-  for (const RulePtr& rule :
-       rule_manager_->RulesForClass(object->class_name(), catalog_)) {
-    AssignRuleShard(
-        rule, ShardIndexForName(object->class_name(), shards_.size()));
-    if (!object->IsSubscribed(rule.get())) {
-      SENTINEL_RETURN_IF_ERROR(object->Subscribe(rule.get()));
+  // Class-level rules (inheritance-aware) pick up the new instance, in
+  // rule-name order, then the instance-level rules persisted with its oid;
+  // the object's consumer list is published once with all of them — with
+  // no instance rules, the class's memoized list itself. A class rule not
+  // yet owned by a shard is claimed by the class-name hash, so every
+  // instance of the class routes to the owner without forwarding; an
+  // instance rule follows the instance's oid hash (its raising shard).
+  std::vector<RulePtr> instance_rules =
+      rule_manager_->RulesWantingInstance(object->oid());
+  if (shards_.size() > 1) {
+    const size_t class_shard =
+        ShardIndexForName(object->class_name(), shards_.size());
+    for (const RulePtr& rule :
+         rule_manager_->RulesForClass(object->class_name(), catalog_)) {
+      AssignRuleShard(rule, class_shard);
+    }
+    const size_t oid_shard = ShardIndexForOid(object->oid(), shards_.size());
+    for (const RulePtr& rule : instance_rules) {
+      AssignRuleShard(rule, oid_shard);
     }
   }
-  // Instance-level rules that were persisted with this oid resubscribe;
-  // ownership follows the instance's oid hash (= its raising shard).
-  for (const RulePtr& rule :
-       rule_manager_->RulesWantingInstance(object->oid())) {
-    AssignRuleShard(rule, ShardIndexForOid(object->oid(), shards_.size()));
-    if (!object->IsSubscribed(rule.get())) {
-      SENTINEL_RETURN_IF_ERROR(object->Subscribe(rule.get()));
+  Reactive::ConsumerSnapshot consumers =
+      rule_manager_->ConsumersForClass(object->class_name(), catalog_);
+  if (!instance_rules.empty()) {
+    auto merged = std::make_shared<Reactive::ConsumerList>(*consumers);
+    for (const RulePtr& rule : instance_rules) {
+      if (std::find(merged->begin(), merged->end(), rule.get()) ==
+          merged->end()) {
+        merged->push_back(rule.get());
+      }
     }
+    consumers = std::move(merged);
   }
-  return Status::OK();
+  return object->SubscribeAll(consumers);
 }
 
 Status Database::UnregisterLiveObject(ReactiveObject* object) {

@@ -33,6 +33,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/metrics.h"
@@ -473,7 +474,7 @@ class Database : public RaiseContext,
   std::vector<std::unique_ptr<HistorySegmentStore>> history_stores_;
   /// Background fuzzy-checkpoint driver (null unless configured).
   std::unique_ptr<Checkpointer> checkpointer_;
-  std::map<Oid, ReactiveObject*> live_;
+  std::unordered_map<Oid, ReactiveObject*> live_;
   std::map<std::string, ObjectFactory> factories_;
   std::vector<std::weak_ptr<OccurrenceObserver>> occurrence_observers_;
   Tracer* tracer_ = nullptr;

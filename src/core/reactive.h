@@ -38,6 +38,10 @@ namespace sentinel {
 /// exactly the paper's Reactive class (Fig. 4).
 class Reactive {
  public:
+  using ConsumerList = std::vector<Notifiable*>;
+  /// An immutable consumer list; objects may share one (copy-on-write).
+  using ConsumerSnapshot = std::shared_ptr<const ConsumerList>;
+
   Reactive() = default;
   virtual ~Reactive() = default;
 
@@ -61,17 +65,22 @@ class Reactive {
   /// Removes `consumer`. NotFound when it was not subscribed.
   Status Unsubscribe(Notifiable* consumer);
 
+  /// Appends, in order, each of `consumers` not yet subscribed, publishing
+  /// the new list once (a new object's rules cost one copy-on-write swap,
+  /// not one per rule). An object with no consumers yet adopts `consumers`
+  /// itself, so objects of one class can share one list without copying
+  /// it. InvalidArgument on a null consumer, with nothing subscribed.
+  Status SubscribeAll(const ConsumerSnapshot& consumers);
+
   /// Propagates `occ` to every subscribed consumer. Consumers may
-  /// subscribe/unsubscribe during delivery (snapshot iteration).
+  /// subscribe/unsubscribe during delivery (snapshot iteration). Their
+  /// Record windows share one copy of `occ` (see OccurrenceShare).
   void NotifyConsumers(const EventOccurrence& occ);
 
   size_t consumer_count() const { return SnapshotConsumers()->size(); }
   bool IsSubscribed(const Notifiable* consumer) const;
 
  private:
-  using ConsumerList = std::vector<Notifiable*>;
-  using ConsumerSnapshot = std::shared_ptr<const ConsumerList>;
-
   /// The current (immutable) consumer list. Copy-on-write: Subscribe and
   /// Unsubscribe swap in a fresh list under the mutex; readers take the
   /// shared_ptr (a single brief lock) and iterate without holding anything,
@@ -83,8 +92,17 @@ class Reactive {
     return consumers_;
   }
 
+  /// True while `consumer` is on the current list; `seen` is the snapshot
+  /// the caller iterates (unchanged list = still subscribed, no search).
+  bool StillSubscribed(const ConsumerList* seen,
+                       const Notifiable* consumer) const;
+
+  /// The list every object starts with, shared so creating an object
+  /// allocates no consumer list until something subscribes.
+  static const ConsumerSnapshot& EmptyConsumers();
+
   mutable std::mutex consumers_mu_;
-  ConsumerSnapshot consumers_ = std::make_shared<const ConsumerList>();
+  ConsumerSnapshot consumers_ = EmptyConsumers();
 };
 
 /// Services a reactive object needs from its database when raising events.
@@ -126,6 +144,19 @@ class ReactiveObject : public Reactive, public PersistentObject {
   /// within method bodies (§3.1 footnote 3).
   void RaiseEvent(const std::string& method, EventModifier modifier,
                   const ValueList& params);
+  /// Same, taking over `params` instead of copying them.
+  void RaiseEvent(const std::string& method, EventModifier modifier,
+                  ValueList&& params);
+
+  /// Seeds the event-interface cache RaiseEvent consults, with `iface` as
+  /// of catalog epoch `epoch` (ClassCatalog::EventInterfaceOf). The
+  /// database does this at registration, which has looked the class up
+  /// anyway, so a new object's first raise skips the catalog.
+  void CacheEventInterface(std::shared_ptr<const EventInterface> iface,
+                           uint64_t epoch) {
+    interface_ = std::move(iface);
+    interface_epoch_ = epoch;
+  }
 
   /// Transactional attribute write: records an undo restoring the previous
   /// value if `txn` aborts. Does NOT raise events by itself — the mutating
@@ -136,8 +167,20 @@ class ReactiveObject : public Reactive, public PersistentObject {
   uint64_t raised_count() const { return raised_count_; }
 
  private:
+  template <typename Params>
+  void Raise(const std::string& method, EventModifier modifier,
+             Params&& params);
+
+  /// Whether `method` raises for `modifier` under the attached catalog's
+  /// event interface. The class's resolved interface is kept until the
+  /// catalog's DDL epoch moves, so raises skip the catalog lock.
+  bool Designated(const ClassCatalog& catalog, const std::string& method,
+                  EventModifier modifier);
+
   RaiseContext* context_ = nullptr;
   uint64_t raised_count_ = 0;
+  std::shared_ptr<const EventInterface> interface_;
+  uint64_t interface_epoch_ = 0;  // 0 = nothing cached.
 };
 
 /// RAII scope generating bom on entry and eom on exit for `method`, i.e. the

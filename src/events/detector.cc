@@ -75,19 +75,21 @@ void EventDetector::RecordOccurrence(const EventOccurrence& occ,
                                      size_t shard) {
   if (shard >= segments_.size()) shard = 0;
   LogSegment& seg = *segments_[shard];
-  seg.log.push_back(occ);
+  seg.log.push_back(OccurrenceShare::CopyOf(occ));
   occurrence_total_.fetch_add(1, std::memory_order_relaxed);
   metrics::Add(m_occurrences_);
   // Per-key counters are admission-capped: keys come from the workload
   // (class::method strings), so an open-ended stream of fresh signatures
   // must not grow the map without bound. Admitted keys keep counting;
   // overflow keys are tallied in aggregate instead.
-  std::string key = occ.Key();
+  std::string& key = seg.key_scratch;
+  key.clear();
+  AppendEventKey(occ.modifier, occ.class_name, occ.method, &key);
   auto it = seg.key_counts.find(key);
   if (it != seg.key_counts.end()) {
     ++it->second;
   } else if (seg.key_counts.size() < key_count_capacity_) {
-    seg.key_counts.emplace(std::move(key), 1);
+    seg.key_counts.emplace(key, 1);
   } else {
     ++seg.key_counts_untracked;
   }
@@ -105,7 +107,7 @@ void EventDetector::TrimLog(LogSegment* segment, size_t shard) {
   while (segment->log.size() > log_capacity_) {
     // Spill before dropping: the history store turns the FIFO eviction
     // into an append to the shard's durable segment file.
-    if (spill_sink_) spill_sink_(shard, segment->log.front());
+    if (spill_sink_) spill_sink_(shard, *segment->log.front());
     segment->log.pop_front();
     ++segment->trimmed_total;
     metrics::Add(m_trimmed_);
@@ -115,7 +117,7 @@ void EventDetector::TrimLog(LogSegment* segment, size_t shard) {
 std::vector<EventOccurrence> EventDetector::MergedLog() const {
   std::vector<EventOccurrence> merged;
   for (const auto& seg : segments_) {
-    merged.insert(merged.end(), seg->log.begin(), seg->log.end());
+    for (const OccurrencePtr& occ : seg->log) merged.push_back(*occ);
   }
   std::stable_sort(merged.begin(), merged.end(),
                    [](const EventOccurrence& a, const EventOccurrence& b) {

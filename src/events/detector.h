@@ -87,8 +87,9 @@ class EventDetector {
   }
 
   /// Segment 0's log — the complete log in the single-shard configuration.
-  /// Multi-shard callers wanting the global order use MergedLog().
-  const std::deque<EventOccurrence>& occurrence_log() const {
+  /// Multi-shard callers wanting the global order use MergedLog(). Entries
+  /// share the raise's occurrence with the consumers' Record windows.
+  const std::deque<OccurrencePtr>& occurrence_log() const {
     return segments_[0]->log;
   }
 
@@ -163,10 +164,11 @@ class EventDetector {
   /// Per-shard slice of the occurrence bookkeeping: only the owning shard's
   /// thread touches a segment's mutable state, so recording needs no lock.
   struct LogSegment {
-    std::deque<EventOccurrence> log;
+    std::deque<OccurrencePtr> log;
     uint64_t trimmed_total = 0;
     std::map<std::string, uint64_t> key_counts;
     uint64_t key_counts_untracked = 0;
+    std::string key_scratch;  ///< Reused key buffer for RecordOccurrence.
   };
 
   /// All nodes reachable from the named roots (deduplicated).

@@ -113,7 +113,12 @@ void Event::Notify(const EventOccurrence& occ) {
     key += occ.method;
     auto it = leaf_index_.find(key);
     if (it == leaf_index_.end()) return;
-    // Snapshot: a consumed occurrence may cascade into graph edits.
+    // Snapshot: a consumed occurrence may cascade into graph edits. One
+    // leaf (the common case) needs no copy of the list.
+    if (it->second.size() == 1) {
+      it->second.front()->ConsumePrimitive(occ);
+      return;
+    }
     std::vector<Event*> targets = it->second;
     for (Event* leaf : targets) leaf->ConsumePrimitive(occ);
     return;

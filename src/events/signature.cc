@@ -30,12 +30,19 @@ const char* ToString(EventModifier modifier) {
 
 std::string EventKey(EventModifier modifier, const std::string& class_name,
                      const std::string& method) {
-  std::string key = ToString(modifier);
-  key += ' ';
-  key += class_name;
-  key += "::";
-  key += method;
+  std::string key;
+  AppendEventKey(modifier, class_name, method, &key);
   return key;
+}
+
+void AppendEventKey(EventModifier modifier, const std::string& class_name,
+                    const std::string& method, std::string* out) {
+  out->reserve(out->size() + 6 + class_name.size() + 2 + method.size());
+  *out += ToString(modifier);
+  *out += ' ';
+  *out += class_name;
+  *out += "::";
+  *out += method;
 }
 
 Result<EventSignature> EventSignature::Parse(const std::string& text) {

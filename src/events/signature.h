@@ -60,6 +60,11 @@ struct EventSignature {
 std::string EventKey(EventModifier modifier, const std::string& class_name,
                      const std::string& method);
 
+/// Appends the same key to `*out`, so a caller on the raise path can reuse
+/// one buffer instead of allocating a key per occurrence.
+void AppendEventKey(EventModifier modifier, const std::string& class_name,
+                    const std::string& method, std::string* out);
+
 }  // namespace sentinel
 
 #endif  // SENTINEL_EVENTS_SIGNATURE_H_

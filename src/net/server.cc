@@ -123,19 +123,22 @@ Status GatewayServer::Start() {
         if (ctx.rule == nullptr || ctx.detection == nullptr) {
           return Status::OK();
         }
-        hub->Broadcast("rule:" + ctx.rule->name(),
-                       FromOccurrence("rule:" + ctx.rule->name(),
-                                      ctx.detection->last()),
-                       limits);
+        const std::string key = "rule:" + ctx.rule->name();
+        const EventOccurrence& occ = ctx.detection->last();
+        hub->Broadcast(key, [&] { return FromOccurrence(key, occ); }, limits);
         return Status::OK();
       });
   if (!s.ok() && !s.IsAlreadyExists()) return s;
 
   // Occurrence fan-out: every raise reaching PostRaise is offered to
-  // sessions subscribed to its key.
+  // sessions subscribed to its key. The Notification is built only for a
+  // key somebody subscribed to.
   observer_ = db_->AddOccurrenceObserver(
       [hub, limits](const EventOccurrence& occ) {
-        hub->Broadcast(occ.Key(), FromOccurrence(occ.Key(), occ), limits);
+        thread_local std::string key;  // One reused buffer per worker.
+        key.clear();
+        AppendEventKey(occ.modifier, occ.class_name, occ.method, &key);
+        hub->Broadcast(key, [&] { return FromOccurrence(key, occ); }, limits);
       });
 
   // Sessions that never send Hello bill the default tenant.
@@ -285,11 +288,14 @@ void GatewayServer::Stop() {
   observer_.reset();
   // Relay objects were registered live with the database; detach them so
   // the database never dereferences freed objects after we are gone.
-  for (auto& shard_relays : relays_) {
-    for (auto& [key, relay] : shard_relays) {
-      db_->UnregisterLiveObject(relay.get()).ok();
+  for (ShardRelays& shard_relays : relays_) {
+    for (auto& [oid, relay] : shard_relays.by_oid) {
+      db_->UnregisterLiveObject(&relay).ok();
     }
-    shard_relays.clear();
+    for (auto& [name, relay] : shard_relays.by_class) {
+      if (relay != nullptr) db_->UnregisterLiveObject(relay.get()).ok();
+    }
+    shard_relays = ShardRelays();
   }
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -1026,9 +1032,11 @@ Result<ReactiveObject*> GatewayServer::RelayFor(size_t shard,
                                                 const std::string& class_name,
                                                 const std::string& method,
                                                 uint64_t oid) {
-  // An application-registered live object wins: remote raises address the
-  // same instance local code sees.
+  ShardRelays& relays = relays_[shard];
   if (oid != 0) {
+    // An application-registered live object wins: remote raises address
+    // the same instance local code sees. Relays are live too, so this one
+    // probe also finds every relay already made for `oid`.
     if (ReactiveObject* live = db_->FindLiveObject(oid)) {
       if (live->class_name() != class_name) {
         return Status::InvalidArgument(
@@ -1037,13 +1045,41 @@ Result<ReactiveObject*> GatewayServer::RelayFor(size_t shard,
       }
       return live;
     }
+    auto it = relays.by_oid.find(oid);
+    if (it != relays.by_oid.end()) {
+      if (it->second.class_name() == class_name) {
+        return &it->second;  // Displaced from the live map, still ours.
+      }
+      relays.by_oid.erase(it);  // Displaced for good; not live, so free.
+    }
   }
+  SENTINEL_ASSIGN_OR_RETURN(std::unique_ptr<ReactiveObject>* default_relay,
+                            DefaultRelaySlot(shard, class_name, method));
+  if (oid == 0) {
+    if (*default_relay == nullptr) {
+      auto relay = std::make_unique<ReactiveObject>(class_name);
+      SENTINEL_RETURN_IF_ERROR(db_->RegisterLiveObject(relay.get()));
+      *default_relay = std::move(relay);
+    }
+    return default_relay->get();
+  }
+  ReactiveObject& relay =
+      relays.by_oid.try_emplace(oid, class_name, static_cast<Oid>(oid))
+          .first->second;
+  Status registered = db_->RegisterLiveObject(&relay);
+  if (!registered.ok()) {
+    relays.by_oid.erase(oid);
+    return registered;
+  }
+  return &relay;
+}
 
-  auto& shard_relays = relays_[shard];
-  auto key = std::make_pair(class_name, oid);
-  auto it = shard_relays.find(key);
-  if (it != shard_relays.end()) return it->second.get();
-
+Result<std::unique_ptr<ReactiveObject>*> GatewayServer::DefaultRelaySlot(
+    size_t shard, const std::string& class_name, const std::string& method) {
+  auto& by_class = relays_[shard].by_class;
+  auto it = by_class.find(class_name);
+  if (it != by_class.end()) return &it->second;
+  // Catalog classes are never dropped, so one check per shard suffices.
   if (!db_->catalog()->HasClass(class_name)) {
     if (!options_.auto_register_classes) {
       return Status::NotFound("unknown class " + class_name);
@@ -1054,17 +1090,11 @@ Result<ReactiveObject*> GatewayServer::RelayFor(size_t shard,
             .Method(method, {.begin = true, .end = true})
             .Build()));
   }
-
-  auto relay = std::make_unique<ReactiveObject>(
-      class_name, oid == 0 ? kInvalidOid : static_cast<Oid>(oid));
-  SENTINEL_RETURN_IF_ERROR(db_->RegisterLiveObject(relay.get()));
-  ReactiveObject* raw = relay.get();
-  shard_relays.emplace(std::move(key), std::move(relay));
-  return raw;
+  return &by_class[class_name];
 }
 
 StatusReplyMsg GatewayServer::HandleRaiseEvent(size_t shard,
-                                               const RaiseEventMsg& msg) {
+                                               RaiseEventMsg& msg) {
   if (db_->is_replica()) {
     // Read-only replica (or a fenced ex-primary): producers must redial
     // the current primary. FailedPrecondition is deliberate — it is not a
@@ -1082,7 +1112,7 @@ StatusReplyMsg GatewayServer::HandleRaiseEvent(size_t shard,
 
   ReactiveObject* object = *relay;
   Status s = db_->WithTransaction([&](Transaction*) {
-    object->RaiseEvent(msg.method, msg.modifier, msg.params);
+    object->RaiseEvent(msg.method, msg.modifier, std::move(msg.params));
     return Status::OK();
   });
   return StatusReplyMsg::FromStatus(s, static_cast<uint64_t>(object->oid()));

@@ -54,6 +54,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -281,7 +282,8 @@ class GatewayServer {
   };
 
   void ProcessItem(size_t shard, const IngressItem& item, AckBatcher* acks);
-  StatusReplyMsg HandleRaiseEvent(size_t shard, const RaiseEventMsg& msg);
+  /// Applies one remote raise; `msg.params` are moved into the occurrence.
+  StatusReplyMsg HandleRaiseEvent(size_t shard, RaiseEventMsg& msg);
   StatusReplyMsg HandleCreateRule(const CreateRuleMsg& msg);
   StatusReplyMsg HandleRuleToggle(const RuleNameMsg& msg, bool enable);
   StatusReplyMsg HandleSubscribe(const std::shared_ptr<Session>& session,
@@ -306,6 +308,11 @@ class GatewayServer {
   Result<ReactiveObject*> RelayFor(size_t shard,
                                    const std::string& class_name,
                                    const std::string& method, uint64_t oid);
+  /// Shard `shard`'s slot for the default relay of `class_name` (null
+  /// until one is made). The first call per class checks the catalog, or
+  /// auto-registers the class; later calls are one hash probe.
+  Result<std::unique_ptr<ReactiveObject>*> DefaultRelaySlot(
+      size_t shard, const std::string& class_name, const std::string& method);
   /// The quota domain for `name`, creating it on first use.
   TenantState* TenantFor(const std::string& name);
 
@@ -346,12 +353,22 @@ class GatewayServer {
   mutable std::mutex tenants_mu_;
   std::map<std::string, std::unique_ptr<TenantState>> tenants_;
 
-  /// Relay objects workers materialized for remote raises, keyed by
-  /// (class, requested oid; 0 = the class's default relay), one map per
-  /// shard — a relay is only ever created and used by its owning worker.
-  std::vector<
-      std::map<std::pair<std::string, uint64_t>, std::unique_ptr<ReactiveObject>>>
-      relays_;
+  /// Relay objects one shard's worker materialized for remote raises — a
+  /// relay is only ever created and used by its owning worker.
+  struct ShardRelays {
+    /// By requested oid, each relay stored in its map node (one allocation
+    /// per relay; nodes never move). Every relay here is also registered
+    /// live, so an existing relay is found by the FindLiveObject probe that
+    /// must run first anyway; this map owns it and finds it again if an
+    /// application object displaced it in the live map and was then
+    /// unregistered.
+    std::unordered_map<uint64_t, ReactiveObject> by_oid;
+    /// One entry per class this shard has checked against the catalog,
+    /// holding the class's default relay (oid 0) once one is made.
+    std::unordered_map<std::string, std::unique_ptr<ReactiveObject>>
+        by_class;
+  };
+  std::vector<ShardRelays> relays_;
 
   // Stats counters; IO and mutator threads bump disjoint subsets.
   std::atomic<uint64_t> frames_received_{0};

@@ -201,7 +201,7 @@ void ReplyWithBatch(Session* session, uint32_t max) {
 }
 
 size_t NotificationHub::Broadcast(const std::string& key,
-                                  const Notification& n,
+                                  const std::function<Notification()>& make,
                                   const NotifyLimits& limits) {
   // Fast miss: nobody anywhere is subscribed (the raw-throughput case).
   if (sub_count_.load(std::memory_order_relaxed) == 0) return 0;
@@ -221,6 +221,9 @@ size_t NotificationHub::Broadcast(const std::string& key,
     }
   }
 
+  if (targets.empty()) return 0;
+
+  const Notification n = make();
   size_t reached = 0;
   uint64_t dropped = 0;
   const size_t n_bytes = ApproxNotificationBytes(n);

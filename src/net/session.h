@@ -186,11 +186,13 @@ class NotificationHub {
   void ParkFetch(const std::shared_ptr<Session>& session, uint32_t max,
                  std::chrono::steady_clock::time_point deadline);
 
-  /// Delivers `n` to every session subscribed to `key` (mutator thread):
-  /// appends to the session's pending queue (FIFO-trimmed at the count and
-  /// byte caps in `limits`) and completes a parked fetch right away.
-  /// Returns the number of sessions reached.
-  size_t Broadcast(const std::string& key, const Notification& n,
+  /// Delivers `make()` to every session subscribed to `key` (mutator
+  /// thread): appends to the session's pending queue (FIFO-trimmed at the
+  /// count and byte caps in `limits`) and completes a parked fetch right
+  /// away. `make` runs once, and only when `key` has subscribers. Returns
+  /// the number of sessions reached.
+  size_t Broadcast(const std::string& key,
+                   const std::function<Notification()>& make,
                    const NotifyLimits& limits);
 
   /// Answers parked fetches whose deadline passed with whatever is pending

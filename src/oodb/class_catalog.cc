@@ -15,6 +15,11 @@ const MethodDescriptor* ClassDescriptor::FindMethod(
   return nullptr;
 }
 
+uint64_t ClassCatalog::NextEpoch() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 Status ClassCatalog::RegisterClass(const ClassDescriptor& desc) {
   std::unique_lock<std::shared_mutex> lock(mutex_);
   if (desc.name.empty()) {
@@ -44,8 +49,39 @@ Status ClassCatalog::RegisterClass(const ClassDescriptor& desc) {
       }
     }
   }
-  classes_.emplace(stored.name, std::move(stored));
+  const std::string name = stored.name;
+  classes_.emplace(name, std::move(stored));
+  interfaces_[name] = BuildInterfaceLocked(name);
+  ddl_epoch_.store(NextEpoch(), std::memory_order_release);
   return Status::OK();
+}
+
+std::shared_ptr<const EventInterface> ClassCatalog::BuildInterfaceLocked(
+    const std::string& cls) const {
+  auto iface = std::make_shared<EventInterface>();
+  auto it = classes_.find(cls);
+  if (it == classes_.end() || !it->second.reactive) return iface;
+  // Every method name visible on `cls`, resolved the way EventSpecFor
+  // resolves it (own declaration first, then ancestors depth-first).
+  std::vector<const ClassDescriptor*> pending = {&it->second};
+  while (!pending.empty()) {
+    const ClassDescriptor* desc = pending.back();
+    pending.pop_back();
+    for (const MethodDescriptor& m : desc->methods) {
+      const bool listed =
+          std::any_of(iface->methods.begin(), iface->methods.end(),
+                      [&](const auto& entry) { return entry.first == m.name; });
+      if (!listed) {
+        iface->methods.emplace_back(m.name,
+                                    ResolveMethodLocked(cls, m.name)->events);
+      }
+    }
+    for (const std::string& super : desc->supers) {
+      auto sit = classes_.find(super);
+      if (sit != classes_.end()) pending.push_back(&sit->second);
+    }
+  }
+  return iface;
 }
 
 Result<ClassDescriptor> ClassCatalog::GetClass(const std::string& name) const {
@@ -93,10 +129,16 @@ const MethodDescriptor* ClassCatalog::ResolveMethodLocked(
 EventSpec ClassCatalog::EventSpecFor(const std::string& cls,
                                      const std::string& method) const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  auto it = classes_.find(cls);
-  if (it == classes_.end() || !it->second.reactive) return EventSpec{};
-  const MethodDescriptor* m = ResolveMethodLocked(cls, method);
-  return m == nullptr ? EventSpec{} : m->events;
+  auto it = interfaces_.find(cls);
+  return it == interfaces_.end() ? EventSpec{} : it->second->SpecFor(method);
+}
+
+std::shared_ptr<const EventInterface> ClassCatalog::EventInterfaceOf(
+    const std::string& cls, uint64_t* epoch) const {
+  std::shared_lock<std::shared_mutex> lock(mutex_);
+  *epoch = ddl_epoch_.load(std::memory_order_relaxed);
+  auto it = interfaces_.find(cls);
+  return it == interfaces_.end() ? nullptr : it->second;
 }
 
 bool ClassCatalog::IsReactive(const std::string& cls) const {
@@ -158,6 +200,18 @@ void ClassCatalog::Encode(Encoder* enc) const {
 
 Status ClassCatalog::Decode(Decoder* dec) {
   std::unique_lock<std::shared_mutex> lock(mutex_);
+  // Moved while the lock is held: a reader that sees the new epoch then
+  // blocks on the lock until the catalog is whole again.
+  ddl_epoch_.store(NextEpoch(), std::memory_order_release);
+  Status s = DecodeClassesLocked(dec);
+  interfaces_.clear();
+  for (const auto& [name, desc] : classes_) {
+    interfaces_[name] = BuildInterfaceLocked(name);
+  }
+  return s;
+}
+
+Status ClassCatalog::DecodeClassesLocked(Decoder* dec) {
   classes_.clear();
   uint32_t count;
   SENTINEL_RETURN_IF_ERROR(dec->GetU32(&count));

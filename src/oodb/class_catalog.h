@@ -18,9 +18,12 @@
 #ifndef SENTINEL_OODB_CLASS_CATALOG_H_
 #define SENTINEL_OODB_CLASS_CATALOG_H_
 
+#include <atomic>
+#include <memory>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/codec.h"
@@ -55,6 +58,21 @@ struct ClassDescriptor {
 
   /// Finds a locally declared method; nullptr when absent.
   const MethodDescriptor* FindMethod(const std::string& method) const;
+};
+
+/// A class's event interface with inheritance resolved: every method the
+/// class or an ancestor declares, with the EventSpec EventSpecFor reports
+/// for it. Immutable once built, so all objects of a class share one.
+struct EventInterface {
+  std::vector<std::pair<std::string, EventSpec>> methods;
+
+  /// The designation of `method`; empty when it generates no events.
+  EventSpec SpecFor(const std::string& method) const {
+    for (const auto& [name, spec] : methods) {
+      if (name == method) return spec;
+    }
+    return EventSpec{};
+  }
 };
 
 /// Fluent builder so schema declarations read like the paper's listings:
@@ -117,6 +135,12 @@ class ClassCatalog {
   EventSpec EventSpecFor(const std::string& cls,
                          const std::string& method) const;
 
+  /// The resolved event interface of `cls` (nullptr when `cls` is not
+  /// registered), and through `epoch` the ddl_epoch() it belongs to. One
+  /// lookup answers every later EventSpecFor(cls, ...) until DDL.
+  std::shared_ptr<const EventInterface> EventInterfaceOf(
+      const std::string& cls, uint64_t* epoch) const;
+
   /// True if instances of `cls` may produce events at all.
   bool IsReactive(const std::string& cls) const;
 
@@ -128,6 +152,14 @@ class ClassCatalog {
 
   size_t size() const;
 
+  /// Moves on every change (RegisterClass, Decode). Callers caching an
+  /// answer derived from the catalog tag it with this value and recompute
+  /// once it differs. Values are unique across all catalogs in the
+  /// process, so a tag never matches a different catalog by accident.
+  uint64_t ddl_epoch() const {
+    return ddl_epoch_.load(std::memory_order_acquire);
+  }
+
   /// Serialization for catalog persistence.
   void Encode(Encoder* enc) const;
   Status Decode(Decoder* dec);
@@ -137,11 +169,25 @@ class ClassCatalog {
                           const std::string& ancestor) const;
   const MethodDescriptor* ResolveMethodLocked(
       const std::string& cls, const std::string& method) const;
+  /// A process-wide fresh value for ddl_epoch_.
+  static uint64_t NextEpoch();
+  /// Decode's body: replaces classes_ with the encoded classes.
+  Status DecodeClassesLocked(Decoder* dec);
+  /// Builds `cls`'s EventInterface from classes_ (all its ancestors must
+  /// be registered).
+  std::shared_ptr<const EventInterface> BuildInterfaceLocked(
+      const std::string& cls) const;
 
-  /// shared_mutex: EventSpecFor/HasClass run on every raise from every
-  /// shard concurrently; RegisterClass/Decode (DDL) take it exclusively.
+  /// shared_mutex: lookups run concurrently from every shard (objects
+  /// registering, gateway class checks); RegisterClass/Decode (DDL) take
+  /// it exclusively.
   mutable std::shared_mutex mutex_;
   std::unordered_map<std::string, ClassDescriptor> classes_;
+  /// One per class in classes_, rebuilt with it (classes never change
+  /// once registered, so a new class leaves the others' intact).
+  std::unordered_map<std::string, std::shared_ptr<const EventInterface>>
+      interfaces_;
+  std::atomic<uint64_t> ddl_epoch_{NextEpoch()};
 };
 
 }  // namespace sentinel

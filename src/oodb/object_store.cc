@@ -159,6 +159,7 @@ Status ObjectStore::Close() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     directory_.clear();
+    sorted_oids_valid_ = false;
     extents_.clear();
     data_pages_.clear();
   }
@@ -169,6 +170,7 @@ Status ObjectStore::Close() {
 Status ObjectStore::RebuildDirectory() {
   std::lock_guard<std::mutex> lock(mutex_);
   directory_.clear();
+  sorted_oids_valid_ = false;
   extents_.clear();
   data_pages_.clear();
   // Collect chunks per oid first; chunk order on disk is arbitrary.
@@ -389,6 +391,23 @@ size_t ObjectStore::ObjectCount() const {
   return n;
 }
 
+std::vector<Oid> ObjectStore::OidsAfter(Oid after, size_t limit) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!sorted_oids_valid_) {
+    sorted_oids_.clear();
+    sorted_oids_.reserve(directory_.size());
+    for (const auto& [oid, rids] : directory_) sorted_oids_.push_back(oid);
+    std::sort(sorted_oids_.begin(), sorted_oids_.end());
+    sorted_oids_valid_ = true;
+  }
+  auto first =
+      std::upper_bound(sorted_oids_.begin(), sorted_oids_.end(), after);
+  auto last = first + static_cast<std::ptrdiff_t>(std::min<size_t>(
+                          limit, static_cast<size_t>(sorted_oids_.end() -
+                                                     first)));
+  return std::vector<Oid>(first, last);
+}
+
 std::vector<Oid> ObjectStore::AllOids() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<Oid> oids;
@@ -478,6 +497,7 @@ Status ObjectStore::EraseChunksLocked(Oid oid) {
     if (eit != extents_.end()) eit->second.erase(oid);
   }
   directory_.erase(it);
+  sorted_oids_valid_ = false;
   return Status::OK();
 }
 
@@ -539,6 +559,7 @@ Status ObjectStore::ApplyPut(uint64_t oid, const std::string& payload) {
                                   InsertRecord(EncodeChunk(chunk)));
         rids.push_back(rid);
       }
+      if (it == directory_.end()) sorted_oids_valid_ = false;
       directory_[oid] = std::move(rids);
       if (!IsSystemClass(class_name)) extents_[class_name].insert(oid);
     }

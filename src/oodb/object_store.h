@@ -84,6 +84,8 @@ class ObjectStore : public HeapApplier {
 
   /// The log itself (checkpoint thresholds, tests, benches).
   WalManager* wal() { return &wal_; }
+  /// The heap file (tests read its sync count).
+  const DiskManager* disk() const { return &disk_; }
 
   /// The commit-sync pipeline (created at Open; see SetGroupCommitWindow).
   GroupCommitSync* commit_sync() { return group_commit_.get(); }
@@ -127,6 +129,12 @@ class ObjectStore : public HeapApplier {
   /// replication snapshot walks this with an exclusive cursor, so a stable
   /// total order is the contract.
   std::vector<Oid> AllOids() const;
+
+  /// The first `limit` committed oids strictly above `after`, ascending —
+  /// AllOids read through a cursor. The sorted order is kept between calls
+  /// and rebuilt only after an oid was added or removed, so walking the
+  /// store in chunks does not re-sort it per chunk.
+  std::vector<Oid> OidsAfter(Oid after, size_t limit) const;
 
   // --- Maintenance ---------------------------------------------------------
 
@@ -252,6 +260,10 @@ class ObjectStore : public HeapApplier {
 
   mutable std::mutex mutex_;  // Guards directory_, extents_, insert path.
   std::unordered_map<Oid, std::vector<RecordId>> directory_;
+  /// directory_'s keys in ascending order, for OidsAfter; stale once an
+  /// oid is added to or erased from directory_.
+  mutable std::vector<Oid> sorted_oids_;
+  mutable bool sorted_oids_valid_ = false;
   std::unordered_map<std::string, std::set<Oid>> extents_;
   std::vector<PageId> data_pages_;  // Pages formatted as slotted pages.
 };

@@ -96,28 +96,33 @@ Status Replicator::FillSnapshot(const net::ReplSubscribeMsg& msg,
   SENTINEL_ASSIGN_OR_RETURN(reply->snapshot_lsn,
                             db_->store()->wal()->CurrentLsn());
 
-  const std::vector<Oid> oids = db_->store()->AllOids();
   uint64_t cursor = msg.after_oid;
   reply->next_oid = cursor;
   reply->snapshot_done = 1;
-  for (Oid oid : oids) {
-    if (oid <= msg.after_oid) continue;
-    if (reply->objects.size() >= max_items) {
-      reply->snapshot_done = 0;  // More oids past next_oid.
-      break;
+  // Walk the store upward from the cursor, one slice at a time. A slice
+  // holds one oid more than can still ship, so a full reply knows whether
+  // any oid is left; skipped oids (below) make room for the next slice.
+  for (;;) {
+    const size_t room = max_items - reply->objects.size();
+    const std::vector<Oid> oids = db_->store()->OidsAfter(cursor, room + 1);
+    for (Oid oid : oids) {
+      if (reply->objects.size() >= max_items) {
+        reply->snapshot_done = 0;  // More oids past next_oid.
+        return Status::OK();
+      }
+      cursor = oid;
+      reply->next_oid = cursor;
+      if (oid == kReplStateOid) continue;  // Follower-local bookkeeping.
+      net::ReplBatchMsg::ObjectImage image;
+      image.oid = oid;
+      Status s = db_->store()->Get(nullptr, oid, &image.class_name,
+                                   &image.state);
+      if (s.IsNotFound()) continue;  // Deleted since listed; WAL replays it.
+      SENTINEL_RETURN_IF_ERROR(s);
+      reply->objects.push_back(std::move(image));
     }
-    cursor = oid;
-    reply->next_oid = cursor;
-    if (oid == kReplStateOid) continue;  // Follower-local bookkeeping.
-    net::ReplBatchMsg::ObjectImage image;
-    image.oid = oid;
-    Status s = db_->store()->Get(nullptr, oid, &image.class_name,
-                                 &image.state);
-    if (s.IsNotFound()) continue;  // Deleted since AllOids; WAL replays it.
-    SENTINEL_RETURN_IF_ERROR(s);
-    reply->objects.push_back(std::move(image));
+    if (oids.size() <= room) return Status::OK();  // Store exhausted.
   }
-  return Status::OK();
 }
 
 Status Replicator::FillTail(const net::ReplSubscribeMsg& msg,

@@ -92,6 +92,7 @@ Result<RulePtr> RuleManager::CreateRule(const RuleSpec& spec) {
   rule->AttachScheduler(scheduler_);
   if (!spec.enabled) rule->Disable();
   rules_.emplace(spec.name, rule);
+  class_rules_.clear();
   return rule;
 }
 
@@ -103,6 +104,7 @@ Result<RulePtr> RuleManager::GetRule(const std::string& name) const {
 
 Status RuleManager::DeleteRule(const std::string& name) {
   if (rules_.erase(name) == 0) return Status::NotFound("rule " + name);
+  class_rules_.clear();
   return Status::OK();
 }
 
@@ -152,22 +154,43 @@ Status RuleManager::MarkClassLevel(const RulePtr& rule,
     return Status::AlreadyExists("rule already targets " + class_name);
   }
   targets.push_back(class_name);
+  class_rules_.clear();
   return Status::OK();
 }
 
-std::vector<RulePtr> RuleManager::RulesForClass(
+const std::vector<RulePtr>& RuleManager::RulesForClass(
     const std::string& class_name, const ClassCatalog& catalog) const {
-  std::vector<RulePtr> out;
+  return ClassRulesFor(class_name, catalog).rules;
+}
+
+const Reactive::ConsumerSnapshot& RuleManager::ConsumersForClass(
+    const std::string& class_name, const ClassCatalog& catalog) const {
+  return ClassRulesFor(class_name, catalog).consumers;
+}
+
+const RuleManager::ClassRules& RuleManager::ClassRulesFor(
+    const std::string& class_name, const ClassCatalog& catalog) const {
+  const uint64_t epoch = catalog.ddl_epoch();
+  if (class_rules_epoch_ != epoch) {
+    class_rules_.clear();
+    class_rules_epoch_ = epoch;
+  }
+  auto [it, inserted] = class_rules_.try_emplace(class_name);
+  ClassRules& entry = it->second;
+  if (!inserted) return entry;
+  auto consumers = std::make_shared<Reactive::ConsumerList>();
   for (const auto& [name, rule] : rules_) {
     for (const std::string& target : rule->target_classes()) {
       // A rule on class T applies to instances of T and its subclasses.
       if (catalog.IsSubclassOf(class_name, target)) {
-        out.push_back(rule);
+        entry.rules.push_back(rule);
+        consumers->push_back(rule.get());
         break;
       }
     }
   }
-  return out;
+  entry.consumers = std::move(consumers);
+  return entry;
 }
 
 std::vector<RulePtr> RuleManager::RulesWantingInstance(Oid oid) const {
@@ -195,6 +218,7 @@ Status RuleManager::SaveAll(ObjectStore* store, Transaction* txn) {
 
 Status RuleManager::LoadAll(ObjectStore* store) {
   rules_.clear();
+  class_rules_.clear();
   for (Oid oid : store->Extent("Rule")) {
     std::string class_name, state;
     SENTINEL_RETURN_IF_ERROR(store->Get(nullptr, oid, &class_name, &state));

@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/reactive.h"
@@ -101,9 +102,17 @@ class RuleManager {
   /// the Database, which sees materializations.
   Status MarkClassLevel(const RulePtr& rule, const std::string& class_name);
 
-  /// Rules whose target classes cover `class_name` (inheritance-aware).
-  std::vector<RulePtr> RulesForClass(const std::string& class_name,
-                                     const ClassCatalog& catalog) const;
+  /// Rules whose target classes cover `class_name` (inheritance-aware), in
+  /// rule-name order. Memoized per class until rule DDL on this manager or
+  /// a change to `catalog`; the reference is valid until then.
+  const std::vector<RulePtr>& RulesForClass(const std::string& class_name,
+                                            const ClassCatalog& catalog) const;
+
+  /// The same rules as one immutable consumer list, memoized alongside:
+  /// every new object of the class can adopt this list instead of building
+  /// its own (Reactive::SubscribeAll).
+  const Reactive::ConsumerSnapshot& ConsumersForClass(
+      const std::string& class_name, const ClassCatalog& catalog) const;
 
   /// Rules that monitor the specific instance `oid`.
   std::vector<RulePtr> RulesWantingInstance(Oid oid) const;
@@ -124,6 +133,18 @@ class RuleManager {
   EventDetector* detector_;
   FunctionRegistry* functions_;
   std::map<std::string, RulePtr> rules_;
+  struct ClassRules {
+    std::vector<RulePtr> rules;
+    Reactive::ConsumerSnapshot consumers;
+  };
+  /// The memo entry for `class_name`, computed on first use.
+  const ClassRules& ClassRulesFor(const std::string& class_name,
+                                  const ClassCatalog& catalog) const;
+
+  /// RulesForClass/ConsumersForClass memo, valid for the catalog whose
+  /// ddl_epoch() is class_rules_epoch_; cleared by every rule DDL.
+  mutable std::unordered_map<std::string, ClassRules> class_rules_;
+  mutable uint64_t class_rules_epoch_ = 0;
 };
 
 }  // namespace sentinel

@@ -8,11 +8,11 @@
 
 namespace sentinel {
 
-BufferPool::BufferPool(DiskManager* disk, size_t capacity) : disk_(disk) {
+BufferPool::BufferPool(DiskManager* disk, size_t capacity)
+    : disk_(disk), frames_(capacity) {
   assert(capacity > 0);
-  frames_.reserve(capacity);
+  free_frames_.reserve(capacity);
   for (size_t i = 0; i < capacity; ++i) {
-    frames_.push_back(std::make_unique<Page>());
     free_frames_.push_back(capacity - 1 - i);
   }
 }
@@ -21,6 +21,9 @@ Result<size_t> BufferPool::FindVictim() {
   if (!free_frames_.empty()) {
     size_t frame = free_frames_.back();
     free_frames_.pop_back();
+    // Frames are allocated on first use, so opening a database does not
+    // zero (and fault in) the whole pool up front.
+    if (frames_[frame] == nullptr) frames_[frame] = std::make_unique<Page>();
     return frame;
   }
   for (auto it = lru_.begin(); it != lru_.end(); ++it) {

@@ -65,7 +65,7 @@ class BufferPool {
 
   DiskManager* disk_;
   mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<Page>> frames_;
+  std::vector<std::unique_ptr<Page>> frames_;  // Null until first used.
   std::unordered_map<PageId, size_t> page_table_;  // page id -> frame index
   std::list<size_t> lru_;                          // front = least recent
   std::unordered_map<size_t, std::list<size_t>::iterator> lru_pos_;

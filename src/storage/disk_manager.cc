@@ -41,6 +41,10 @@ Status DiskManager::Open(const std::string& path) {
     return Status::Corruption(path + " size is not page-aligned");
   }
   page_count_ = static_cast<uint32_t>(size / kPageSize);
+  // Pages an earlier process wrote may still sit unsynced in the page
+  // cache, so a non-empty file counts as written until its first sync.
+  unsynced_ = size > 0;
+  sync_failed_ = false;
   return Status::OK();
 }
 
@@ -73,6 +77,7 @@ Result<PageId> DiskManager::AllocatePage() {
     return Status::IOError("allocate page " + std::to_string(id) + " failed");
   }
   ++page_count_;
+  unsynced_ = true;
   return id;
 }
 
@@ -106,6 +111,7 @@ Status DiskManager::WritePage(PageId page_id, const char* data) {
     return Status::IOError("write page " + std::to_string(page_id) +
                            " failed");
   }
+  unsynced_ = true;
   return Status::OK();
 }
 
@@ -114,6 +120,20 @@ Status DiskManager::Sync() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (file_ == nullptr) return Status::FailedPrecondition("not open");
   if (std::fflush(file_) != 0) return Status::IOError("fflush failed");
+  if (sync_failed_) {
+    return Status::IOError("heap sync previously failed; reopen required");
+  }
+  if (!unsynced_) return Status::OK();  // Nothing written since last sync.
+  if (::fdatasync(fileno(file_)) != 0) {
+    // Sticky, like the WAL's: the kernel may have dropped the dirty pages
+    // it failed to write, so a later "successful" sync would prove nothing
+    // and must not let a checkpoint cut the WAL.
+    sync_failed_ = true;
+    return Status::IOError("heap fdatasync failed: " +
+                           std::string(std::strerror(errno)));
+  }
+  unsynced_ = false;
+  data_syncs_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 

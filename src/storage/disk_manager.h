@@ -7,6 +7,7 @@
 #ifndef SENTINEL_STORAGE_DISK_MANAGER_H_
 #define SENTINEL_STORAGE_DISK_MANAGER_H_
 
+#include <atomic>
 #include <cstdio>
 #include <mutex>
 #include <string>
@@ -42,8 +43,17 @@ class DiskManager {
   /// Writes kPageSize bytes from `data` to page `page_id`.
   Status WritePage(PageId page_id, const char* data);
 
-  /// Forces buffered writes to the OS.
+  /// Makes every page written so far durable: flushes the stdio buffer,
+  /// then fdatasyncs the file when anything was written since the last
+  /// successful sync. Checkpoints and recovery call it before cutting the
+  /// WAL, which is then the only other copy of those pages. After one
+  /// failed fdatasync every later Sync fails until the file is reopened.
   Status Sync();
+
+  /// Number of fdatasync calls Sync has completed.
+  uint64_t data_syncs() const {
+    return data_syncs_.load(std::memory_order_relaxed);
+  }
 
   /// Number of pages currently allocated in the file.
   uint32_t page_count() const;
@@ -53,6 +63,9 @@ class DiskManager {
   std::FILE* file_ = nullptr;
   std::string path_;
   uint32_t page_count_ = 0;
+  bool unsynced_ = false;  ///< Written since the last fdatasync.
+  bool sync_failed_ = false;  ///< An fdatasync failed (sticky).
+  std::atomic<uint64_t> data_syncs_{0};
 };
 
 }  // namespace sentinel

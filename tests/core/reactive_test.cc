@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "../test_util.h"
 
 namespace sentinel {
@@ -47,6 +50,55 @@ TEST(ReactiveTest, NotifyReachesAllConsumers) {
   producer.NotifyConsumers(MakeOccurrence(1, "C", "M"));
   EXPECT_EQ(a.count, 1);
   EXPECT_EQ(b.count, 1);
+}
+
+TEST(ReactiveTest, SubscribeAllPublishesOnceInOrderAndSharesTheList) {
+  std::vector<char> order;
+  CountingConsumer a, b, c;
+  a.on_notify = [&] { order.push_back('a'); };
+  b.on_notify = [&] { order.push_back('b'); };
+  c.on_notify = [&] { order.push_back('c'); };
+  auto list = std::make_shared<const Reactive::ConsumerList>(
+      Reactive::ConsumerList{&b, &a});
+
+  // Two fresh producers adopt the same list; one later diverges alone.
+  Reactive first, second;
+  ASSERT_TRUE(first.SubscribeAll(list).ok());
+  ASSERT_TRUE(second.SubscribeAll(list).ok());
+  ASSERT_TRUE(second.Subscribe(&c).ok());
+  first.NotifyConsumers(MakeOccurrence(1, "C", "M"));
+  EXPECT_EQ(order, (std::vector<char>{'b', 'a'}));
+  order.clear();
+  second.NotifyConsumers(MakeOccurrence(2, "C", "M"));
+  EXPECT_EQ(order, (std::vector<char>{'b', 'a', 'c'}));
+
+  // Merging keeps what is there and appends each newcomer once.
+  Reactive third;
+  ASSERT_TRUE(third.Subscribe(&a).ok());
+  ASSERT_TRUE(third
+                  .SubscribeAll(std::make_shared<const Reactive::ConsumerList>(
+                      Reactive::ConsumerList{&c, &a, &c, &b}))
+                  .ok());
+  order.clear();
+  third.NotifyConsumers(MakeOccurrence(3, "C", "M"));
+  EXPECT_EQ(order, (std::vector<char>{'a', 'c', 'b'}));
+
+  // A repeat in a list adopted by an empty producer is dropped too.
+  Reactive fourth;
+  ASSERT_TRUE(fourth
+                  .SubscribeAll(std::make_shared<const Reactive::ConsumerList>(
+                      Reactive::ConsumerList{&c, &c}))
+                  .ok());
+  EXPECT_EQ(fourth.consumer_count(), 1u);
+
+  // A null consumer is refused with nothing subscribed.
+  Reactive fifth;
+  EXPECT_TRUE(fifth
+                  .SubscribeAll(std::make_shared<const Reactive::ConsumerList>(
+                      Reactive::ConsumerList{&a, nullptr}))
+                  .IsInvalidArgument());
+  EXPECT_TRUE(fifth.SubscribeAll(nullptr).IsInvalidArgument());
+  EXPECT_EQ(fifth.consumer_count(), 0u);
 }
 
 TEST(ReactiveTest, UnsubscribeDuringNotifyIsSafe) {
@@ -132,6 +184,30 @@ TEST(ReactiveObjectTest, RaiseHonorsEventInterface) {
   obj.RaiseEvent("Ghost", EventModifier::kEnd, {});
   EXPECT_EQ(consumer.count, 2);
   EXPECT_EQ(obj.raised_count(), 2u);
+}
+
+TEST(ReactiveObjectTest, CachedEventInterfaceFollowsCatalogDdl) {
+  ClassCatalog catalog;
+  FillCatalog(&catalog);
+  StubContext context(&catalog);
+  ReactiveObject obj("Contractor", 9);
+  obj.AttachContext(&context);
+  CountingConsumer consumer;
+  ASSERT_TRUE(obj.Subscribe(&consumer).ok());
+
+  // Unregistered class: nothing is designated, and that answer is cached.
+  obj.RaiseEvent("Bill", EventModifier::kEnd, {});
+  EXPECT_EQ(consumer.count, 0);
+  // Registering the class moves the catalog's epoch: the next raise sees it.
+  ASSERT_TRUE(catalog.RegisterClass(ClassBuilder("Contractor")
+                                        .Extends("Employee")
+                                        .Method("Bill", {.end = true})
+                                        .Build())
+                  .ok());
+  obj.RaiseEvent("Bill", EventModifier::kEnd, {});
+  obj.RaiseEvent("Promote", EventModifier::kEnd, {});  // Inherited.
+  obj.RaiseEvent("Promote", EventModifier::kBegin, {});
+  EXPECT_EQ(consumer.count, 2);
 }
 
 TEST(ReactiveObjectTest, OccurrenceCarriesPaperTuple) {

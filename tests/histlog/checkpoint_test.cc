@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "../test_util.h"
+#include "common/failpoint.h"
 #include "core/database.h"
 #include "histlog/checkpointer.h"
 
@@ -207,6 +208,78 @@ TEST(CheckpointerTest, IntervalTriggerRunsAndCountsFailures) {
   // The first attempt failed, was counted, and did not kill the loop.
   EXPECT_GE(ckpt.runs(), 2u);
   EXPECT_EQ(ckpt.failures(), 1u);
+}
+
+TEST_F(CheckpointTest, CheckpointSyncsHeapBeforeCuttingWal) {
+  TempDir dir("ckpt");
+  auto db = OpenDb(dir.path());
+  Churn(db.get(), 5);
+  const DiskManager* heap = db->store()->disk();
+  const uint64_t syncs = heap->data_syncs();
+
+  // Fail the WAL cut itself: the heap must already be on disk by then,
+  // because the cut drops the only other copy of those pages.
+  ASSERT_TRUE(
+      FailPoints::Instance().EnableFromSpec("wal.truncate=ioerror@once").ok());
+  Status failed = db->CheckpointNow();
+  FailPoints::Instance().Reset();
+  EXPECT_TRUE(failed.IsIOError()) << failed.ToString();
+  EXPECT_EQ(heap->data_syncs(), syncs + 1);
+
+  // Nothing written since: the next checkpoint cuts without a second sync.
+  ASSERT_TRUE(db->CheckpointNow().ok());
+  EXPECT_EQ(heap->data_syncs(), syncs + 1);
+
+  // New commits dirty pages again, and the checkpoint syncs them.
+  Churn(db.get(), 2);
+  ASSERT_TRUE(db->CheckpointNow().ok());
+  EXPECT_EQ(heap->data_syncs(), syncs + 2);
+  ASSERT_TRUE(db->Close().ok());
+}
+
+TEST_F(CheckpointTest, RecoverySyncsInheritedHeapBeforeResettingWal) {
+  TempDir dir("ckpt");
+  {
+    auto db = OpenDb(dir.path());
+    EXPECT_EQ(db->store()->disk()->data_syncs(), 0u);  // Fresh: nothing.
+    Churn(db.get(), 3);
+    ASSERT_TRUE(db->Close().ok());
+  }
+  // The earlier process's pages may sit unsynced in the page cache, and
+  // recovery resets the WAL right after flushing: it must sync them.
+  auto db = OpenDb(dir.path());
+  EXPECT_EQ(db->store()->disk()->data_syncs(), 1u);
+  ASSERT_TRUE(db->Close().ok());
+}
+
+TEST_F(CheckpointTest, HeapSyncFailureLeavesWalPrefixIntact) {
+  TempDir dir("ckpt");
+  {
+    auto db = OpenDb(dir.path());
+    Churn(db.get(), 10);
+    auto base = db->store()->wal()->BaseLsn();
+    auto size = db->store()->wal()->SizeBytes();
+    ASSERT_TRUE(base.ok() && size.ok());
+
+    ASSERT_TRUE(
+        FailPoints::Instance().EnableFromSpec("disk.sync=ioerror@once").ok());
+    Status failed = db->CheckpointNow();
+    FailPoints::Instance().Reset();
+    EXPECT_TRUE(failed.IsIOError()) << failed.ToString();
+
+    // The WAL keeps every record the heap may not hold durably.
+    auto base_after = db->store()->wal()->BaseLsn();
+    auto size_after = db->store()->wal()->SizeBytes();
+    ASSERT_TRUE(base_after.ok() && size_after.ok());
+    EXPECT_EQ(*base_after, *base);
+    EXPECT_GE(*size_after, *size);
+    const MetricsSnapshot stats = db->StatsSnapshot();
+    EXPECT_EQ(stats.counters.count("storage.checkpoints"), 0u);
+    ASSERT_TRUE(db->Close().ok());
+  }
+  auto db = OpenDb(dir.path());
+  EXPECT_EQ(db->store()->Extent("Doc").size(), 10u);
+  ASSERT_TRUE(db->Close().ok());
 }
 
 }  // namespace

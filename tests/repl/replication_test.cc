@@ -453,6 +453,75 @@ TEST_F(ReplicationTest, FollowerRestartResumesFromPersistedCursors) {
   EXPECT_EQ(rows.size(), 52u);
 }
 
+TEST(ReplSnapshotChunkTest, ChunksShipEachObjectOnceInOidOrderUnderChurn) {
+  testing_util::TempDir dir("snapchunk");
+  auto opened = Database::Open({.dir = dir.path()});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Database> db = std::move(opened).value();
+  ASSERT_TRUE(db->RegisterClass(ClassBuilder("Doc").Build()).ok());
+  auto put = [&](Oid oid) {
+    return db->WithTransaction([&](Transaction* txn) {
+      return db->store()->Put(txn, oid, "Doc", "state" + OidToString(oid));
+    });
+  };
+  auto erase = [&](Oid oid) {
+    return db->WithTransaction(
+        [&](Transaction* txn) { return db->store()->Delete(txn, oid); });
+  };
+  for (Oid oid = 10000; oid < 10100; oid += 2) ASSERT_TRUE(put(oid).ok());
+
+  ReplicatorOptions ropts;
+  ropts.mirror_dir = dir.path() + "/repllog";
+  Replicator replicator(db.get(), ropts);
+  ASSERT_TRUE(replicator.Start().ok());
+
+  net::ReplSubscribeMsg msg;
+  msg.epoch = 1;
+  msg.mode = net::ReplSubscribeMsg::kSnapshot;
+  msg.max_items = 7;
+  std::vector<Oid> shipped;
+  std::set<Oid> added_behind;
+  bool churned = false;
+  for (int chunk = 0; chunk < 100; ++chunk) {
+    net::ReplBatchMsg reply;
+    ASSERT_TRUE(replicator.HandleReplSubscribe(msg, &reply).ok());
+    for (const auto& image : reply.objects) {
+      shipped.push_back(image.oid);
+      std::string cls, state;
+      ASSERT_TRUE(db->store()->Get(nullptr, image.oid, &cls, &state).ok());
+      EXPECT_EQ(image.state, state);
+    }
+    if (reply.snapshot_done) break;
+    msg.after_oid = reply.next_oid;
+    if (!churned && msg.after_oid > 10030) {
+      // Between chunks: one object ahead of the cursor and one behind it
+      // appear, and one ahead of it disappears.
+      ASSERT_TRUE(put(10051).ok());
+      ASSERT_TRUE(put(10031 - 20).ok());
+      added_behind.insert(10031 - 20);
+      ASSERT_TRUE(erase(10090).ok());
+      churned = true;
+    }
+  }
+  ASSERT_TRUE(churned);
+
+  // Strictly ascending: oid order, nothing shipped twice.
+  EXPECT_TRUE(std::adjacent_find(shipped.begin(), shipped.end(),
+                                 std::greater_equal<Oid>()) == shipped.end());
+  // Exactly the objects that exist now, except the one that appeared
+  // behind the cursor (the WAL tail replays it).
+  std::vector<Oid> expected;
+  for (Oid oid : db->store()->AllOids()) {
+    if (added_behind.count(oid) == 0) expected.push_back(oid);
+  }
+  EXPECT_EQ(shipped, expected);
+  EXPECT_TRUE(std::count(shipped.begin(), shipped.end(), 10051) == 1);
+  EXPECT_TRUE(std::count(shipped.begin(), shipped.end(), 10090) == 0);
+
+  ASSERT_TRUE(replicator.Stop().ok());
+  ASSERT_TRUE(db->Close().ok());
+}
+
 }  // namespace
 }  // namespace repl
 }  // namespace sentinel
