@@ -5,9 +5,11 @@
 // The instrumentation budget (DESIGN.md §10) is "a handful of relaxed
 // atomic ops per recorded event, ≤5% on the raise path". This bench pins
 // both halves: the primitives in isolation (counter add, histogram record,
-// registry snapshot) and a full Database raise loop whose delta against a
-// SENTINEL_METRICS=OFF build is the raise-path overhead number quoted in
-// EXPERIMENTS.md.
+// registry snapshot) and a full Database raise loop. Metrics are always
+// compiled in, so a change to the instrumentation is judged by running
+// BM_RaisePath on the parent commit and on the change, alternately and
+// pinned to one CPU, and comparing the medians (as EXPERIMENTS.md E17
+// does).
 
 #include <benchmark/benchmark.h>
 
@@ -73,9 +75,8 @@ void BM_RegistrySnapshot(benchmark::State& state) {
 }
 
 /// The overhead yardstick: in-process raises through WithTransaction,
-/// identical to bench_gateway's "direct" mode. Build once with
-/// -DSENTINEL_METRICS=OFF and once with ON; the delta on this case is the
-/// metrics raise-path overhead.
+/// identical to bench_gateway's "direct" mode. Compare it between a change
+/// and its parent commit to see what new instrumentation costs.
 void BM_RaisePath(benchmark::State& state) {
   auto dir =
       std::filesystem::temp_directory_path() / "sentinel_bench_metrics";
@@ -98,7 +99,6 @@ void BM_RaisePath(benchmark::State& state) {
       }).ok();
       v += 1.0;
     }
-    state.counters["metrics_enabled"] = metrics::kEnabled ? 1 : 0;
     db->UnregisterLiveObject(&sensor).ok();
     db->Close().ok();
   }

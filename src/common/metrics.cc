@@ -90,7 +90,6 @@ HistogramSnapshot Histogram::Snapshot() const {
 }
 
 Counter* MetricsRegistry::counter(const std::string& name) {
-  if constexpr (!metrics::kEnabled) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[name];
   if (slot == nullptr) slot = std::make_unique<Counter>();
@@ -98,7 +97,6 @@ Counter* MetricsRegistry::counter(const std::string& name) {
 }
 
 Gauge* MetricsRegistry::gauge(const std::string& name) {
-  if constexpr (!metrics::kEnabled) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = gauges_[name];
   if (slot == nullptr) slot = std::make_unique<Gauge>();
@@ -106,7 +104,6 @@ Gauge* MetricsRegistry::gauge(const std::string& name) {
 }
 
 Histogram* MetricsRegistry::histogram(const std::string& name) {
-  if constexpr (!metrics::kEnabled) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[name];
   if (slot == nullptr) slot = std::make_unique<Histogram>();

@@ -14,10 +14,10 @@
 //     all hot-path reads/writes use relaxed atomics. Snapshots are therefore
 //     *approximate under concurrency* (exact once writers quiesce, which is
 //     what tests and benchmarks observe).
-//   * Everything compiles out: building with -DSENTINEL_METRICS=OFF defines
-//     SENTINEL_METRICS_DISABLED, the registry hands out nullptrs, and the
-//     inline helpers below fold to nothing — the baseline for the
-//     "instrumentation within 5% of compiled-out" bench comparison.
+//   * One registry per Database holds every counter of the process that
+//     serves it: core, storage, gateway (net.*) and shared-memory transport
+//     (shm.*). Component views such as GatewayStats read it rather than
+//     keeping counts of their own.
 //   * Counters are modular 2^64: overflow wraps (well-defined, tested)
 //     rather than saturating, so deltas between snapshots stay correct even
 //     across a wrap.
@@ -35,14 +35,6 @@
 #include "common/clock.h"
 
 namespace sentinel {
-
-namespace metrics {
-#ifdef SENTINEL_METRICS_DISABLED
-inline constexpr bool kEnabled = false;
-#else
-inline constexpr bool kEnabled = true;
-#endif
-}  // namespace metrics
 
 /// Monotone event count, sharded to keep concurrent writers off one cache
 /// line. Add is wait-free (one relaxed fetch_add); Value sums the shards.
@@ -165,8 +157,7 @@ struct MetricsSnapshot {
 /// Named metrics of one Database (or any other owner). Get-or-create is
 /// mutexed (called once per instrumentation site at wiring time); the
 /// returned pointers are stable for the registry's lifetime and are what
-/// hot paths hold. With metrics compiled out every getter returns nullptr
-/// and Snapshot() is empty.
+/// hot paths hold.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -189,55 +180,29 @@ class MetricsRegistry {
 namespace metrics {
 
 // Null-safe helpers for instrumentation sites: a component caches raw
-// pointers from its registry (nullptr when unwired or compiled out) and
-// calls these unconditionally; with SENTINEL_METRICS_DISABLED the whole
-// call folds away at compile time.
+// pointers from its registry (nullptr while it is not wired to one, e.g. a
+// standalone store in a test) and calls these unconditionally.
 
 inline void Add(Counter* c, uint64_t n = 1) {
-  if constexpr (kEnabled) {
-    if (c != nullptr) c->Add(n);
-  } else {
-    (void)c;
-    (void)n;
-  }
+  if (c != nullptr) c->Add(n);
 }
 
 inline void Set(Gauge* g, int64_t v) {
-  if constexpr (kEnabled) {
-    if (g != nullptr) g->Set(v);
-  } else {
-    (void)g;
-    (void)v;
-  }
+  if (g != nullptr) g->Set(v);
 }
 
 inline void Record(Histogram* h, int64_t v) {
-  if constexpr (kEnabled) {
-    if (h != nullptr) h->Record(v);
-  } else {
-    (void)h;
-    (void)v;
-  }
+  if (h != nullptr) h->Record(v);
 }
 
 /// Reads the steady clock only when a histogram will consume the interval;
 /// returns 0 otherwise (pass the result to RecordSince).
 inline int64_t TimerStart(const Histogram* h) {
-  if constexpr (kEnabled) {
-    return h != nullptr ? SteadyNowNs() : 0;
-  } else {
-    (void)h;
-    return 0;
-  }
+  return h != nullptr ? SteadyNowNs() : 0;
 }
 
 inline void RecordSince(Histogram* h, int64_t start_ns) {
-  if constexpr (kEnabled) {
-    if (h != nullptr && start_ns != 0) h->Record(SteadyNowNs() - start_ns);
-  } else {
-    (void)h;
-    (void)start_ns;
-  }
+  if (h != nullptr && start_ns != 0) h->Record(SteadyNowNs() - start_ns);
 }
 
 }  // namespace metrics

@@ -53,6 +53,37 @@ Status ReadWholeFile(const std::string& path, std::string* out) {
 
 }  // namespace
 
+/// The one reader of [len][crc][body] records, walking a segment image from
+/// byte 0. Next() yields each record whose CRC checks and returns false at
+/// the footer sentinel, a torn tail, or a CRC mismatch; a buffered append
+/// still in flight looks exactly like a torn tail. end() is the offset just
+/// past the last record Next() returned. Callers decide what an undecodable
+/// body means.
+class HistorySegmentStore::RecordReader {
+ public:
+  explicit RecordReader(std::string_view bytes) : bytes_(bytes) {}
+
+  bool Next(std::string_view* body) {
+    if (bytes_.size() - end_ < 8) return false;
+    uint32_t len = 0, crc = 0;
+    std::memcpy(&len, bytes_.data() + end_, 4);
+    if (len == kFooterSentinel) return false;
+    std::memcpy(&crc, bytes_.data() + end_ + 4, 4);
+    if (bytes_.size() - end_ - 8 < len) return false;
+    const char* p = bytes_.data() + end_ + 8;
+    if (Crc32c(p, len) != crc) return false;
+    *body = std::string_view(p, len);
+    end_ += 8 + len;
+    return true;
+  }
+
+  size_t end() const { return end_; }
+
+ private:
+  std::string_view bytes_;
+  size_t end_ = 0;
+};
+
 void HistorySegmentStore::SegmentStats::Observe(const EventOccurrence& occ) {
   ++record_count;
   min_seq = std::min(min_seq, occ.timestamp.seq);
@@ -100,9 +131,9 @@ std::string HistorySegmentStore::EncodeRecord(const EventOccurrence& occ) {
   return framed.Release();
 }
 
-Status HistorySegmentStore::DecodeRecordBody(const std::string& body,
+Status HistorySegmentStore::DecodeRecordBody(std::string_view body,
                                              EventOccurrence* occ) {
-  Decoder dec(body);
+  Decoder dec(body.data(), body.size());
   uint64_t oid = 0;
   uint8_t modifier = 0;
   SENTINEL_RETURN_IF_ERROR(dec.GetU64(&oid));
@@ -232,20 +263,15 @@ Status HistorySegmentStore::RecoverActiveLocked(SegmentInfo* info) {
   // append) is truncated so the resumed segment stays well-formed.
   std::string bytes;
   SENTINEL_RETURN_IF_ERROR(ReadWholeFile(info->path, &bytes));
-  size_t pos = 0;
+  RecordReader reader(bytes);
+  std::string_view body;
+  size_t pos = 0;  // End of the last record that checks and decodes.
   SegmentStats stats;
-  while (bytes.size() - pos >= 8) {
-    uint32_t len = 0, crc = 0;
-    std::memcpy(&len, bytes.data() + pos, 4);
-    if (len == kFooterSentinel) break;  // Shouldn't happen (unsealed).
-    std::memcpy(&crc, bytes.data() + pos + 4, 4);
-    if (bytes.size() - pos - 8 < len) break;  // Torn tail.
-    const char* body = bytes.data() + pos + 8;
-    if (Crc32c(body, len) != crc) break;  // Torn/corrupt tail record.
+  while (reader.Next(&body)) {
     EventOccurrence occ;
-    if (!DecodeRecordBody(std::string(body, len), &occ).ok()) break;
+    if (!DecodeRecordBody(body, &occ).ok()) break;
     stats.Observe(occ);
-    pos += 8 + len;
+    pos = reader.end();
   }
   if (pos < bytes.size()) {
     SENTINEL_WARN << "history segment " << info->path << " torn at " << pos
@@ -381,25 +407,17 @@ Status HistorySegmentStore::ScanFrom(uint64_t after_ordinal,
     }
     std::string bytes;
     SENTINEL_RETURN_IF_ERROR(ReadWholeFile(info.path, &bytes));
-    size_t pos = 0;
-    while (bytes.size() - pos >= 8) {
-      uint32_t len = 0, crc = 0;
-      std::memcpy(&len, bytes.data() + pos, 4);
-      if (len == kFooterSentinel) break;  // Footer reached: done.
-      std::memcpy(&crc, bytes.data() + pos + 4, 4);
-      if (bytes.size() - pos - 8 < len) break;  // Torn tail.
-      const char* body = bytes.data() + pos + 8;
-      if (Crc32c(body, len) != crc) break;  // In-progress buffered append.
-      ++ordinal;
-      if (ordinal > after_ordinal) {
-        EventOccurrence occ;
-        Status s = DecodeRecordBody(std::string(body, len), &occ);
-        if (!s.ok()) return s;
-        out->push_back(std::move(occ));
-        *next_ordinal = ordinal;
-        if (max_rows != 0 && out->size() >= max_rows) return Status::OK();
-      }
-      pos += 8 + len;
+    RecordReader reader(bytes);
+    std::string_view body;
+    while (reader.Next(&body)) {
+      if (++ordinal <= after_ordinal) continue;
+      // A CRC-valid record was written whole: failing to decode it is
+      // corruption, not a tail still in flight.
+      EventOccurrence occ;
+      SENTINEL_RETURN_IF_ERROR(DecodeRecordBody(body, &occ));
+      out->push_back(std::move(occ));
+      *next_ordinal = ordinal;
+      if (max_rows != 0 && out->size() >= max_rows) return Status::OK();
     }
   }
   return Status::OK();
@@ -410,22 +428,11 @@ Status HistorySegmentStore::ScanFileLocked(
     std::vector<EventOccurrence>* out, bool* stop) const {
   std::string bytes;
   SENTINEL_RETURN_IF_ERROR(ReadWholeFile(path, &bytes));
-  size_t pos = 0;
-  while (bytes.size() - pos >= 8) {
-    uint32_t len = 0, crc = 0;
-    std::memcpy(&len, bytes.data() + pos, 4);
-    if (len == kFooterSentinel) break;  // Footer reached: done.
-    std::memcpy(&crc, bytes.data() + pos + 4, 4);
-    if (bytes.size() - pos - 8 < len) break;  // Torn tail.
-    const char* body = bytes.data() + pos + 8;
-    if (Crc32c(body, len) != crc) {
-      // Mid-file corruption would already have failed recovery; a bad CRC
-      // here is a torn tail racing an in-progress buffered append.
-      break;
-    }
+  RecordReader reader(bytes);
+  std::string_view body;
+  while (reader.Next(&body)) {
     EventOccurrence occ;
-    Status s = DecodeRecordBody(std::string(body, len), &occ);
-    if (!s.ok()) break;
+    if (!DecodeRecordBody(body, &occ).ok()) break;
     if (query.Matches(occ)) {
       out->push_back(std::move(occ));
       if (query.limit != 0 && out->size() >= query.limit) {
@@ -433,7 +440,6 @@ Status HistorySegmentStore::ScanFileLocked(
         return Status::OK();
       }
     }
-    pos += 8 + len;
   }
   return Status::OK();
 }

@@ -43,6 +43,7 @@
 #include <limits>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/metrics.h"
@@ -151,8 +152,7 @@ class HistorySegmentStore {
   /// persisted). Exposed for tests and the wire layer.
   static std::string EncodeRecord(const EventOccurrence& occ);
   /// Decodes a record body (no frame). Corruption on malformed input.
-  static Status DecodeRecordBody(const std::string& body,
-                                 EventOccurrence* occ);
+  static Status DecodeRecordBody(std::string_view body, EventOccurrence* occ);
 
  private:
   /// Footer bookkeeping accumulated while a segment is active.
@@ -175,6 +175,9 @@ class HistorySegmentStore {
     /// Parsed footer (valid when sealed).
     SegmentStats stats;
   };
+
+  /// Walks one segment's records from byte 0 (defined in the .cc).
+  class RecordReader;
 
   static constexpr size_t kBloomBytes = 128;  ///< 1024 bits, k=4.
   static constexpr uint32_t kFooterSentinel = 0xFFFFFFFFu;

@@ -17,13 +17,11 @@ Status IngressQueue::TryPush(IngressItem item) {
       return Status::FailedPrecondition("ingress queue is shut down");
     }
     if (items_.size() >= capacity_) {
-      ++rejected_total_;
       metrics::Add(m_rejected_);
       return Status::ResourceExhausted("ingress queue full (" +
                                        std::to_string(capacity_) + ")");
     }
     items_.push_back(std::move(item));
-    ++pushed_total_;
     metrics::Set(m_depth_, static_cast<int64_t>(items_.size()));
   }
   not_empty_.notify_one();
@@ -40,13 +38,9 @@ size_t IngressQueue::TryPushBatch(std::vector<IngressItem>* items) {
         items_.push_back(std::move((*items)[accepted]));
         ++accepted;
       }
-      pushed_total_ += accepted;
     }
-    size_t rejected = items->size() - accepted;
-    if (rejected > 0) {
-      rejected_total_ += rejected;
-      metrics::Add(m_rejected_, rejected);
-    }
+    const size_t rejected = items->size() - accepted;
+    if (rejected > 0) metrics::Add(m_rejected_, rejected);
     if (accepted > 0) {
       metrics::Set(m_depth_, static_cast<int64_t>(items_.size()));
     }
@@ -100,16 +94,6 @@ bool IngressQueue::shutdown() const {
 size_t IngressQueue::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return items_.size();
-}
-
-uint64_t IngressQueue::pushed_total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pushed_total_;
-}
-
-uint64_t IngressQueue::rejected_total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rejected_total_;
 }
 
 }  // namespace net

@@ -97,10 +97,6 @@ class IngressQueue {
   size_t size() const;
   size_t capacity() const { return capacity_; }
 
-  /// Total items accepted / rejected for backpressure since construction.
-  uint64_t pushed_total() const;
-  uint64_t rejected_total() const;
-
   /// Mirrors the live depth into the net.ingress.depth gauge (updated on
   /// every push/pop) and rejections into net.ingress.rejected. `suffix`
   /// distinguishes per-shard queues (e.g. ".s1") so concurrent queues do
@@ -117,8 +113,6 @@ class IngressQueue {
   std::condition_variable not_empty_;
   std::deque<IngressItem> items_;
   bool shutdown_ = false;
-  uint64_t pushed_total_ = 0;
-  uint64_t rejected_total_ = 0;
   Gauge* m_depth_ = nullptr;
   Counter* m_rejected_ = nullptr;
 };

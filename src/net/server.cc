@@ -14,6 +14,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -61,6 +62,70 @@ Notification FromOccurrence(const std::string& key,
   return n;
 }
 
+/// The name table behind GatewayStats: each field, the registry counter
+/// holding it, and its key in the GetStats "gateway" section (inside that
+/// section's "shm" object for the shared-memory transport's counters).
+struct GatewayCounter {
+  const char* key;
+  const char* metric;
+  uint64_t GatewayStats::*field;
+  bool shm;
+};
+
+constexpr GatewayCounter kGatewayCounters[] = {
+    {"frames_received", "net.frames_received",
+     &GatewayStats::frames_received, false},
+    {"requests_processed", "net.requests_processed",
+     &GatewayStats::requests_processed, false},
+    {"backpressure_rejections", "net.backpressure_rejections",
+     &GatewayStats::backpressure_rejections, false},
+    {"quota_rejections", "net.quota_rejections",
+     &GatewayStats::quota_rejections, false},
+    {"protocol_errors", "net.protocol_errors",
+     &GatewayStats::protocol_errors, false},
+    {"notifications_enqueued", "net.notifications.enqueued",
+     &GatewayStats::notifications_enqueued, false},
+    {"notifications_dropped", "net.notifications.dropped",
+     &GatewayStats::notifications_dropped, false},
+    {"sessions_accepted", "net.sessions_accepted",
+     &GatewayStats::sessions_accepted, false},
+    {"batched_acks", "net.batched_acks", &GatewayStats::batched_acks, false},
+    {"inline_raises", "net.inline_raises", &GatewayStats::inline_raises,
+     false},
+    {"frames", "shm.frames", &GatewayStats::shm_frames, true},
+    {"batches", "shm.batches", &GatewayStats::shm_batches, true},
+    {"parks", "shm.parks", &GatewayStats::shm_parks, true},
+    {"wakeups", "shm.wakeups", &GatewayStats::shm_wakeups, true},
+    {"attaches", "shm.attaches", &GatewayStats::shm_attaches, true},
+    {"reclaims", "shm.reclaims", &GatewayStats::shm_reclaims, true},
+    {"protocol_errors", "shm.protocol_errors",
+     &GatewayStats::shm_protocol_errors, true},
+};
+static_assert(std::size(kGatewayCounters) * sizeof(uint64_t) ==
+                  sizeof(GatewayStats),
+              "every GatewayStats field needs a row in kGatewayCounters");
+
+Counter* RegistryCounter(Database* db, uint64_t GatewayStats::*field) {
+  for (const GatewayCounter& c : kGatewayCounters) {
+    if (c.field == field) return db->metrics()->counter(c.metric);
+  }
+  return nullptr;
+}
+
+/// Appends "key":value for the net (or the shm) rows, comma-separated.
+void AppendCounters(const GatewayStats& s, bool shm, std::string* out) {
+  bool first = true;
+  for (const GatewayCounter& c : kGatewayCounters) {
+    if (c.shm != shm) continue;
+    if (!first) out->push_back(',');
+    first = false;
+    out->push_back('"');
+    out->append(c.key);
+    out->append("\":");
+    out->append(std::to_string(s.*c.field));
+  }
+}
+
 /// Credits back the admission charge of one queued raise when the worker is
 /// done with it — whatever "done" meant (acked, decode error, or the session
 /// died first). Pairing the decrement with the exact session/tenant that was
@@ -94,6 +159,17 @@ GatewayServer::GatewayServer(Database* db, ServerOptions options)
     exec_mu_.push_back(std::make_unique<std::mutex>());
   }
   relays_.resize(nshards);
+  frames_received_ = RegistryCounter(db_, &GatewayStats::frames_received);
+  requests_processed_ =
+      RegistryCounter(db_, &GatewayStats::requests_processed);
+  backpressure_rejections_ =
+      RegistryCounter(db_, &GatewayStats::backpressure_rejections);
+  quota_rejections_ = RegistryCounter(db_, &GatewayStats::quota_rejections);
+  protocol_errors_ = RegistryCounter(db_, &GatewayStats::protocol_errors);
+  sessions_accepted_ =
+      RegistryCounter(db_, &GatewayStats::sessions_accepted);
+  batched_acks_ = RegistryCounter(db_, &GatewayStats::batched_acks);
+  inline_raises_ = RegistryCounter(db_, &GatewayStats::inline_raises);
 }
 
 GatewayServer::~GatewayServer() { Stop(); }
@@ -239,6 +315,7 @@ Status GatewayServer::Start() {
     shm_env.alloc_session_id = [this] {
       return next_session_id_.fetch_add(1, std::memory_order_relaxed);
     };
+    shm_env.metrics = db_->metrics();
     shm_host_ =
         std::make_unique<shmtp::ShmHost>(std::move(shm_opts),
                                          std::move(shm_env));
@@ -314,25 +391,8 @@ void GatewayServer::Stop() {
 
 GatewayStats GatewayServer::stats() const {
   GatewayStats s;
-  s.frames_received = frames_received_.load(std::memory_order_relaxed);
-  s.requests_processed = requests_processed_.load(std::memory_order_relaxed);
-  s.backpressure_rejections =
-      backpressure_rejections_.load(std::memory_order_relaxed);
-  s.quota_rejections = quota_rejections_.load(std::memory_order_relaxed);
-  s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  s.notifications_enqueued = hub_->notifications_enqueued();
-  s.notifications_dropped = hub_->notifications_dropped();
-  s.sessions_accepted = sessions_accepted_.load(std::memory_order_relaxed);
-  s.batched_acks = batched_acks_.load(std::memory_order_relaxed);
-  s.inline_raises = inline_raises_.load(std::memory_order_relaxed);
-  if (shm_host_ != nullptr) {
-    const shmtp::ShmHost::Stats& shm = shm_host_->stats();
-    s.shm_frames = shm.frames.load(std::memory_order_relaxed);
-    s.shm_batches = shm.batches.load(std::memory_order_relaxed);
-    s.shm_parks = shm.parks.load(std::memory_order_relaxed);
-    s.shm_wakeups = shm.wakeups.load(std::memory_order_relaxed);
-    s.shm_attaches = shm.attaches.load(std::memory_order_relaxed);
-    s.shm_reclaims = shm.reclaims.load(std::memory_order_relaxed);
+  for (const GatewayCounter& c : kGatewayCounters) {
+    s.*c.field = db_->metrics()->counter(c.metric)->Value();
   }
   return s;
 }
@@ -486,7 +546,7 @@ void GatewayServer::RegisterSession(IoShard* io, int fd) {
   }
   io->sessions[id] = session;
   hub_->Add(std::move(session));
-  sessions_accepted_.fetch_add(1, std::memory_order_relaxed);
+  sessions_accepted_->Add();
 }
 
 void GatewayServer::CloseSession(IoShard* io, uint64_t id) {
@@ -552,7 +612,7 @@ bool GatewayServer::DrainSocket(IoShard* io,
     if (progress == DecodeProgress::kError) {
       // Malformed stream: report once, flush, drop the connection — there
       // is no way to resynchronize a corrupt length-prefixed stream.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      protocol_errors_->Add();
       session->Reply(FrameType::kStatusReply,
                      StatusReplyMsg::FromStatus(error));
       session->drop_after_flush = true;
@@ -561,14 +621,14 @@ bool GatewayServer::DrainSocket(IoShard* io,
       break;
     }
     offset += consumed;
-    frames_received_.fetch_add(1, std::memory_order_relaxed);
+    frames_received_->Add();
 
     Status admit = Status::OK();
     if (FailPoints::AnyActive()) {
       admit = FailPoints::Instance().Check("gateway.ingress");
     }
     if (!admit.ok()) {
-      backpressure_rejections_.fetch_add(1, std::memory_order_relaxed);
+      backpressure_rejections_->Add();
       session->Reply(FrameType::kStatusReply,
                      StatusReplyMsg::FromStatus(admit));
       continue;
@@ -594,8 +654,8 @@ bool GatewayServer::DrainSocket(IoShard* io,
         which = "tenant";
       }
       if (which != nullptr) {
-        quota_rejections_.fetch_add(1, std::memory_order_relaxed);
-        backpressure_rejections_.fetch_add(1, std::memory_order_relaxed);
+        quota_rejections_->Add();
+        backpressure_rejections_->Add();
         session->Reply(
             FrameType::kStatusReply,
             StatusReplyMsg::FromStatus(Status::ResourceExhausted(
@@ -640,7 +700,7 @@ bool GatewayServer::DrainSocket(IoShard* io,
         ProcessItem(target, io->staging[target][0], &acks);
         acks.FlushAll();
         io->staging[target].clear();
-        inline_raises_.fetch_add(1, std::memory_order_relaxed);
+        inline_raises_->Add();
         return true;
       }
     }
@@ -661,8 +721,8 @@ bool GatewayServer::DrainSocket(IoShard* io,
                                 std::to_string(queues_[shard]->capacity()) +
                                 ")");
       UnchargeRejected(staged);
+      backpressure_rejections_->Add(staged.size());
       for (size_t i = 0; i < staged.size(); ++i) {
-        backpressure_rejections_.fetch_add(1, std::memory_order_relaxed);
         session->Reply(FrameType::kStatusReply,
                        StatusReplyMsg::FromStatus(reject));
       }
@@ -905,7 +965,7 @@ void GatewayServer::AckBatcher::Emit(Pending* p) {
     batch.runs = std::move(p->runs);
     batch.Encode(&enc);
     p->session->QueueReplyQuiet(FrameType::kBatchStatusReply, enc.buffer());
-    server_->batched_acks_.fetch_add(p->total, std::memory_order_relaxed);
+    server_->batched_acks_->Add(p->total);
   }
   server_->WorkerFlush(p->session);
 }
@@ -918,7 +978,7 @@ void GatewayServer::ProcessItem(size_t shard, const IngressItem& item,
   if (session->closed.load(std::memory_order_acquire)) {
     return;  // Disconnected while queued; nobody is listening.
   }
-  requests_processed_.fetch_add(1, std::memory_order_relaxed);
+  requests_processed_->Add();
 
   const std::string& body = item.frame.body;
   if (item.frame.type != FrameType::kRaiseEvent) {
@@ -1246,42 +1306,14 @@ std::string GatewayServer::BuildStatsJson(uint32_t sections) const {
     out.append(std::to_string(depth));
     out.append(",\"ingress_capacity\":");
     out.append(std::to_string(capacity));
-    out.append(",\"frames_received\":");
-    out.append(std::to_string(s.frames_received));
-    out.append(",\"requests_processed\":");
-    out.append(std::to_string(s.requests_processed));
-    out.append(",\"backpressure_rejections\":");
-    out.append(std::to_string(s.backpressure_rejections));
-    out.append(",\"quota_rejections\":");
-    out.append(std::to_string(s.quota_rejections));
-    out.append(",\"protocol_errors\":");
-    out.append(std::to_string(s.protocol_errors));
-    out.append(",\"notifications_enqueued\":");
-    out.append(std::to_string(s.notifications_enqueued));
-    out.append(",\"notifications_dropped\":");
-    out.append(std::to_string(s.notifications_dropped));
-    out.append(",\"sessions_accepted\":");
-    out.append(std::to_string(s.sessions_accepted));
-    out.append(",\"batched_acks\":");
-    out.append(std::to_string(s.batched_acks));
-    out.append(",\"inline_raises\":");
-    out.append(std::to_string(s.inline_raises));
+    out.push_back(',');
+    AppendCounters(s, /*shm=*/false, &out);
     if (shm_host_ != nullptr) {
-      out.append(",\"shm\":{\"frames\":");
-      out.append(std::to_string(s.shm_frames));
-      out.append(",\"batches\":");
-      out.append(std::to_string(s.shm_batches));
-      out.append(",\"parks\":");
-      out.append(std::to_string(s.shm_parks));
-      out.append(",\"wakeups\":");
-      out.append(std::to_string(s.shm_wakeups));
-      out.append(",\"attaches\":");
-      out.append(std::to_string(s.shm_attaches));
-      out.append(",\"reclaims\":");
-      out.append(std::to_string(s.shm_reclaims));
-      out.append("}");
+      out.append(",\"shm\":{");
+      AppendCounters(s, /*shm=*/true, &out);
+      out.push_back('}');
     }
-    out.append("}");
+    out.push_back('}');
   }
   out.push_back('}');
   return out;

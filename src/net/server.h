@@ -124,7 +124,9 @@ struct ServerOptions {
   uint64_t shm_completion_bytes = 256u << 10;
 };
 
-/// Counters exposed for benchmarks and tests (all monotone).
+/// A view of the gateway's counters, all monotone. Each field is read from
+/// one net.* or shm.* counter in the database's MetricsRegistry (the name
+/// table is in server.cc), so two gateways serving one database share them.
 struct GatewayStats {
   uint64_t frames_received = 0;
   uint64_t requests_processed = 0;
@@ -145,6 +147,7 @@ struct GatewayStats {
   uint64_t shm_wakeups = 0;   ///< Parks ended by a producer doorbell.
   uint64_t shm_attaches = 0;  ///< Rings claimed by local handles.
   uint64_t shm_reclaims = 0;  ///< Rings reclaimed (crash or clean close).
+  uint64_t shm_protocol_errors = 0;  ///< Rings killed for garbage records.
 };
 
 /// Serves kReplSubscribe frames. Implemented by repl::Replicator; an
@@ -190,6 +193,7 @@ class GatewayServer {
   size_t io_thread_count() const { return io_shards_.size(); }
   /// Materialized tenant quota domains, the default one included.
   size_t tenant_count() const;
+  /// Reads the registry counters behind GatewayStats.
   GatewayStats stats() const;
 
   /// Attaches the replication handler serving kReplSubscribe (nullptr
@@ -370,15 +374,16 @@ class GatewayServer {
   };
   std::vector<ShardRelays> relays_;
 
-  // Stats counters; IO and mutator threads bump disjoint subsets.
-  std::atomic<uint64_t> frames_received_{0};
-  std::atomic<uint64_t> requests_processed_{0};
-  std::atomic<uint64_t> backpressure_rejections_{0};
-  std::atomic<uint64_t> quota_rejections_{0};
-  std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<uint64_t> sessions_accepted_{0};
-  std::atomic<uint64_t> batched_acks_{0};
-  std::atomic<uint64_t> inline_raises_{0};
+  // net.* counters in the database's registry; IO and worker threads bump
+  // disjoint subsets.
+  Counter* frames_received_ = nullptr;
+  Counter* requests_processed_ = nullptr;
+  Counter* backpressure_rejections_ = nullptr;
+  Counter* quota_rejections_ = nullptr;
+  Counter* protocol_errors_ = nullptr;
+  Counter* sessions_accepted_ = nullptr;
+  Counter* batched_acks_ = nullptr;
+  Counter* inline_raises_ = nullptr;
 };
 
 }  // namespace net

@@ -252,11 +252,6 @@ size_t NotificationHub::Broadcast(const std::string& key,
       ReplyWithBatchLocked(session.get(), session->fetch_max);
     }
   }
-  if (reached > 0 || dropped > 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    enqueued_total_ += reached;
-    dropped_total_ += dropped;
-  }
   metrics::Add(m_enqueued_, reached);
   metrics::Add(m_dropped_, dropped);
   return reached;
@@ -291,16 +286,6 @@ std::chrono::steady_clock::time_point NotificationHub::NextDeadline(
   std::lock_guard<std::mutex> lock(mu_);
   if (parked_.empty()) return fallback;
   return std::min(parked_.begin()->first, fallback);
-}
-
-uint64_t NotificationHub::notifications_enqueued() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return enqueued_total_;
-}
-
-uint64_t NotificationHub::notifications_dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_total_;
 }
 
 }  // namespace net

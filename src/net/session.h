@@ -204,9 +204,6 @@ class NotificationHub {
   std::chrono::steady_clock::time_point NextDeadline(
       std::chrono::steady_clock::time_point fallback) const;
 
-  uint64_t notifications_enqueued() const;
-  uint64_t notifications_dropped() const;
-
   /// Wires the hub to the database's registry: Broadcast tallies
   /// net.notifications.enqueued/.dropped and records each reached session's
   /// post-enqueue pending-queue depth into net.session.backlog.
@@ -226,8 +223,6 @@ class NotificationHub {
   /// park completed early by Broadcast leaves its entry behind, and expiry
   /// skips it because the session is no longer parked.
   std::multimap<std::chrono::steady_clock::time_point, uint64_t> parked_;
-  uint64_t enqueued_total_ = 0;
-  uint64_t dropped_total_ = 0;
   /// Live subscription count across all sessions. Broadcast runs on every
   /// raising worker for every occurrence; this lets the no-subscriber case
   /// (the throughput path) return without taking any lock.

@@ -16,6 +16,7 @@
 #include <new>
 #include <utility>
 
+#include "common/logging.h"
 #include "core/shard.h"
 #include "net/wire.h"
 
@@ -58,9 +59,16 @@ char* ShmHost::cpl_ring(uint32_t i) { return base_ + layout_.cpl_offset(i); }
 
 Status ShmHost::Start() {
   if (env_.queues.empty() || env_.default_tenant == nullptr ||
-      !env_.alloc_session_id) {
+      !env_.alloc_session_id || env_.metrics == nullptr) {
     return Status::InvalidArgument("shmtp host: incomplete environment");
   }
+  frames_ = env_.metrics->counter("shm.frames");
+  batches_ = env_.metrics->counter("shm.batches");
+  parks_ = env_.metrics->counter("shm.parks");
+  wakeups_ = env_.metrics->counter("shm.wakeups");
+  attaches_ = env_.metrics->counter("shm.attaches");
+  reclaims_ = env_.metrics->counter("shm.reclaims");
+  protocol_errors_ = env_.metrics->counter("shm.protocol_errors");
   if (options_.segment.empty() || options_.segment[0] != '/') {
     return Status::InvalidArgument(
         "shmtp segment name must start with '/': " + options_.segment);
@@ -201,7 +209,7 @@ bool ShmHost::ManageRing(uint32_t i, bool sweep_liveness) {
       }
       return false;
     case kRingClosed:
-      ReclaimRing(i, "clean detach");
+      ReclaimRing(i, nullptr);
       return true;
     case kRingAttaching:
       // A handle that dies between the claim CAS and kRingAttached would
@@ -236,12 +244,17 @@ void ShmHost::AttachRing(uint32_t i) {
     ring->session = std::move(session);
   }
   ring->last_live_check_ms = 0;
-  stats_.attaches.fetch_add(1, std::memory_order_relaxed);
+  attaches_->Add();
 }
 
-void ShmHost::ReclaimRing(uint32_t i, const char* reason) {
-  (void)reason;
+void ShmHost::ReclaimRing(uint32_t i, const char* fault) {
   RingHeader* rh = header(i);
+  if (fault != nullptr) {
+    SENTINEL_WARN << "event=shm_ring_reclaimed segment=" << options_.segment
+                  << " ring=" << i
+                  << " pid=" << rh->pid.load(std::memory_order_relaxed)
+                  << " reason=\"" << fault << "\"";
+  }
   Ring* ring = rings_[i].get();
   {
     std::lock_guard<std::mutex> lock(ring->mu);
@@ -269,7 +282,7 @@ void ShmHost::ReclaimRing(uint32_t i, const char* reason) {
   ring->deferred.clear();  // Never charged; nothing to credit back.
   ring->deferred_offset = 0;
   ring->last_live_check_ms = 0;
-  stats_.reclaims.fetch_add(1, std::memory_order_relaxed);
+  reclaims_->Add();
 }
 
 bool ShmHost::TryCharge(const std::shared_ptr<net::Session>& session,
@@ -312,8 +325,8 @@ bool ShmHost::FlushDeferred(uint32_t i, Ring* ring) {
     size_t accepted = env_.queues[shard]->TryPushBatch(&batch);
     if (accepted > 0) {
       progress = true;
-      stats_.frames.fetch_add(accepted, std::memory_order_relaxed);
-      stats_.batches.fetch_add(1, std::memory_order_relaxed);
+      frames_->Add(accepted);
+      batches_->Add();
     }
     if (!batch.empty()) {
       // Queue full mid-run: credit the un-admitted remainder back and put
@@ -357,6 +370,7 @@ bool ShmHost::DrainRing(uint32_t i) {
     uint64_t avail = tail - head;
     uint32_t len = 0;
     if (avail < kJobRecordPrefix) {
+      protocol_errors_->Add();
       ReclaimRing(i, "truncated record prefix");
       return true;
     }
@@ -365,7 +379,7 @@ bool ShmHost::DrainRing(uint32_t i) {
         kJobRecordPrefix + len > avail) {
       // A committed record can never be torn (commit follows the write),
       // so a bad length means a buggy producer. Kill the ring.
-      stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+      protocol_errors_->Add();
       ReclaimRing(i, "malformed record length");
       return true;
     }
@@ -380,7 +394,7 @@ bool ShmHost::DrainRing(uint32_t i) {
     net::DecodeProgress prog = net::TryDecodeFrame(
         bytes, options_.max_frame_body, &frame, &consumed, &error);
     if (prog != net::DecodeProgress::kFrame || consumed != len) {
-      stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+      protocol_errors_->Add();
       ReclaimRing(i, "undecodable frame");
       return true;
     }
@@ -463,13 +477,13 @@ void ShmHost::Park(uint32_t timeout_ms) {
     sb_->doorbell.store(kDoorbellAwake, std::memory_order_seq_cst);
     return;
   }
-  stats_.parks.fetch_add(1, std::memory_order_relaxed);
+  parks_->Add();
   struct timespec ts;
   ts.tv_sec = timeout_ms / 1000;
   ts.tv_nsec = static_cast<long>(timeout_ms % 1000) * 1000000L;
   int rc = FutexWait(&sb_->doorbell, kDoorbellParked, &ts);
   if (rc == 0 || errno == EAGAIN) {
-    stats_.wakeups.fetch_add(1, std::memory_order_relaxed);
+    wakeups_->Add();
   }
   sb_->doorbell.store(kDoorbellAwake, std::memory_order_seq_cst);
 }

@@ -36,6 +36,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "net/ingress_queue.h"
 #include "net/session.h"
@@ -71,17 +72,8 @@ class ShmHost {
     std::vector<net::IngressQueue*> queues;  ///< One per raise shard.
     net::TenantState* default_tenant = nullptr;
     std::function<uint64_t()> alloc_session_id;
-  };
-
-  /// Intake counters, readable live (relaxed) by the server's stats path.
-  struct Stats {
-    std::atomic<uint64_t> frames{0};    ///< Raise frames admitted.
-    std::atomic<uint64_t> batches{0};   ///< Shard-queue push batches.
-    std::atomic<uint64_t> parks{0};     ///< Futex parks armed.
-    std::atomic<uint64_t> wakeups{0};   ///< Parks ended by a producer wake.
-    std::atomic<uint64_t> attaches{0};  ///< Rings claimed by handles.
-    std::atomic<uint64_t> reclaims{0};  ///< Rings reclaimed (crash or close).
-    std::atomic<uint64_t> protocol_errors{0};  ///< Rings killed for garbage.
+    /// Registry the intake counts into (the gateway's database registry).
+    MetricsRegistry* metrics = nullptr;
   };
 
   ShmHost(Options options, Env env);
@@ -101,7 +93,6 @@ class ShmHost {
   /// queues down, destroy after the workers are joined.
   void StopIntake();
 
-  const Stats& stats() const { return stats_; }
   const Options& options() const { return options_; }
 
  private:
@@ -144,7 +135,10 @@ class ShmHost {
   bool TryCharge(const std::shared_ptr<net::Session>& session,
                  net::IngressItem* item);
   void AttachRing(uint32_t i);
-  void ReclaimRing(uint32_t i, const char* reason);
+  /// Frees ring `i` for the next attacher. `fault` says why a ring that
+  /// did not detach cleanly is being killed (logged as a warning); nullptr
+  /// for a clean detach.
+  void ReclaimRing(uint32_t i, const char* fault);
   /// Flush notifier target: copies `session`'s queued reply frames into
   /// ring `i`'s completion region and wakes the handle.
   void WriteCompletions(uint32_t i, net::Session* session);
@@ -161,7 +155,15 @@ class ShmHost {
   std::thread intake_;
   std::atomic<bool> stop_{false};
   bool intake_stopped_ = false;
-  Stats stats_;
+
+  // shm.* counters in Env::metrics, set by Start().
+  Counter* frames_ = nullptr;           ///< Raise frames admitted.
+  Counter* batches_ = nullptr;          ///< Shard-queue push batches.
+  Counter* parks_ = nullptr;            ///< Futex parks armed.
+  Counter* wakeups_ = nullptr;          ///< Parks ended by a producer wake.
+  Counter* attaches_ = nullptr;         ///< Rings claimed by handles.
+  Counter* reclaims_ = nullptr;         ///< Rings reclaimed (crash or close).
+  Counter* protocol_errors_ = nullptr;  ///< Rings killed for garbage.
 };
 
 }  // namespace shmtp

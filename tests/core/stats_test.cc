@@ -23,7 +23,6 @@ using testing_util::TempDir;
 class StatsTest : public ::testing::Test {
  protected:
   StatsTest() : dir_("stats") {
-    if (!metrics::kEnabled) return;
     Database::Options options;
     options.dir = dir_.path();
     options.metrics_sample_mask = 0;  // Time every top-level raise.
@@ -35,10 +34,6 @@ class StatsTest : public ::testing::Test {
                                        .Method("SetPrice", {.end = true})
                                        .Build())
                     .ok());
-  }
-
-  void SetUp() override {
-    if (!metrics::kEnabled) GTEST_SKIP() << "metrics compiled out";
   }
 
   /// One scripted update: a transaction raising "end Stock::SetPrice" once.

@@ -1,16 +1,21 @@
 // Copyright (c) 2026 The Sentinel Authors. Licensed under Apache-2.0.
 //
 // HistorySegmentStore: append/scan round trips, rotation + footers,
-// footer-based scan pruning, torn-tail recovery, and reopen-resume.
+// footer-based scan pruning, torn-tail recovery, reopen-resume, and what
+// each record walker does with a damaged segment.
 
 #include "histlog/segment_store.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <random>
 
 #include "../test_util.h"
+#include "common/crc32c.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
 
@@ -250,6 +255,154 @@ TEST(SegmentStoreTest, AppendFailpointSurfacesIOError) {
   ASSERT_TRUE(store.Scan({}, &got).ok());
   ASSERT_EQ(got.size(), 2u);
   ASSERT_TRUE(store.Close().ok());
+}
+
+// --- Damaged segments, read by every record walker ---------------------------
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string OnlySegment(const std::string& dir) {
+  std::string path;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    path = entry.path().string();
+  }
+  return path;
+}
+
+enum class Damage { kTruncate, kFlipBit, kTornTail, kUndecodable };
+
+// Seeded damage to an active segment, read back by recovery (Open), Scan
+// and ScanFrom. The outcomes pinned here:
+//   * recovery truncates the file to the last record that checks and
+//     decodes;
+//   * Scan stops cleanly at the first record that does not;
+//   * ScanFrom stops cleanly at a torn or CRC-failing record, returns the
+//     decode error for a CRC-valid record it cannot decode, and counts that
+//     record as an ordinal when the cursor is already past it.
+TEST(SegmentStoreReaderTest, SeededDamageOutcomesPerCaller) {
+  for (uint64_t seed = 1; seed <= 64; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    TempDir dir("hist");
+    HistorySegmentStore store(dir.path(), 1 << 20);
+    ASSERT_TRUE(store.Open().ok());
+    const size_t n = 3 + rng() % 10;
+    std::vector<EventOccurrence> written;
+    std::vector<size_t> ends;  // File offset just past record i.
+    std::string image;
+    for (size_t i = 0; i < n; ++i) {
+      std::string method = "M";
+      method += std::to_string(i);
+      EventOccurrence occ = MakeOccurrence(1 + rng() % 50, "S", method);
+      for (size_t p = rng() % 4; p > 0; --p) {
+        occ.params.emplace_back(static_cast<int64_t>(rng() % 1000));
+      }
+      ASSERT_TRUE(store.Append(occ).ok());
+      image += HistorySegmentStore::EncodeRecord(occ);
+      ends.push_back(image.size());
+      written.push_back(std::move(occ));
+    }
+    ASSERT_TRUE(store.Flush().ok());
+    const std::string path = OnlySegment(dir.path());
+    ASSERT_EQ(ReadFile(path), image);
+
+    // `valid` records survive the damage, in append order.
+    const Damage damage = static_cast<Damage>(rng() % 4);
+    size_t valid = 0;
+    std::string damaged = image;
+    switch (damage) {
+      case Damage::kTruncate: {
+        const size_t cut = rng() % image.size();
+        damaged.resize(cut);
+        while (valid < n && ends[valid] <= cut) ++valid;
+        break;
+      }
+      case Damage::kFlipBit: {
+        valid = rng() % n;
+        const size_t begin = valid == 0 ? 0 : ends[valid - 1];
+        const size_t at = begin + rng() % (ends[valid] - begin);
+        damaged[at] ^= static_cast<char>(1u << (rng() % 8));
+        break;
+      }
+      case Damage::kTornTail: {
+        // A length prefix promising more bytes than follow it.
+        valid = n;
+        const uint32_t len = 64 + static_cast<uint32_t>(rng() % 64);
+        damaged.append(reinterpret_cast<const char*>(&len), 4);
+        damaged.append(rng() % 40, 'x');
+        break;
+      }
+      case Damage::kUndecodable: {
+        // A whole record with a good CRC whose body is too short to hold
+        // an oid, spliced in after `valid` good records.
+        valid = rng() % n;
+        const std::string body(1 + rng() % 7, '\x7f');
+        const uint32_t len = static_cast<uint32_t>(body.size());
+        const uint32_t crc = Crc32c(body.data(), body.size());
+        std::string bad(reinterpret_cast<const char*>(&len), 4);
+        bad.append(reinterpret_cast<const char*>(&crc), 4);
+        bad += body;
+        damaged.insert(valid == 0 ? 0 : ends[valid - 1], bad);
+        break;
+      }
+    }
+    WriteFile(path, damaged);
+
+    std::vector<EventOccurrence> got;
+    ASSERT_TRUE(store.Scan({}, &got).ok());
+    ASSERT_EQ(got.size(), valid);
+    for (size_t i = 0; i < valid; ++i) {
+      EXPECT_EQ(got[i].timestamp.seq, written[i].timestamp.seq);
+      EXPECT_EQ(got[i].method, written[i].method);
+    }
+
+    const uint64_t cursor = rng() % (valid + 1);
+    got.clear();
+    uint64_t next = 0;
+    Status from = store.ScanFrom(cursor, 0, &got, &next);
+    if (damage == Damage::kUndecodable) {
+      EXPECT_TRUE(from.IsCorruption()) << from.ToString();
+      // Past the bad record, the good ones after it are served.
+      got.clear();
+      ASSERT_TRUE(store.ScanFrom(valid + 1, 0, &got, &next).ok());
+      ASSERT_EQ(got.size(), n - valid);
+      for (size_t i = valid; i < n; ++i) {
+        EXPECT_EQ(got[i - valid].timestamp.seq, written[i].timestamp.seq);
+      }
+      EXPECT_EQ(next, got.empty() ? valid + 1 : n + 1);
+    } else {
+      ASSERT_TRUE(from.ok()) << from.ToString();
+      ASSERT_EQ(got.size(), valid - cursor);
+      for (size_t i = cursor; i < valid; ++i) {
+        EXPECT_EQ(got[i - cursor].timestamp.seq, written[i].timestamp.seq);
+      }
+      EXPECT_EQ(next, valid);
+    }
+    ASSERT_TRUE(store.Close().ok());
+
+    // Recovery cuts the file back to the surviving records and appending
+    // resumes after them.
+    HistorySegmentStore reopened(dir.path(), 1 << 20);
+    ASSERT_TRUE(reopened.Open().ok());
+    EXPECT_EQ(std::filesystem::file_size(path),
+              valid == 0 ? 0u : ends[valid - 1]);
+    EXPECT_EQ(reopened.TotalRecords(), valid);
+    got.clear();
+    ASSERT_TRUE(reopened.Scan({}, &got).ok());
+    ASSERT_EQ(got.size(), valid);
+    for (size_t i = 0; i < valid; ++i) {
+      EXPECT_EQ(got[i].timestamp.seq, written[i].timestamp.seq);
+    }
+    ASSERT_TRUE(reopened.Close().ok());
+  }
 }
 
 }  // namespace

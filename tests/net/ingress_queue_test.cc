@@ -52,14 +52,16 @@ TEST(IngressQueueTest, PushPopPreservesOrder) {
 }
 
 TEST(IngressQueueTest, BackpressureAtCapacity) {
+  MetricsRegistry registry;
   IngressQueue q(4);
+  q.SetMetrics(&registry);
   for (uint64_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(q.TryPush(Item(1, i)).ok());
   }
   Status s = q.TryPush(Item(1, 99));
   EXPECT_TRUE(s.IsResourceExhausted()) << s.ToString();
-  EXPECT_EQ(q.rejected_total(), 1u);
-  EXPECT_EQ(q.pushed_total(), 4u);
+  EXPECT_EQ(registry.counter("net.ingress.rejected")->Value(), 1u);
+  EXPECT_EQ(registry.gauge("net.ingress.depth")->Value(), 4);
 
   // Draining one slot re-admits producers.
   std::vector<IngressItem> out;

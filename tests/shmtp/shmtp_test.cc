@@ -122,6 +122,34 @@ class ShmtpTest : public ::testing::Test {
     return sub;
   }
 
+  // Pushes one committed garbage record through a fresh handle. The host
+  // must kill that ring (a protocol error, reclaimed) and leave the slot
+  // usable: a new producer then round-trips a raise over shm.
+  void ExpectGarbageRecordReclaimsRing(const std::string& record) {
+    const net::GatewayStats before = server_->stats();
+    {
+      auto attached = ShmHandle::Attach(options_.shm_segment);
+      ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+      auto handle = std::move(attached).value();
+      ASSERT_TRUE(handle->PushFrame(record).ok());
+      ASSERT_TRUE(PollUntil(milliseconds(5000), [&] {
+        return server_->stats().shm_reclaims > before.shm_reclaims;
+      }));
+      // The slot is free again, no longer this handle's to close.
+      handle->AbandonForTest();
+    }
+    const net::GatewayStats after = server_->stats();
+    EXPECT_EQ(after.shm_protocol_errors, before.shm_protocol_errors + 1);
+    EXPECT_EQ(after.shm_reclaims, before.shm_reclaims + 1);
+
+    auto opened = LocalPublisher::Open(PubOptions());
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ASSERT_TRUE((*opened)->via_shm());
+    auto oid = (*opened)->Raise("Sensor", "Report", EventModifier::kEnd,
+                                {Value(1.0)});
+    EXPECT_TRUE(oid.ok()) << oid.status().ToString();
+  }
+
   // Drains notifications until `expected` arrive or a fetch comes back
   // empty after the deadline-sized wait.
   std::vector<Notification> Collect(Subscriber* sub, size_t expected,
@@ -294,6 +322,27 @@ TEST_F(ShmtpTest, TornWriteIsInvisibleUntilCommit) {
   ASSERT_EQ(got.size(), 1u);
   ASSERT_EQ(got[0].params.size(), 1u);
   EXPECT_EQ(got[0].params[0], Value(int64_t{42}));
+}
+
+TEST_F(ShmtpTest, RecordShorterThanFrameHeaderReclaimsRing) {
+  options_.shm_rings = 1;
+  StartServer();
+  ExpectGarbageRecordReclaimsRing(
+      std::string(net::kFrameHeaderSize - 1, '\x02'));
+}
+
+TEST_F(ShmtpTest, RecordWithBadVersionByteReclaimsRing) {
+  options_.shm_rings = 1;
+  StartServer();
+  RaiseEventMsg msg;
+  msg.class_name = "Sensor";
+  msg.method = "Report";
+  Encoder enc;
+  msg.Encode(&enc);
+  std::string wire;
+  net::EncodeFrame(FrameType::kRaiseEvent, enc.buffer(), &wire,
+                   /*version=*/net::kProtocolV2 + 1);
+  ExpectGarbageRecordReclaimsRing(wire);
 }
 
 TEST_F(ShmtpTest, AttachFailsWhenRingsExhaustedAndPublisherFallsBack) {
