@@ -1,6 +1,6 @@
 // Copyright (c) 2026 The Sentinel Authors. Licensed under Apache-2.0.
 //
-// E14 — Metrics primitive cost and raise-path overhead.
+// E18 — Metrics primitive cost and raise-path overhead.
 //
 // The instrumentation budget (DESIGN.md §10) is "a handful of relaxed
 // atomic ops per recorded event, ≤5% on the raise path". This bench pins
@@ -8,8 +8,8 @@
 // registry snapshot) and a full Database raise loop. Metrics are always
 // compiled in, so a change to the instrumentation is judged by running
 // BM_RaisePath on the parent commit and on the change, alternately and
-// pinned to one CPU, and comparing the medians (as EXPERIMENTS.md E17
-// does).
+// pinned to one CPU, and comparing the medians (EXPERIMENTS.md E18 holds
+// the numbers).
 
 #include <benchmark/benchmark.h>
 
@@ -27,18 +27,16 @@ void BM_CounterAdd(benchmark::State& state) {
   MetricsRegistry registry;
   Counter* counter = registry.counter("bench.counter");
   for (auto _ : state) {
-    metrics::Add(counter);
+    counter->Add();
   }
-  if (counter != nullptr) {
-    benchmark::DoNotOptimize(counter->Value());
-  }
+  benchmark::DoNotOptimize(counter->Value());
 }
 
 void BM_CounterAddThreaded(benchmark::State& state) {
   static MetricsRegistry* registry = new MetricsRegistry();
   Counter* counter = registry->counter("bench.counter.mt");
   for (auto _ : state) {
-    metrics::Add(counter);
+    counter->Add();
   }
 }
 
@@ -47,7 +45,7 @@ void BM_GaugeSet(benchmark::State& state) {
   Gauge* gauge = registry.gauge("bench.gauge");
   int64_t v = 0;
   for (auto _ : state) {
-    metrics::Set(gauge, ++v);
+    gauge->Set(++v);
   }
 }
 
@@ -56,7 +54,7 @@ void BM_HistogramRecord(benchmark::State& state) {
   Histogram* histogram = registry.histogram("bench.histogram");
   int64_t v = 0;
   for (auto _ : state) {
-    metrics::Record(histogram, ++v & 0xFFFFF);
+    histogram->Record(++v & 0xFFFFF);
   }
 }
 
@@ -65,7 +63,7 @@ void BM_RegistrySnapshot(benchmark::State& state) {
   MetricsRegistry registry;
   for (int i = 0; i < histograms; ++i) {
     Histogram* h = registry.histogram("bench.h" + std::to_string(i));
-    for (int64_t v = 1; v < 4096; v <<= 1) metrics::Record(h, v);
+    for (int64_t v = 1; v < 4096; v <<= 1) h->Record(v);
   }
   for (auto _ : state) {
     MetricsSnapshot snapshot = registry.Snapshot();

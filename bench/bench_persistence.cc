@@ -154,8 +154,9 @@ void BM_GroupCommitSweep(benchmark::State& state) {
   const auto window_us = static_cast<uint32_t>(state.range(1));
   std::string dir = FreshDir("gc" + std::to_string(producers) + "w" +
                              std::to_string(window_us));
-  auto store = std::make_unique<ObjectStore>();
-  store->SetGroupCommitWindow(window_us);
+  MetricsRegistry metrics;
+  const Histogram* wal_syncs = metrics.histogram("txn.wal_sync_ns");
+  auto store = std::make_unique<ObjectStore>(metrics, 256, window_us);
   store->Open(dir).ok();
   std::vector<Oid> oids;
   oids.reserve(producers);
@@ -163,7 +164,7 @@ void BM_GroupCommitSweep(benchmark::State& state) {
   const std::string image(256, 'x');
 
   constexpr int kCommitsPerProducer = 8;
-  const uint64_t syncs_before = store->wal()->sync_count();
+  const uint64_t syncs_before = wal_syncs->Count();
   uint64_t commits = 0;
   for (auto _ : state) {
     std::vector<std::thread> threads;
@@ -181,7 +182,7 @@ void BM_GroupCommitSweep(benchmark::State& state) {
     commits += static_cast<uint64_t>(producers) * kCommitsPerProducer;
   }
   state.SetItemsProcessed(static_cast<int64_t>(commits));
-  const uint64_t syncs = store->wal()->sync_count() - syncs_before;
+  const uint64_t syncs = wal_syncs->Count() - syncs_before;
   state.counters["producers"] = producers;
   state.counters["window_us"] = window_us;
   state.counters["wal_syncs"] = static_cast<double>(syncs);

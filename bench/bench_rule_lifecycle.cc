@@ -28,8 +28,9 @@ using baselines::OdeEngine;
 using baselines::OdeObject;
 
 void BM_SentinelCreateDeleteRule(benchmark::State& state) {
-  RuleScheduler scheduler;
-  EventDetector detector;
+  MetricsRegistry metrics;
+  RuleScheduler scheduler(metrics);
+  EventDetector detector(metrics);
   FunctionRegistry functions;
   RuleManager manager(&scheduler, &detector, &functions);
   EventPtr event = PrimitiveEvent::Create("end Stock::SetPrice").value();

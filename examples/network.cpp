@@ -65,7 +65,7 @@ class Router : public ReactiveObject {
     MethodEventScope scope(this, "Heartbeat", {GetAttr("name")});
     SetAttr(txn, "probed", Value(false));
   }
-  void ProbeTimeout(Transaction* txn) {
+  void ProbeTimeout(Transaction* /*txn*/) {
     MethodEventScope scope(this, "ProbeTimeout", {GetAttr("name")});
   }
   std::string name() const { return GetAttr("name").AsString(); }

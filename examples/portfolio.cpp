@@ -176,7 +176,7 @@ Status Run(const std::string& dir) {
               static_cast<unsigned long long>(rule->triggered_count()),
               static_cast<unsigned long long>(rule->fired_count()),
               static_cast<unsigned long long>(
-                  db->detector()->occurrence_total()));
+                  db->metrics()->counter("events.occurrences")->Value()));
   return db->Close();
 }
 

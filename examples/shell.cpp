@@ -400,11 +400,11 @@ class Shell {
       std::printf("  events: %zu named, %llu occurrences logged\n",
                   db_->detector()->event_count(),
                   static_cast<unsigned long long>(
-                      db_->detector()->occurrence_total()));
+                      db_->metrics()->counter("events.occurrences")->Value()));
       std::printf("  rules: %zu, executed %llu\n",
                   db_->rules()->rule_count(),
                   static_cast<unsigned long long>(
-                      db_->scheduler()->executed_count()));
+                      db_->metrics()->histogram("rules.dispatch_ns")->Count()));
     }
     return Status::OK();
   }

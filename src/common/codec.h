@@ -85,10 +85,14 @@ class Decoder {
   Status Underflow(size_t n) const;
 
   /// Reads one little-endian fixed-width value (the host order, as the
-  /// Encoder writes it).
+  /// Encoder writes it). On underflow `*v` is zeroed, so an out-value is
+  /// never left unset whichever way the read goes.
   template <typename T>
   Status GetFixed(T* v) {
-    if (sizeof(T) > len_ - pos_) return Underflow(sizeof(T));
+    if (sizeof(T) > len_ - pos_) {
+      *v = T{};
+      return Underflow(sizeof(T));
+    }
     std::memcpy(v, data_ + pos_, sizeof(T));
     pos_ += sizeof(T);
     return Status::OK();

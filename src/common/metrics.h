@@ -15,9 +15,11 @@
 //     *approximate under concurrency* (exact once writers quiesce, which is
 //     what tests and benchmarks observe).
 //   * One registry per Database holds every counter of the process that
-//     serves it: core, storage, gateway (net.*) and shared-memory transport
-//     (shm.*). Component views such as GatewayStats read it rather than
-//     keeping counts of their own.
+//     serves it: core, storage, history, replication (repl.*), gateway
+//     (net.*) and shared-memory transport (shm.*). Each instrumented
+//     component takes the registry in its constructor and counts only
+//     there; views such as GatewayStats read it back rather than keeping
+//     counts of their own.
 //   * Counters are modular 2^64: overflow wraps (well-defined, tested)
 //     rather than saturating, so deltas between snapshots stay correct even
 //     across a wrap.
@@ -31,8 +33,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-
-#include "common/clock.h"
 
 namespace sentinel {
 
@@ -155,9 +155,9 @@ struct MetricsSnapshot {
 };
 
 /// Named metrics of one Database (or any other owner). Get-or-create is
-/// mutexed (called once per instrumentation site at wiring time); the
-/// returned pointers are stable for the registry's lifetime and are what
-/// hot paths hold.
+/// mutexed (called once per instrumentation site, when the component is
+/// constructed); the returned pointers are stable for the registry's
+/// lifetime and are what hot paths hold.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -176,36 +176,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
-
-namespace metrics {
-
-// Null-safe helpers for instrumentation sites: a component caches raw
-// pointers from its registry (nullptr while it is not wired to one, e.g. a
-// standalone store in a test) and calls these unconditionally.
-
-inline void Add(Counter* c, uint64_t n = 1) {
-  if (c != nullptr) c->Add(n);
-}
-
-inline void Set(Gauge* g, int64_t v) {
-  if (g != nullptr) g->Set(v);
-}
-
-inline void Record(Histogram* h, int64_t v) {
-  if (h != nullptr) h->Record(v);
-}
-
-/// Reads the steady clock only when a histogram will consume the interval;
-/// returns 0 otherwise (pass the result to RecordSince).
-inline int64_t TimerStart(const Histogram* h) {
-  return h != nullptr ? SteadyNowNs() : 0;
-}
-
-inline void RecordSince(Histogram* h, int64_t start_ns) {
-  if (h != nullptr && start_ns != 0) h->Record(SteadyNowNs() - start_ns);
-}
-
-}  // namespace metrics
 
 }  // namespace sentinel
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <thread>
 
+#include "common/clock.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
 
@@ -23,7 +24,11 @@ constexpr size_t kForwardRingCapacity = 1024;
 }  // namespace
 
 Database::Database(const Options& options)
-    : options_(options), store_(options.buffer_pages) {}
+    : options_(options),
+      store_(metrics_, options.buffer_pages, options.group_commit_window_us),
+      m_raise_notify_ns_(metrics_.histogram("events.raise_notify_ns")),
+      m_forwarded_(metrics_.counter("core.forwarded_triggers")),
+      m_forward_stalls_(metrics_.counter("core.forward_stalls")) {}
 
 void Database::BindRaiseShard(size_t shard) { tls_raise_shard = shard; }
 
@@ -41,10 +46,6 @@ Result<std::unique_ptr<Database>> Database::Open(const Options& options) {
     SENTINEL_RETURN_IF_ERROR(
         FailPoints::Instance().EnableFromSpec(options.failpoints));
   }
-  // Wired before Open so recovery-time WAL syncs and pool faults are
-  // already counted.
-  db->store_.SetMetrics(&db->metrics_);
-  db->store_.SetGroupCommitWindow(options.group_commit_window_us);
   SENTINEL_RETURN_IF_ERROR(db->store_.Open(options.dir));
 
   // Schema: load the persisted catalog if present, then make sure the
@@ -55,10 +56,9 @@ Result<std::unique_ptr<Database>> Database::Open(const Options& options) {
 
   const size_t nshards = std::min<size_t>(
       std::max<size_t>(options.raise_shards, 1), 64);
-  db->detector_ = std::make_unique<EventDetector>(&db->catalog_);
+  db->detector_ =
+      std::make_unique<EventDetector>(db->metrics_, &db->catalog_);
   db->detector_->set_log_capacity(options.occurrence_log_capacity);
-  db->detector_->set_key_count_capacity(options.key_count_capacity);
-  db->detector_->SetMetrics(&db->metrics_);
   db->detector_->SetShardCount(nshards);
 
   // History spill: FIFO-trimmed occurrences land in per-shard segment
@@ -68,8 +68,7 @@ Result<std::unique_ptr<Database>> Database::Open(const Options& options) {
     for (size_t i = 0; i < nshards; ++i) {
       auto store = std::make_unique<HistorySegmentStore>(
           options.dir + "/history/shard-" + std::to_string(i),
-          options.history_segment_bytes);
-      store->SetMetrics(&db->metrics_);
+          options.history_segment_bytes, db->metrics_);
       SENTINEL_RETURN_IF_ERROR(store->Open());
       db->history_stores_.push_back(std::move(store));
     }
@@ -93,7 +92,6 @@ Result<std::unique_ptr<Database>> Database::Open(const Options& options) {
   for (size_t i = 0; i < nshards; ++i) {
     auto shard = std::make_unique<RaiseShard>(raw);
     shard->scheduler.set_max_cascade_depth(options.max_cascade_depth);
-    shard->scheduler.SetMetrics(&db->metrics_);
     shard->scheduler.set_detached_runner(detached_runner);
     if (nshards > 1) {
       shard->inbox.resize(nshards);
@@ -105,11 +103,8 @@ Result<std::unique_ptr<Database>> Database::Open(const Options& options) {
     }
     db->shards_.push_back(std::move(shard));
   }
-  db->m_raise_notify_ns_ = db->metrics_.histogram("events.raise_notify_ns");
-  db->m_forwarded_ = db->metrics_.counter("core.forwarded_triggers");
-  db->m_forward_stalls_ = db->metrics_.counter("core.forward_stalls");
-  metrics::Set(db->metrics_.gauge("core.raise_shards"),
-               static_cast<int64_t>(nshards));
+  db->metrics_.gauge("core.raise_shards")
+      ->Set(static_cast<int64_t>(nshards));
   db->rule_manager_ = std::make_unique<RuleManager>(
       &db->shards_[0]->scheduler, db->detector_.get(), &db->functions_);
 
@@ -674,7 +669,7 @@ void Database::PreRaise(const EventOccurrence& occ) {
   RaiseShard& shard = *shards_[idx];
   if (++shard.raise_depth == 1 &&
       (shard.raise_seq++ & options_.metrics_sample_mask) == 0) {
-    shard.raise_start_ns = metrics::TimerStart(m_raise_notify_ns_);
+    shard.raise_start_ns = SteadyNowNs();
   }
   detector_->RecordOccurrence(occ, idx);
   if (tracer_ != nullptr) {
@@ -760,7 +755,7 @@ void Database::PostRaise(const EventOccurrence& occ) {
   // occurrence with its local reactions already applied.
   FanOutOccurrence(occ);
   if (--shard.raise_depth == 0 && shard.raise_start_ns != 0) {
-    metrics::RecordSince(m_raise_notify_ns_, shard.raise_start_ns);
+    m_raise_notify_ns_->Record(SteadyNowNs() - shard.raise_start_ns);
     shard.raise_start_ns = 0;
   }
 }
@@ -792,10 +787,10 @@ bool Database::ShouldDeliverLocally(Rule* rule, const EventOccurrence& occ) {
   while (!ring.TryPush(trigger)) {
     // Ring full: make progress on our own inbox so two shards forwarding
     // into each other cannot deadlock, then retry.
-    metrics::Add(m_forward_stalls_);
+    m_forward_stalls_->Add();
     if (DrainForwarded() == 0) std::this_thread::yield();
   }
-  metrics::Add(m_forwarded_);
+  m_forwarded_->Add();
   return false;
 }
 
@@ -836,14 +831,6 @@ size_t Database::DrainAllForwardedShards() {
     }
   }
   tls_raise_shard = previous;
-  return total;
-}
-
-uint64_t Database::TotalRulesExecuted() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->scheduler.executed_count();
-  }
   return total;
 }
 

@@ -65,13 +65,10 @@ class Database : public RaiseContext,
     /// Cap on the detector's global occurrence log (FIFO-trimmed beyond it)
     /// so long-running gateway workloads stay bounded.
     size_t occurrence_log_capacity = 4096;
-    /// Cap on the detector's per-key occurrence counters (same growth
-    /// concern as the log: keys are unbounded under generated workloads).
-    size_t key_count_capacity = 4096;
     /// Failpoint spec applied before the store opens, same grammar as the
     /// SENTINEL_FAILPOINTS env var (see common/failpoint.h). Tests use this
     /// to inject faults/crashes without touching the process environment.
-    std::string failpoints;
+    std::string failpoints = "";
     /// Sampling mask for the raise->notify latency histogram: the timing is
     /// taken when (raise_sequence & mask) == 0, i.e. 15 = every 16th
     /// top-level raise. The clock reads — not the counters — dominate
@@ -163,9 +160,6 @@ class Database : public RaiseContext,
   /// threads have stopped — the gateway calls it after joining workers.
   size_t DrainAllForwardedShards();
 
-  /// Sum of rules executed across every shard's scheduler.
-  uint64_t TotalRulesExecuted() const;
-
   // --- Durability & history ---------------------------------------------------
 
   /// Runs one fuzzy checkpoint right now (see ObjectStore::Checkpoint):
@@ -250,7 +244,6 @@ class Database : public RaiseContext,
   // --- Metrics ----------------------------------------------------------------
 
   /// The database-wide metrics registry (every subsystem records here).
-  /// Always non-null; hands out nullptr metrics when compiled out.
   MetricsRegistry* metrics() { return &metrics_; }
 
   /// Point-in-time view of every counter/gauge/histogram. Safe to call from
@@ -414,7 +407,7 @@ class Database : public RaiseContext,
   /// shard's bound thread (plus the SPSC inbox rings, each written by
   /// exactly one source shard).
   struct RaiseShard {
-    explicit RaiseShard(Database* db) : scheduler(db) {}
+    explicit RaiseShard(Database* db) : scheduler(db->metrics_, db) {}
     RuleScheduler scheduler;
     Transaction* current_txn = nullptr;
     /// Raise-path instrumentation (see Options::metrics_sample_mask). Only
@@ -455,8 +448,8 @@ class Database : public RaiseContext,
   Status SaveIndexDefs();
 
   Options options_;
-  /// Declared before store_/detector_/shards_: those components cache
-  /// pointers into this registry, so it must outlive them on destruction.
+  /// Declared before every component: each is constructed with this
+  /// registry and caches pointers into it, so it must outlive them all.
   MetricsRegistry metrics_;
   ObjectStore store_;
   ClassCatalog catalog_;
@@ -494,9 +487,9 @@ class Database : public RaiseContext,
   /// exclusive for registration and pruning.
   mutable std::shared_mutex observers_mu_;
 
-  Histogram* m_raise_notify_ns_ = nullptr;
-  Counter* m_forwarded_ = nullptr;
-  Counter* m_forward_stalls_ = nullptr;
+  Histogram* const m_raise_notify_ns_;
+  Counter* const m_forwarded_;
+  Counter* const m_forward_stalls_;
 };
 
 }  // namespace sentinel

@@ -76,8 +76,7 @@ void EventDetector::RecordOccurrence(const EventOccurrence& occ,
   if (shard >= segments_.size()) shard = 0;
   LogSegment& seg = *segments_[shard];
   seg.log.push_back(OccurrenceShare::CopyOf(occ));
-  occurrence_total_.fetch_add(1, std::memory_order_relaxed);
-  metrics::Add(m_occurrences_);
+  m_occurrences_->Add();
   // Per-key counters are admission-capped: keys come from the workload
   // (class::method strings), so an open-ended stream of fresh signatures
   // must not grow the map without bound. Admitted keys keep counting;
@@ -91,7 +90,7 @@ void EventDetector::RecordOccurrence(const EventOccurrence& occ,
   } else if (seg.key_counts.size() < key_count_capacity_) {
     seg.key_counts.emplace(key, 1);
   } else {
-    ++seg.key_counts_untracked;
+    m_keys_untracked_->Add();
   }
   TrimLog(&seg, shard);
 }
@@ -109,8 +108,7 @@ void EventDetector::TrimLog(LogSegment* segment, size_t shard) {
     // into an append to the shard's durable segment file.
     if (spill_sink_) spill_sink_(shard, *segment->log.front());
     segment->log.pop_front();
-    ++segment->trimmed_total;
-    metrics::Add(m_trimmed_);
+    m_trimmed_->Add();
   }
 }
 
@@ -126,12 +124,6 @@ std::vector<EventOccurrence> EventDetector::MergedLog() const {
   return merged;
 }
 
-uint64_t EventDetector::occurrence_trimmed_total() const {
-  uint64_t total = 0;
-  for (const auto& seg : segments_) total += seg->trimmed_total;
-  return total;
-}
-
 uint64_t EventDetector::CountForKey(const std::string& key) const {
   uint64_t total = 0;
   for (const auto& seg : segments_) {
@@ -144,12 +136,6 @@ uint64_t EventDetector::CountForKey(const std::string& key) const {
 size_t EventDetector::key_count_size() const {
   size_t total = 0;
   for (const auto& seg : segments_) total += seg->key_counts.size();
-  return total;
-}
-
-uint64_t EventDetector::key_counts_untracked_total() const {
-  uint64_t total = 0;
-  for (const auto& seg : segments_) total += seg->key_counts_untracked;
   return total;
 }
 

@@ -16,7 +16,6 @@
 #ifndef SENTINEL_EVENTS_DETECTOR_H_
 #define SENTINEL_EVENTS_DETECTOR_H_
 
-#include <atomic>
 #include <deque>
 #include <functional>
 #include <map>
@@ -40,8 +39,15 @@ constexpr Oid kEventIndexOid = 3;
 /// Registry, log, and persistence for event objects.
 class EventDetector {
  public:
-  explicit EventDetector(const ClassCatalog* catalog = nullptr)
-      : catalog_(catalog) {
+  /// Counts into `metrics`: every RecordOccurrence bumps
+  /// events.occurrences, every FIFO trim events.log_trimmed, and every
+  /// occurrence whose key is refused a per-key counter events.keys_untracked.
+  explicit EventDetector(MetricsRegistry& metrics,
+                         const ClassCatalog* catalog = nullptr)
+      : catalog_(catalog),
+        m_occurrences_(metrics.counter("events.occurrences")),
+        m_trimmed_(metrics.counter("events.log_trimmed")),
+        m_keys_untracked_(metrics.counter("events.keys_untracked")) {
     segments_.push_back(std::make_unique<LogSegment>());
   }
 
@@ -82,10 +88,6 @@ class EventDetector {
   /// the old global log.
   void RecordOccurrence(const EventOccurrence& occ, size_t shard = 0);
 
-  uint64_t occurrence_total() const {
-    return occurrence_total_.load(std::memory_order_relaxed);
-  }
-
   /// Segment 0's log — the complete log in the single-shard configuration.
   /// Multi-shard callers wanting the global order use MergedLog(). Entries
   /// share the raise's occurrence with the consumers' Record windows.
@@ -104,10 +106,6 @@ class EventDetector {
   void set_log_capacity(size_t capacity);
   size_t log_capacity() const { return log_capacity_; }
 
-  /// Occurrences dropped from the logs by FIFO trimming since construction
-  /// (summed over segments; exact once shards quiesce).
-  uint64_t occurrence_trimmed_total() const;
-
   /// Installs the spill sink: every occurrence about to be FIFO-trimmed is
   /// handed to `sink` (with the owning shard) instead of vanishing. The
   /// sink runs on the trimming shard's thread with no detector locks held —
@@ -125,23 +123,12 @@ class EventDetector {
   /// Caps the number of distinct per-key counters. Keys are workload-
   /// controlled (class::method strings), so without a bound a generated
   /// workload grows this map forever; beyond the cap new keys are counted
-  /// only in key_counts_untracked_total(). Existing keys keep counting.
+  /// only in events.keys_untracked. Existing keys keep counting.
   void set_key_count_capacity(size_t capacity) {
     key_count_capacity_ = capacity;
   }
   size_t key_count_capacity() const { return key_count_capacity_; }
   size_t key_count_size() const;
-
-  /// Occurrences whose key was not admitted to a counter map (summed over
-  /// segments).
-  uint64_t key_counts_untracked_total() const;
-
-  /// Wires the detector to a metrics registry: every RecordOccurrence bumps
-  /// events.occurrences, every FIFO trim bumps events.log_trimmed.
-  void SetMetrics(MetricsRegistry* registry) {
-    m_occurrences_ = registry->counter("events.occurrences");
-    m_trimmed_ = registry->counter("events.log_trimmed");
-  }
 
   // --- Time pump (Periodic/Plus) ----------------------------------------------
 
@@ -165,9 +152,7 @@ class EventDetector {
   /// thread touches a segment's mutable state, so recording needs no lock.
   struct LogSegment {
     std::deque<OccurrencePtr> log;
-    uint64_t trimmed_total = 0;
     std::map<std::string, uint64_t> key_counts;
-    uint64_t key_counts_untracked = 0;
     std::string key_scratch;  ///< Reused key buffer for RecordOccurrence.
   };
 
@@ -190,11 +175,11 @@ class EventDetector {
   /// unique_ptr for stable addresses; at least one segment always exists.
   std::vector<std::unique_ptr<LogSegment>> segments_;
   size_t log_capacity_ = 4096;  ///< Per segment.
-  std::atomic<uint64_t> occurrence_total_{0};
   size_t key_count_capacity_ = 4096;  ///< Per segment.
   std::function<void(size_t, const EventOccurrence&)> spill_sink_;
-  Counter* m_occurrences_ = nullptr;
-  Counter* m_trimmed_ = nullptr;
+  Counter* const m_occurrences_;
+  Counter* const m_trimmed_;
+  Counter* const m_keys_untracked_;
 };
 
 }  // namespace sentinel

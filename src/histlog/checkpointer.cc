@@ -55,10 +55,8 @@ void Checkpointer::Loop() {
     }
     if (!due) continue;
     last = now;
-    runs_.fetch_add(1, std::memory_order_relaxed);
     Status s = checkpoint_();
     if (!s.ok()) {
-      failures_.fetch_add(1, std::memory_order_relaxed);
       SENTINEL_WARN << "background checkpoint failed: " << s.ToString();
     }
   }

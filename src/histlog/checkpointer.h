@@ -12,12 +12,13 @@
 // The checkpoint work itself (ObjectStore::Checkpoint) runs on this thread;
 // commits proceed concurrently by design (see object_store.h). A failing
 // checkpoint is logged and retried on the next trigger — a sticky WAL sync
-// failure will surface through the commit path anyway.
+// failure will surface through the commit path anyway. The store counts
+// checkpoints and failures (storage.checkpoints/.checkpoint_failures); the
+// driver keeps no counts of its own.
 
 #ifndef SENTINEL_HISTLOG_CHECKPOINTER_H_
 #define SENTINEL_HISTLOG_CHECKPOINTER_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -55,10 +56,6 @@ class Checkpointer {
   /// Stops and joins the thread. Idempotent; safe without Start.
   void Stop();
 
-  /// Checkpoints attempted / failed so far (tests).
-  uint64_t runs() const { return runs_; }
-  uint64_t failures() const { return failures_; }
-
  private:
   void Loop();
 
@@ -70,8 +67,6 @@ class Checkpointer {
   std::condition_variable cv_;
   bool stop_ = false;
   std::thread thread_;
-  std::atomic<uint64_t> runs_{0};
-  std::atomic<uint64_t> failures_{0};
 };
 
 }  // namespace sentinel

@@ -51,9 +51,7 @@ Status GroupCommitSync::Sync() {
       durable_seq_ = batch_hi;
       batch_status_ = s;
       leader_active_ = false;
-      batches_synced_.fetch_add(1, std::memory_order_relaxed);
-      metrics::Record(m_batch_size_,
-                      static_cast<int64_t>(batch_hi - batch_lo));
+      m_batch_size_->Record(static_cast<int64_t>(batch_hi - batch_lo));
       cv_.notify_all();
       return s;  // my_ticket <= batch_hi always: the leader is covered.
     }

@@ -42,8 +42,13 @@ namespace sentinel {
 /// Thread safe; owned by the ObjectStore alongside its WalManager.
 class GroupCommitSync {
  public:
-  GroupCommitSync(WalManager* wal, uint32_t window_us)
-      : wal_(wal), window_us_(window_us) {}
+  /// Records every batch's size (commits per fsync) into
+  /// storage.group_commit_batch; its count is the number of batches synced.
+  GroupCommitSync(WalManager* wal, uint32_t window_us,
+                  MetricsRegistry& metrics)
+      : wal_(wal),
+        window_us_(window_us),
+        m_batch_size_(metrics.histogram("storage.group_commit_batch")) {}
 
   GroupCommitSync(const GroupCommitSync&) = delete;
   GroupCommitSync& operator=(const GroupCommitSync&) = delete;
@@ -52,18 +57,6 @@ class GroupCommitSync {
   /// May batch with concurrent callers (see file comment). Returns the
   /// status of the physical sync that covered this caller.
   Status Sync();
-
-  /// Physical syncs issued through this pipeline (== WalManager::sync_count
-  /// deltas when nothing else syncs the log).
-  uint64_t batches_synced() const {
-    return batches_synced_.load(std::memory_order_relaxed);
-  }
-
-  /// Records every batch's size (commits per fsync) into
-  /// storage.group_commit_batch.
-  void SetMetrics(MetricsRegistry* registry) {
-    m_batch_size_ = registry->histogram("storage.group_commit_batch");
-  }
 
   uint32_t window_us() const { return window_us_; }
 
@@ -77,9 +70,7 @@ class GroupCommitSync {
   uint64_t durable_seq_ = 0;  ///< Tickets <= this are decided.
   bool leader_active_ = false;
   Status batch_status_ = Status::OK();  ///< Outcome of the latest batch.
-
-  std::atomic<uint64_t> batches_synced_{0};
-  Histogram* m_batch_size_ = nullptr;
+  Histogram* const m_batch_size_;
 };
 
 }  // namespace sentinel

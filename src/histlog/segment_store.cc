@@ -57,8 +57,9 @@ Status ReadWholeFile(const std::string& path, std::string* out) {
 /// byte 0. Next() yields each record whose CRC checks and returns false at
 /// the footer sentinel, a torn tail, or a CRC mismatch; a buffered append
 /// still in flight looks exactly like a torn tail. end() is the offset just
-/// past the last record Next() returned. Callers decide what an undecodable
-/// body means.
+/// past the last record Next() returned. Decode() is how every caller reads
+/// a body: a record whose CRC checks was written whole, so one that does
+/// not decode is Corruption, never a tail to stop at or cut away.
 class HistorySegmentStore::RecordReader {
  public:
   explicit RecordReader(std::string_view bytes) : bytes_(bytes) {}
@@ -78,6 +79,14 @@ class HistorySegmentStore::RecordReader {
   }
 
   size_t end() const { return end_; }
+
+  static Status Decode(std::string_view body, const std::string& path,
+                       EventOccurrence* occ) {
+    Status s = DecodeRecordBody(body, occ);
+    if (s.ok()) return s;
+    return Status::Corruption("undecodable record in " + path + ": " +
+                              s.ToString());
+  }
 
  private:
   std::string_view bytes_;
@@ -200,9 +209,15 @@ bool HistorySegmentStore::DecodeFooter(const std::string& tail,
 }
 
 HistorySegmentStore::HistorySegmentStore(std::string dir,
-                                         size_t segment_bytes)
+                                         size_t segment_bytes,
+                                         MetricsRegistry& metrics,
+                                         const std::string& metric_prefix)
     : dir_(std::move(dir)),
-      segment_bytes_(segment_bytes == 0 ? 1 : segment_bytes) {}
+      segment_bytes_(segment_bytes == 0 ? 1 : segment_bytes),
+      m_appends_(metrics.counter(metric_prefix + ".appends")),
+      m_rotations_(metrics.counter(metric_prefix + ".rotations")),
+      m_scan_skipped_(
+          metrics.counter(metric_prefix + ".scan_segments_skipped")) {}
 
 HistorySegmentStore::~HistorySegmentStore() { Close().ok(); }
 
@@ -265,14 +280,13 @@ Status HistorySegmentStore::RecoverActiveLocked(SegmentInfo* info) {
   SENTINEL_RETURN_IF_ERROR(ReadWholeFile(info->path, &bytes));
   RecordReader reader(bytes);
   std::string_view body;
-  size_t pos = 0;  // End of the last record that checks and decodes.
   SegmentStats stats;
   while (reader.Next(&body)) {
     EventOccurrence occ;
-    if (!DecodeRecordBody(body, &occ).ok()) break;
+    SENTINEL_RETURN_IF_ERROR(RecordReader::Decode(body, info->path, &occ));
     stats.Observe(occ);
-    pos = reader.end();
   }
+  const size_t pos = reader.end();  // End of the last record that checks.
   if (pos < bytes.size()) {
     SENTINEL_WARN << "history segment " << info->path << " torn at " << pos
                   << " of " << bytes.size() << " bytes; truncating";
@@ -342,8 +356,7 @@ Status HistorySegmentStore::SealActiveLocked() {
   segments_.back().sealed = true;
   segments_.back().stats = active_stats_;
   active_empty_ = true;
-  ++segments_sealed_;
-  metrics::Add(m_rotations_);
+  m_rotations_->Add();
   return Status::OK();
 }
 
@@ -377,8 +390,7 @@ Status HistorySegmentStore::Append(const EventOccurrence& occ) {
   }
   active_bytes_ += framed.size();
   active_stats_.Observe(occ);
-  ++appended_total_;
-  metrics::Add(m_appends_);
+  m_appends_->Add();
   return Status::OK();
 }
 
@@ -411,10 +423,8 @@ Status HistorySegmentStore::ScanFrom(uint64_t after_ordinal,
     std::string_view body;
     while (reader.Next(&body)) {
       if (++ordinal <= after_ordinal) continue;
-      // A CRC-valid record was written whole: failing to decode it is
-      // corruption, not a tail still in flight.
       EventOccurrence occ;
-      SENTINEL_RETURN_IF_ERROR(DecodeRecordBody(body, &occ));
+      SENTINEL_RETURN_IF_ERROR(RecordReader::Decode(body, info.path, &occ));
       out->push_back(std::move(occ));
       *next_ordinal = ordinal;
       if (max_rows != 0 && out->size() >= max_rows) return Status::OK();
@@ -432,7 +442,7 @@ Status HistorySegmentStore::ScanFileLocked(
   std::string_view body;
   while (reader.Next(&body)) {
     EventOccurrence occ;
-    if (!DecodeRecordBody(body, &occ).ok()) break;
+    SENTINEL_RETURN_IF_ERROR(RecordReader::Decode(body, path, &occ));
     if (query.Matches(occ)) {
       out->push_back(std::move(occ));
       if (query.limit != 0 && out->size() >= query.limit) {
@@ -462,7 +472,7 @@ Status HistorySegmentStore::Scan(const HistoryQuery& query,
           st.min_micros > query.max_micros ||
           (query.oid != kInvalidOid &&
            !BloomMayContain(st.bloom, query.oid))) {
-        metrics::Add(m_scan_skipped_);
+        m_scan_skipped_->Add();
         continue;
       }
     }
@@ -483,25 +493,9 @@ uint64_t HistorySegmentStore::TotalRecords() const {
   return total;
 }
 
-uint64_t HistorySegmentStore::appended_total() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return appended_total_;
-}
-
-uint64_t HistorySegmentStore::segments_sealed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return segments_sealed_;
-}
-
 size_t HistorySegmentStore::segment_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return segments_.size();
-}
-
-void HistorySegmentStore::SetMetrics(MetricsRegistry* registry) {
-  m_appends_ = registry->counter("histlog.appends");
-  m_rotations_ = registry->counter("histlog.rotations");
-  m_scan_skipped_ = registry->counter("histlog.scan_segments_skipped");
 }
 
 }  // namespace sentinel

@@ -88,8 +88,14 @@ struct HistoryCursor {
 class HistorySegmentStore {
  public:
   /// `segment_bytes` is the rotation threshold for record payload bytes in
-  /// one segment (the active segment may exceed it by one record).
-  HistorySegmentStore(std::string dir, size_t segment_bytes);
+  /// one segment (the active segment may exceed it by one record). The
+  /// store counts into `metrics` under `metric_prefix`: <prefix>.appends,
+  /// <prefix>.rotations, and the <prefix>.scan_segments_skipped
+  /// footer-pruning counter. Spill stores use "histlog"; the replication
+  /// mirror uses "repl.mirror" so the two never share a count.
+  HistorySegmentStore(std::string dir, size_t segment_bytes,
+                      MetricsRegistry& metrics,
+                      const std::string& metric_prefix = "histlog");
   ~HistorySegmentStore();
 
   HistorySegmentStore(const HistorySegmentStore&) = delete;
@@ -97,6 +103,8 @@ class HistorySegmentStore {
 
   /// Creates the directory if needed, inventories existing segments, and
   /// recovers the unsealed tail segment (truncating a torn final record).
+  /// A CRC-valid record that does not decode is Corruption: the segment is
+  /// left byte-identical and the store stays closed.
   Status Open();
 
   /// Flushes and closes the active segment without sealing it — the next
@@ -116,7 +124,7 @@ class HistorySegmentStore {
   /// Appends every stored occurrence matching `query` to `out`, oldest
   /// segment first (within a segment, append = logical order). Sealed
   /// segments whose footer proves no match are skipped without reading
-  /// records.
+  /// records. A CRC-valid record that does not decode is Corruption.
   Status Scan(const HistoryQuery& query,
               std::vector<EventOccurrence>* out) const;
 
@@ -133,20 +141,14 @@ class HistorySegmentStore {
                   uint64_t* next_ordinal) const;
 
   /// Total records currently stored: sealed-footer counts plus the active
-  /// segment's count. Unlike appended_total() this survives restarts (it is
-  /// re-derived from the files), so it equals the ordinal of the newest
-  /// record — the replication probe reports it as the ship target.
+  /// segment's count. Unlike the <prefix>.appends counter this survives
+  /// restarts (it is re-derived from the files), so it equals the ordinal
+  /// of the newest record — the replication probe reports it as the ship
+  /// target.
   uint64_t TotalRecords() const;
 
-  /// Lifetime counters (for tests and metrics).
-  uint64_t appended_total() const;
-  uint64_t segments_sealed() const;
   /// Number of segment files currently on disk (including the active one).
   size_t segment_count() const;
-
-  /// Wires counters: histlog.appends, histlog.rotations, and the
-  /// histlog.scan_segments_skipped footer-pruning counter.
-  void SetMetrics(MetricsRegistry* registry);
 
   /// [body_len][crc][body] framing of one occurrence (txn is not
   /// persisted). Exposed for tests and the wire layer.
@@ -196,11 +198,13 @@ class HistorySegmentStore {
   Status SealActiveLocked();
   /// Scans one segment file record-by-record. Stops cleanly at a torn
   /// tail or the footer sentinel; `stop` is set once query.limit is hit.
+  /// Corruption when a CRC-valid record does not decode.
   Status ScanFileLocked(const std::string& path, const HistoryQuery& query,
                         std::vector<EventOccurrence>* out, bool* stop) const;
   /// Reads a file's footer if sealed. Used at Open for inventory.
   Status InspectSegment(SegmentInfo* info) const;
-  /// Re-derives active-segment stats and truncates a torn tail.
+  /// Re-derives active-segment stats and truncates a torn tail; Corruption
+  /// (file untouched) when a CRC-valid record does not decode.
   Status RecoverActiveLocked(SegmentInfo* info);
 
   const std::string dir_;
@@ -214,11 +218,9 @@ class HistorySegmentStore {
   size_t active_bytes_ = 0;  ///< Record bytes in the active segment.
   SegmentStats active_stats_;
   bool active_empty_ = true;  ///< Active segment file not yet created.
-  uint64_t appended_total_ = 0;
-  uint64_t segments_sealed_ = 0;
-  Counter* m_appends_ = nullptr;
-  Counter* m_rotations_ = nullptr;
-  Counter* m_scan_skipped_ = nullptr;
+  Counter* const m_appends_;
+  Counter* const m_rotations_;
+  Counter* const m_scan_skipped_;
 };
 
 }  // namespace sentinel

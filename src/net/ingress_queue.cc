@@ -7,8 +7,11 @@
 namespace sentinel {
 namespace net {
 
-IngressQueue::IngressQueue(size_t capacity)
-    : capacity_(std::max<size_t>(capacity, 1)) {}
+IngressQueue::IngressQueue(size_t capacity, MetricsRegistry& metrics,
+                           const std::string& suffix)
+    : capacity_(std::max<size_t>(capacity, 1)),
+      m_depth_(metrics.gauge("net.ingress.depth" + suffix)),
+      m_rejected_(metrics.counter("net.ingress.rejected" + suffix)) {}
 
 Status IngressQueue::TryPush(IngressItem item) {
   {
@@ -17,12 +20,12 @@ Status IngressQueue::TryPush(IngressItem item) {
       return Status::FailedPrecondition("ingress queue is shut down");
     }
     if (items_.size() >= capacity_) {
-      metrics::Add(m_rejected_);
+      m_rejected_->Add();
       return Status::ResourceExhausted("ingress queue full (" +
                                        std::to_string(capacity_) + ")");
     }
     items_.push_back(std::move(item));
-    metrics::Set(m_depth_, static_cast<int64_t>(items_.size()));
+    m_depth_->Set(static_cast<int64_t>(items_.size()));
   }
   not_empty_.notify_one();
   return Status::OK();
@@ -40,10 +43,8 @@ size_t IngressQueue::TryPushBatch(std::vector<IngressItem>* items) {
       }
     }
     const size_t rejected = items->size() - accepted;
-    if (rejected > 0) metrics::Add(m_rejected_, rejected);
-    if (accepted > 0) {
-      metrics::Set(m_depth_, static_cast<int64_t>(items_.size()));
-    }
+    if (rejected > 0) m_rejected_->Add(rejected);
+    if (accepted > 0) m_depth_->Set(static_cast<int64_t>(items_.size()));
   }
   if (accepted > 0) {
     items->erase(items->begin(), items->begin() + accepted);
@@ -63,7 +64,7 @@ size_t IngressQueue::PopBatch(size_t max_batch, std::chrono::milliseconds wait,
     out->push_back(std::move(items_.front()));
     items_.pop_front();
   }
-  if (n > 0) metrics::Set(m_depth_, static_cast<int64_t>(items_.size()));
+  if (n > 0) m_depth_->Set(static_cast<int64_t>(items_.size()));
   return n;
 }
 

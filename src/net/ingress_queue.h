@@ -49,7 +49,13 @@ struct IngressItem {
 /// Bounded MPSC queue of gateway requests. All methods are thread safe.
 class IngressQueue {
  public:
-  explicit IngressQueue(size_t capacity);
+  /// Mirrors the live depth into the net.ingress.depth<suffix> gauge
+  /// (updated on every push/pop) and rejections into
+  /// net.ingress.rejected<suffix>. `suffix` distinguishes per-shard queues
+  /// (e.g. ".s1") so concurrent queues do not fight over one depth gauge;
+  /// shard 0 keeps the unsuffixed names.
+  IngressQueue(size_t capacity, MetricsRegistry& metrics,
+               const std::string& suffix = "");
 
   IngressQueue(const IngressQueue&) = delete;
   IngressQueue& operator=(const IngressQueue&) = delete;
@@ -97,24 +103,14 @@ class IngressQueue {
   size_t size() const;
   size_t capacity() const { return capacity_; }
 
-  /// Mirrors the live depth into the net.ingress.depth gauge (updated on
-  /// every push/pop) and rejections into net.ingress.rejected. `suffix`
-  /// distinguishes per-shard queues (e.g. ".s1") so concurrent queues do
-  /// not fight over one depth gauge; shard 0 keeps the unsuffixed names.
-  void SetMetrics(MetricsRegistry* registry, const std::string& suffix = "") {
-    std::lock_guard<std::mutex> lock(mu_);
-    m_depth_ = registry->gauge("net.ingress.depth" + suffix);
-    m_rejected_ = registry->counter("net.ingress.rejected" + suffix);
-  }
-
  private:
   const size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
   std::deque<IngressItem> items_;
   bool shutdown_ = false;
-  Gauge* m_depth_ = nullptr;
-  Counter* m_rejected_ = nullptr;
+  Gauge* const m_depth_;
+  Counter* const m_rejected_;
 };
 
 }  // namespace net

@@ -146,7 +146,7 @@ struct ChargeRelease {
 GatewayServer::GatewayServer(Database* db, ServerOptions options)
     : db_(db),
       options_(std::move(options)),
-      hub_(std::make_shared<NotificationHub>()) {
+      hub_(std::make_shared<NotificationHub>(*db->metrics())) {
   if (options_.io_threads == 0) options_.io_threads = 1;
   notify_limits_.max_count = options_.max_pending_notifications;
   notify_limits_.max_bytes = options_.max_pending_notify_bytes;
@@ -154,8 +154,12 @@ GatewayServer::GatewayServer(Database* db, ServerOptions options)
   queues_.reserve(nshards);
   exec_mu_.reserve(nshards);
   for (size_t i = 0; i < nshards; ++i) {
-    queues_.push_back(
-        std::make_unique<IngressQueue>(options_.ingress_capacity));
+    // Gateway-side structures report into the database's registry so one
+    // StatsSnapshot covers the whole process. Shard 0 keeps the historical
+    // unsuffixed metric names; extra shards get ".s<i>".
+    queues_.push_back(std::make_unique<IngressQueue>(
+        options_.ingress_capacity, *db_->metrics(),
+        i == 0 ? "" : ".s" + std::to_string(i)));
     exec_mu_.push_back(std::make_unique<std::mutex>());
   }
   relays_.resize(nshards);
@@ -178,15 +182,6 @@ Status GatewayServer::Start() {
   if (running_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("gateway already running");
   }
-
-  // Gateway-side structures report into the database's registry so one
-  // StatsSnapshot covers the whole process. Shard 0 keeps the historical
-  // unsuffixed metric names; extra shards get ".s<i>".
-  for (size_t i = 0; i < queues_.size(); ++i) {
-    queues_[i]->SetMetrics(db_->metrics(),
-                           i == 0 ? "" : ".s" + std::to_string(i));
-  }
-  hub_->SetMetrics(db_->metrics());
 
   // The rule action broadcasting to "rule:<name>" subscribers. It captures
   // the hub (shared), not the server: a rule firing after Stop() lands in
@@ -1140,10 +1135,9 @@ Result<std::unique_ptr<ReactiveObject>*> GatewayServer::DefaultRelaySlot(
   auto it = by_class.find(class_name);
   if (it != by_class.end()) return &it->second;
   // Catalog classes are never dropped, so one check per shard suffices.
+  // An unknown class is registered on first raise (reactive, with the
+  // raised method designated begin+end).
   if (!db_->catalog()->HasClass(class_name)) {
-    if (!options_.auto_register_classes) {
-      return Status::NotFound("unknown class " + class_name);
-    }
     SENTINEL_RETURN_IF_ERROR(db_->RegisterClass(
         ClassBuilder(class_name)
             .Reactive()
@@ -1188,10 +1182,6 @@ StatusReplyMsg GatewayServer::HandleCreateRule(const CreateRuleMsg& msg) {
 
   // The triggering class must exist so the rule has an extent to watch.
   if (!db_->catalog()->HasClass(sig->class_name)) {
-    if (!options_.auto_register_classes) {
-      return StatusReplyMsg::FromStatus(
-          Status::NotFound("unknown class " + sig->class_name));
-    }
     Status reg = db_->RegisterClass(
         ClassBuilder(sig->class_name)
             .Reactive()

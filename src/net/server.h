@@ -108,10 +108,6 @@ struct ServerOptions {
   size_t max_pending_notifications = 1024;  ///< Per-session, FIFO-trimmed.
   size_t max_pending_notify_bytes = 4u << 20;  ///< Per-session byte cap.
 
-  /// Register unknown classes on first RaiseEvent (reactive, with the
-  /// raised method designated begin+end). Off: such raises fail NotFound.
-  bool auto_register_classes = true;
-
   // --- Shared-memory local transport (src/shmtp) ------------------------------
   /// shm_open name of the local-producer segment, e.g. "/sentinel-gw".
   /// Must start with '/'. Empty (the default) disables the transport.

@@ -245,15 +245,14 @@ size_t NotificationHub::Broadcast(const std::string& key,
       ++session->dropped_notifications;
       ++dropped;
     }
-    metrics::Record(m_backlog_,
-                    static_cast<int64_t>(session->pending.size()));
+    m_backlog_->Record(static_cast<int64_t>(session->pending.size()));
     if (session->fetch_parked) {
       session->fetch_parked = false;
       ReplyWithBatchLocked(session.get(), session->fetch_max);
     }
   }
-  metrics::Add(m_enqueued_, reached);
-  metrics::Add(m_dropped_, dropped);
+  m_enqueued_->Add(reached);
+  m_dropped_->Add(dropped);
   return reached;
 }
 

@@ -163,6 +163,14 @@ struct NotifyLimits {
 /// property the 10K-session plane is built on.
 class NotificationHub {
  public:
+  /// Broadcast tallies net.notifications.enqueued/.dropped into `metrics`
+  /// and records each reached session's post-enqueue pending-queue depth
+  /// into net.session.backlog.
+  explicit NotificationHub(MetricsRegistry& metrics)
+      : m_enqueued_(metrics.counter("net.notifications.enqueued")),
+        m_dropped_(metrics.counter("net.notifications.dropped")),
+        m_backlog_(metrics.histogram("net.session.backlog")) {}
+
   void Add(std::shared_ptr<Session> session);
   std::shared_ptr<Session> Find(uint64_t id) const;
 
@@ -204,16 +212,6 @@ class NotificationHub {
   std::chrono::steady_clock::time_point NextDeadline(
       std::chrono::steady_clock::time_point fallback) const;
 
-  /// Wires the hub to the database's registry: Broadcast tallies
-  /// net.notifications.enqueued/.dropped and records each reached session's
-  /// post-enqueue pending-queue depth into net.session.backlog.
-  void SetMetrics(MetricsRegistry* registry) {
-    std::lock_guard<std::mutex> lock(mu_);
-    m_enqueued_ = registry->counter("net.notifications.enqueued");
-    m_dropped_ = registry->counter("net.notifications.dropped");
-    m_backlog_ = registry->histogram("net.session.backlog");
-  }
-
  private:
   mutable std::mutex mu_;
   std::map<uint64_t, std::shared_ptr<Session>> sessions_;
@@ -227,9 +225,9 @@ class NotificationHub {
   /// raising worker for every occurrence; this lets the no-subscriber case
   /// (the throughput path) return without taking any lock.
   std::atomic<size_t> sub_count_{0};
-  Counter* m_enqueued_ = nullptr;
-  Counter* m_dropped_ = nullptr;
-  Histogram* m_backlog_ = nullptr;
+  Counter* const m_enqueued_;
+  Counter* const m_dropped_;
+  Histogram* const m_backlog_;
 
   /// Clears one session's notification state; returns the keys freed so
   /// the caller can drop them from the fan-out index.

@@ -60,8 +60,17 @@ size_t MaxFragment(const std::string& class_name) {
 
 }  // namespace
 
-ObjectStore::ObjectStore(size_t buffer_pages)
-    : buffer_pages_hint_(buffer_pages) {}
+ObjectStore::ObjectStore(MetricsRegistry& metrics, size_t buffer_pages,
+                         uint32_t group_commit_window_us)
+    : metrics_(metrics),
+      buffer_pages_hint_(buffer_pages),
+      group_commit_window_us_(group_commit_window_us),
+      m_recovery_ms_(metrics.gauge("storage.recovery_ms")),
+      m_recovery_records_(metrics.gauge("storage.recovery_records")),
+      m_checkpoints_(metrics.counter("storage.checkpoints")),
+      m_checkpoint_failures_(metrics.counter("storage.checkpoint_failures")),
+      disk_(metrics),
+      wal_(metrics) {}
 
 ObjectStore::~ObjectStore() { Close().ok(); }
 
@@ -88,32 +97,24 @@ Status ObjectStore::Open(const std::string& dir) {
   if (open_) return Status::FailedPrecondition("store already open");
   dir_ = dir;
   SENTINEL_RETURN_IF_ERROR(disk_.Open(dir + "/heap.db"));
-  pool_ = std::make_unique<BufferPool>(&disk_, buffer_pages_hint_);
+  pool_ = std::make_unique<BufferPool>(&disk_, buffer_pages_hint_, metrics_);
   SENTINEL_RETURN_IF_ERROR(wal_.Open(dir + "/wal.log"));
-  group_commit_ =
-      std::make_unique<GroupCommitSync>(&wal_, group_commit_window_us_);
-  txn_manager_ = std::make_unique<TransactionManager>(&wal_, &lock_manager_);
+  group_commit_ = std::make_unique<GroupCommitSync>(
+      &wal_, group_commit_window_us_, metrics_);
+  txn_manager_ = std::make_unique<TransactionManager>(&wal_, &lock_manager_,
+                                                      metrics_);
   txn_manager_->SetHeap(this);
   // Every durability wait — user commits, synced aborts, system mini-txns —
   // goes through the group-commit pipeline so concurrent committers share
   // one fdatasync.
   txn_manager_->SetSyncHook(
       [this]() { return group_commit_->Sync(); });
-  if (metrics_ != nullptr) {
-    pool_->SetMetrics(metrics_);
-    wal_.SetMetrics(metrics_);
-    txn_manager_->SetMetrics(metrics_);
-    group_commit_->SetMetrics(metrics_);
-  }
 
   SENTINEL_RETURN_IF_ERROR(RebuildDirectory());
   {
     const int64_t start = SteadyNowNs();
     SENTINEL_RETURN_IF_ERROR(Recover());
-    if (metrics_ != nullptr) {
-      metrics::Set(metrics_->gauge("storage.recovery_ms"),
-                   (SteadyNowNs() - start) / 1000000);
-    }
+    m_recovery_ms_->Set((SteadyNowNs() - start) / 1000000);
   }
 
   // Restore the oid high-water mark from what the heap now contains.
@@ -216,10 +217,7 @@ Status ObjectStore::RebuildDirectory() {
 Status ObjectStore::Recover() {
   std::vector<WalRecord> records;
   SENTINEL_RETURN_IF_ERROR(wal_.ReadAll(&records));
-  if (metrics_ != nullptr) {
-    metrics::Set(metrics_->gauge("storage.recovery_records"),
-                 static_cast<int64_t>(records.size()));
-  }
+  m_recovery_records_->Set(static_cast<int64_t>(records.size()));
   if (records.empty()) return Status::OK();
   SENTINEL_FAILPOINT("store.recover");
 
@@ -428,8 +426,10 @@ void ObjectStore::RefreshOidFloor() {
 
 Status ObjectStore::Checkpoint() {
   std::lock_guard<std::mutex> ck(checkpoint_mu_);
-  if (closing_) return Status::FailedPrecondition("store closing");
-  return CheckpointLocked();
+  Status s = closing_ ? Status::FailedPrecondition("store closing")
+                      : CheckpointLocked();
+  if (!s.ok()) m_checkpoint_failures_->Add();
+  return s;
 }
 
 Status ObjectStore::CheckpointLocked() {
@@ -466,9 +466,7 @@ Status ObjectStore::CheckpointLocked() {
   // (5) Drop the prefix; recovery now replays only the suffix.
   SENTINEL_RETURN_IF_ERROR(wal_.TruncateTo(stable_lsn));
   checkpoint_generation_.fetch_add(1, std::memory_order_release);
-  if (metrics_ != nullptr) {
-    metrics::Add(metrics_->counter("storage.checkpoints"));
-  }
+  m_checkpoints_->Add();
   return Status::OK();
 }
 

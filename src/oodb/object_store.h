@@ -58,8 +58,13 @@ class CommitObserver {
 /// Transactional Oid -> object-image store with class extents.
 class ObjectStore : public HeapApplier {
  public:
-  /// `buffer_pages` sizes the buffer pool.
-  explicit ObjectStore(size_t buffer_pages = 256);
+  /// `buffer_pages` sizes the buffer pool. `group_commit_window_us` is the
+  /// group-commit batching window; 0 (the default) syncs each commit
+  /// individually. The store and every component it owns (disk, buffer
+  /// pool, WAL, group commit, transaction manager) count into `metrics`,
+  /// recovery included.
+  explicit ObjectStore(MetricsRegistry& metrics, size_t buffer_pages = 256,
+                       uint32_t group_commit_window_us = 0);
   ~ObjectStore() override;
 
   ObjectStore(const ObjectStore&) = delete;
@@ -84,17 +89,8 @@ class ObjectStore : public HeapApplier {
 
   /// The log itself (checkpoint thresholds, tests, benches).
   WalManager* wal() { return &wal_; }
-  /// The heap file (tests read its sync count).
-  const DiskManager* disk() const { return &disk_; }
-
-  /// The commit-sync pipeline (created at Open; see SetGroupCommitWindow).
+  /// The commit-sync pipeline (created at Open).
   GroupCommitSync* commit_sync() { return group_commit_.get(); }
-
-  /// Group-commit batching window in microseconds; 0 (the default) syncs
-  /// each commit individually. Must be called before Open.
-  void SetGroupCommitWindow(uint32_t window_us) {
-    group_commit_window_us_ = window_us;
-  }
 
   // --- Transactional object access ----------------------------------------
 
@@ -148,6 +144,8 @@ class ObjectStore : public HeapApplier {
   /// Close: a call that arrives while another checkpoint runs blocks until
   /// it finishes, and a call that loses the race with Close returns
   /// FailedPrecondition instead of truncating a log being torn down.
+  /// Every completed checkpoint (Close's final one too) counts
+  /// storage.checkpoints; a failed call counts storage.checkpoint_failures.
   Status Checkpoint();
 
   /// Completed (successful) checkpoints since open — each one truncated
@@ -193,11 +191,6 @@ class ObjectStore : public HeapApplier {
   /// System-class records do not notify.
   void SetCommitObserver(CommitObserver* observer) { observer_ = observer; }
 
-  /// Wires the storage substrate (buffer pool, WAL, txn manager) to the
-  /// registry. Call before Open so recovery-time activity is counted; the
-  /// components created inside Open pick the registry up from here.
-  void SetMetrics(MetricsRegistry* registry) { metrics_ = registry; }
-
   // --- HeapApplier (committed writes land here) ----------------------------
 
   Status ApplyPut(uint64_t oid, const std::string& payload) override;
@@ -236,10 +229,14 @@ class ObjectStore : public HeapApplier {
   Status CheckpointLocked();
 
   bool open_ = false;
-  size_t buffer_pages_hint_ = 256;
-  uint32_t group_commit_window_us_ = 0;
+  MetricsRegistry& metrics_;  ///< Handed to the components Open creates.
+  const size_t buffer_pages_hint_;
+  const uint32_t group_commit_window_us_;
   CommitObserver* observer_ = nullptr;
-  MetricsRegistry* metrics_ = nullptr;
+  Gauge* const m_recovery_ms_;
+  Gauge* const m_recovery_records_;
+  Counter* const m_checkpoints_;
+  Counter* const m_checkpoint_failures_;
   std::string dir_;
   DiskManager disk_;
   std::unique_ptr<BufferPool> pool_;

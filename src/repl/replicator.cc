@@ -15,7 +15,8 @@ namespace repl {
 Replicator::Replicator(Database* db, ReplicatorOptions options)
     : db_(db),
       options_(std::move(options)),
-      mirror_(options_.mirror_dir, options_.mirror_segment_bytes),
+      mirror_(options_.mirror_dir, options_.mirror_segment_bytes,
+              *db->metrics(), "repl.mirror"),
       epoch_(options_.initial_epoch) {}
 
 Replicator::~Replicator() { Stop(); }

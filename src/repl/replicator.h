@@ -11,7 +11,9 @@
 //     mini-transaction per batch (ObjectStore::SystemApplyBatch), and
 //   * an occurrence mirror — a HistorySegmentStore fed by an occurrence
 //     observer, giving the raise history a stable total order (ordinals)
-//     that survives restarts. Followers replay these through
+//     that survives restarts. It counts into the database's registry as
+//     repl.mirror.* (appends, rotations, scan_segments_skipped), apart
+//     from the spill stores' histlog.*. Followers replay these through
 //     Database::ReplayOccurrence, reproducing the primary's detector
 //     trim/spill — and therefore its HistoryScan results — byte for byte.
 //

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "common/clock.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
 
@@ -96,11 +97,11 @@ Status RuleScheduler::Dispatch(const Triggered& entry, Transaction* txn) {
                                : txn;
   switch (entry.rule->coupling()) {
     case CouplingMode::kImmediate:
-      metrics::Add(m_dispatch_immediate_);
+      m_dispatch_immediate_->Add();
       return ExecuteNow(entry.rule, entry.detection, effective);
 
     case CouplingMode::kDeferred: {
-      metrics::Add(m_dispatch_deferred_);
+      m_dispatch_deferred_->Add();
       if (effective == nullptr || !effective->active()) {
         // No commit point to defer to: run now.
         return ExecuteNow(entry.rule, entry.detection, effective);
@@ -121,7 +122,7 @@ Status RuleScheduler::Dispatch(const Triggered& entry, Transaction* txn) {
     }
 
     case CouplingMode::kDetached: {
-      metrics::Add(m_dispatch_detached_);
+      m_dispatch_detached_->Add();
       Rule* rule = entry.rule;
       EventDetection det = entry.detection;
       auto body = [this, rule, det](Transaction* fresh) -> Status {
@@ -172,9 +173,8 @@ Status RuleScheduler::ExecuteNow(Rule* rule, const EventDetection& det,
   }
   DepthScope depth_scope(&exec_depth_);
   max_observed_depth_ = std::max(max_observed_depth_, exec_depth_);
-  ++executed_;
-  metrics::Record(m_cascade_depth_, exec_depth_);
-  const int64_t exec_start = metrics::TimerStart(m_dispatch_ns_);
+  m_cascade_depth_->Record(exec_depth_);
+  const int64_t exec_start = SteadyNowNs();
   RuleContext ctx;
   ctx.db = db_;
   ctx.txn = txn;
@@ -197,7 +197,7 @@ Status RuleScheduler::ExecuteNow(Rule* rule, const EventDetection& det,
     tracer_->Trace(TraceEntry{kind, Clock::Now(), rule->name(), detail,
                               exec_depth_, txn != nullptr ? txn->id() : 0});
   }
-  metrics::RecordSince(m_dispatch_ns_, exec_start);
+  m_dispatch_ns_->Record(SteadyNowNs() - exec_start);
   return s;
 }
 

@@ -53,7 +53,18 @@ class RuleScheduler {
   using DetachedRunner =
       std::function<Status(std::function<Status(Transaction*)>)>;
 
-  explicit RuleScheduler(Database* db = nullptr) : db_(db) {}
+  /// Counts into `metrics`: Dispatch tallies per-coupling-mode counts
+  /// (rules.dispatch.immediate/.deferred/.detached), ExecuteNow records
+  /// body latency (rules.dispatch_ns, whose count is the number of rule
+  /// executions) and the nesting depth each execution ran at
+  /// (rules.cascade_depth).
+  explicit RuleScheduler(MetricsRegistry& metrics, Database* db = nullptr)
+      : db_(db),
+        m_dispatch_immediate_(metrics.counter("rules.dispatch.immediate")),
+        m_dispatch_deferred_(metrics.counter("rules.dispatch.deferred")),
+        m_dispatch_detached_(metrics.counter("rules.dispatch.detached")),
+        m_dispatch_ns_(metrics.histogram("rules.dispatch_ns")),
+        m_cascade_depth_(metrics.histogram("rules.cascade_depth")) {}
 
   RuleScheduler(const RuleScheduler&) = delete;
   RuleScheduler& operator=(const RuleScheduler&) = delete;
@@ -89,7 +100,6 @@ class RuleScheduler {
 
   // --- Stats --------------------------------------------------------------------
 
-  uint64_t executed_count() const { return executed_; }
   uint64_t deferred_scheduled() const { return deferred_scheduled_; }
   uint64_t detached_scheduled() const { return detached_scheduled_; }
   int max_observed_depth() const { return max_observed_depth_; }
@@ -105,18 +115,6 @@ class RuleScheduler {
   uint64_t trigger_error_count() const { return trigger_errors_; }
   const Status& last_trigger_error() const { return last_trigger_error_; }
 
-  /// Wires the scheduler to a metrics registry: Dispatch tallies per-
-  /// coupling-mode counts (rules.dispatch.immediate/.deferred/.detached),
-  /// ExecuteNow records body latency (rules.dispatch_ns) and the nesting
-  /// depth each execution ran at (rules.cascade_depth).
-  void SetMetrics(MetricsRegistry* registry) {
-    m_dispatch_immediate_ = registry->counter("rules.dispatch.immediate");
-    m_dispatch_deferred_ = registry->counter("rules.dispatch.deferred");
-    m_dispatch_detached_ = registry->counter("rules.dispatch.detached");
-    m_dispatch_ns_ = registry->histogram("rules.dispatch_ns");
-    m_cascade_depth_ = registry->histogram("rules.cascade_depth");
-  }
-
  private:
   /// Dispatches one triggered entry per its rule's coupling mode.
   Status Dispatch(const Triggered& entry, Transaction* txn);
@@ -130,16 +128,15 @@ class RuleScheduler {
   int exec_depth_ = 0;
   int max_cascade_depth_ = 32;
   int max_observed_depth_ = 0;
-  uint64_t executed_ = 0;
   uint64_t deferred_scheduled_ = 0;
   uint64_t detached_scheduled_ = 0;
   uint64_t trigger_errors_ = 0;
   Status last_trigger_error_ = Status::OK();
-  Counter* m_dispatch_immediate_ = nullptr;
-  Counter* m_dispatch_deferred_ = nullptr;
-  Counter* m_dispatch_detached_ = nullptr;
-  Histogram* m_dispatch_ns_ = nullptr;
-  Histogram* m_cascade_depth_ = nullptr;
+  Counter* const m_dispatch_immediate_;
+  Counter* const m_dispatch_deferred_;
+  Counter* const m_dispatch_detached_;
+  Histogram* const m_dispatch_ns_;
+  Histogram* const m_cascade_depth_;
 };
 
 }  // namespace sentinel

@@ -8,8 +8,12 @@
 
 namespace sentinel {
 
-BufferPool::BufferPool(DiskManager* disk, size_t capacity)
-    : disk_(disk), frames_(capacity) {
+BufferPool::BufferPool(DiskManager* disk, size_t capacity,
+                       MetricsRegistry& metrics)
+    : disk_(disk),
+      frames_(capacity),
+      m_hits_(metrics.counter("storage.pool.hits")),
+      m_misses_(metrics.counter("storage.pool.misses")) {
   assert(capacity > 0);
   free_frames_.reserve(capacity);
   for (size_t i = 0; i < capacity; ++i) {
@@ -41,8 +45,7 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = page_table_.find(page_id);
   if (it != page_table_.end()) {
-    ++hits_;
-    metrics::Add(m_hits_);
+    m_hits_->Add();
     size_t frame = it->second;
     Page* page = frames_[frame].get();
     page->pin_count_++;
@@ -56,8 +59,7 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
     lru_pos_[frame] = std::prev(lru_.end());
     return page;
   }
-  ++misses_;
-  metrics::Add(m_misses_);
+  m_misses_->Add();
   SENTINEL_ASSIGN_OR_RETURN(size_t frame, FindVictim());
   Page* page = frames_[frame].get();
   if (page->page_id() != kInvalidPageId) {

@@ -25,8 +25,9 @@ namespace sentinel {
 /// each Fetch/Allocate with an Unpin.
 class BufferPool {
  public:
-  /// `capacity` is the number of page frames held in memory.
-  BufferPool(DiskManager* disk, size_t capacity);
+  /// `capacity` is the number of page frames held in memory. Hits and
+  /// misses count into storage.pool.hits / storage.pool.misses.
+  BufferPool(DiskManager* disk, size_t capacity, MetricsRegistry& metrics);
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
@@ -49,16 +50,6 @@ class BufferPool {
 
   size_t capacity() const { return frames_.size(); }
 
-  /// Observability counters for benchmarks.
-  uint64_t hit_count() const { return hits_; }
-  uint64_t miss_count() const { return misses_; }
-
-  /// Mirrors hit/miss counts into storage.pool.hits / storage.pool.misses.
-  void SetMetrics(MetricsRegistry* registry) {
-    m_hits_ = registry->counter("storage.pool.hits");
-    m_misses_ = registry->counter("storage.pool.misses");
-  }
-
  private:
   /// Picks a victim frame (unpinned LRU) or returns Busy.
   Result<size_t> FindVictim();
@@ -70,10 +61,8 @@ class BufferPool {
   std::list<size_t> lru_;                          // front = least recent
   std::unordered_map<size_t, std::list<size_t>::iterator> lru_pos_;
   std::vector<size_t> free_frames_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  Counter* m_hits_ = nullptr;
-  Counter* m_misses_ = nullptr;
+  Counter* const m_hits_;
+  Counter* const m_misses_;
 };
 
 }  // namespace sentinel

@@ -133,7 +133,7 @@ Status DiskManager::Sync() {
                            std::string(std::strerror(errno)));
   }
   unsynced_ = false;
-  data_syncs_.fetch_add(1, std::memory_order_relaxed);
+  m_heap_syncs_->Add();
   return Status::OK();
 }
 

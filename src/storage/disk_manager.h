@@ -7,11 +7,11 @@
 #ifndef SENTINEL_STORAGE_DISK_MANAGER_H_
 #define SENTINEL_STORAGE_DISK_MANAGER_H_
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 #include <string>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "storage/page.h"
 
@@ -20,7 +20,9 @@ namespace sentinel {
 /// Allocates, reads, and writes fixed-size pages in a single file.
 class DiskManager {
  public:
-  DiskManager() = default;
+  /// Counts every completed fdatasync into storage.heap_syncs.
+  explicit DiskManager(MetricsRegistry& metrics)
+      : m_heap_syncs_(metrics.counter("storage.heap_syncs")) {}
   ~DiskManager();
 
   DiskManager(const DiskManager&) = delete;
@@ -50,11 +52,6 @@ class DiskManager {
   /// failed fdatasync every later Sync fails until the file is reopened.
   Status Sync();
 
-  /// Number of fdatasync calls Sync has completed.
-  uint64_t data_syncs() const {
-    return data_syncs_.load(std::memory_order_relaxed);
-  }
-
   /// Number of pages currently allocated in the file.
   uint32_t page_count() const;
 
@@ -65,7 +62,7 @@ class DiskManager {
   uint32_t page_count_ = 0;
   bool unsynced_ = false;  ///< Written since the last fdatasync.
   bool sync_failed_ = false;  ///< An fdatasync failed (sticky).
-  std::atomic<uint64_t> data_syncs_{0};
+  Counter* const m_heap_syncs_;
 };
 
 }  // namespace sentinel

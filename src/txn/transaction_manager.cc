@@ -32,7 +32,7 @@ Status TransactionManager::DoAbort(Transaction* txn, const std::string& why,
   }
   if (txn->locked_any()) locks_->ReleaseAll(txn->id());
   txn->state_ = TxnState::kAborted;
-  metrics::Add(m_aborts_);
+  m_aborts_->Add();
   SENTINEL_DEBUG << "txn " << txn->id() << " aborted: " << why;
   return Status::OK();
 }
@@ -158,7 +158,7 @@ Status TransactionManager::Commit(Transaction* txn) {
   // (5) Done: release locks.
   if (txn->locked_any()) locks_->ReleaseAll(txn->id());
   txn->state_ = TxnState::kCommitted;
-  metrics::Add(m_commits_);
+  m_commits_->Add();
   if (!apply_error.ok()) return apply_error;
 
   // (6) Detached rule work: each closure runs logically in its own

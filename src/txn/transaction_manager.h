@@ -45,8 +45,14 @@ class HeapApplier {
 /// Transaction itself is single-owner.
 class TransactionManager {
  public:
-  TransactionManager(WalManager* wal, LockManager* locks)
-      : wal_(wal), locks_(locks) {}
+  /// Tallies every commit into txn.commits and every abort — user aborts
+  /// and commit-path failures alike — into txn.aborts.
+  TransactionManager(WalManager* wal, LockManager* locks,
+                     MetricsRegistry& metrics)
+      : wal_(wal),
+        locks_(locks),
+        m_commits_(metrics.counter("txn.commits")),
+        m_aborts_(metrics.counter("txn.aborts")) {}
 
   TransactionManager(const TransactionManager&) = delete;
   TransactionManager& operator=(const TransactionManager&) = delete;
@@ -67,13 +73,6 @@ class TransactionManager {
 
   /// Number of transactions started (for tests/benches).
   uint64_t begun_count() const { return next_id_.load() - 1; }
-
-  /// Tallies every commit into txn.commits and every abort — user aborts
-  /// and commit-path failures alike — into txn.aborts.
-  void SetMetrics(MetricsRegistry* registry) {
-    m_commits_ = registry->counter("txn.commits");
-    m_aborts_ = registry->counter("txn.aborts");
-  }
 
   /// Replaces the commit-path durability sync (WalManager::Sync by
   /// default). The ObjectStore installs GroupCommitSync here so concurrent
@@ -108,8 +107,8 @@ class TransactionManager {
   std::function<Status()> sync_hook_;
   std::shared_mutex apply_barrier_;
   std::atomic<TxnId> next_id_{1};
-  Counter* m_commits_ = nullptr;
-  Counter* m_aborts_ = nullptr;
+  Counter* const m_commits_;
+  Counter* const m_aborts_;
 };
 
 }  // namespace sentinel

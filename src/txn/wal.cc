@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/clock.h"
 #include "common/codec.h"
 #include "common/crc32c.h"
 #include "common/failpoint.h"
@@ -181,7 +182,7 @@ Status WalManager::Sync() {
     sync_failed_.store(true, std::memory_order_release);
     return injected;
   }
-  const int64_t start = metrics::TimerStart(m_sync_ns_);
+  const int64_t start = SteadyNowNs();
   std::lock_guard<std::mutex> lock(mutex_);
   if (file_ == nullptr) return Status::FailedPrecondition("wal not open");
   if (std::fflush(file_) != 0) {
@@ -193,8 +194,7 @@ Status WalManager::Sync() {
     return Status::IOError("wal fsync failed: " +
                            std::string(std::strerror(errno)));
   }
-  sync_count_.fetch_add(1, std::memory_order_relaxed);
-  metrics::RecordSince(m_sync_ns_, start);
+  m_sync_ns_->Record(SteadyNowNs() - start);
   return Status::OK();
 }
 
@@ -358,7 +358,7 @@ Status WalManager::TruncateToLocked(uint64_t stable_lsn) {
   std::fseek(file_, 0, SEEK_END);
   uint64_t dropped = stable_lsn - base_lsn_;
   base_lsn_ = stable_lsn;
-  metrics::Add(m_truncated_bytes_, dropped);
+  m_truncated_bytes_->Add(dropped);
   return Status::OK();
 }
 

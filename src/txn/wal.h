@@ -64,7 +64,13 @@ struct WalRecord {
 /// Append-only log file plus replay support.
 class WalManager {
  public:
-  WalManager() = default;
+  /// Records every Sync's latency into txn.wal_sync_ns (its count is the
+  /// physical sync count) and truncated bytes into
+  /// storage.wal_truncated_bytes, over all sync paths (user commits, system
+  /// mini-txns, abort records).
+  explicit WalManager(MetricsRegistry& metrics)
+      : m_sync_ns_(metrics.histogram("txn.wal_sync_ns")),
+        m_truncated_bytes_(metrics.counter("storage.wal_truncated_bytes")) {}
   ~WalManager();
 
   WalManager(const WalManager&) = delete;
@@ -87,20 +93,6 @@ class WalManager {
   /// and the commit path refuses new transactions up front.
   bool sync_failed() const {
     return sync_failed_.load(std::memory_order_acquire);
-  }
-
-  /// Physical syncs performed (for group-commit tests/benches: with
-  /// batching this grows slower than the commit count).
-  uint64_t sync_count() const {
-    return sync_count_.load(std::memory_order_relaxed);
-  }
-
-  /// Records every Sync's latency into txn.wal_sync_ns and truncated bytes
-  /// into storage.wal_truncated_bytes. Set once at open; covers all sync
-  /// paths (user commits, system mini-txns, abort records).
-  void SetMetrics(MetricsRegistry* registry) {
-    m_sync_ns_ = registry->histogram("txn.wal_sync_ns");
-    m_truncated_bytes_ = registry->counter("storage.wal_truncated_bytes");
   }
 
   /// Reads every well-formed record from the start of the log. A torn tail
@@ -161,9 +153,8 @@ class WalManager {
   std::string path_;
   uint64_t base_lsn_ = 0;        ///< LSN of the first byte after the header.
   std::atomic<bool> sync_failed_{false};
-  std::atomic<uint64_t> sync_count_{0};
-  Histogram* m_sync_ns_ = nullptr;
-  Counter* m_truncated_bytes_ = nullptr;
+  Histogram* const m_sync_ns_;
+  Counter* const m_truncated_bytes_;
 };
 
 }  // namespace sentinel

@@ -78,11 +78,11 @@ TEST_F(DatabaseTest, RaisedEventsAreLoggedByDetector) {
   ReactiveObject stock("Stock");
   ASSERT_TRUE(db_->RegisterLiveObject(&stock).ok());
   stock.RaiseEvent("SetPrice", EventModifier::kEnd, {Value(10.0)});
-  EXPECT_EQ(db_->detector()->occurrence_total(), 1u);
+  EXPECT_EQ(db_->metrics()->counter("events.occurrences")->Value(), 1u);
   EXPECT_EQ(db_->detector()->CountForKey("end Stock::SetPrice"), 1u);
   // Undesignated modifier raises nothing.
   stock.RaiseEvent("SetPrice", EventModifier::kBegin, {Value(10.0)});
-  EXPECT_EQ(db_->detector()->occurrence_total(), 1u);
+  EXPECT_EQ(db_->metrics()->counter("events.occurrences")->Value(), 1u);
 }
 
 TEST_F(DatabaseTest, PersistAndMaterializeGeneric) {

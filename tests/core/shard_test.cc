@@ -218,9 +218,9 @@ TEST_F(ShardedDatabaseTest, ParallelRaisesMatchSingleShardCounts) {
 
   const uint64_t expected =
       static_cast<uint64_t>(kShards) * kObjectsPerShard * kRaisesPerObject;
-  EXPECT_EQ(db_->detector()->occurrence_total(), expected);
+  EXPECT_EQ(db_->metrics()->counter("events.occurrences")->Value(), expected);
   EXPECT_EQ(static_cast<uint64_t>(fired.load()), expected);
-  EXPECT_EQ(db_->TotalRulesExecuted(), expected);
+  EXPECT_EQ(db_->metrics()->histogram("rules.dispatch_ns")->Count(), expected);
 
   for (auto& obj : objects) {
     ASSERT_TRUE(db_->UnregisterLiveObject(obj.get()).ok());
@@ -264,9 +264,9 @@ TEST_F(ShardedDatabaseTest, ParallelRaisesMatchSingleShardCounts) {
                       {Value(static_cast<double>(i))});
     }
   }
-  EXPECT_EQ(base->detector()->occurrence_total(), expected);
+  EXPECT_EQ(base->metrics()->counter("events.occurrences")->Value(), expected);
   EXPECT_EQ(static_cast<uint64_t>(base_fired.load()), expected);
-  EXPECT_EQ(base->TotalRulesExecuted(), expected);
+  EXPECT_EQ(base->metrics()->histogram("rules.dispatch_ns")->Count(), expected);
   for (auto& obj : base_objects) {
     ASSERT_TRUE(base->UnregisterLiveObject(obj.get()).ok());
   }
@@ -312,7 +312,7 @@ TEST_F(ShardedDatabaseTest, CrossShardTriggerForwardsToOwningShard) {
 
   // The occurrence was logged by the raising shard, but the rule has not
   // run yet: its trigger sits in the owner's inbox.
-  EXPECT_EQ(db_->detector()->occurrence_total(), 1u);
+  EXPECT_EQ(db_->metrics()->counter("events.occurrences")->Value(), 1u);
   EXPECT_EQ(fired.load(), 0);
 
   std::thread drainer([this, owner] {
@@ -321,7 +321,7 @@ TEST_F(ShardedDatabaseTest, CrossShardTriggerForwardsToOwningShard) {
   });
   drainer.join();
   EXPECT_EQ(fired.load(), 1);
-  EXPECT_EQ(db_->TotalRulesExecuted(), 1u);
+  EXPECT_EQ(db_->metrics()->histogram("rules.dispatch_ns")->Count(), 1u);
 
   for (auto& obj : objects) {
     ASSERT_TRUE(db_->UnregisterLiveObject(obj.get()).ok());

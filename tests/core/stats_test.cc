@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
+#include "common/failpoint.h"
 #include "common/json.h"
 #include "common/metrics.h"
 #include "core/database.h"
+#include "repl/replicator.h"
 #include "rules/rule_manager.h"
 
 #include "../test_util.h"
@@ -194,6 +198,90 @@ TEST_F(StatsTest, SnapshotJsonRoundTripsThroughParser) {
   EXPECT_NE(doc->Find("histograms")->Find("events.raise_notify_ns"), nullptr);
 
   ASSERT_TRUE(db_->UnregisterLiveObject(&stock).ok());
+}
+
+// Every layer of a replicating, spilling primary counts into the one
+// registry, and only there: the spill stores and the replication mirror
+// are both HistorySegmentStores, yet histlog.* counts only spill appends
+// and repl.mirror.* only the mirror's.
+TEST(OnePlaneTest, SpillMirrorAndCheckpointCountsShareOneRegistry) {
+  TempDir dir("one_plane");
+  Database::Options options;
+  options.dir = dir.path();
+  options.raise_shards = 2;
+  options.history_spill = true;
+  options.occurrence_log_capacity = 4;
+  auto opened = Database::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Database> db = std::move(opened).value();
+  repl::ReplicatorOptions ropts;
+  ropts.mirror_dir = dir.path() + "/repllog";
+  repl::Replicator replicator(db.get(), ropts);
+  ASSERT_TRUE(replicator.Start().ok());
+  ASSERT_TRUE(db->RegisterClass(ClassBuilder("Stock")
+                                    .Reactive()
+                                    .Method("SetPrice", {.end = true})
+                                    .Build())
+                  .ok());
+
+  // Seeded raises, each object always raised from its own shard.
+  std::mt19937_64 rng(18);
+  ReactiveObject stocks[2] = {ReactiveObject("Stock"),
+                              ReactiveObject("Stock")};
+  for (ReactiveObject& stock : stocks) {
+    ASSERT_TRUE(db->RegisterLiveObject(&stock).ok());
+  }
+  const uint64_t raises = 40 + rng() % 40;
+  for (uint64_t i = 0; i < raises; ++i) {
+    const size_t shard = rng() % 2;
+    Database::BindRaiseShard(shard);
+    ReactiveObject& stock = stocks[shard];
+    ASSERT_TRUE(db->WithTransaction([&](Transaction* txn) {
+                    stock.RaiseEvent("SetPrice", EventModifier::kEnd,
+                                     {Value(static_cast<double>(rng() % 100))});
+                    return db->Persist(txn, &stock);
+                  })
+                    .ok());
+  }
+  Database::BindRaiseShard(0);
+
+  const uint64_t heap_syncs_before =
+      db->StatsSnapshot().counters.at("storage.heap_syncs");
+  ASSERT_TRUE(
+      FailPoints::Instance().EnableFromSpec("store.checkpoint=ioerror").ok());
+  EXPECT_FALSE(db->CheckpointNow().ok());
+  FailPoints::Instance().Reset();
+  ASSERT_TRUE(db->CheckpointNow().ok());
+
+  const MetricsSnapshot snap = db->StatsSnapshot();
+  EXPECT_EQ(snap.counters.at("events.occurrences"), raises);
+  uint64_t spilled = 0;
+  for (size_t shard = 0; shard < db->raise_shards(); ++shard) {
+    spilled += db->history_store(shard)->TotalRecords();
+  }
+  EXPECT_GT(spilled, 0u);
+  EXPECT_EQ(snap.counters.at("histlog.appends"), spilled);
+  EXPECT_EQ(snap.counters.at("repl.mirror.appends"),
+            replicator.mirror()->TotalRecords());
+  EXPECT_EQ(snap.counters.at("repl.mirror.appends"), raises);
+  EXPECT_EQ(snap.counters.at("storage.checkpoint_failures"), 1u);
+  EXPECT_EQ(snap.counters.at("storage.checkpoints"), 1u);
+  EXPECT_GT(snap.counters.at("storage.heap_syncs"), heap_syncs_before);
+
+  // No name is registered as two kinds of metric.
+  for (const auto& [name, value] : snap.counters) {
+    EXPECT_EQ(snap.gauges.count(name), 0u) << name;
+    EXPECT_EQ(snap.histograms.count(name), 0u) << name;
+  }
+  for (const auto& [name, value] : snap.gauges) {
+    EXPECT_EQ(snap.histograms.count(name), 0u) << name;
+  }
+
+  for (ReactiveObject& stock : stocks) {
+    ASSERT_TRUE(db->UnregisterLiveObject(&stock).ok());
+  }
+  ASSERT_TRUE(replicator.Stop().ok());
+  ASSERT_TRUE(db->Close().ok());
 }
 
 }  // namespace

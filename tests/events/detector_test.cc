@@ -19,7 +19,8 @@ EventPtr Prim(const std::string& text) {
 }
 
 TEST(DetectorTest, RegisterLookupUnregister) {
-  EventDetector detector;
+  MetricsRegistry metrics;
+  EventDetector detector(metrics);
   EventPtr e = Prim("end A::M");
   ASSERT_TRUE(detector.RegisterEvent("e", e).ok());
   EXPECT_TRUE(detector.RegisterEvent("e", e).IsAlreadyExists());
@@ -34,13 +35,14 @@ TEST(DetectorTest, RegisterLookupUnregister) {
 }
 
 TEST(DetectorTest, OccurrenceLogTracksCountsAndCaps) {
-  EventDetector detector;
+  MetricsRegistry metrics;
+  EventDetector detector(metrics);
   detector.set_log_capacity(3);
   for (int i = 0; i < 5; ++i) {
     detector.RecordOccurrence(MakeOccurrence(1, "A", "M"));
   }
   detector.RecordOccurrence(MakeOccurrence(2, "B", "N"));
-  EXPECT_EQ(detector.occurrence_total(), 6u);
+  EXPECT_EQ(metrics.counter("events.occurrences")->Value(), 6u);
   EXPECT_EQ(detector.occurrence_log().size(), 3u);  // Capped.
   EXPECT_EQ(detector.CountForKey("end A::M"), 5u);
   EXPECT_EQ(detector.CountForKey("end B::N"), 1u);
@@ -48,26 +50,29 @@ TEST(DetectorTest, OccurrenceLogTracksCountsAndCaps) {
 }
 
 TEST(DetectorTest, TrimmedCounterTracksEvictions) {
-  EventDetector detector;
+  MetricsRegistry metrics;
+  EventDetector detector(metrics);
+  const Counter* trimmed = metrics.counter("events.log_trimmed");
   detector.set_log_capacity(3);
   EXPECT_EQ(detector.log_capacity(), 3u);
-  EXPECT_EQ(detector.occurrence_trimmed_total(), 0u);
+  EXPECT_EQ(trimmed->Value(), 0u);
   for (int i = 0; i < 5; ++i) {
     detector.RecordOccurrence(MakeOccurrence(1, "A", "M"));
   }
-  EXPECT_EQ(detector.occurrence_trimmed_total(), 2u);
+  EXPECT_EQ(trimmed->Value(), 2u);
   // Shrinking the cap trims immediately, oldest first.
   detector.set_log_capacity(1);
   EXPECT_EQ(detector.occurrence_log().size(), 1u);
-  EXPECT_EQ(detector.occurrence_trimmed_total(), 4u);
+  EXPECT_EQ(trimmed->Value(), 4u);
   // Growing it never resurrects anything.
   detector.set_log_capacity(100);
   EXPECT_EQ(detector.occurrence_log().size(), 1u);
-  EXPECT_EQ(detector.occurrence_trimmed_total(), 4u);
+  EXPECT_EQ(trimmed->Value(), 4u);
 }
 
 TEST(DetectorTest, AdvanceTimeReachesRegisteredRoots) {
-  EventDetector detector;
+  MetricsRegistry metrics;
+  EventDetector detector(metrics);
   EventPtr plus = Plus(Prim("end A::M"), 100);
   ASSERT_TRUE(detector.RegisterEvent("delayed", plus).ok());
 
@@ -86,7 +91,8 @@ TEST(DetectorTest, AdvanceTimeReachesRegisteredRoots) {
 }
 
 TEST(DetectorTest, FindByOidSearchesNamedTrees) {
-  EventDetector detector;
+  MetricsRegistry metrics;
+  EventDetector detector(metrics);
   EventPtr e = Prim("end A::M");
   e->set_oid(4242);
   ASSERT_TRUE(detector.RegisterEvent("e", e).ok());
@@ -98,7 +104,8 @@ TEST(DetectorTest, FindByOidSearchesNamedTrees) {
 }
 
 TEST(DetectorTest, UnregisterEvictsOidIndex) {
-  EventDetector detector;
+  MetricsRegistry metrics;
+  EventDetector detector(metrics);
   EventPtr e = Prim("end A::M");
   e->set_oid(77);
   ASSERT_TRUE(detector.RegisterEvent("e", e).ok());
@@ -110,7 +117,8 @@ TEST(DetectorTest, UnregisterEvictsOidIndex) {
 }
 
 TEST(DetectorTest, UnregisterKeepsAliasedOidIndexed) {
-  EventDetector detector;
+  MetricsRegistry metrics;
+  EventDetector detector(metrics);
   EventPtr e = Prim("end A::M");
   e->set_oid(77);
   ASSERT_TRUE(detector.RegisterEvent("a", e).ok());
@@ -122,20 +130,21 @@ TEST(DetectorTest, UnregisterKeepsAliasedOidIndexed) {
 }
 
 TEST(DetectorTest, KeyCounterCapIsEnforced) {
-  EventDetector detector;
+  MetricsRegistry metrics;
+  EventDetector detector(metrics);
   detector.set_key_count_capacity(2);
   detector.RecordOccurrence(MakeOccurrence(1, "A", "M"));
   detector.RecordOccurrence(MakeOccurrence(1, "B", "N"));
   detector.RecordOccurrence(MakeOccurrence(1, "C", "P"));  // Over the cap.
   detector.RecordOccurrence(MakeOccurrence(1, "D", "Q"));
   EXPECT_EQ(detector.key_count_size(), 2u);
-  EXPECT_EQ(detector.key_counts_untracked_total(), 2u);
+  EXPECT_EQ(metrics.counter("events.keys_untracked")->Value(), 2u);
   EXPECT_EQ(detector.CountForKey("end C::P"), 0u);
   // Admitted keys keep counting past the cap.
   detector.RecordOccurrence(MakeOccurrence(1, "A", "M"));
   EXPECT_EQ(detector.CountForKey("end A::M"), 2u);
   // The occurrence log itself is unaffected by the counter cap.
-  EXPECT_EQ(detector.occurrence_total(), 5u);
+  EXPECT_EQ(metrics.counter("events.occurrences")->Value(), 5u);
 }
 
 class DetectorPersistenceTest : public ::testing::Test {
@@ -151,11 +160,12 @@ class DetectorPersistenceTest : public ::testing::Test {
   }
 
   TempDir dir_;
-  ObjectStore store_;
+  MetricsRegistry metrics_;
+  ObjectStore store_{metrics_};
 };
 
 TEST_F(DetectorPersistenceTest, SaveAndLoadComplexGraph) {
-  EventDetector detector;
+  EventDetector detector(metrics_);
   // Seq(And(p1, p2), Or(p3, p1)) — shares p1 across two operators.
   EventPtr p1 = Prim("end A::M");
   EventPtr p2 = Prim("end B::N");
@@ -166,7 +176,7 @@ TEST_F(DetectorPersistenceTest, SaveAndLoadComplexGraph) {
   ASSERT_TRUE(detector.RegisterEvent("p1-alias", p1).ok());
   ASSERT_TRUE(SaveInTxn(&detector).ok());
 
-  EventDetector restored;
+  EventDetector restored(metrics_);
   ASSERT_TRUE(restored.LoadAll(&store_).ok());
   EXPECT_EQ(restored.event_count(), 2u);
 
@@ -200,7 +210,7 @@ TEST_F(DetectorPersistenceTest, SaveAndLoadComplexGraph) {
 }
 
 TEST_F(DetectorPersistenceTest, SnoopOperatorsRoundTrip) {
-  EventDetector detector;
+  EventDetector detector(metrics_);
   EventPtr any = Any(2, {Prim("end A::M"), Prim("end B::N"),
                          Prim("end C::P")});
   EventPtr notev = Not(Prim("end D::Q"), Prim("end X::F"), Prim("end E::R"));
@@ -212,7 +222,7 @@ TEST_F(DetectorPersistenceTest, SnoopOperatorsRoundTrip) {
   ASSERT_TRUE(detector.RegisterEvent("plus", plus).ok());
   ASSERT_TRUE(SaveInTxn(&detector).ok());
 
-  EventDetector restored;
+  EventDetector restored(metrics_);
   ASSERT_TRUE(restored.LoadAll(&store_).ok());
   EXPECT_EQ(restored.event_count(), 4u);
   EXPECT_EQ(restored.GetEvent("any").value()->Describe(),
@@ -229,26 +239,26 @@ TEST_F(DetectorPersistenceTest, SnoopOperatorsRoundTrip) {
 }
 
 TEST_F(DetectorPersistenceTest, SaveIsIdempotentAcrossCalls) {
-  EventDetector detector;
+  EventDetector detector(metrics_);
   EventPtr e = Prim("end A::M");
   ASSERT_TRUE(detector.RegisterEvent("e", e).ok());
   ASSERT_TRUE(SaveInTxn(&detector).ok());
   Oid first_oid = e->oid();
   ASSERT_TRUE(SaveInTxn(&detector).ok());  // Second save: same oid, update.
   EXPECT_EQ(e->oid(), first_oid);
-  EventDetector restored;
+  EventDetector restored(metrics_);
   ASSERT_TRUE(restored.LoadAll(&store_).ok());
   EXPECT_EQ(restored.event_count(), 1u);
 }
 
 TEST_F(DetectorPersistenceTest, LoadOnEmptyStoreIsOk) {
-  EventDetector detector;
+  EventDetector detector(metrics_);
   ASSERT_TRUE(detector.LoadAll(&store_).ok());
   EXPECT_EQ(detector.event_count(), 0u);
 }
 
 TEST_F(DetectorPersistenceTest, LoadAllRebuildsOidIndex) {
-  EventDetector detector;
+  EventDetector detector(metrics_);
   EventPtr left = Prim("end A::M");
   EventPtr right = Prim("end B::N");
   ASSERT_TRUE(detector.RegisterEvent("seq", Seq(left, right)).ok());
@@ -256,7 +266,7 @@ TEST_F(DetectorPersistenceTest, LoadAllRebuildsOidIndex) {
   Oid leaf_oid = left->oid();
   ASSERT_NE(leaf_oid, kInvalidOid);
 
-  EventDetector restored;
+  EventDetector restored(metrics_);
   ASSERT_TRUE(restored.LoadAll(&store_).ok());
   // Interior (non-root) nodes are findable by oid too — rules persist
   // child-event references as oids and resolve them through this path.
@@ -266,7 +276,7 @@ TEST_F(DetectorPersistenceTest, LoadAllRebuildsOidIndex) {
 }
 
 TEST_F(DetectorPersistenceTest, LoadAllRejectsTrailingIndexGarbage) {
-  EventDetector detector;
+  EventDetector detector(metrics_);
   EventPtr e = Prim("end A::M");
   ASSERT_TRUE(detector.RegisterEvent("e", e).ok());
   ASSERT_TRUE(SaveInTxn(&detector).ok());
@@ -284,7 +294,7 @@ TEST_F(DetectorPersistenceTest, LoadAllRejectsTrailingIndexGarbage) {
       store_.Put(txn.get(), kEventIndexOid, "__event_index__", bytes).ok());
   ASSERT_TRUE(store_.txns()->Commit(txn.get()).ok());
 
-  EventDetector restored;
+  EventDetector restored(metrics_);
   Status s = restored.LoadAll(&store_);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }

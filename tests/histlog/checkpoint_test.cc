@@ -128,16 +128,11 @@ TEST_F(CheckpointTest, BackgroundCheckpointerFiresOnWalSizeTrigger) {
   Churn(db.get(), 20);
 
   // The checkpointer polls every <=50ms; give it a generous deadline.
-  // (The counter is created lazily by the first checkpoint.)
-  uint64_t checkpoints = 0;
-  for (int i = 0; i < 100; ++i) {
-    MetricsSnapshot snap = db->StatsSnapshot();
-    auto it = snap.counters.find("storage.checkpoints");
-    checkpoints = it == snap.counters.end() ? 0 : it->second;
-    if (checkpoints > 0) break;
+  const Counter* checkpoints = db->metrics()->counter("storage.checkpoints");
+  for (int i = 0; i < 100 && checkpoints->Value() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  EXPECT_GT(checkpoints, 0u);
+  EXPECT_GT(checkpoints->Value(), 0u);
   ASSERT_TRUE(db->Close().ok());
 }
 
@@ -185,11 +180,15 @@ TEST_F(CheckpointTest, ConcurrentCheckpointsAndCloseNeverDoubleTruncate) {
 }
 
 TEST(CheckpointerTest, DisabledOptionsStartNoThread) {
-  Checkpointer ckpt({/*interval_ms=*/0, /*wal_bytes=*/0},
-                    [] { return 0; }, [] { return Status::OK(); });
+  std::atomic<int> calls{0};
+  Checkpointer ckpt({/*interval_ms=*/0, /*wal_bytes=*/0}, [] { return 0; },
+                    [&] {
+                      calls.fetch_add(1);
+                      return Status::OK();
+                    });
   ckpt.Start();
   ckpt.Stop();
-  EXPECT_EQ(ckpt.runs(), 0u);
+  EXPECT_EQ(calls.load(), 0);
 }
 
 TEST(CheckpointerTest, IntervalTriggerRunsAndCountsFailures) {
@@ -201,21 +200,21 @@ TEST(CheckpointerTest, IntervalTriggerRunsAndCountsFailures) {
         return n == 0 ? Status::IOError("flaky disk") : Status::OK();
       });
   ckpt.Start();
-  for (int i = 0; i < 100 && ckpt.runs() < 2; ++i) {
+  for (int i = 0; i < 100 && calls.load() < 2; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   ckpt.Stop();
-  // The first attempt failed, was counted, and did not kill the loop.
-  EXPECT_GE(ckpt.runs(), 2u);
-  EXPECT_EQ(ckpt.failures(), 1u);
+  // The first attempt failed and did not kill the loop. (The store, not
+  // the driver, counts the failure: storage.checkpoint_failures.)
+  EXPECT_GE(calls.load(), 2);
 }
 
 TEST_F(CheckpointTest, CheckpointSyncsHeapBeforeCuttingWal) {
   TempDir dir("ckpt");
   auto db = OpenDb(dir.path());
   Churn(db.get(), 5);
-  const DiskManager* heap = db->store()->disk();
-  const uint64_t syncs = heap->data_syncs();
+  const Counter* heap_syncs = db->metrics()->counter("storage.heap_syncs");
+  const uint64_t syncs = heap_syncs->Value();
 
   // Fail the WAL cut itself: the heap must already be on disk by then,
   // because the cut drops the only other copy of those pages.
@@ -224,16 +223,16 @@ TEST_F(CheckpointTest, CheckpointSyncsHeapBeforeCuttingWal) {
   Status failed = db->CheckpointNow();
   FailPoints::Instance().Reset();
   EXPECT_TRUE(failed.IsIOError()) << failed.ToString();
-  EXPECT_EQ(heap->data_syncs(), syncs + 1);
+  EXPECT_EQ(heap_syncs->Value(), syncs + 1);
 
   // Nothing written since: the next checkpoint cuts without a second sync.
   ASSERT_TRUE(db->CheckpointNow().ok());
-  EXPECT_EQ(heap->data_syncs(), syncs + 1);
+  EXPECT_EQ(heap_syncs->Value(), syncs + 1);
 
   // New commits dirty pages again, and the checkpoint syncs them.
   Churn(db.get(), 2);
   ASSERT_TRUE(db->CheckpointNow().ok());
-  EXPECT_EQ(heap->data_syncs(), syncs + 2);
+  EXPECT_EQ(heap_syncs->Value(), syncs + 2);
   ASSERT_TRUE(db->Close().ok());
 }
 
@@ -241,14 +240,15 @@ TEST_F(CheckpointTest, RecoverySyncsInheritedHeapBeforeResettingWal) {
   TempDir dir("ckpt");
   {
     auto db = OpenDb(dir.path());
-    EXPECT_EQ(db->store()->disk()->data_syncs(), 0u);  // Fresh: nothing.
+    // Fresh: nothing to sync.
+    EXPECT_EQ(db->metrics()->counter("storage.heap_syncs")->Value(), 0u);
     Churn(db.get(), 3);
     ASSERT_TRUE(db->Close().ok());
   }
   // The earlier process's pages may sit unsynced in the page cache, and
   // recovery resets the WAL right after flushing: it must sync them.
   auto db = OpenDb(dir.path());
-  EXPECT_EQ(db->store()->disk()->data_syncs(), 1u);
+  EXPECT_EQ(db->metrics()->counter("storage.heap_syncs")->Value(), 1u);
   ASSERT_TRUE(db->Close().ok());
 }
 
@@ -274,7 +274,8 @@ TEST_F(CheckpointTest, HeapSyncFailureLeavesWalPrefixIntact) {
     EXPECT_EQ(*base_after, *base);
     EXPECT_GE(*size_after, *size);
     const MetricsSnapshot stats = db->StatsSnapshot();
-    EXPECT_EQ(stats.counters.count("storage.checkpoints"), 0u);
+    EXPECT_EQ(stats.counters.at("storage.checkpoints"), 0u);
+    EXPECT_EQ(stats.counters.at("storage.checkpoint_failures"), 1u);
     ASSERT_TRUE(db->Close().ok());
   }
   auto db = OpenDb(dir.path());

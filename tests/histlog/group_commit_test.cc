@@ -21,25 +21,35 @@ namespace {
 
 using testing_util::TempDir;
 
+// Physical WAL syncs and group-commit batches, as the registry counts them.
+uint64_t Syncs(MetricsRegistry& metrics) {
+  return metrics.histogram("txn.wal_sync_ns")->Count();
+}
+uint64_t Batches(MetricsRegistry& metrics) {
+  return metrics.histogram("storage.group_commit_batch")->Count();
+}
+
 TEST(GroupCommitTest, ZeroWindowSyncsEveryCallerIndividually) {
   TempDir dir("gc");
-  WalManager wal;
+  MetricsRegistry metrics;
+  WalManager wal(metrics);
   ASSERT_TRUE(wal.Open(dir.path() + "/wal.log").ok());
-  GroupCommitSync gc(&wal, /*window_us=*/0);
+  GroupCommitSync gc(&wal, /*window_us=*/0, metrics);
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(wal.Append({WalRecordType::kCommit, 1, 0, ""}).ok());
     ASSERT_TRUE(gc.Sync().ok());
   }
   // The serialized baseline: one physical sync per call, no batches formed.
-  EXPECT_EQ(wal.sync_count(), 5u);
-  EXPECT_EQ(gc.batches_synced(), 0u);
+  EXPECT_EQ(Syncs(metrics), 5u);
+  EXPECT_EQ(Batches(metrics), 0u);
 }
 
 TEST(GroupCommitTest, ConcurrentCommittersShareSyncs) {
   TempDir dir("gc");
-  WalManager wal;
+  MetricsRegistry metrics;
+  WalManager wal(metrics);
   ASSERT_TRUE(wal.Open(dir.path() + "/wal.log").ok());
-  GroupCommitSync gc(&wal, /*window_us=*/2000);
+  GroupCommitSync gc(&wal, /*window_us=*/2000, metrics);
 
   constexpr int kThreads = 8;
   constexpr int kItersPerThread = 25;
@@ -64,8 +74,8 @@ TEST(GroupCommitTest, ConcurrentCommittersShareSyncs) {
   // window and 8 threads hammering, batching is overwhelmingly likely;
   // assert only the conservative bound to stay timing-robust.
   constexpr uint64_t kCommits = kThreads * kItersPerThread;
-  EXPECT_LT(wal.sync_count(), kCommits);
-  EXPECT_EQ(gc.batches_synced(), wal.sync_count());
+  EXPECT_LT(Syncs(metrics), kCommits);
+  EXPECT_EQ(Batches(metrics), Syncs(metrics));
 
   // Everything acked is on disk.
   std::vector<WalRecord> records;
@@ -75,11 +85,10 @@ TEST(GroupCommitTest, ConcurrentCommittersShareSyncs) {
 
 TEST(GroupCommitTest, BatchSizesLandInHistogram) {
   TempDir dir("gc");
-  WalManager wal;
-  ASSERT_TRUE(wal.Open(dir.path() + "/wal.log").ok());
   MetricsRegistry metrics;
-  GroupCommitSync gc(&wal, /*window_us=*/100);
-  gc.SetMetrics(&metrics);
+  WalManager wal(metrics);
+  ASSERT_TRUE(wal.Open(dir.path() + "/wal.log").ok());
+  GroupCommitSync gc(&wal, /*window_us=*/100, metrics);
   ASSERT_TRUE(wal.Append({WalRecordType::kCommit, 1, 0, ""}).ok());
   ASSERT_TRUE(gc.Sync().ok());
   auto snap = metrics.Snapshot();
@@ -89,10 +98,11 @@ TEST(GroupCommitTest, BatchSizesLandInHistogram) {
 
 TEST(GroupCommitTest, LeaderFailureReachesWholeBatch) {
   TempDir dir("gc");
-  WalManager wal;
+  MetricsRegistry metrics;
+  WalManager wal(metrics);
   ASSERT_TRUE(wal.Open(dir.path() + "/wal.log").ok());
   // A long window so every thread below joins one batch whose leader dies.
-  GroupCommitSync gc(&wal, /*window_us=*/50000);
+  GroupCommitSync gc(&wal, /*window_us=*/50000, metrics);
 
   FailPoints::Instance().Reset();
   ASSERT_TRUE(
@@ -120,12 +130,13 @@ TEST(GroupCommitTest, LeaderFailureReachesWholeBatch) {
 
 TEST(GroupCommitTest, CommittersAfterStickyFailureFailFastWithIOError) {
   TempDir dir("gc");
-  WalManager wal;
+  MetricsRegistry metrics;
+  WalManager wal(metrics);
   ASSERT_TRUE(wal.Open(dir.path() + "/wal.log").ok());
   // A window long enough that "joined a doomed batch and slept it out"
   // versus "failed fast" is unmistakable in wall-clock terms.
   constexpr uint32_t kWindowUs = 150000;
-  GroupCommitSync gc(&wal, kWindowUs);
+  GroupCommitSync gc(&wal, kWindowUs, metrics);
 
   // Poison the log: one failed physical sync; failures are sticky.
   FailPoints::Instance().Reset();
@@ -138,7 +149,7 @@ TEST(GroupCommitTest, CommittersAfterStickyFailureFailFastWithIOError) {
 
   // Committers enqueued after the failure epoch: each must surface the
   // sticky IOError immediately — no fresh batch, no batching window.
-  const uint64_t batches_before = gc.batches_synced();
+  const uint64_t batches_before = Batches(metrics);
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(
@@ -150,7 +161,7 @@ TEST(GroupCommitTest, CommittersAfterStickyFailureFailFastWithIOError) {
   // Three windows would be 450 ms; the fast path is microseconds. A loose
   // bound (under one window) keeps the assertion robust on slow CI.
   EXPECT_LT(elapsed, std::chrono::microseconds(kWindowUs));
-  EXPECT_EQ(gc.batches_synced(), batches_before);
+  EXPECT_EQ(Batches(metrics), batches_before);
 }
 
 }  // namespace

@@ -56,9 +56,9 @@ TEST_F(HistoryScanTest, TrimmedOccurrencesSpillAndStayQueryable) {
     stock.RaiseEvent("SetPrice", EventModifier::kEnd,
                      {Value(static_cast<double>(i))});
   }
-  EXPECT_EQ(db->detector()->occurrence_total(),
+  EXPECT_EQ(db->metrics()->counter("events.occurrences")->Value(),
             static_cast<uint64_t>(kRaises));
-  EXPECT_EQ(db->detector()->occurrence_trimmed_total(),
+  EXPECT_EQ(db->metrics()->counter("events.log_trimmed")->Value(),
             static_cast<uint64_t>(kRaises) - 8);
 
   // Spilled history alone = everything the memory log no longer holds.
@@ -213,7 +213,9 @@ TEST_F(HistoryScanTest, PagedScanResumesWithoutDuplicatesOrGaps) {
     Database::HistoryPage page;
     ASSERT_TRUE(db->HistoryScanPaged({}, cursor, 7, &page).ok());
     complete = page.complete;
-    if (!complete) EXPECT_EQ(page.items.size(), 7u);
+    if (!complete) {
+      EXPECT_EQ(page.items.size(), 7u);
+    }
     paged.insert(paged.end(), page.items.begin(), page.items.end());
     cursor = page.next;
   }

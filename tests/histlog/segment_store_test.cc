@@ -27,7 +27,8 @@ using testing_util::TempDir;
 
 TEST(SegmentStoreTest, AppendScanRoundTrip) {
   TempDir dir("hist");
-  HistorySegmentStore store(dir.path(), 1 << 20);
+  MetricsRegistry metrics;
+  HistorySegmentStore store(dir.path(), 1 << 20, metrics);
   ASSERT_TRUE(store.Open().ok());
 
   std::vector<EventOccurrence> written;
@@ -38,7 +39,7 @@ TEST(SegmentStoreTest, AppendScanRoundTrip) {
     ASSERT_TRUE(store.Append(occ).ok());
     written.push_back(occ);
   }
-  EXPECT_EQ(store.appended_total(), 20u);
+  EXPECT_EQ(metrics.counter("histlog.appends")->Value(), 20u);
 
   std::vector<EventOccurrence> got;
   ASSERT_TRUE(store.Scan({}, &got).ok());
@@ -58,7 +59,8 @@ TEST(SegmentStoreTest, AppendScanRoundTrip) {
 
 TEST(SegmentStoreTest, QueryFiltersSeqOidAndLimit) {
   TempDir dir("hist");
-  HistorySegmentStore store(dir.path(), 1 << 20);
+  MetricsRegistry metrics;
+  HistorySegmentStore store(dir.path(), 1 << 20, metrics);
   ASSERT_TRUE(store.Open().ok());
 
   std::vector<EventOccurrence> written;
@@ -99,13 +101,14 @@ TEST(SegmentStoreTest, QueryFiltersSeqOidAndLimit) {
 
 TEST(SegmentStoreTest, RotationSealsSegments) {
   TempDir dir("hist");
+  MetricsRegistry metrics;
   // Tiny rotation threshold: nearly every record lands in its own segment.
-  HistorySegmentStore store(dir.path(), 64);
+  HistorySegmentStore store(dir.path(), 64, metrics);
   ASSERT_TRUE(store.Open().ok());
   for (int i = 0; i < 12; ++i) {
     ASSERT_TRUE(store.Append(MakeOccurrence(i, "Stock", "SetPrice")).ok());
   }
-  EXPECT_GT(store.segments_sealed(), 4u);
+  EXPECT_GT(metrics.counter("histlog.rotations")->Value(), 4u);
   EXPECT_GT(store.segment_count(), 4u);
 
   // Every record survives rotation, in append order.
@@ -121,8 +124,8 @@ TEST(SegmentStoreTest, RotationSealsSegments) {
 TEST(SegmentStoreTest, FooterPrunesSealedSegments) {
   TempDir dir("hist");
   MetricsRegistry metrics;
-  HistorySegmentStore store(dir.path(), 64);
-  store.SetMetrics(&metrics);
+  HistorySegmentStore store(dir.path(), 64, metrics);
+  const Counter* sealed = metrics.counter("histlog.rotations");
   ASSERT_TRUE(store.Open().ok());
   std::vector<EventOccurrence> written;
   for (int i = 0; i < 12; ++i) {
@@ -130,7 +133,7 @@ TEST(SegmentStoreTest, FooterPrunesSealedSegments) {
     ASSERT_TRUE(store.Append(occ).ok());
     written.push_back(occ);
   }
-  ASSERT_GT(store.segments_sealed(), 4u);
+  ASSERT_GT(sealed->Value(), 4u);
 
   // A narrow seq window only touches the segments whose footer range
   // intersects it; the rest are skipped without reading a record.
@@ -152,15 +155,16 @@ TEST(SegmentStoreTest, FooterPrunesSealedSegments) {
   EXPECT_TRUE(got.empty());
   uint64_t skipped2 =
       metrics.Snapshot().counters.at("histlog.scan_segments_skipped");
-  EXPECT_GE(skipped2, skipped + store.segments_sealed());
+  EXPECT_GE(skipped2, skipped + sealed->Value());
   ASSERT_TRUE(store.Close().ok());
 }
 
 TEST(SegmentStoreTest, ReopenResumesActiveSegmentAndIds) {
   TempDir dir("hist");
+  MetricsRegistry metrics;
   uint64_t first_seq = 0;
   {
-    HistorySegmentStore store(dir.path(), 1 << 20);
+    HistorySegmentStore store(dir.path(), 1 << 20, metrics);
     ASSERT_TRUE(store.Open().ok());
     EventOccurrence occ = MakeOccurrence(1, "S", "A");
     first_seq = occ.timestamp.seq;
@@ -169,7 +173,7 @@ TEST(SegmentStoreTest, ReopenResumesActiveSegmentAndIds) {
   }
   {
     // The unsealed tail is recovered and appending resumes into it.
-    HistorySegmentStore store(dir.path(), 1 << 20);
+    HistorySegmentStore store(dir.path(), 1 << 20, metrics);
     ASSERT_TRUE(store.Open().ok());
     EXPECT_EQ(store.segment_count(), 1u);
     ASSERT_TRUE(store.Append(MakeOccurrence(2, "S", "B")).ok());
@@ -185,8 +189,9 @@ TEST(SegmentStoreTest, ReopenResumesActiveSegmentAndIds) {
 
 TEST(SegmentStoreTest, TornTailIsTruncatedOnReopen) {
   TempDir dir("hist");
+  MetricsRegistry metrics;
   {
-    HistorySegmentStore store(dir.path(), 1 << 20);
+    HistorySegmentStore store(dir.path(), 1 << 20, metrics);
     ASSERT_TRUE(store.Open().ok());
     ASSERT_TRUE(store.Append(MakeOccurrence(1, "S", "Whole")).ok());
     ASSERT_TRUE(store.Close().ok());
@@ -204,7 +209,7 @@ TEST(SegmentStoreTest, TornTailIsTruncatedOnReopen) {
     out.write("torn", 4);
   }
   {
-    HistorySegmentStore store(dir.path(), 1 << 20);
+    HistorySegmentStore store(dir.path(), 1 << 20, metrics);
     ASSERT_TRUE(store.Open().ok());
     std::vector<EventOccurrence> got;
     ASSERT_TRUE(store.Scan({}, &got).ok());
@@ -238,7 +243,8 @@ TEST(SegmentStoreTest, CrcCatchesRecordCorruption) {
 
 TEST(SegmentStoreTest, AppendFailpointSurfacesIOError) {
   TempDir dir("hist");
-  HistorySegmentStore store(dir.path(), 1 << 20);
+  MetricsRegistry metrics;
+  HistorySegmentStore store(dir.path(), 1 << 20, metrics);
   ASSERT_TRUE(store.Open().ok());
   ASSERT_TRUE(store.Append(MakeOccurrence(1, "S", "A")).ok());
 
@@ -281,18 +287,20 @@ enum class Damage { kTruncate, kFlipBit, kTornTail, kUndecodable };
 
 // Seeded damage to an active segment, read back by recovery (Open), Scan
 // and ScanFrom. The outcomes pinned here:
-//   * recovery truncates the file to the last record that checks and
-//     decodes;
-//   * Scan stops cleanly at the first record that does not;
-//   * ScanFrom stops cleanly at a torn or CRC-failing record, returns the
-//     decode error for a CRC-valid record it cannot decode, and counts that
-//     record as an ordinal when the cursor is already past it.
+//   * a torn tail or a CRC mismatch ends the records: recovery truncates
+//     the file to the last record that checks, Scan and ScanFrom stop
+//     cleanly there;
+//   * a CRC-valid record that does not decode was written whole, so it is
+//     Corruption for every reader: recovery refuses to open and leaves the
+//     file byte-identical, Scan fails, and ScanFrom fails for any cursor
+//     before it (a cursor already past it still counts it as an ordinal).
 TEST(SegmentStoreReaderTest, SeededDamageOutcomesPerCaller) {
   for (uint64_t seed = 1; seed <= 64; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     std::mt19937_64 rng(seed);
     TempDir dir("hist");
-    HistorySegmentStore store(dir.path(), 1 << 20);
+    MetricsRegistry metrics;
+    HistorySegmentStore store(dir.path(), 1 << 20, metrics);
     ASSERT_TRUE(store.Open().ok());
     const size_t n = 3 + rng() % 10;
     std::vector<EventOccurrence> written;
@@ -357,11 +365,16 @@ TEST(SegmentStoreReaderTest, SeededDamageOutcomesPerCaller) {
     WriteFile(path, damaged);
 
     std::vector<EventOccurrence> got;
-    ASSERT_TRUE(store.Scan({}, &got).ok());
-    ASSERT_EQ(got.size(), valid);
-    for (size_t i = 0; i < valid; ++i) {
-      EXPECT_EQ(got[i].timestamp.seq, written[i].timestamp.seq);
-      EXPECT_EQ(got[i].method, written[i].method);
+    Status scan = store.Scan({}, &got);
+    if (damage == Damage::kUndecodable) {
+      EXPECT_TRUE(scan.IsCorruption()) << scan.ToString();
+    } else {
+      ASSERT_TRUE(scan.ok()) << scan.ToString();
+      ASSERT_EQ(got.size(), valid);
+      for (size_t i = 0; i < valid; ++i) {
+        EXPECT_EQ(got[i].timestamp.seq, written[i].timestamp.seq);
+        EXPECT_EQ(got[i].method, written[i].method);
+      }
     }
 
     const uint64_t cursor = rng() % (valid + 1);
@@ -388,9 +401,15 @@ TEST(SegmentStoreReaderTest, SeededDamageOutcomesPerCaller) {
     }
     ASSERT_TRUE(store.Close().ok());
 
+    HistorySegmentStore reopened(dir.path(), 1 << 20, metrics);
+    if (damage == Damage::kUndecodable) {
+      Status open = reopened.Open();
+      EXPECT_TRUE(open.IsCorruption()) << open.ToString();
+      EXPECT_EQ(ReadFile(path), damaged);
+      continue;
+    }
     // Recovery cuts the file back to the surviving records and appending
     // resumes after them.
-    HistorySegmentStore reopened(dir.path(), 1 << 20);
     ASSERT_TRUE(reopened.Open().ok());
     EXPECT_EQ(std::filesystem::file_size(path),
               valid == 0 ? 0u : ends[valid - 1]);

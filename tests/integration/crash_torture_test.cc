@@ -354,7 +354,7 @@ TEST_F(CrashTortureTest, CrashDuringHistorySegmentRotate) {
   for (int i = 11; i <= 20; ++i) {
     acct.RaiseEvent("Set", EventModifier::kEnd, {Value(int64_t{i})});
   }
-  EXPECT_EQ(db->detector()->occurrence_total(), 20u);
+  EXPECT_EQ(db->metrics()->counter("events.occurrences")->Value(), 20u);
   db->UnregisterLiveObject(&acct).ok();
   db->Close().ok();
   db.reset();

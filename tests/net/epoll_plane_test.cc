@@ -332,7 +332,8 @@ TEST_F(EpollPlaneTest, TenantCapMapsOverflowToDefaultTenant) {
 // permanently inflating sub_count_ (disabling the no-subscriber broadcast
 // fast path) one dead session at a time.
 TEST(NotificationHubTest, SubscribeAfterRemoveRollsBack) {
-  NotificationHub hub;
+  MetricsRegistry metrics;
+  NotificationHub hub(metrics);
   auto session = std::make_shared<Session>(1, /*fd=*/-1);
   hub.Add(session);
   hub.Remove(session->id());

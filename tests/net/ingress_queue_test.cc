@@ -38,7 +38,8 @@ uint64_t SeqOf(const IngressItem& item) {
 }
 
 TEST(IngressQueueTest, PushPopPreservesOrder) {
-  IngressQueue q(16);
+  MetricsRegistry metrics;
+  IngressQueue q(16, metrics);
   for (uint64_t i = 0; i < 5; ++i) {
     ASSERT_TRUE(q.TryPush(Item(1, i)).ok());
   }
@@ -53,8 +54,7 @@ TEST(IngressQueueTest, PushPopPreservesOrder) {
 
 TEST(IngressQueueTest, BackpressureAtCapacity) {
   MetricsRegistry registry;
-  IngressQueue q(4);
-  q.SetMetrics(&registry);
+  IngressQueue q(4, registry);
   for (uint64_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(q.TryPush(Item(1, i)).ok());
   }
@@ -70,7 +70,8 @@ TEST(IngressQueueTest, BackpressureAtCapacity) {
 }
 
 TEST(IngressQueueTest, PopBatchTimesOutOnEmptyQueue) {
-  IngressQueue q(4);
+  MetricsRegistry metrics;
+  IngressQueue q(4, metrics);
   std::vector<IngressItem> out;
   auto start = std::chrono::steady_clock::now();
   EXPECT_EQ(q.PopBatch(8, milliseconds(30), &out), 0u);
@@ -80,7 +81,9 @@ TEST(IngressQueueTest, PopBatchTimesOutOnEmptyQueue) {
 TEST(IngressQueueTest, EightProducersKeepPerProducerFifo) {
   constexpr int kProducers = 8;
   constexpr uint64_t kPerProducer = 2000;
-  IngressQueue q(64);  // Far smaller than the total: forces backpressure.
+  MetricsRegistry metrics;
+  // Far smaller than the total: forces backpressure.
+  IngressQueue q(64, metrics);
 
   std::atomic<bool> done{false};
   std::vector<IngressItem> received;
@@ -135,7 +138,8 @@ TEST(IngressQueueTest, EightProducersKeepPerProducerFifo) {
 }
 
 TEST(IngressQueueTest, ShutdownDeliversInFlightItemsThenStops) {
-  IngressQueue q(16);
+  MetricsRegistry metrics;
+  IngressQueue q(16, metrics);
   for (uint64_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(q.TryPush(Item(7, i)).ok());
   }
@@ -157,7 +161,8 @@ TEST(IngressQueueTest, ShutdownDeliversInFlightItemsThenStops) {
 }
 
 TEST(IngressQueueTest, DrainedAfterShutdownIsAtomic) {
-  IngressQueue q(8);
+  MetricsRegistry metrics;
+  IngressQueue q(8, metrics);
   EXPECT_FALSE(q.DrainedAfterShutdown());  // Not shut down yet.
   ASSERT_TRUE(q.TryPush(Item(1, 0)).ok());
   q.Shutdown();
@@ -177,7 +182,8 @@ TEST(IngressQueueTest, DrainedAfterShutdownIsAtomic) {
 TEST(IngressQueueTest, ShutdownDoesNotStrandConcurrentPush) {
   constexpr int kRounds = 200;
   for (int round = 0; round < kRounds; ++round) {
-    IngressQueue q(8);
+    MetricsRegistry metrics;
+    IngressQueue q(8, metrics);
     std::atomic<size_t> popped{0};
     std::thread consumer([&] {
       std::vector<IngressItem> out;
@@ -200,7 +206,8 @@ TEST(IngressQueueTest, ShutdownDoesNotStrandConcurrentPush) {
 }
 
 TEST(IngressQueueTest, ShutdownWakesBlockedConsumer) {
-  IngressQueue q(4);
+  MetricsRegistry metrics;
+  IngressQueue q(4, metrics);
   std::atomic<bool> woke{false};
   std::thread consumer([&] {
     std::vector<IngressItem> out;

@@ -112,8 +112,9 @@ WorkloadCounts RunWorkload(size_t shards, bool overlapping) {
   server.Stop();
 
   WorkloadCounts counts;
-  counts.occurrences = db->detector()->occurrence_total();
-  counts.rules_executed = db->TotalRulesExecuted();
+  counts.occurrences = db->metrics()->counter("events.occurrences")->Value();
+  counts.rules_executed =
+      db->metrics()->histogram("rules.dispatch_ns")->Count();
   counts.rule_fired = fired.load();
   EXPECT_TRUE(db->Close().ok());
   return counts;

@@ -28,7 +28,8 @@ class ObjectStoreTest : public ::testing::Test {
   }
 
   TempDir dir_;
-  ObjectStore store_;
+  MetricsRegistry metrics_;
+  ObjectStore store_{metrics_};
 };
 
 TEST_F(ObjectStoreTest, NewOidsAreUniqueAndUserRange) {
@@ -149,7 +150,7 @@ TEST_F(ObjectStoreTest, StateSurvivesReopen) {
   ASSERT_TRUE(CommitPut(oid, "Employee", "durable").ok());
   ASSERT_TRUE(store_.Close().ok());
 
-  ObjectStore reopened;
+  ObjectStore reopened(metrics_);
   ASSERT_TRUE(reopened.Open(dir_.path()).ok());
   std::string cls, state;
   ASSERT_TRUE(reopened.Get(nullptr, oid, &cls, &state).ok());
@@ -167,7 +168,7 @@ TEST_F(ObjectStoreTest, RecoveryReplaysCommittedWal) {
   std::string framed = ObjectStore::FrameRecord(oid, "C", "recovered");
   ASSERT_TRUE(store_.Close().ok());
   {
-    WalManager wal;
+    WalManager wal(metrics_);
     ASSERT_TRUE(wal.Open(dir_.path() + "/wal.log").ok());
     ASSERT_TRUE(wal.Append({WalRecordType::kBegin, 42, 0, ""}).ok());
     ASSERT_TRUE(wal.Append({WalRecordType::kPut, 42, oid, framed}).ok());
@@ -175,7 +176,7 @@ TEST_F(ObjectStoreTest, RecoveryReplaysCommittedWal) {
     ASSERT_TRUE(wal.Sync().ok());
     ASSERT_TRUE(wal.Close().ok());
   }
-  ObjectStore reopened;
+  ObjectStore reopened(metrics_);
   ASSERT_TRUE(reopened.Open(dir_.path()).ok());
   std::string cls, state;
   ASSERT_TRUE(reopened.Get(nullptr, oid, &cls, &state).ok());
@@ -187,7 +188,7 @@ TEST_F(ObjectStoreTest, RecoveryIgnoresUncommittedWal) {
   std::string framed = ObjectStore::FrameRecord(oid, "C", "ghost");
   ASSERT_TRUE(store_.Close().ok());
   {
-    WalManager wal;
+    WalManager wal(metrics_);
     ASSERT_TRUE(wal.Open(dir_.path() + "/wal.log").ok());
     ASSERT_TRUE(wal.Append({WalRecordType::kBegin, 42, 0, ""}).ok());
     ASSERT_TRUE(wal.Append({WalRecordType::kPut, 42, oid, framed}).ok());
@@ -195,7 +196,7 @@ TEST_F(ObjectStoreTest, RecoveryIgnoresUncommittedWal) {
     ASSERT_TRUE(wal.Sync().ok());
     ASSERT_TRUE(wal.Close().ok());
   }
-  ObjectStore reopened;
+  ObjectStore reopened(metrics_);
   ASSERT_TRUE(reopened.Open(dir_.path()).ok());
   EXPECT_FALSE(reopened.Exists(oid));
 }
@@ -259,7 +260,7 @@ TEST_F(ObjectStoreTest, ChunkedObjectSurvivesReopenAndUpdateAndDelete) {
   std::string huge2(kPageSize * 2, 'G');
   ASSERT_TRUE(CommitPut(oid, "Big", huge2).ok());
   ASSERT_TRUE(store_.Close().ok());
-  ObjectStore reopened;
+  ObjectStore reopened(metrics_);
   ASSERT_TRUE(reopened.Open(dir_.path()).ok());
   ASSERT_TRUE(reopened.Get(nullptr, oid, &cls, &state).ok());
   EXPECT_EQ(state, huge2);
@@ -311,7 +312,7 @@ TEST_F(ObjectStoreTest, CheckpointTruncatesWal) {
   ASSERT_TRUE(store_.Checkpoint().ok());
   // After checkpoint + reopen the data is still there (from the heap).
   ASSERT_TRUE(store_.Close().ok());
-  ObjectStore reopened;
+  ObjectStore reopened(metrics_);
   ASSERT_TRUE(reopened.Open(dir_.path()).ok());
   EXPECT_TRUE(reopened.Exists(oid));
 }

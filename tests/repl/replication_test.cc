@@ -443,7 +443,9 @@ TEST_F(ReplicationTest, FollowerRestartResumesFromPersistedCursors) {
   const auto rows = History(follower_node_.db.get(), true);
   std::set<uint64_t> seqs;
   for (size_t i = 0; i < rows.size(); ++i) {
-    if (i > 0) EXPECT_GT(rows[i].timestamp.seq, rows[i - 1].timestamp.seq);
+    if (i > 0) {
+      EXPECT_GT(rows[i].timestamp.seq, rows[i - 1].timestamp.seq);
+    }
     EXPECT_TRUE(seqs.insert(rows[i].timestamp.seq).second)
         << "duplicate seq " << rows[i].timestamp.seq;
   }

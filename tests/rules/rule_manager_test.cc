@@ -21,8 +21,11 @@ EventPtr Prim(const std::string& text) {
 class RuleManagerTest : public ::testing::Test {
  protected:
   RuleManagerTest()
-      : detector_(nullptr), manager_(&scheduler_, &detector_, &functions_) {}
+      : scheduler_(metrics_),
+        detector_(metrics_),
+        manager_(&scheduler_, &detector_, &functions_) {}
 
+  MetricsRegistry metrics_;
   RuleScheduler scheduler_;
   EventDetector detector_;
   FunctionRegistry functions_;
@@ -173,7 +176,7 @@ class RuleManagerPersistenceTest : public RuleManagerTest {
   }
 
   TempDir dir_;
-  ObjectStore store_;
+  ObjectStore store_{metrics_};
 };
 
 TEST_F(RuleManagerPersistenceTest, SaveLoadWithNamedBindings) {
@@ -205,7 +208,7 @@ TEST_F(RuleManagerPersistenceTest, SaveLoadWithNamedBindings) {
 
   // Fresh world: detector first, then rules rebinding through the shared
   // function registry.
-  EventDetector detector2(nullptr);
+  EventDetector detector2(metrics_);
   RuleManager manager2(&scheduler_, &detector2, &functions_);
   ASSERT_TRUE(detector2.LoadAll(&store_).ok());
   ASSERT_TRUE(manager2.LoadAll(&store_).ok());
@@ -234,7 +237,7 @@ TEST_F(RuleManagerPersistenceTest, AnonymousClosuresLoadDisabled) {
   ASSERT_TRUE(manager_.CreateRule(spec).ok());
   ASSERT_TRUE(SaveAllInTxn().ok());
 
-  EventDetector detector2(nullptr);
+  EventDetector detector2(metrics_);
   RuleManager manager2(&scheduler_, &detector2, &functions_);
   ASSERT_TRUE(detector2.LoadAll(&store_).ok());
   ASSERT_TRUE(manager2.LoadAll(&store_).ok());
@@ -258,7 +261,7 @@ TEST_F(RuleManagerPersistenceTest, MissingRegisteredNameLoadsDisabled) {
 
   // Reload with an EMPTY registry: the binding is gone.
   FunctionRegistry empty;
-  EventDetector detector2(nullptr);
+  EventDetector detector2(metrics_);
   RuleManager manager2(&scheduler_, &detector2, &empty);
   ASSERT_TRUE(detector2.LoadAll(&store_).ok());
   ASSERT_TRUE(manager2.LoadAll(&store_).ok());
@@ -275,7 +278,7 @@ TEST_F(RuleManagerPersistenceTest, MonitoredInstancesSurvive) {
   ASSERT_TRUE(manager_.ApplyToInstance(rule.value(), &stock).ok());
   ASSERT_TRUE(SaveAllInTxn().ok());
 
-  EventDetector detector2(nullptr);
+  EventDetector detector2(metrics_);
   RuleManager manager2(&scheduler_, &detector2, &functions_);
   ASSERT_TRUE(detector2.LoadAll(&store_).ok());
   ASSERT_TRUE(manager2.LoadAll(&store_).ok());

@@ -41,16 +41,18 @@ std::unique_ptr<Rule> MakeTracer(const std::string& name,
 }
 
 TEST(SchedulerTest, TriggerWithoutRoundExecutesImmediately) {
-  RuleScheduler scheduler;
+  MetricsRegistry metrics;
+  RuleScheduler scheduler(metrics);
   std::vector<std::string> order;
   auto rule = MakeTracer("r", &order);
   scheduler.Trigger(rule.get(), Det());
   EXPECT_EQ(order, (std::vector<std::string>{"r"}));
-  EXPECT_EQ(scheduler.executed_count(), 1u);
+  EXPECT_EQ(metrics.histogram("rules.dispatch_ns")->Count(), 1u);
 }
 
 TEST(SchedulerTest, RoundBatchesAndExecutesOnEnd) {
-  RuleScheduler scheduler;
+  MetricsRegistry metrics;
+  RuleScheduler scheduler(metrics);
   std::vector<std::string> order;
   auto r1 = MakeTracer("r1", &order);
   auto r2 = MakeTracer("r2", &order);
@@ -63,7 +65,8 @@ TEST(SchedulerTest, RoundBatchesAndExecutesOnEnd) {
 }
 
 TEST(SchedulerTest, PriorityOrdersBatch) {
-  RuleScheduler scheduler;
+  MetricsRegistry metrics;
+  RuleScheduler scheduler(metrics);
   std::vector<std::string> order;
   auto low = MakeTracer("low", &order, CouplingMode::kImmediate, 1);
   auto high = MakeTracer("high", &order, CouplingMode::kImmediate, 10);
@@ -77,7 +80,8 @@ TEST(SchedulerTest, PriorityOrdersBatch) {
 }
 
 TEST(SchedulerTest, EqualPriorityPreservesTriggerOrder) {
-  RuleScheduler scheduler;
+  MetricsRegistry metrics;
+  RuleScheduler scheduler(metrics);
   std::vector<std::string> order;
   auto a = MakeTracer("a", &order);
   auto b = MakeTracer("b", &order);
@@ -89,7 +93,8 @@ TEST(SchedulerTest, EqualPriorityPreservesTriggerOrder) {
 }
 
 TEST(SchedulerTest, CustomConflictResolverReplacesDefault) {
-  RuleScheduler scheduler;
+  MetricsRegistry metrics;
+  RuleScheduler scheduler(metrics);
   // Reverse trigger order, ignoring priorities entirely.
   scheduler.set_conflict_resolver([](std::vector<RuleScheduler::Triggered>* b) {
     std::reverse(b->begin(), b->end());
@@ -105,7 +110,8 @@ TEST(SchedulerTest, CustomConflictResolverReplacesDefault) {
 }
 
 TEST(SchedulerTest, NestedRoundsExecuteIndependently) {
-  RuleScheduler scheduler;
+  MetricsRegistry metrics;
+  RuleScheduler scheduler(metrics);
   std::vector<std::string> order;
   auto outer = MakeTracer("outer", &order);
   auto inner = MakeTracer("inner", &order);
@@ -120,12 +126,14 @@ TEST(SchedulerTest, NestedRoundsExecuteIndependently) {
 }
 
 TEST(SchedulerTest, EndRoundWithoutBeginFails) {
-  RuleScheduler scheduler;
+  MetricsRegistry metrics;
+  RuleScheduler scheduler(metrics);
   EXPECT_TRUE(scheduler.EndRound(nullptr).IsFailedPrecondition());
 }
 
 TEST(SchedulerTest, DeferredQueuesOnTransaction) {
-  RuleScheduler scheduler;
+  MetricsRegistry metrics;
+  RuleScheduler scheduler(metrics);
   LockManager locks;
   Transaction txn(1, &locks);
   std::vector<std::string> order;
@@ -140,7 +148,8 @@ TEST(SchedulerTest, DeferredQueuesOnTransaction) {
 }
 
 TEST(SchedulerTest, DeferredWithoutTransactionRunsNow) {
-  RuleScheduler scheduler;
+  MetricsRegistry metrics;
+  RuleScheduler scheduler(metrics);
   std::vector<std::string> order;
   auto rule = MakeTracer("d", &order, CouplingMode::kDeferred);
   scheduler.BeginRound();
@@ -150,7 +159,8 @@ TEST(SchedulerTest, DeferredWithoutTransactionRunsNow) {
 }
 
 TEST(SchedulerTest, DetachedUsesRunner) {
-  RuleScheduler scheduler;
+  MetricsRegistry metrics;
+  RuleScheduler scheduler(metrics);
   int runner_calls = 0;
   scheduler.set_detached_runner(
       [&](std::function<Status(Transaction*)> body) {
@@ -174,7 +184,8 @@ TEST(SchedulerTest, DetachedUsesRunner) {
 }
 
 TEST(SchedulerTest, CascadeDepthGuardAborts) {
-  RuleScheduler scheduler;
+  MetricsRegistry metrics;
+  RuleScheduler scheduler(metrics);
   scheduler.set_max_cascade_depth(5);
   // A rule whose action re-triggers itself: unbounded without the guard.
   EventPtr event = Prim("end A::M");
@@ -186,12 +197,13 @@ TEST(SchedulerTest, CascadeDepthGuardAborts) {
   Status s = scheduler.ExecuteNow(&rule, Det(), nullptr);
   // The recursion bottoms out at the guard instead of overflowing.
   EXPECT_EQ(scheduler.max_observed_depth(), 5);
-  EXPECT_LE(scheduler.executed_count(), 5u);
+  EXPECT_LE(metrics.histogram("rules.dispatch_ns")->Count(), 5u);
   (void)s;  // Outermost call returns OK (inner abort surfaced via counter).
 }
 
 TEST(SchedulerTest, CascadeGuardDoomsTransaction) {
-  RuleScheduler scheduler;
+  MetricsRegistry metrics;
+  RuleScheduler scheduler(metrics);
   scheduler.set_max_cascade_depth(3);
   LockManager locks;
   Transaction txn(1, &locks);
@@ -212,7 +224,8 @@ TEST(SchedulerTest, OutOfRoundDispatchErrorIsRecorded) {
   // An out-of-round Trigger has no caller to hand a failure to; it used to
   // discard the status outright. It must land in the error counter, the
   // last-error slot, and the trace.
-  RuleScheduler scheduler;
+  MetricsRegistry metrics;
+  RuleScheduler scheduler(metrics);
   TraceRecorder recorder;
   scheduler.set_tracer(&recorder);
   EventPtr event = Prim("end A::M");
@@ -238,7 +251,8 @@ TEST(SchedulerTest, OutOfRoundDispatchErrorIsRecorded) {
 
 TEST(SchedulerTest, InRoundDispatchErrorStillSurfacesThroughEndRound) {
   // Errors inside a round are returned by EndRound, not the counter.
-  RuleScheduler scheduler;
+  MetricsRegistry metrics;
+  RuleScheduler scheduler(metrics);
   EventPtr event = Prim("end A::M");
   Rule rule("broken", event, nullptr,
             [](RuleContext&) { return Status::Internal("action bug"); });
@@ -253,7 +267,8 @@ TEST(SchedulerTest, DispatchErrorRestoresCascadeDepth) {
   // cascade-depth counter was decremented, so each failing immediate rule
   // permanently consumed one level of depth budget. Enough failures and the
   // scheduler refused every rule as a runaway cascade.
-  RuleScheduler scheduler;
+  MetricsRegistry metrics;
+  RuleScheduler scheduler(metrics);
   scheduler.set_max_cascade_depth(3);
   EventPtr event = Prim("end A::M");
   Rule broken("broken", event, nullptr,
@@ -279,7 +294,8 @@ TEST(SchedulerTest, DispatchErrorRestoresCascadeDepth) {
 }
 
 TEST(SchedulerTest, CascadeDepthAbortIsTraced) {
-  RuleScheduler scheduler;
+  MetricsRegistry metrics;
+  RuleScheduler scheduler(metrics);
   TraceRecorder recorder;
   scheduler.set_tracer(&recorder);
   scheduler.set_max_cascade_depth(2);

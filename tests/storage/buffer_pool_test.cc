@@ -20,11 +20,12 @@ class BufferPoolTest : public ::testing::Test {
   }
 
   TempDir dir_;
-  DiskManager disk_;
+  MetricsRegistry metrics_;
+  DiskManager disk_{metrics_};
 };
 
 TEST_F(BufferPoolTest, AllocateReturnsPinnedPage) {
-  BufferPool pool(&disk_, 4);
+  BufferPool pool(&disk_, 4, metrics_);
   auto page = pool.AllocatePage();
   ASSERT_TRUE(page.ok());
   EXPECT_EQ(page.value()->pin_count(), 1);
@@ -33,19 +34,19 @@ TEST_F(BufferPoolTest, AllocateReturnsPinnedPage) {
 }
 
 TEST_F(BufferPoolTest, FetchHitsCache) {
-  BufferPool pool(&disk_, 4);
+  BufferPool pool(&disk_, 4, metrics_);
   auto page = pool.AllocatePage();
   ASSERT_TRUE(page.ok());
   ASSERT_TRUE(pool.UnpinPage(0, false).ok());
   auto again = pool.FetchPage(0);
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(pool.hit_count(), 1u);
-  EXPECT_EQ(pool.miss_count(), 0u);
+  EXPECT_EQ(metrics_.counter("storage.pool.hits")->Value(), 1u);
+  EXPECT_EQ(metrics_.counter("storage.pool.misses")->Value(), 0u);
   ASSERT_TRUE(pool.UnpinPage(0, false).ok());
 }
 
 TEST_F(BufferPoolTest, DirtyPageSurvivesEviction) {
-  BufferPool pool(&disk_, 2);
+  BufferPool pool(&disk_, 2, metrics_);
   // Write page 0.
   auto page = pool.AllocatePage();
   ASSERT_TRUE(page.ok());
@@ -65,7 +66,7 @@ TEST_F(BufferPoolTest, DirtyPageSurvivesEviction) {
 }
 
 TEST_F(BufferPoolTest, AllFramesPinnedIsBusy) {
-  BufferPool pool(&disk_, 2);
+  BufferPool pool(&disk_, 2, metrics_);
   auto a = pool.AllocatePage();
   auto b = pool.AllocatePage();
   ASSERT_TRUE(a.ok() && b.ok());
@@ -77,7 +78,7 @@ TEST_F(BufferPoolTest, AllFramesPinnedIsBusy) {
 }
 
 TEST_F(BufferPoolTest, PinnedPageIsNotEvicted) {
-  BufferPool pool(&disk_, 2);
+  BufferPool pool(&disk_, 2, metrics_);
   auto pinned = pool.AllocatePage();
   ASSERT_TRUE(pinned.ok());
   std::memset(pinned.value()->data(), 0x11, 16);
@@ -93,7 +94,7 @@ TEST_F(BufferPoolTest, PinnedPageIsNotEvicted) {
 }
 
 TEST_F(BufferPoolTest, UnpinErrors) {
-  BufferPool pool(&disk_, 2);
+  BufferPool pool(&disk_, 2, metrics_);
   EXPECT_TRUE(pool.UnpinPage(0, false).IsNotFound());
   auto page = pool.AllocatePage();
   ASSERT_TRUE(page.ok());
@@ -102,7 +103,7 @@ TEST_F(BufferPoolTest, UnpinErrors) {
 }
 
 TEST_F(BufferPoolTest, FlushAllWritesEverything) {
-  BufferPool pool(&disk_, 8);
+  BufferPool pool(&disk_, 8, metrics_);
   for (int i = 0; i < 4; ++i) {
     auto p = pool.AllocatePage();
     ASSERT_TRUE(p.ok());
@@ -111,7 +112,7 @@ TEST_F(BufferPoolTest, FlushAllWritesEverything) {
   }
   ASSERT_TRUE(pool.FlushAll().ok());
   // Read through a fresh pool (bypassing the old cache contents).
-  BufferPool fresh(&disk_, 8);
+  BufferPool fresh(&disk_, 8, metrics_);
   for (PageId i = 0; i < 4; ++i) {
     auto p = fresh.FetchPage(i);
     ASSERT_TRUE(p.ok());
@@ -121,7 +122,7 @@ TEST_F(BufferPoolTest, FlushAllWritesEverything) {
 }
 
 TEST_F(BufferPoolTest, LruEvictsLeastRecentlyUsed) {
-  BufferPool pool(&disk_, 2);
+  BufferPool pool(&disk_, 2, metrics_);
   auto a = pool.AllocatePage();  // page 0
   auto b = pool.AllocatePage();  // page 1
   ASSERT_TRUE(a.ok() && b.ok());
@@ -134,9 +135,9 @@ TEST_F(BufferPoolTest, LruEvictsLeastRecentlyUsed) {
   auto c = pool.AllocatePage();
   ASSERT_TRUE(c.ok());
   ASSERT_TRUE(pool.UnpinPage(2, false).ok());
-  uint64_t hits_before = pool.hit_count();
+  uint64_t hits_before = metrics_.counter("storage.pool.hits")->Value();
   ASSERT_TRUE(pool.FetchPage(0).ok());  // Still cached -> hit.
-  EXPECT_EQ(pool.hit_count(), hits_before + 1);
+  EXPECT_EQ(metrics_.counter("storage.pool.hits")->Value(), hits_before + 1);
   ASSERT_TRUE(pool.UnpinPage(0, false).ok());
 }
 

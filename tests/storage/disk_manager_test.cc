@@ -15,7 +15,8 @@ using testing_util::TempDir;
 
 TEST(DiskManagerTest, OpenCreatesFile) {
   TempDir dir("disk");
-  DiskManager dm;
+  MetricsRegistry metrics;
+  DiskManager dm(metrics);
   ASSERT_TRUE(dm.Open(dir.path() + "/db").ok());
   EXPECT_TRUE(dm.is_open());
   EXPECT_EQ(dm.page_count(), 0u);
@@ -25,14 +26,16 @@ TEST(DiskManagerTest, OpenCreatesFile) {
 
 TEST(DiskManagerTest, DoubleOpenFails) {
   TempDir dir("disk");
-  DiskManager dm;
+  MetricsRegistry metrics;
+  DiskManager dm(metrics);
   ASSERT_TRUE(dm.Open(dir.path() + "/db").ok());
   EXPECT_TRUE(dm.Open(dir.path() + "/db2").IsFailedPrecondition());
 }
 
 TEST(DiskManagerTest, AllocateGrowsFile) {
   TempDir dir("disk");
-  DiskManager dm;
+  MetricsRegistry metrics;
+  DiskManager dm(metrics);
   ASSERT_TRUE(dm.Open(dir.path() + "/db").ok());
   auto p0 = dm.AllocatePage();
   auto p1 = dm.AllocatePage();
@@ -44,7 +47,8 @@ TEST(DiskManagerTest, AllocateGrowsFile) {
 
 TEST(DiskManagerTest, WriteReadRoundTrip) {
   TempDir dir("disk");
-  DiskManager dm;
+  MetricsRegistry metrics;
+  DiskManager dm(metrics);
   ASSERT_TRUE(dm.Open(dir.path() + "/db").ok());
   auto pid = dm.AllocatePage();
   ASSERT_TRUE(pid.ok());
@@ -58,7 +62,8 @@ TEST(DiskManagerTest, WriteReadRoundTrip) {
 
 TEST(DiskManagerTest, UnallocatedAccessIsRejected) {
   TempDir dir("disk");
-  DiskManager dm;
+  MetricsRegistry metrics;
+  DiskManager dm(metrics);
   ASSERT_TRUE(dm.Open(dir.path() + "/db").ok());
   char buf[kPageSize];
   EXPECT_TRUE(dm.ReadPage(0, buf).IsInvalidArgument());
@@ -71,7 +76,8 @@ TEST(DiskManagerTest, DataSurvivesReopen) {
   char out[kPageSize];
   std::memset(out, 0x33, kPageSize);
   {
-    DiskManager dm;
+    MetricsRegistry metrics;
+    DiskManager dm(metrics);
     ASSERT_TRUE(dm.Open(path).ok());
     auto pid = dm.AllocatePage();
     ASSERT_TRUE(pid.ok());
@@ -79,7 +85,8 @@ TEST(DiskManagerTest, DataSurvivesReopen) {
     ASSERT_TRUE(dm.Sync().ok());
     ASSERT_TRUE(dm.Close().ok());
   }
-  DiskManager dm;
+  MetricsRegistry metrics;
+  DiskManager dm(metrics);
   ASSERT_TRUE(dm.Open(path).ok());
   EXPECT_EQ(dm.page_count(), 1u);
   char in[kPageSize] = {};
@@ -88,7 +95,8 @@ TEST(DiskManagerTest, DataSurvivesReopen) {
 }
 
 TEST(DiskManagerTest, OperationsOnClosedManagerFail) {
-  DiskManager dm;
+  MetricsRegistry metrics;
+  DiskManager dm(metrics);
   char buf[kPageSize];
   EXPECT_TRUE(dm.ReadPage(0, buf).IsFailedPrecondition());
   EXPECT_TRUE(dm.WritePage(0, buf).IsFailedPrecondition());
@@ -97,7 +105,8 @@ TEST(DiskManagerTest, OperationsOnClosedManagerFail) {
 }
 
 TEST(DiskManagerTest, OpenOnUnwritableDirectoryFails) {
-  DiskManager dm;
+  MetricsRegistry metrics;
+  DiskManager dm(metrics);
   EXPECT_TRUE(dm.Open("/nonexistent_dir_xyz/db").IsIOError());
 }
 

@@ -56,7 +56,8 @@ class ConcurrencyTest : public ::testing::Test {
   }
 
   TempDir dir_;
-  ObjectStore store_;
+  MetricsRegistry metrics_;
+  ObjectStore store_{metrics_};
 };
 
 TEST_F(ConcurrencyTest, ConcurrentIncrementsAreNotLost) {
@@ -200,7 +201,7 @@ TEST_F(ConcurrencyTest, MixedReadWriteWorkloadDrainsCleanly) {
   EXPECT_EQ(store_.locks()->LockedResourceCount(), 0u);
   // And the final state is durable.
   ASSERT_TRUE(store_.Close().ok());
-  ObjectStore reopened;
+  ObjectStore reopened(metrics_);
   ASSERT_TRUE(reopened.Open(dir_.path()).ok());
   int64_t total2 = 0;
   for (Oid oid : oids) {

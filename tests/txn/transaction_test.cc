@@ -103,11 +103,12 @@ class TxnManagerTest : public ::testing::Test {
  protected:
   TxnManagerTest() : dir_("txnmgr") {
     EXPECT_TRUE(wal_.Open(dir_.path() + "/wal.log").ok());
-    mgr_ = std::make_unique<TransactionManager>(&wal_, &locks_);
+    mgr_ = std::make_unique<TransactionManager>(&wal_, &locks_, metrics_);
   }
 
   TempDir dir_;
-  WalManager wal_;
+  MetricsRegistry metrics_;
+  WalManager wal_{metrics_};
   LockManager locks_;
   std::unique_ptr<TransactionManager> mgr_;
 };

@@ -21,7 +21,8 @@ using testing_util::TempDir;
 
 TEST(WalTest, AppendAndReadRoundTrip) {
   TempDir dir("wal");
-  WalManager wal;
+  MetricsRegistry metrics;
+  WalManager wal(metrics);
   ASSERT_TRUE(wal.Open(dir.path() + "/wal.log").ok());
 
   ASSERT_TRUE(wal.Append({WalRecordType::kBegin, 7, 0, ""}).ok());
@@ -45,7 +46,8 @@ TEST(WalTest, AppendAndReadRoundTrip) {
 
 TEST(WalTest, AppendAfterReadContinuesAtEnd) {
   TempDir dir("wal");
-  WalManager wal;
+  MetricsRegistry metrics;
+  WalManager wal(metrics);
   ASSERT_TRUE(wal.Open(dir.path() + "/wal.log").ok());
   ASSERT_TRUE(wal.Append({WalRecordType::kBegin, 1, 0, ""}).ok());
   std::vector<WalRecord> records;
@@ -59,13 +61,15 @@ TEST(WalTest, LogSurvivesReopen) {
   TempDir dir("wal");
   std::string path = dir.path() + "/wal.log";
   {
-    WalManager wal;
+    MetricsRegistry metrics;
+    WalManager wal(metrics);
     ASSERT_TRUE(wal.Open(path).ok());
     ASSERT_TRUE(wal.Append({WalRecordType::kPut, 3, 55, "x"}).ok());
     ASSERT_TRUE(wal.Sync().ok());
     ASSERT_TRUE(wal.Close().ok());
   }
-  WalManager wal;
+  MetricsRegistry metrics;
+  WalManager wal(metrics);
   ASSERT_TRUE(wal.Open(path).ok());
   std::vector<WalRecord> records;
   ASSERT_TRUE(wal.ReadAll(&records).ok());
@@ -77,7 +81,8 @@ TEST(WalTest, TornTailIsTruncatedSilently) {
   TempDir dir("wal");
   std::string path = dir.path() + "/wal.log";
   {
-    WalManager wal;
+    MetricsRegistry metrics;
+    WalManager wal(metrics);
     ASSERT_TRUE(wal.Open(path).ok());
     ASSERT_TRUE(wal.Append({WalRecordType::kPut, 3, 55, "full record"}).ok());
     ASSERT_TRUE(wal.Sync().ok());
@@ -90,7 +95,8 @@ TEST(WalTest, TornTailIsTruncatedSilently) {
     out.write(reinterpret_cast<const char*>(&bogus_len), 4);
     out.write("abc", 3);  // Far less than claimed.
   }
-  WalManager wal;
+  MetricsRegistry metrics;
+  WalManager wal(metrics);
   ASSERT_TRUE(wal.Open(path).ok());
   std::vector<WalRecord> records;
   ASSERT_TRUE(wal.ReadAll(&records).ok());
@@ -100,7 +106,8 @@ TEST(WalTest, TornTailIsTruncatedSilently) {
 
 TEST(WalTest, ResetEmptiesLog) {
   TempDir dir("wal");
-  WalManager wal;
+  MetricsRegistry metrics;
+  WalManager wal(metrics);
   ASSERT_TRUE(wal.Open(dir.path() + "/wal.log").ok());
   ASSERT_TRUE(wal.Append({WalRecordType::kPut, 1, 2, "data"}).ok());
   auto size = wal.SizeBytes();
@@ -123,7 +130,8 @@ TEST(WalTest, CrcCatchesMidLogCorruption) {
   TempDir dir("wal");
   std::string path = dir.path() + "/wal.log";
   {
-    WalManager wal;
+    MetricsRegistry metrics;
+    WalManager wal(metrics);
     ASSERT_TRUE(wal.Open(path).ok());
     ASSERT_TRUE(
         wal.Append({WalRecordType::kPut, 1, 10, "first payload"}).ok());
@@ -141,7 +149,8 @@ TEST(WalTest, CrcCatchesMidLogCorruption) {
     f.seekp(24 + 8 + 3);
     f.put('\xFF');
   }
-  WalManager wal;
+  MetricsRegistry metrics;
+  WalManager wal(metrics);
   ASSERT_TRUE(wal.Open(path).ok());
   std::vector<WalRecord> records;
   Status s = wal.ReadAll(&records);
@@ -150,7 +159,8 @@ TEST(WalTest, CrcCatchesMidLogCorruption) {
 
 TEST(WalTest, SyncFailureIsSticky) {
   TempDir dir("wal");
-  WalManager wal;
+  MetricsRegistry metrics;
+  WalManager wal(metrics);
   ASSERT_TRUE(wal.Open(dir.path() + "/wal.log").ok());
   ASSERT_TRUE(wal.Append({WalRecordType::kPut, 1, 2, "x"}).ok());
 
@@ -172,7 +182,8 @@ TEST(WalTest, SyncFailureIsSticky) {
 TEST(WalTest, TruncateToDropsPrefixAndLsnsStayMonotone) {
   TempDir dir("wal");
   std::string path = dir.path() + "/wal.log";
-  WalManager wal;
+  MetricsRegistry metrics;
+  WalManager wal(metrics);
   ASSERT_TRUE(wal.Open(path).ok());
   ASSERT_TRUE(wal.Append({WalRecordType::kPut, 1, 10, "old-a"}).ok());
   ASSERT_TRUE(wal.Append({WalRecordType::kPut, 1, 11, "old-b"}).ok());
@@ -199,7 +210,7 @@ TEST(WalTest, TruncateToDropsPrefixAndLsnsStayMonotone) {
 
   // LSNs keep climbing across a reopen.
   ASSERT_TRUE(wal.Close().ok());
-  WalManager wal2;
+  WalManager wal2(metrics);
   ASSERT_TRUE(wal2.Open(path).ok());
   auto reopened = wal2.CurrentLsn();
   ASSERT_TRUE(reopened.ok());
@@ -246,7 +257,8 @@ TEST(WalTest, OpenRefusesFilesWithoutAV2HeaderAndLeavesThemUntouched) {
   for (const std::string& bytes :
        {headerless.buffer(), v1_header.buffer(), std::string("SW")}) {
     WriteFile(path, bytes);
-    WalManager wal;
+    MetricsRegistry metrics;
+    WalManager wal(metrics);
     Status s = wal.Open(path);
     EXPECT_TRUE(s.IsCorruption()) << s.ToString();
     // Refused without appending to or rewriting the file.
@@ -306,7 +318,8 @@ TEST(WalTest, ReadAllEqualsReadFromBaseOnDamagedLogs) {
   // Torn tail: a length prefix claiming more bytes than follow.
   std::string torn = dir.path() + "/torn.log";
   {
-    WalManager wal;
+    MetricsRegistry metrics;
+    WalManager wal(metrics);
     ASSERT_TRUE(wal.Open(torn).ok());
     AppendSeeded(&wal, 13, kRecords);
     ASSERT_TRUE(wal.Close().ok());
@@ -316,7 +329,8 @@ TEST(WalTest, ReadAllEqualsReadFromBaseOnDamagedLogs) {
     out.write("abc", 3);
   }
   {
-    WalManager wal;
+    MetricsRegistry metrics;
+    WalManager wal(metrics);
     ASSERT_TRUE(wal.Open(torn).ok());
     std::vector<WalRecord> records;
     ASSERT_TRUE(wal.ReadAll(&records).ok());
@@ -328,7 +342,8 @@ TEST(WalTest, ReadAllEqualsReadFromBaseOnDamagedLogs) {
   std::string rotted = dir.path() + "/rotted.log";
   std::vector<uint64_t> starts;
   {
-    WalManager wal;
+    MetricsRegistry metrics;
+    WalManager wal(metrics);
     ASSERT_TRUE(wal.Open(rotted).ok());
     starts = AppendSeeded(&wal, 29, kRecords);
     ASSERT_TRUE(wal.Close().ok());
@@ -343,7 +358,8 @@ TEST(WalTest, ReadAllEqualsReadFromBaseOnDamagedLogs) {
     f.put(static_cast<char>(~byte));
   }
   {
-    WalManager wal;
+    MetricsRegistry metrics;
+    WalManager wal(metrics);
     ASSERT_TRUE(wal.Open(rotted).ok());
     std::vector<WalRecord> records;
     EXPECT_TRUE(wal.ReadAll(&records).IsCorruption());
@@ -363,7 +379,8 @@ TEST(WalTest, ReadAllEqualsReadFromBaseOnDamagedLogs) {
 }
 
 TEST(WalTest, OperationsOnClosedWalFail) {
-  WalManager wal;
+  MetricsRegistry metrics;
+  WalManager wal(metrics);
   EXPECT_TRUE(wal.Append({}).IsFailedPrecondition());
   EXPECT_TRUE(wal.Sync().IsFailedPrecondition());
   std::vector<WalRecord> records;
