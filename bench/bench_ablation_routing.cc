@@ -46,7 +46,8 @@ void RunSharedRuleWorkload(benchmark::State& state, EventRouting routing) {
   std::vector<ReactiveObject> objects;
   objects.reserve(static_cast<size_t>(k));
   for (int i = 0; i < k; ++i) {
-    objects.emplace_back("C" + std::to_string(i), static_cast<Oid>(i + 1));
+    objects.emplace_back(std::string("C").append(std::to_string(i)),
+                         static_cast<Oid>(i + 1));
     objects.back().Subscribe(&rule).ok();
   }
   for (auto _ : state) {

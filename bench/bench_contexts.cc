@@ -25,7 +25,8 @@ EventOccurrence Occ(const std::string& cls) {
   EventOccurrence occ;
   occ.oid = 1;
   occ.class_name = cls;
-  occ.method = "M";
+  // Move-assigned: g++ 12 at -O3 misreports `= "M"` here as -Wrestrict.
+  occ.method = std::string("M");
   occ.modifier = EventModifier::kEnd;
   occ.timestamp = Clock::Now();
   return occ;

@@ -97,7 +97,7 @@ void BM_OperatorTreeDepth(benchmark::State& state) {
   EventPtr tree = Prim("end C0::M");
   classes.push_back("C0");
   for (int i = 1; i <= depth; ++i) {
-    std::string cls = "C" + std::to_string(i);
+    std::string cls = std::string("C").append(std::to_string(i));
     tree = Seq(tree, Prim("end " + cls + "::M"));
     classes.push_back(cls);
   }
@@ -120,7 +120,7 @@ void BM_OperatorFanIn(benchmark::State& state) {
   std::vector<EventPtr> children;
   std::vector<std::string> classes;
   for (int i = 0; i < fan; ++i) {
-    std::string cls = "C" + std::to_string(i);
+    std::string cls = std::string("C").append(std::to_string(i));
     children.push_back(Prim("end " + cls + "::M"));
     classes.push_back(cls);
   }

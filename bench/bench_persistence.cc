@@ -7,14 +7,16 @@
 
 // Durability additions (DESIGN.md §12): the group-commit producer×window
 // sweep (commit throughput must scale with producers once windows open),
-// bounded-recovery replay after a fuzzy checkpoint, and HistoryScan over
-// the spilled occurrence segment store.
+// bounded-recovery replay after a fuzzy checkpoint, HistoryScan over the
+// spilled occurrence segment store, and the object store's bulk commit,
+// snapshot apply and cold read paths.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_main.h"
 
 #include <filesystem>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -93,7 +95,7 @@ void BM_SaveRulesAndEvents(benchmark::State& state) {
     EventPtr tree = And(p1, p2);
     db->detector()->RegisterEvent("e" + std::to_string(i), tree).ok();
     RuleSpec spec;
-    spec.name = "r" + std::to_string(i);
+    spec.name = std::string("r").append(std::to_string(i));
     spec.event = tree;
     db->CreateRule(spec).ok();
   }
@@ -121,7 +123,7 @@ void BM_ReopenWithRules(benchmark::State& state) {
       auto p = db->CreatePrimitiveEvent("end Stock::SetPrice").value();
       db->detector()->RegisterEvent("e" + std::to_string(i), p).ok();
       RuleSpec spec;
-      spec.name = "r" + std::to_string(i);
+      spec.name = std::string("r").append(std::to_string(i));
       spec.event = p;
       db->CreateRule(spec).ok();
     }
@@ -254,6 +256,106 @@ void BM_RecoveryReplay(benchmark::State& state) {
   state.counters["recovery_ms"] = static_cast<double>(recovery_ms);
 }
 
+// --- The object store's own path (DESIGN.md §12) ----------------------------
+// The store layer under perfbench's history_repl set-up: populating its
+// state objects (BM_BulkCommit), the follower's snapshot catch-up
+// (BM_SnapshotApply), and rule reads of objects mostly not in the pool
+// (BM_ColdGet). Same shapes: 320 B images of class "State", 256 frames.
+
+constexpr size_t kStoreObjects = 20000;
+constexpr size_t kImageBytes = 320;
+constexpr size_t kPoolFrames = 256;
+
+/// 20 000 puts, 500 per commit, into a fresh store per iteration.
+void BM_BulkCommit(benchmark::State& state) {
+  const std::string image(kImageBytes, 's');
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::string dir = FreshDir("bulk");
+    MetricsRegistry metrics;
+    auto store = std::make_unique<ObjectStore>(metrics, kPoolFrames);
+    store->Open(dir).ok();
+    state.ResumeTiming();
+    for (size_t start = 0; start < kStoreObjects; start += 500) {
+      auto txn = store->txns()->Begin();
+      for (size_t i = start; i < start + 500; ++i) {
+        store->Put(txn.get(), kFirstUserOid + i, "State", image).ok();
+      }
+      if (!store->txns()->Commit(txn.get()).ok()) {
+        state.SkipWithError("commit failed");
+        break;
+      }
+    }
+    state.PauseTiming();
+    store->Close().ok();
+    store.reset();
+    std::filesystem::remove_all(dir);
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kStoreObjects));
+}
+
+/// One replication apply batch of 4 096 new images into a fresh store.
+void BM_SnapshotApply(benchmark::State& state) {
+  constexpr size_t kBatch = 4096;
+  std::vector<ObjectStore::ReplOp> ops(kBatch);
+  for (size_t i = 0; i < kBatch; ++i) {
+    ops[i].oid = kFirstUserOid + i;
+    ops[i].class_name = "State";
+    ops[i].state = std::string(kImageBytes, 's');
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::string dir = FreshDir("apply");
+    MetricsRegistry metrics;
+    auto store = std::make_unique<ObjectStore>(metrics, kPoolFrames);
+    store->Open(dir).ok();
+    state.ResumeTiming();
+    if (!store->SystemApplyBatch(ops).ok()) {
+      state.SkipWithError("apply failed");
+      break;
+    }
+    state.PauseTiming();
+    store->Close().ok();
+    store.reset();
+    std::filesystem::remove_all(dir);
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kBatch));
+}
+
+/// Uniform Gets over 20 000 objects: most miss the 256-frame pool.
+void BM_ColdGet(benchmark::State& state) {
+  std::string dir = FreshDir("cold");
+  MetricsRegistry metrics;
+  auto store = std::make_unique<ObjectStore>(metrics, kPoolFrames);
+  store->Open(dir).ok();
+  const std::string image(kImageBytes, 's');
+  for (size_t start = 0; start < kStoreObjects; start += 500) {
+    auto txn = store->txns()->Begin();
+    for (size_t i = start; i < start + 500; ++i) {
+      store->Put(txn.get(), kFirstUserOid + i, "State", image).ok();
+    }
+    store->txns()->Commit(txn.get()).ok();
+  }
+  std::mt19937_64 rng(42);
+  std::string cls, got;
+  for (auto _ : state) {
+    const Oid oid = kFirstUserOid + rng() % kStoreObjects;
+    if (!store->Get(nullptr, oid, &cls, &got).ok()) {
+      state.SkipWithError("get failed");
+      break;
+    }
+    benchmark::DoNotOptimize(got.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  store->Close().ok();
+  store.reset();
+  std::filesystem::remove_all(dir);
+}
+
 /// Scanning the spilled history: N occurrences forced through the
 /// detector's FIFO trim into segment files, then a full-range HistoryScan.
 void BM_HistoryScanSpilled(benchmark::State& state) {
@@ -313,6 +415,9 @@ BENCHMARK(BM_RecoveryReplay)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BulkCommit)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SnapshotApply)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ColdGet)->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_HistoryScanSpilled)
     ->Arg(1000)
     ->Arg(10000)

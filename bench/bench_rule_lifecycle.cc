@@ -37,7 +37,7 @@ void BM_SentinelCreateDeleteRule(benchmark::State& state) {
   int i = 0;
   for (auto _ : state) {
     RuleSpec spec;
-    spec.name = "r" + std::to_string(i++);
+    spec.name = std::string("r").append(std::to_string(i++));
     spec.event = event;
     auto rule = manager.CreateRule(spec);
     benchmark::DoNotOptimize(rule);

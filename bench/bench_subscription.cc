@@ -45,7 +45,7 @@ void BM_SentinelSubscription(benchmark::State& state) {
   for (int i = 0; i < total_rules; ++i) {
     auto event = PrimitiveEvent::Create("end Stock::SetPrice").value();
     auto rule = std::make_unique<Rule>(
-        "r" + std::to_string(i), event, nullptr,
+        std::string("r").append(std::to_string(i)), event, nullptr,
         [&fired](RuleContext&) {
           ++fired;
           return Status::OK();
@@ -81,7 +81,7 @@ void BM_AdamCentralized(benchmark::State& state) {
   int64_t fired = 0;
   for (int i = 0; i < total_rules; ++i) {
     AdamRule rule;
-    rule.name = "r" + std::to_string(i);
+    rule.name = std::string("r").append(std::to_string(i));
     rule.event = event;
     // Non-matching rules watch a class the hot object is not.
     rule.active_class = i < matching ? "Stock" : "Other";

@@ -24,7 +24,7 @@ void Encoder::PutDouble(double v) {
 
 void Encoder::PutBool(bool v) { PutU8(v ? 1 : 0); }
 
-void Encoder::PutString(const std::string& s) {
+void Encoder::PutString(std::string_view s) {
   PutU32(static_cast<uint32_t>(s.size()));
   buf_.append(s);
 }
@@ -87,10 +87,17 @@ Status Decoder::GetBool(bool* v) {
 }
 
 Status Decoder::GetString(std::string* s) {
+  std::string_view view;
+  SENTINEL_RETURN_IF_ERROR(GetStringView(&view));
+  s->assign(view);
+  return Status::OK();
+}
+
+Status Decoder::GetStringView(std::string_view* s) {
   uint32_t n;
   SENTINEL_RETURN_IF_ERROR(GetU32(&n));
   SENTINEL_RETURN_IF_ERROR(Need(n));
-  s->assign(data_ + pos_, n);
+  *s = std::string_view(data_ + pos_, n);
   pos_ += n;
   return Status::OK();
 }

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -28,7 +29,7 @@ class Encoder {
   void PutDouble(double v);
   void PutBool(bool v);
   /// Length-prefixed (u32) byte string.
-  void PutString(const std::string& s);
+  void PutString(std::string_view s);
   /// Raw bytes without a length prefix.
   void PutRaw(const void* data, size_t len);
   /// Type-tagged Value.
@@ -59,7 +60,7 @@ class Decoder {
  public:
   Decoder(const void* data, size_t len)
       : data_(static_cast<const char*>(data)), len_(len) {}
-  explicit Decoder(const std::string& s) : Decoder(s.data(), s.size()) {}
+  explicit Decoder(std::string_view s) : Decoder(s.data(), s.size()) {}
 
   // The fixed-width reads are inline: message decoding is a chain of them,
   // and only their (rare) underflow error leaves the header.
@@ -71,6 +72,9 @@ class Decoder {
   Status GetDouble(double* v);
   Status GetBool(bool* v);
   Status GetString(std::string* s);
+  /// Like GetString, but `*s` views the decoded bytes in place (valid as
+  /// long as the buffer the Decoder reads).
+  Status GetStringView(std::string_view* s);
   Status GetValue(Value* v);
   Status GetValueList(ValueList* vs);
 

@@ -21,9 +21,10 @@
 //
 // A simulated crash sets a process-wide, test-visible flag: every
 // subsequent failpoint check fails with IOError until ClearCrash()/Reset(),
-// and the Close paths of DiskManager/WalManager discard unflushed stdio
-// buffers instead of flushing them — so data that was never synced is
-// genuinely lost, exactly as if the process had died.
+// and WalManager's Close path discards its unflushed stdio buffer instead
+// of flushing it — so log appends that never reached the kernel are
+// genuinely lost, exactly as if the process had died. (Heap pages go to
+// the kernel with one pwrite each, so there is no heap buffer to lose.)
 //
 // Configuration is programmatic (Enable), by spec string
 // (Database::Options::failpoints), or by the SENTINEL_FAILPOINTS

@@ -78,7 +78,8 @@ Result<std::unique_ptr<Database>> Database::Open(const Options& options) {
           if (shard >= self->history_stores_.size()) shard = 0;
           Status s = self->history_stores_[shard]->Append(occ);
           if (!s.ok()) {
-            SENTINEL_WARN << "history spill failed: " << s.ToString();
+            SENTINEL_WARN << "event=history_spill_failed shard=" << shard
+                          << " status=\"" << s.ToString() << "\"";
           }
         });
   }
@@ -235,8 +236,8 @@ Status Database::HistoryScanPaged(const HistoryQuery& query,
   return Status::OK();
 }
 
-void Database::OnCommittedPut(Oid oid, const std::string& class_name,
-                              const std::string& state) {
+void Database::OnCommittedPut(Oid oid, std::string_view class_name,
+                              std::string_view state) {
   // Commits happen on whichever shard thread ran the transaction; the
   // index structures are not internally synchronized.
   std::lock_guard<std::mutex> lock(index_mu_);
@@ -362,7 +363,10 @@ Status Database::Close() {
   // under a simulated crash, where nothing may reach the disk anymore.
   if (!(FailPoints::AnyActive() && FailPoints::Instance().crashed())) {
     Status s = SaveRulesAndEvents();
-    if (!s.ok()) SENTINEL_WARN << "saving rules at close: " << s.ToString();
+    if (!s.ok()) {
+      SENTINEL_WARN << "event=close_save_rules_failed dir=" << options_.dir
+                    << " status=\"" << s.ToString() << "\"";
+    }
   }
   // Registered objects are caller-owned and may already be gone by now, so
   // Close must not dereference them; objects that outlive the database must
@@ -376,7 +380,10 @@ Status Database::Close() {
   if (detector_ != nullptr) detector_->SetSpillSink(nullptr);
   for (auto& store : history_stores_) {
     Status s = store->Close();
-    if (!s.ok()) SENTINEL_WARN << "history close: " << s.ToString();
+    if (!s.ok()) {
+      SENTINEL_WARN << "event=history_close_failed dir=" << options_.dir
+                    << " status=\"" << s.ToString() << "\"";
+    }
   }
   return store_.Close();
 }

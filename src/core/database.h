@@ -398,8 +398,8 @@ class Database : public RaiseContext,
 
   // --- CommitObserver (index maintenance) -----------------------------------------
 
-  void OnCommittedPut(Oid oid, const std::string& class_name,
-                      const std::string& state) override;
+  void OnCommittedPut(Oid oid, std::string_view class_name,
+                      std::string_view state) override;
   void OnCommittedDelete(Oid oid) override;
 
  private:

@@ -57,7 +57,8 @@ void Checkpointer::Loop() {
     last = now;
     Status s = checkpoint_();
     if (!s.ok()) {
-      SENTINEL_WARN << "background checkpoint failed: " << s.ToString();
+      SENTINEL_WARN << "event=background_checkpoint_failed status=\""
+                    << s.ToString() << "\"";
     }
   }
 }

@@ -288,8 +288,8 @@ Status HistorySegmentStore::RecoverActiveLocked(SegmentInfo* info) {
   }
   const size_t pos = reader.end();  // End of the last record that checks.
   if (pos < bytes.size()) {
-    SENTINEL_WARN << "history segment " << info->path << " torn at " << pos
-                  << " of " << bytes.size() << " bytes; truncating";
+    SENTINEL_WARN << "event=history_segment_truncated path=" << info->path
+                  << " valid_bytes=" << pos << " file_bytes=" << bytes.size();
     std::error_code ec;
     fs::resize_file(info->path, pos, ec);
     if (ec) {
@@ -313,7 +313,7 @@ Status HistorySegmentStore::Close() {
   if (active_ != nullptr) {
     if (FailPoints::AnyActive() && FailPoints::Instance().crashed()) {
       // Simulated crash: drop buffered appends instead of letting fclose
-      // flush them (same idiom as WalManager/DiskManager).
+      // flush them (same idiom as WalManager).
       ::close(fileno(active_));
     } else {
       std::fflush(active_);

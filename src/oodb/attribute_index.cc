@@ -106,8 +106,8 @@ void AttributeIndex::EraseOidLocked(Oid oid) {
   reverse_.erase(rit);
 }
 
-void AttributeIndex::OnCommittedPut(Oid oid, const std::string& class_name,
-                                    const std::string& state) {
+void AttributeIndex::OnCommittedPut(Oid oid, std::string_view class_name,
+                                    std::string_view state) {
   std::lock_guard<std::mutex> lock(mutex_);
   // Is any index interested in this class at all?
   bool interested = false;
@@ -121,7 +121,7 @@ void AttributeIndex::OnCommittedPut(Oid oid, const std::string& class_name,
   if (!interested) return;
 
   // Decode the default attribute-map serialization.
-  PersistentObject probe(class_name, oid);
+  PersistentObject probe(std::string(class_name), oid);
   Decoder dec(state);
   if (!probe.DeserializeState(&dec).ok() || !dec.AtEnd()) {
     ++unindexable_;

@@ -24,6 +24,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/codec.h"
@@ -75,8 +76,8 @@ class AttributeIndex {
 
   /// Installs/updates the index entries of one committed object. `state`
   /// is the serialized image; non-attribute-map images are skipped.
-  void OnCommittedPut(Oid oid, const std::string& class_name,
-                      const std::string& state);
+  void OnCommittedPut(Oid oid, std::string_view class_name,
+                      std::string_view state);
 
   /// Drops all entries of a deleted object.
   void OnCommittedDelete(Oid oid);

@@ -18,44 +18,54 @@ namespace {
 /// classes are system records and excluded from extents.
 constexpr char kCatalogClass[] = "__catalog__";
 
-bool IsSystemClass(const std::string& name) {
-  return name.rfind("__", 0) == 0;
-}
+bool IsSystemClass(std::string_view name) { return name.starts_with("__"); }
 
-/// One stored chunk of an object image.
-struct Chunk {
+/// One stored chunk of an object image, viewed in place in its record.
+struct ChunkView {
   Oid oid = kInvalidOid;
-  std::string class_name;
+  std::string_view class_name;
   uint32_t index = 0;
   uint32_t count = 1;
-  std::string fragment;
+  std::string_view fragment;
 };
 
-std::string EncodeChunk(const Chunk& chunk) {
-  Encoder enc;
-  enc.PutU64(chunk.oid);
-  enc.PutString(chunk.class_name);
-  enc.PutU32(chunk.index);
-  enc.PutU32(chunk.count);
-  enc.PutString(chunk.fragment);
-  return enc.Release();
+/// Encodes one chunk record into `enc` (cleared first).
+void EncodeChunk(Oid oid, std::string_view class_name, uint32_t index,
+                 uint32_t count, std::string_view fragment, Encoder* enc) {
+  enc->Clear();
+  enc->PutU64(oid);
+  enc->PutString(class_name);
+  enc->PutU32(index);
+  enc->PutU32(count);
+  enc->PutString(fragment);
 }
 
-Status DecodeChunk(const std::string& payload, Chunk* chunk) {
-  Decoder dec(payload);
+Status DecodeChunk(std::string_view record, ChunkView* chunk) {
+  Decoder dec(record);
   SENTINEL_RETURN_IF_ERROR(dec.GetU64(&chunk->oid));
-  SENTINEL_RETURN_IF_ERROR(dec.GetString(&chunk->class_name));
+  SENTINEL_RETURN_IF_ERROR(dec.GetStringView(&chunk->class_name));
   SENTINEL_RETURN_IF_ERROR(dec.GetU32(&chunk->index));
   SENTINEL_RETURN_IF_ERROR(dec.GetU32(&chunk->count));
-  SENTINEL_RETURN_IF_ERROR(dec.GetString(&chunk->fragment));
+  SENTINEL_RETURN_IF_ERROR(dec.GetStringView(&chunk->fragment));
   return Status::OK();
 }
 
-/// Largest state fragment per chunk, leaving room for the chunk envelope
-/// (oid + class name + counters + length prefixes).
-size_t MaxFragment(const std::string& class_name) {
-  size_t envelope = 8 + 4 + class_name.size() + 4 + 4 + 4 + 64;
-  return SlottedPage::MaxPayload() - envelope;
+/// Appends the framed image [oid][class][state] to `enc`.
+void FrameInto(Oid oid, std::string_view class_name, std::string_view state,
+               Encoder* enc) {
+  enc->PutU64(oid);
+  enc->PutString(class_name);
+  enc->PutString(state);
+}
+
+/// FrameRecord's inverse, viewing the class name and state in `payload`.
+Status UnframeView(std::string_view payload, Oid* oid,
+                   std::string_view* class_name, std::string_view* state) {
+  Decoder dec(payload);
+  SENTINEL_RETURN_IF_ERROR(dec.GetU64(oid));
+  SENTINEL_RETURN_IF_ERROR(dec.GetStringView(class_name));
+  SENTINEL_RETURN_IF_ERROR(dec.GetStringView(state));
+  return Status::OK();
 }
 
 }  // namespace
@@ -74,22 +84,26 @@ ObjectStore::ObjectStore(MetricsRegistry& metrics, size_t buffer_pages,
 
 ObjectStore::~ObjectStore() { Close().ok(); }
 
-std::string ObjectStore::FrameRecord(Oid oid, const std::string& class_name,
-                                     const std::string& state) {
+size_t ObjectStore::MaxFragment(std::string_view class_name) {
+  // The chunk envelope: oid + class name + counters + length prefixes.
+  size_t envelope = 8 + 4 + class_name.size() + 4 + 4 + 4 + 64;
+  return SlottedPage::MaxPayload() - envelope;
+}
+
+std::string ObjectStore::FrameRecord(Oid oid, std::string_view class_name,
+                                     std::string_view state) {
   Encoder enc;
-  enc.PutU64(oid);
-  enc.PutString(class_name);
-  enc.PutString(state);
+  FrameInto(oid, class_name, state, &enc);
   return enc.Release();
 }
 
-Status ObjectStore::UnframeRecord(const std::string& payload, Oid* oid,
+Status ObjectStore::UnframeRecord(std::string_view payload, Oid* oid,
                                   std::string* class_name,
                                   std::string* state) {
-  Decoder dec(payload);
-  SENTINEL_RETURN_IF_ERROR(dec.GetU64(oid));
-  SENTINEL_RETURN_IF_ERROR(dec.GetString(class_name));
-  SENTINEL_RETURN_IF_ERROR(dec.GetString(state));
+  std::string_view cls, st;
+  SENTINEL_RETURN_IF_ERROR(UnframeView(payload, oid, &cls, &st));
+  class_name->assign(cls);
+  state->assign(st);
   return Status::OK();
 }
 
@@ -188,18 +202,16 @@ Status ObjectStore::RebuildDirectory() {
     data_pages_.push_back(pid);
     for (uint16_t slot = 0; slot < sp.SlotCount(); ++slot) {
       if (!sp.IsLive(slot)) continue;
-      std::string payload;
-      Status s = sp.Read(slot, &payload);
-      if (!s.ok()) continue;
-      Chunk chunk;
-      s = DecodeChunk(payload, &chunk);
-      if (!s.ok()) {
+      std::string_view record;
+      if (!sp.Read(slot, &record).ok()) continue;
+      ChunkView chunk;
+      if (!DecodeChunk(record, &chunk).ok()) {
         pool_->UnpinPage(pid, false).ok();
         return Status::Corruption("bad record on page " +
                                   std::to_string(pid));
       }
       chunks[chunk.oid][chunk.index] = RecordId{pid, slot};
-      classes[chunk.oid] = chunk.class_name;
+      classes[chunk.oid].assign(chunk.class_name);
     }
     SENTINEL_RETURN_IF_ERROR(pool_->UnpinPage(pid, false));
   }
@@ -246,14 +258,15 @@ Status ObjectStore::Recover() {
     }
   }
   if (redone > 0) {
-    SENTINEL_INFO << "recovery redid " << redone << " operations";
+    SENTINEL_INFO << "event=recovery_redo operations=" << redone
+                  << " records=" << records.size() << " dir=" << dir_;
   }
   // The heap is current: checkpoint so the log does not grow unboundedly.
   SENTINEL_RETURN_IF_ERROR(pool_->FlushAll());
   return wal_.Reset();
 }
 
-Result<RecordId> ObjectStore::InsertRecord(const std::string& payload) {
+Result<RecordId> ObjectStore::InsertRecord(std::string_view payload) {
   // Caller holds mutex_.
   if (payload.size() > SlottedPage::MaxPayload()) {
     return Status::InvalidArgument("chunk exceeds page capacity (" +
@@ -290,32 +303,33 @@ Result<RecordId> ObjectStore::InsertRecord(const std::string& payload) {
   return rid;
 }
 
-Status ObjectStore::ReadRecord(const RecordId& rid,
-                               std::string* payload) const {
-  SENTINEL_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(rid.page_id));
-  SlottedPage sp(page);
-  Status s = sp.Read(rid.slot, payload);
-  pool_->UnpinPage(rid.page_id, false).ok();
-  return s;
-}
-
 Status ObjectStore::ReadObjectLocked(Oid oid, std::string* class_name,
                                      std::string* state) const {
   auto it = directory_.find(oid);
   if (it == directory_.end()) return Status::NotFound(OidToString(oid));
+  const std::vector<RecordId>& rids = it->second;
   state->clear();
-  for (size_t i = 0; i < it->second.size(); ++i) {
-    std::string payload;
-    SENTINEL_RETURN_IF_ERROR(ReadRecord(it->second[i], &payload));
-    Chunk chunk;
-    SENTINEL_RETURN_IF_ERROR(DecodeChunk(payload, &chunk));
-    if (chunk.oid != oid || chunk.index != i ||
-        chunk.count != it->second.size()) {
-      return Status::Corruption("inconsistent chunk chain for " +
-                                OidToString(oid));
+  for (size_t i = 0; i < rids.size(); ++i) {
+    SENTINEL_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(rids[i].page_id));
+    SlottedPage sp(page);
+    std::string_view record;
+    ChunkView chunk;
+    Status s = sp.Read(rids[i].slot, &record);
+    if (s.ok()) s = DecodeChunk(record, &chunk);
+    if (s.ok() && (chunk.oid != oid || chunk.index != i ||
+                   chunk.count != rids.size())) {
+      s = Status::Corruption("inconsistent chunk chain for " +
+                             OidToString(oid));
     }
-    if (i == 0) *class_name = chunk.class_name;
-    state->append(chunk.fragment);
+    if (s.ok()) {
+      if (i == 0) {
+        class_name->assign(chunk.class_name);
+        state->reserve(rids.size() * chunk.fragment.size());
+      }
+      state->append(chunk.fragment);  // Straight from the pinned page.
+    }
+    pool_->UnpinPage(rids[i].page_id, false).ok();
+    SENTINEL_RETURN_IF_ERROR(s);
   }
   return Status::OK();
 }
@@ -458,8 +472,8 @@ Status ObjectStore::CheckpointLocked() {
   // survives the truncation) marks the heap current up to stable_lsn.
   Encoder mark;
   mark.PutU64(stable_lsn);
-  WalRecord ckpt{WalRecordType::kCheckpoint, 0, 0, mark.Release()};
-  SENTINEL_RETURN_IF_ERROR(wal_.Append(ckpt));
+  SENTINEL_RETURN_IF_ERROR(
+      wal_.Append(WalRecordType::kCheckpoint, 0, 0, mark.buffer()));
   SENTINEL_RETURN_IF_ERROR(group_commit_ != nullptr ? group_commit_->Sync()
                                                     : wal_.Sync());
 
@@ -473,96 +487,103 @@ Status ObjectStore::CheckpointLocked() {
 Status ObjectStore::EraseChunksLocked(Oid oid) {
   auto it = directory_.find(oid);
   if (it == directory_.end()) return Status::NotFound(OidToString(oid));
-  std::string class_name;
   for (size_t i = 0; i < it->second.size(); ++i) {
     const RecordId& rid = it->second[i];
     SENTINEL_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(rid.page_id));
     SlottedPage sp(page);
-    if (i == 0) {
-      std::string payload;
-      Chunk chunk;
-      if (sp.Read(rid.slot, &payload).ok() &&
-          DecodeChunk(payload, &chunk).ok()) {
-        class_name = chunk.class_name;
-      }
+    std::string_view record;
+    ChunkView chunk;
+    if (i == 0 && sp.Read(rid.slot, &record).ok() &&
+        DecodeChunk(record, &chunk).ok()) {
+      auto eit = extents_.find(std::string(chunk.class_name));
+      if (eit != extents_.end()) eit->second.erase(oid);
     }
     Status s = sp.Delete(rid.slot);
     SENTINEL_RETURN_IF_ERROR(pool_->UnpinPage(rid.page_id, true));
     SENTINEL_RETURN_IF_ERROR(s);
-  }
-  if (!class_name.empty()) {
-    auto eit = extents_.find(class_name);
-    if (eit != extents_.end()) eit->second.erase(oid);
   }
   directory_.erase(it);
   sorted_oids_valid_ = false;
   return Status::OK();
 }
 
-Status ObjectStore::ApplyPut(uint64_t oid, const std::string& payload) {
-  SENTINEL_FAILPOINT("store.apply_put");
-  Oid decoded_oid;
-  std::string class_name, state;
+Status ObjectStore::ApplyPut(uint64_t oid, std::string_view payload) {
+  Oid framed_oid;
+  std::string_view class_name, state;
   SENTINEL_RETURN_IF_ERROR(
-      UnframeRecord(payload, &decoded_oid, &class_name, &state));
-  if (decoded_oid != oid) {
+      UnframeView(payload, &framed_oid, &class_name, &state));
+  if (framed_oid != oid) {
     return Status::Corruption("framed oid mismatch");
   }
+  return InstallImage(oid, class_name, state);
+}
 
-  // Split the state into page-sized fragments.
-  size_t max_fragment = MaxFragment(class_name);
-  std::vector<Chunk> chunks;
-  size_t offset = 0;
-  do {
-    Chunk chunk;
-    chunk.oid = oid;
-    chunk.class_name = class_name;
-    chunk.index = static_cast<uint32_t>(chunks.size());
-    chunk.fragment = state.substr(offset, max_fragment);
-    offset += chunk.fragment.size();
-    chunks.push_back(std::move(chunk));
-  } while (offset < state.size());
-  for (Chunk& chunk : chunks) {
-    chunk.count = static_cast<uint32_t>(chunks.size());
-  }
-
+Status ObjectStore::InstallImage(Oid oid, std::string_view class_name,
+                                 std::string_view state) {
+  SENTINEL_FAILPOINT("store.apply_put");
+  // The image splits into `count` page-sized fragments (one when empty).
+  const size_t max_fragment = MaxFragment(class_name);
+  const auto count = static_cast<uint32_t>(
+      state.empty() ? 1 : (state.size() + max_fragment - 1) / max_fragment);
+  const bool system = IsSystemClass(class_name);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = directory_.find(oid);
-    if (it != directory_.end() && it->second.size() == 1 &&
-        chunks.size() == 1) {
-      // Fast path: single-chunk update in place (or moved among pages).
-      RecordId rid = it->second[0];
-      std::string encoded = EncodeChunk(chunks[0]);
-      SENTINEL_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(rid.page_id));
-      SlottedPage sp(page);
-      Status s = sp.Update(rid.slot, encoded);
-      if (s.ok()) {
+    auto [it, created] = directory_.try_emplace(oid);
+    if (created) sorted_oids_valid_ = false;
+    std::vector<RecordId>& rids = it->second;
+    bool class_changed = false;
+    // Chunk i overwrites the old chain's chunk i in place when it fits,
+    // moves to another page when it does not, and is inserted fresh past
+    // the old chain's end; the old chain's surplus chunks are deleted.
+    Status s = [&]() -> Status {
+      for (uint32_t i = 0; i < count; ++i) {
+        EncodeChunk(oid, class_name, i, count,
+                    state.substr(i * max_fragment, max_fragment),
+                    &chunk_buffer_);
+        const std::string_view encoded = chunk_buffer_.buffer();
+        if (i >= rids.size()) {
+          SENTINEL_ASSIGN_OR_RETURN(RecordId rid, InsertRecord(encoded));
+          rids.push_back(rid);
+          continue;
+        }
+        const RecordId rid = rids[i];
+        SENTINEL_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(rid.page_id));
+        SlottedPage sp(page);
+        std::string_view record;
+        ChunkView old;
+        if (i == 0 && sp.Read(rid.slot, &record).ok() &&
+            DecodeChunk(record, &old).ok() && old.class_name != class_name) {
+          auto eit = extents_.find(std::string(old.class_name));
+          if (eit != extents_.end()) eit->second.erase(oid);
+          class_changed = true;
+        }
+        Status updated = sp.Update(rid.slot, encoded);
+        if (!updated.ok()) sp.Delete(rid.slot).ok();
         SENTINEL_RETURN_IF_ERROR(pool_->UnpinPage(rid.page_id, true));
-      } else {
-        sp.Delete(rid.slot).ok();
-        SENTINEL_RETURN_IF_ERROR(pool_->UnpinPage(rid.page_id, true));
-        SENTINEL_ASSIGN_OR_RETURN(RecordId moved, InsertRecord(encoded));
-        directory_[oid] = {moved};
+        if (!updated.ok()) {
+          SENTINEL_ASSIGN_OR_RETURN(rids[i], InsertRecord(encoded));
+        }
       }
-    } else {
-      // General path: drop old chunks, insert the new chain.
-      if (it != directory_.end()) {
-        SENTINEL_RETURN_IF_ERROR(EraseChunksLocked(oid));
+      for (size_t i = count; i < rids.size(); ++i) {
+        SENTINEL_ASSIGN_OR_RETURN(Page * page,
+                                  pool_->FetchPage(rids[i].page_id));
+        Status deleted = SlottedPage(page).Delete(rids[i].slot);
+        SENTINEL_RETURN_IF_ERROR(pool_->UnpinPage(rids[i].page_id, true));
+        SENTINEL_RETURN_IF_ERROR(deleted);
       }
-      std::vector<RecordId> rids;
-      rids.reserve(chunks.size());
-      for (const Chunk& chunk : chunks) {
-        SENTINEL_ASSIGN_OR_RETURN(RecordId rid,
-                                  InsertRecord(EncodeChunk(chunk)));
-        rids.push_back(rid);
-      }
-      if (it == directory_.end()) sorted_oids_valid_ = false;
-      directory_[oid] = std::move(rids);
-      if (!IsSystemClass(class_name)) extents_[class_name].insert(oid);
+      rids.resize(count);
+      return Status::OK();
+    }();
+    if (!s.ok()) {
+      // A new object with no stored chunk must not look present.
+      if (created) directory_.erase(it);
+      return s;
+    }
+    if ((created || class_changed) && !system) {
+      extents_[std::string(class_name)].insert(oid);
     }
   }
-  if (observer_ != nullptr && !IsSystemClass(class_name)) {
+  if (observer_ != nullptr && !system) {
     observer_->OnCommittedPut(oid, class_name, state);
   }
   return Status::OK();
@@ -588,19 +609,16 @@ Status ObjectStore::SystemPut(Oid oid, const std::string& class_name,
   // range: a shared id would let recovery replay a torn mini-txn's Put on
   // the strength of an earlier mini-txn's commit record.
   TxnId id = kSystemTxnBase + system_txn_seq_.fetch_add(1);
-  WalRecord begin{WalRecordType::kBegin, id, 0, {}};
-  WalRecord put{WalRecordType::kPut, id, oid, framed};
-  WalRecord commit{WalRecordType::kCommit, id, 0, {}};
   // Mini-txns observe the same append-to-apply barrier as user commits so
   // a fuzzy checkpoint cannot truncate their records before the heap apply.
   std::shared_lock<std::shared_mutex> apply_guard(
       *txn_manager_->apply_barrier());
-  SENTINEL_RETURN_IF_ERROR(wal_.Append(begin));
-  SENTINEL_RETURN_IF_ERROR(wal_.Append(put));
-  SENTINEL_RETURN_IF_ERROR(wal_.Append(commit));
+  SENTINEL_RETURN_IF_ERROR(wal_.Append(WalRecordType::kBegin, id, 0));
+  SENTINEL_RETURN_IF_ERROR(wal_.Append(WalRecordType::kPut, id, oid, framed));
+  SENTINEL_RETURN_IF_ERROR(wal_.Append(WalRecordType::kCommit, id, 0));
   SENTINEL_RETURN_IF_ERROR(group_commit_ != nullptr ? group_commit_->Sync()
                                                     : wal_.Sync());
-  return ApplyPut(oid, framed);
+  return InstallImage(oid, class_name, state);
 }
 
 Status ObjectStore::SystemApplyBatch(const std::vector<ReplOp>& ops) {
@@ -611,35 +629,32 @@ Status ObjectStore::SystemApplyBatch(const std::vector<ReplOp>& ops) {
   // none, so a replication cursor written as one of the ops can never
   // describe data the heap does not durably hold.
   TxnId id = kSystemTxnBase + system_txn_seq_.fetch_add(1);
-  std::vector<std::string> framed(ops.size());
   std::shared_lock<std::shared_mutex> apply_guard(
       *txn_manager_->apply_barrier());
-  SENTINEL_RETURN_IF_ERROR(
-      wal_.Append({WalRecordType::kBegin, id, 0, {}}));
-  for (size_t i = 0; i < ops.size(); ++i) {
-    const ReplOp& op = ops[i];
+  SENTINEL_RETURN_IF_ERROR(wal_.Append(WalRecordType::kBegin, id, 0));
+  Encoder framed;  // Each put is framed into this one reused buffer.
+  for (const ReplOp& op : ops) {
     if (op.del) {
       SENTINEL_RETURN_IF_ERROR(
-          wal_.Append({WalRecordType::kDelete, id, op.oid, {}}));
+          wal_.Append(WalRecordType::kDelete, id, op.oid));
     } else {
-      framed[i] = FrameRecord(op.oid, op.class_name, op.state);
+      framed.Clear();
+      FrameInto(op.oid, op.class_name, op.state, &framed);
       SENTINEL_RETURN_IF_ERROR(
-          wal_.Append({WalRecordType::kPut, id, op.oid, framed[i]}));
+          wal_.Append(WalRecordType::kPut, id, op.oid, framed.buffer()));
     }
   }
-  SENTINEL_RETURN_IF_ERROR(
-      wal_.Append({WalRecordType::kCommit, id, 0, {}}));
+  SENTINEL_RETURN_IF_ERROR(wal_.Append(WalRecordType::kCommit, id, 0));
   SENTINEL_RETURN_IF_ERROR(group_commit_ != nullptr ? group_commit_->Sync()
                                                     : wal_.Sync());
-  for (size_t i = 0; i < ops.size(); ++i) {
-    const ReplOp& op = ops[i];
+  for (const ReplOp& op : ops) {
     if (op.del) {
       Status s = ApplyDelete(op.oid);
       // A delete shipped twice (batch replay after a follower restart)
       // finds nothing the second time: that is idempotent redo, not error.
       if (!s.ok() && !s.IsNotFound()) return s;
     } else {
-      SENTINEL_RETURN_IF_ERROR(ApplyPut(op.oid, framed[i]));
+      SENTINEL_RETURN_IF_ERROR(InstallImage(op.oid, op.class_name, op.state));
     }
   }
   return Status::OK();

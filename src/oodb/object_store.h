@@ -22,9 +22,11 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/status.h"
 #include "histlog/group_commit.h"
 #include "oodb/class_catalog.h"
@@ -46,12 +48,13 @@ constexpr TxnId kSystemTxnBase = 1ull << 63;
 /// Observes committed installs (post-WAL, post-heap). The attribute index
 /// and similar derived structures hang off this; observers see committed
 /// images only, never staged transaction state. Callbacks run on the
-/// committing thread with no store locks held.
+/// committing thread with no store locks held; the views are valid only
+/// for the duration of the call.
 class CommitObserver {
  public:
   virtual ~CommitObserver() = default;
-  virtual void OnCommittedPut(Oid oid, const std::string& class_name,
-                              const std::string& state) = 0;
+  virtual void OnCommittedPut(Oid oid, std::string_view class_name,
+                              std::string_view state) = 0;
   virtual void OnCommittedDelete(Oid oid) = 0;
 };
 
@@ -193,25 +196,33 @@ class ObjectStore : public HeapApplier {
 
   // --- HeapApplier (committed writes land here) ----------------------------
 
-  Status ApplyPut(uint64_t oid, const std::string& payload) override;
+  Status ApplyPut(uint64_t oid, std::string_view payload) override;
   Status ApplyDelete(uint64_t oid) override;
 
+  /// Largest state fragment one chunk record of `class_name` holds; an
+  /// image of n * MaxFragment + 1 bytes takes n + 1 chunks.
+  static size_t MaxFragment(std::string_view class_name);
+
   /// Frames [oid][class][state] as stored on the heap and staged in txns.
-  static std::string FrameRecord(Oid oid, const std::string& class_name,
-                                 const std::string& state);
+  static std::string FrameRecord(Oid oid, std::string_view class_name,
+                                 std::string_view state);
   /// Inverse of FrameRecord.
-  static Status UnframeRecord(const std::string& payload, Oid* oid,
+  static Status UnframeRecord(std::string_view payload, Oid* oid,
                               std::string* class_name, std::string* state);
 
  private:
   /// Inserts `payload` into some page with room, allocating if needed.
-  Result<RecordId> InsertRecord(const std::string& payload);
+  /// Caller must hold mutex_.
+  Result<RecordId> InsertRecord(std::string_view payload);
 
-  /// Reads the record at `rid`.
-  Status ReadRecord(const RecordId& rid, std::string* payload) const;
+  /// The one heap install path behind ApplyPut, SystemPut and
+  /// SystemApplyBatch: writes the image as 1..n chunk records over the
+  /// object's old chain, then notifies the observer (user classes only).
+  Status InstallImage(Oid oid, std::string_view class_name,
+                      std::string_view state);
 
-  /// Reassembles the committed image of `oid` from its chunks. Caller must
-  /// hold mutex_.
+  /// Reassembles the committed image of `oid` from its chunks, appending
+  /// each fragment straight from its pinned page. Caller must hold mutex_.
   Status ReadObjectLocked(Oid oid, std::string* class_name,
                           std::string* state) const;
 
@@ -263,6 +274,7 @@ class ObjectStore : public HeapApplier {
   mutable bool sorted_oids_valid_ = false;
   std::unordered_map<std::string, std::set<Oid>> extents_;
   std::vector<PageId> data_pages_;  // Pages formatted as slotted pages.
+  Encoder chunk_buffer_;  ///< Reused chunk encoding; guarded by mutex_.
 };
 
 }  // namespace sentinel

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <set>
 #include <utility>
 
 #include "common/codec.h"
@@ -148,7 +147,9 @@ Status Follower::RunSnapshot() {
   uint64_t after_oid = 0;
   uint64_t first_chunk_lsn = 0;
   bool first = true;
-  std::set<Oid> shipped;
+  // The primary ships oids in ascending order, so appending keeps this
+  // sorted for the binary searches of the final self-clean pass.
+  std::vector<Oid> shipped;
   open_txns_.clear();
   for (;;) {
     net::ReplBatchMsg reply;
@@ -164,7 +165,7 @@ Status Follower::RunSnapshot() {
     ops.reserve(reply.objects.size() + 1);
     for (net::ReplBatchMsg::ObjectImage& image : reply.objects) {
       if (image.oid == kReplStateOid) continue;
-      shipped.insert(image.oid);
+      shipped.push_back(image.oid);
       ObjectStore::ReplOp op;
       op.oid = image.oid;
       op.class_name = std::move(image.class_name);
@@ -177,7 +178,10 @@ Status Follower::RunSnapshot() {
       // restarted (re-)snapshot would otherwise leave orphans whose
       // deletes happened before this snapshot's tail start.
       for (Oid oid : db_->store()->AllOids()) {
-        if (oid == kReplStateOid || shipped.count(oid) != 0) continue;
+        if (oid == kReplStateOid ||
+            std::binary_search(shipped.begin(), shipped.end(), oid)) {
+          continue;
+        }
         ObjectStore::ReplOp op;
         op.del = true;
         op.oid = oid;

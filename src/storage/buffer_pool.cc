@@ -3,6 +3,7 @@
 #include "storage/buffer_pool.h"
 
 #include <cassert>
+#include <cstring>
 
 #include "common/failpoint.h"
 
@@ -12,13 +13,35 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity,
                        MetricsRegistry& metrics)
     : disk_(disk),
       frames_(capacity),
+      lru_prev_(capacity + 1, kUnlinked),
+      lru_next_(capacity + 1, kUnlinked),
       m_hits_(metrics.counter("storage.pool.hits")),
       m_misses_(metrics.counter("storage.pool.misses")) {
   assert(capacity > 0);
+  lru_prev_[capacity] = capacity;  // Empty list: the sentinel links itself.
+  lru_next_[capacity] = capacity;
+  page_table_.reserve(capacity);
   free_frames_.reserve(capacity);
   for (size_t i = 0; i < capacity; ++i) {
     free_frames_.push_back(capacity - 1 - i);
   }
+}
+
+void BufferPool::LruUnlink(size_t frame) {
+  if (lru_prev_[frame] == kUnlinked) return;
+  lru_next_[lru_prev_[frame]] = lru_next_[frame];
+  lru_prev_[lru_next_[frame]] = lru_prev_[frame];
+  lru_prev_[frame] = kUnlinked;
+  lru_next_[frame] = kUnlinked;
+}
+
+void BufferPool::LruPushBack(size_t frame) {
+  const size_t head = frames_.size();
+  const size_t last = lru_prev_[head];
+  lru_prev_[frame] = last;
+  lru_next_[frame] = head;
+  lru_next_[last] = frame;
+  lru_prev_[head] = frame;
 }
 
 Result<size_t> BufferPool::FindVictim() {
@@ -30,15 +53,52 @@ Result<size_t> BufferPool::FindVictim() {
     if (frames_[frame] == nullptr) frames_[frame] = std::make_unique<Page>();
     return frame;
   }
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    size_t frame = *it;
+  const size_t head = frames_.size();
+  for (size_t frame = lru_next_[head]; frame != head;
+       frame = lru_next_[frame]) {
     if (frames_[frame]->pin_count() == 0) {
-      lru_.erase(it);
-      lru_pos_.erase(frame);
+      LruUnlink(frame);
       return frame;
     }
   }
   return Status::Busy("all buffer frames pinned");
+}
+
+Result<Page*> BufferPool::InstallPage(PageId page_id, bool read) {
+  SENTINEL_ASSIGN_OR_RETURN(size_t frame, FindVictim());
+  Page* page = frames_[frame].get();
+  decltype(page_table_)::node_type entry;
+  if (page->page_id() != kInvalidPageId) {
+    if (page->is_dirty()) {
+      SENTINEL_RETURN_IF_ERROR(disk_->WritePage(page->page_id(),
+                                                page->data()));
+    }
+    // Reuse the victim's table node for the new mapping.
+    entry = page_table_.extract(page->page_id());
+  }
+  page->page_id_ = kInvalidPageId;
+  page->pin_count_ = 0;
+  page->dirty_ = false;
+  if (read) {
+    Status s = disk_->ReadPage(page_id, page->data());
+    if (!s.ok()) {
+      free_frames_.push_back(frame);
+      return s;
+    }
+  } else {
+    std::memset(page->data(), 0, kPageSize);
+  }
+  page->page_id_ = page_id;
+  page->pin_count_ = 1;
+  if (entry.empty()) {
+    page_table_.emplace(page_id, frame);
+  } else {
+    entry.key() = page_id;
+    entry.mapped() = frame;
+    page_table_.insert(std::move(entry));
+  }
+  LruPushBack(frame);
+  return page;
 }
 
 Result<Page*> BufferPool::FetchPage(PageId page_id) {
@@ -49,59 +109,18 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
     size_t frame = it->second;
     Page* page = frames_[frame].get();
     page->pin_count_++;
-    // Refresh LRU position.
-    auto pos = lru_pos_.find(frame);
-    if (pos != lru_pos_.end()) {
-      lru_.erase(pos->second);
-      lru_pos_.erase(pos);
-    }
-    lru_.push_back(frame);
-    lru_pos_[frame] = std::prev(lru_.end());
+    LruUnlink(frame);
+    LruPushBack(frame);
     return page;
   }
   m_misses_->Add();
-  SENTINEL_ASSIGN_OR_RETURN(size_t frame, FindVictim());
-  Page* page = frames_[frame].get();
-  if (page->page_id() != kInvalidPageId) {
-    if (page->is_dirty()) {
-      SENTINEL_RETURN_IF_ERROR(disk_->WritePage(page->page_id(),
-                                                page->data()));
-    }
-    page_table_.erase(page->page_id());
-  }
-  page->Reset();
-  Status s = disk_->ReadPage(page_id, page->data());
-  if (!s.ok()) {
-    free_frames_.push_back(frame);
-    return s;
-  }
-  page->page_id_ = page_id;
-  page->pin_count_ = 1;
-  page_table_[page_id] = frame;
-  lru_.push_back(frame);
-  lru_pos_[frame] = std::prev(lru_.end());
-  return page;
+  return InstallPage(page_id, /*read=*/true);
 }
 
 Result<Page*> BufferPool::AllocatePage() {
   std::lock_guard<std::mutex> lock(mutex_);
   SENTINEL_ASSIGN_OR_RETURN(PageId page_id, disk_->AllocatePage());
-  SENTINEL_ASSIGN_OR_RETURN(size_t frame, FindVictim());
-  Page* page = frames_[frame].get();
-  if (page->page_id() != kInvalidPageId) {
-    if (page->is_dirty()) {
-      SENTINEL_RETURN_IF_ERROR(disk_->WritePage(page->page_id(),
-                                                page->data()));
-    }
-    page_table_.erase(page->page_id());
-  }
-  page->Reset();
-  page->page_id_ = page_id;
-  page->pin_count_ = 1;
-  page_table_[page_id] = frame;
-  lru_.push_back(frame);
-  lru_pos_[frame] = std::prev(lru_.end());
-  return page;
+  return InstallPage(page_id, /*read=*/false);
 }
 
 Status BufferPool::UnpinPage(PageId page_id, bool dirty) {

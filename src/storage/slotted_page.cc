@@ -97,7 +97,7 @@ void SlottedPage::Compact() {
   h->dead_bytes = 0;
 }
 
-Result<uint16_t> SlottedPage::Insert(const std::string& payload) {
+Result<uint16_t> SlottedPage::Insert(std::string_view payload) {
   Header* h = header();
   if (payload.size() > MaxPayload()) {
     return Status::InvalidArgument("record too large for a page");
@@ -135,17 +135,17 @@ Result<uint16_t> SlottedPage::Insert(const std::string& payload) {
   return slot;
 }
 
-Status SlottedPage::Read(uint16_t slot, std::string* out) const {
+Status SlottedPage::Read(uint16_t slot, std::string_view* out) const {
   const Header* h = header();
   if (slot >= h->slot_count || slots()[slot].offset == 0) {
     return Status::NotFound("no record in slot " + std::to_string(slot));
   }
   const Slot& s = slots()[slot];
-  out->assign(page_->data() + s.offset, s.length);
+  *out = std::string_view(page_->data() + s.offset, s.length);
   return Status::OK();
 }
 
-Status SlottedPage::Update(uint16_t slot, const std::string& payload) {
+Status SlottedPage::Update(uint16_t slot, std::string_view payload) {
   Header* h = header();
   if (slot >= h->slot_count || slots()[slot].offset == 0) {
     return Status::NotFound("no record in slot " + std::to_string(slot));

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "storage/page.h"
@@ -48,14 +49,15 @@ class SlottedPage {
 
   /// Inserts `payload`; returns the slot index, or kBusy-like NotFound when
   /// the page lacks space.
-  Result<uint16_t> Insert(const std::string& payload);
+  Result<uint16_t> Insert(std::string_view payload);
 
-  /// Reads the record in `slot` into `out`.
-  Status Read(uint16_t slot, std::string* out) const;
+  /// Points `out` at the record in `slot`, in place: valid while the page
+  /// stays pinned and unmodified.
+  Status Read(uint16_t slot, std::string_view* out) const;
 
   /// Replaces the record in `slot`. Fails with NotFound for empty slots and
   /// with FailedPrecondition when the page cannot host the new size.
-  Status Update(uint16_t slot, const std::string& payload);
+  Status Update(uint16_t slot, std::string_view payload);
 
   /// Frees `slot`. Idempotent errors: NotFound for never-used/empty slots.
   Status Delete(uint16_t slot);

@@ -19,16 +19,16 @@ Status TransactionManager::DoAbort(Transaction* txn, const std::string& why,
   txn->deferred_.clear();
   txn->detached_.clear();
   if (wal_ != nullptr) {
-    WalRecord rec;
-    rec.type = WalRecordType::kAbort;
-    rec.txn = txn->id();
     // Best effort: the abort record neutralizes any commit record this txn
     // may already have appended before its commit failed mid-WAL (recovery
     // treats commit+abort as aborted). `sync_abort` is set on that path so
     // the neutralization is as durable as the stray commit could be; if
     // appending or syncing fails too, the outcome is crash-indeterminate —
     // which is what the caller was already told.
-    if (wal_->Append(rec).ok() && sync_abort) SyncWal().ok();
+    if (wal_->Append(WalRecordType::kAbort, txn->id(), 0).ok() &&
+        sync_abort) {
+      SyncWal().ok();
+    }
   }
   if (txn->locked_any()) locks_->ReleaseAll(txn->id());
   txn->state_ = TxnState::kAborted;
@@ -100,26 +100,15 @@ Status TransactionManager::Commit(Transaction* txn) {
   std::shared_lock<std::shared_mutex> apply_guard(apply_barrier_);
   if (wal_ != nullptr && !txn->write_set().empty()) {
     Status wal_status = [&]() -> Status {
-      WalRecord rec;
-      rec.type = WalRecordType::kBegin;
-      rec.txn = txn->id();
-      SENTINEL_RETURN_IF_ERROR(wal_->Append(rec));
+      const TxnId id = txn->id();
+      SENTINEL_RETURN_IF_ERROR(wal_->Append(WalRecordType::kBegin, id, 0));
       for (const auto& [oid, write] : txn->write_set()) {
-        WalRecord op;
-        op.txn = txn->id();
-        op.oid = oid;
-        if (write.op == PendingWrite::Op::kPut) {
-          op.type = WalRecordType::kPut;
-          op.payload = write.payload;
-        } else {
-          op.type = WalRecordType::kDelete;
-        }
-        SENTINEL_RETURN_IF_ERROR(wal_->Append(op));
+        SENTINEL_RETURN_IF_ERROR(
+            write.op == PendingWrite::Op::kPut
+                ? wal_->Append(WalRecordType::kPut, id, oid, write.payload)
+                : wal_->Append(WalRecordType::kDelete, id, oid));
       }
-      WalRecord commit;
-      commit.type = WalRecordType::kCommit;
-      commit.txn = txn->id();
-      SENTINEL_RETURN_IF_ERROR(wal_->Append(commit));
+      SENTINEL_RETURN_IF_ERROR(wal_->Append(WalRecordType::kCommit, id, 0));
       return SyncWal();
     }();
     if (!wal_status.ok()) {
@@ -143,7 +132,9 @@ Status TransactionManager::Commit(Transaction* txn) {
                      ? heap_->ApplyPut(oid, write.payload)
                      : heap_->ApplyDelete(oid);
       if (!s.ok() && apply_error.ok()) {
-        SENTINEL_ERROR << "heap apply failed post-commit: " << s.ToString();
+        SENTINEL_ERROR << "event=heap_apply_failed txn=" << txn->id()
+                       << " oid=" << oid << " status=\"" << s.ToString()
+                       << "\"";
         apply_error = s;
       }
     }
@@ -168,7 +159,8 @@ Status TransactionManager::Commit(Transaction* txn) {
   for (auto& work : detached) {
     Status s = work();
     if (!s.ok()) {
-      SENTINEL_WARN << "detached rule failed: " << s.ToString();
+      SENTINEL_WARN << "event=detached_rule_failed txn=" << txn->id()
+                    << " status=\"" << s.ToString() << "\"";
     }
   }
   return Status::OK();

@@ -21,6 +21,7 @@
 #include <functional>
 #include <memory>
 #include <shared_mutex>
+#include <string_view>
 
 #include "common/metrics.h"
 #include "common/status.h"
@@ -35,8 +36,9 @@ namespace sentinel {
 class HeapApplier {
  public:
   virtual ~HeapApplier() = default;
-  /// Installs a committed create-or-update.
-  virtual Status ApplyPut(uint64_t oid, const std::string& payload) = 0;
+  /// Installs a committed create-or-update. `payload` is the staged image,
+  /// read in place (the applier copies what it keeps).
+  virtual Status ApplyPut(uint64_t oid, std::string_view payload) = 0;
   /// Installs a committed delete.
   virtual Status ApplyDelete(uint64_t oid) = 0;
 };

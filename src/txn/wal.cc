@@ -63,6 +63,20 @@ Status WalManager::WriteHeader(std::FILE* f, uint64_t base_lsn) {
   return Status::OK();
 }
 
+Status WalManager::OpenFileLocked() {
+  file_ = std::fopen(path_.c_str(), "r+b");
+  if (file_ == nullptr) {
+    return Status::IOError("cannot open " + path_ + ": " +
+                           std::strerror(errno));
+  }
+  if (stdio_buffer_ == nullptr) {
+    stdio_buffer_ = std::make_unique_for_overwrite<char[]>(kStdioBufferBytes);
+  }
+  std::setvbuf(file_, stdio_buffer_.get(), _IOFBF, kStdioBufferBytes);
+  std::fseek(file_, 0, SEEK_END);
+  return Status::OK();
+}
+
 Status WalManager::Open(const std::string& path) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (file_ != nullptr) return Status::FailedPrecondition("wal already open");
@@ -72,13 +86,8 @@ Status WalManager::Open(const std::string& path) {
                            std::strerror(errno));
   }
   std::fclose(probe);
-  file_ = std::fopen(path.c_str(), "r+b");
-  if (file_ == nullptr) {
-    return Status::IOError("cannot open " + path + ": " +
-                           std::strerror(errno));
-  }
   path_ = path;
-  std::fseek(file_, 0, SEEK_END);
+  SENTINEL_RETURN_IF_ERROR(OpenFileLocked());
   long size = std::ftell(file_);
 
   Status s = size == 0 ? WriteHeader(file_, 0) : ReadHeader();
@@ -122,7 +131,8 @@ Status WalManager::Close() {
   if (file_ == nullptr) return Status::OK();
   if (FailPoints::AnyActive() && FailPoints::Instance().crashed()) {
     // Simulated crash: drop buffered-but-unsynced appends instead of
-    // letting fclose flush them (see DiskManager::Close).
+    // letting fclose flush them — closing the descriptor first makes
+    // fclose's implicit flush fail, as if the process had died.
     ::close(fileno(file_));
     std::fclose(file_);
     file_ = nullptr;
@@ -134,16 +144,22 @@ Status WalManager::Close() {
   return Status::OK();
 }
 
-Status WalManager::Append(const WalRecord& record) {
-  Encoder body;
-  body.PutU8(static_cast<uint8_t>(record.type));
-  body.PutU64(record.txn);
-  body.PutU64(record.oid);
-  body.PutString(record.payload);
-  Encoder framed;
-  framed.PutU32(static_cast<uint32_t>(body.size()));
-  framed.PutU32(Crc32c(body.buffer().data(), body.size()));
-  framed.PutRaw(body.buffer().data(), body.size());
+Status WalManager::Append(WalRecordType type, TxnId txn, uint64_t oid,
+                          std::string_view payload) {
+  // [u32 body_len][u32 crc32c(body)][body], body = [u8 type][u64 txn]
+  // [u64 oid][u32 payload_len][payload] — the Encoder's byte order.
+  constexpr size_t kBodyHead = 1 + 8 + 8 + 4;
+  char head[8 + kBodyHead];
+  const auto payload_len = static_cast<uint32_t>(payload.size());
+  const auto body_len = static_cast<uint32_t>(kBodyHead + payload.size());
+  head[8] = static_cast<char>(type);
+  std::memcpy(head + 9, &txn, 8);
+  std::memcpy(head + 17, &oid, 8);
+  std::memcpy(head + 25, &payload_len, 4);
+  const uint32_t crc = ExtendCrc32c(Crc32c(head + 8, kBodyHead),
+                                    payload.data(), payload.size());
+  std::memcpy(head, &body_len, 4);
+  std::memcpy(head + 4, &crc, 4);
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (file_ == nullptr) return Status::FailedPrecondition("wal not open");
@@ -154,15 +170,21 @@ Status WalManager::Append(const WalRecord& record) {
       if (partial > 0) {
         // Torn write: the first `partial` bytes of the framed record reach
         // the file (and the OS — the crash, not the buffer, ate the rest).
-        std::fwrite(framed.buffer().data(), 1,
-                    std::min(partial, framed.size()), file_);
+        std::fwrite(head, 1, std::min(partial, sizeof(head)), file_);
+        if (partial > sizeof(head)) {
+          std::fwrite(payload.data(), 1,
+                      std::min(partial - sizeof(head), payload.size()),
+                      file_);
+        }
         std::fflush(file_);
       }
       return fp;
     }
   }
-  if (std::fwrite(framed.buffer().data(), 1, framed.size(), file_) !=
-      framed.size()) {
+  if (std::fwrite(head, 1, sizeof(head), file_) != sizeof(head) ||
+      (!payload.empty() &&
+       std::fwrite(payload.data(), 1, payload.size(), file_) !=
+           payload.size())) {
     return Status::IOError("wal append failed");
   }
   return Status::OK();
@@ -346,16 +368,11 @@ Status WalManager::TruncateToLocked(uint64_t stable_lsn) {
   if (std::rename(tmp_path.c_str(), path_.c_str()) != 0) {
     Status rename_error = Status::IOError(
         "wal truncate rename failed: " + std::string(std::strerror(errno)));
-    file_ = std::fopen(path_.c_str(), "r+b");  // Old log is still intact.
-    if (file_ != nullptr) std::fseek(file_, 0, SEEK_END);
+    OpenFileLocked().ok();  // Old log is still intact.
     return rename_error;
   }
   SyncParentDir(path_);
-  file_ = std::fopen(path_.c_str(), "r+b");
-  if (file_ == nullptr) {
-    return Status::IOError("wal truncate reopen failed");
-  }
-  std::fseek(file_, 0, SEEK_END);
+  SENTINEL_RETURN_IF_ERROR(OpenFileLocked());
   uint64_t dropped = stable_lsn - base_lsn_;
   base_lsn_ = stable_lsn;
   m_truncated_bytes_->Add(dropped);

@@ -166,7 +166,7 @@ TEST_F(AdamEngineTest, DispatchIsCentralized) {
   ASSERT_TRUE(event.ok());
   for (int i = 0; i < 20; ++i) {
     AdamRule rule;
-    rule.name = "r" + std::to_string(i);
+    rule.name = std::string("r").append(std::to_string(i));
     rule.event = event.value() + 1000;  // Never matches.
     rule.active_class = "employee";
     engine_.CreateRule(rule).ok();

@@ -138,33 +138,55 @@ TEST_F(CheckpointTest, BackgroundCheckpointerFiresOnWalSizeTrigger) {
 
 TEST_F(CheckpointTest, ConcurrentCheckpointsAndCloseNeverDoubleTruncate) {
   TempDir dir("ckpt");
-  Database::Options opts;
-  // An aggressive background checkpointer: the WAL-size trigger fires
-  // while the explicit CheckpointNow callers below are mid-flight.
-  opts.checkpoint_wal_bytes = 256;
-  auto db = OpenDb(dir.path(), opts);
+  auto db = OpenDb(dir.path());
   Churn(db.get(), 10);
 
+  // An aggressive background checkpointer wired exactly as Database wires
+  // its own (WAL-size trigger, 256 bytes), but owned here so the test can
+  // stop it and count its successes: the WAL-size trigger fires while the
+  // explicit Checkpoint callers below are mid-flight.
+  std::atomic<int> background_ok{0};
+  Checkpointer background(
+      {/*interval_ms=*/0, /*wal_bytes=*/256},
+      [&]() -> uint64_t {
+        Result<uint64_t> size = db->store()->wal()->SizeBytes();
+        return size.ok() ? *size : 0;
+      },
+      [&] {
+        Status s = db->store()->Checkpoint();
+        if (s.ok()) background_ok.fetch_add(1);
+        return s;
+      });
+  background.Start();
+
   // Hammer explicit checkpoints from several threads while the background
-  // thread races them, then Close concurrently with the last wave. Before
-  // checkpoints were serialized, two interleaved capture/flush/truncate
-  // sequences could truncate twice against one captured LSN; now each OK
-  // checkpoint bumps the generation exactly once and a caller that loses
-  // the race with Close gets FailedPrecondition, not a torn log.
+  // thread races them. Before checkpoints were serialized, two interleaved
+  // capture/flush/truncate sequences could truncate twice against one
+  // captured LSN; now each OK checkpoint bumps the generation exactly once.
+  std::atomic<int> explicit_ok{0};
   std::atomic<int> unexpected{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < 8; ++i) {
         Status s = db->store()->Checkpoint();
-        if (!s.ok() && !s.IsFailedPrecondition()) unexpected.fetch_add(1);
+        if (s.ok()) {
+          explicit_ok.fetch_add(1);
+        } else if (!s.IsFailedPrecondition()) {
+          unexpected.fetch_add(1);
+        }
       }
     });
   }
   Churn(db.get(), 10);
   for (std::thread& th : threads) th.join();
+  // Read the generation only once no background checkpoint can land
+  // before Close (Database::Close stops its own checkpointer first too).
+  background.Stop();
   EXPECT_EQ(unexpected.load(), 0);
   const uint64_t generation = db->store()->checkpoint_generation();
+  EXPECT_EQ(generation, static_cast<uint64_t>(explicit_ok.load() +
+                                              background_ok.load()));
   EXPECT_GT(generation, 0u);
 
   ASSERT_TRUE(db->Close().ok());

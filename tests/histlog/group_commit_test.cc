@@ -36,7 +36,7 @@ TEST(GroupCommitTest, ZeroWindowSyncsEveryCallerIndividually) {
   ASSERT_TRUE(wal.Open(dir.path() + "/wal.log").ok());
   GroupCommitSync gc(&wal, /*window_us=*/0, metrics);
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(wal.Append({WalRecordType::kCommit, 1, 0, ""}).ok());
+    ASSERT_TRUE(wal.Append(WalRecordType::kCommit, 1, 0, "").ok());
     ASSERT_TRUE(gc.Sync().ok());
   }
   // The serialized baseline: one physical sync per call, no batches formed.
@@ -60,7 +60,7 @@ TEST(GroupCommitTest, ConcurrentCommittersShareSyncs) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kItersPerThread; ++i) {
         TxnId txn = static_cast<TxnId>(t * kItersPerThread + i + 1);
-        if (!wal.Append({WalRecordType::kCommit, txn, 0, ""}).ok() ||
+        if (!wal.Append(WalRecordType::kCommit, txn, 0, "").ok() ||
             !gc.Sync().ok()) {
           failures.fetch_add(1);
         }
@@ -89,7 +89,7 @@ TEST(GroupCommitTest, BatchSizesLandInHistogram) {
   WalManager wal(metrics);
   ASSERT_TRUE(wal.Open(dir.path() + "/wal.log").ok());
   GroupCommitSync gc(&wal, /*window_us=*/100, metrics);
-  ASSERT_TRUE(wal.Append({WalRecordType::kCommit, 1, 0, ""}).ok());
+  ASSERT_TRUE(wal.Append(WalRecordType::kCommit, 1, 0, "").ok());
   ASSERT_TRUE(gc.Sync().ok());
   auto snap = metrics.Snapshot();
   ASSERT_TRUE(snap.histograms.count("storage.group_commit_batch"));
@@ -115,7 +115,7 @@ TEST(GroupCommitTest, LeaderFailureReachesWholeBatch) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       TxnId txn = static_cast<TxnId>(t + 1);
-      ASSERT_TRUE(wal.Append({WalRecordType::kCommit, txn, 0, ""}).ok());
+      ASSERT_TRUE(wal.Append(WalRecordType::kCommit, txn, 0, "").ok());
       if (gc.Sync().IsIOError()) io_errors.fetch_add(1);
     });
   }
@@ -142,7 +142,7 @@ TEST(GroupCommitTest, CommittersAfterStickyFailureFailFastWithIOError) {
   FailPoints::Instance().Reset();
   ASSERT_TRUE(
       FailPoints::Instance().EnableFromSpec("wal.sync=ioerror@hit(1)").ok());
-  ASSERT_TRUE(wal.Append({WalRecordType::kCommit, 1, 0, ""}).ok());
+  ASSERT_TRUE(wal.Append(WalRecordType::kCommit, 1, 0, "").ok());
   EXPECT_TRUE(gc.Sync().IsIOError());
   FailPoints::Instance().Reset();
   ASSERT_TRUE(wal.sync_failed());
@@ -153,7 +153,7 @@ TEST(GroupCommitTest, CommittersAfterStickyFailureFailFastWithIOError) {
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(
-        wal.Append({WalRecordType::kCommit, static_cast<TxnId>(i + 2), 0, ""})
+        wal.Append(WalRecordType::kCommit, static_cast<TxnId>(i + 2), 0, "")
             .ok());
     EXPECT_TRUE(gc.Sync().IsIOError());
   }

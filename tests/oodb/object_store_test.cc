@@ -4,7 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
+#include <random>
+
+#include "oodb/attribute_index.h"
 #include "oodb/object.h"
+#include "storage/disk_manager.h"
+#include "storage/slotted_page.h"
 
 #include "../test_util.h"
 
@@ -170,9 +177,9 @@ TEST_F(ObjectStoreTest, RecoveryReplaysCommittedWal) {
   {
     WalManager wal(metrics_);
     ASSERT_TRUE(wal.Open(dir_.path() + "/wal.log").ok());
-    ASSERT_TRUE(wal.Append({WalRecordType::kBegin, 42, 0, ""}).ok());
-    ASSERT_TRUE(wal.Append({WalRecordType::kPut, 42, oid, framed}).ok());
-    ASSERT_TRUE(wal.Append({WalRecordType::kCommit, 42, 0, ""}).ok());
+    ASSERT_TRUE(wal.Append(WalRecordType::kBegin, 42, 0, "").ok());
+    ASSERT_TRUE(wal.Append(WalRecordType::kPut, 42, oid, framed).ok());
+    ASSERT_TRUE(wal.Append(WalRecordType::kCommit, 42, 0, "").ok());
     ASSERT_TRUE(wal.Sync().ok());
     ASSERT_TRUE(wal.Close().ok());
   }
@@ -190,8 +197,8 @@ TEST_F(ObjectStoreTest, RecoveryIgnoresUncommittedWal) {
   {
     WalManager wal(metrics_);
     ASSERT_TRUE(wal.Open(dir_.path() + "/wal.log").ok());
-    ASSERT_TRUE(wal.Append({WalRecordType::kBegin, 42, 0, ""}).ok());
-    ASSERT_TRUE(wal.Append({WalRecordType::kPut, 42, oid, framed}).ok());
+    ASSERT_TRUE(wal.Append(WalRecordType::kBegin, 42, 0, "").ok());
+    ASSERT_TRUE(wal.Append(WalRecordType::kPut, 42, oid, framed).ok());
     // No commit record: the transaction never finished.
     ASSERT_TRUE(wal.Sync().ok());
     ASSERT_TRUE(wal.Close().ok());
@@ -315,6 +322,203 @@ TEST_F(ObjectStoreTest, CheckpointTruncatesWal) {
   ObjectStore reopened(metrics_);
   ASSERT_TRUE(reopened.Open(dir_.path()).ok());
   EXPECT_TRUE(reopened.Exists(oid));
+}
+
+/// Feeds committed puts and deletes into an AttributeIndex, the way the
+/// Database facade does.
+class IndexingObserver : public CommitObserver {
+ public:
+  explicit IndexingObserver(AttributeIndex* index) : index_(index) {}
+  void OnCommittedPut(Oid oid, std::string_view class_name,
+                      std::string_view state) override {
+    index_->OnCommittedPut(oid, class_name, state);
+  }
+  void OnCommittedDelete(Oid oid) override { index_->OnCommittedDelete(oid); }
+
+ private:
+  AttributeIndex* index_;
+};
+
+// A seeded sweep across the chunk boundaries: images of MaxFragment - 1,
+// MaxFragment, MaxFragment + 1 and 2 * MaxFragment bytes (plus small ones),
+// updates that move objects between chunk counts, deletes, and a reopen
+// after every phase, all checked against a std::map model.
+TEST_F(ObjectStoreTest, ChunkBoundarySweepMatchesModelAcrossReopens) {
+  const size_t m = ObjectStore::MaxFragment("Blob");
+  const std::vector<size_t> sizes = {0, 1, 300, m - 1, m, m + 1, 2 * m,
+                                     2 * m + 1};
+  std::mt19937 rng(7331);
+  auto image = [&](size_t n) {
+    std::string s(n, '\0');
+    for (char& c : s) c = static_cast<char>(rng());
+    return s;
+  };
+  std::map<Oid, std::string> model;
+  std::vector<Oid> oids;
+  for (int i = 0; i < 24; ++i) oids.push_back(store_.NewOid());
+
+  auto check = [&](const char* phase) {
+    SCOPED_TRACE(phase);
+    EXPECT_EQ(store_.ObjectCount(), model.size());
+    EXPECT_EQ(store_.Extent("Blob").size(), model.size());
+    for (Oid oid : oids) {
+      std::string cls, state;
+      Status s = store_.Get(nullptr, oid, &cls, &state);
+      auto it = model.find(oid);
+      if (it == model.end()) {
+        EXPECT_TRUE(s.IsNotFound()) << OidToString(oid);
+        continue;
+      }
+      ASSERT_TRUE(s.ok()) << OidToString(oid) << ": " << s.ToString();
+      EXPECT_EQ(cls, "Blob");
+      EXPECT_EQ(state.size(), it->second.size()) << OidToString(oid);
+      EXPECT_TRUE(state == it->second) << OidToString(oid);
+    }
+  };
+  auto reopen = [&] {
+    ASSERT_TRUE(store_.Close().ok());
+    ASSERT_TRUE(store_.Open(dir_.path()).ok());
+  };
+
+  // Phase 1: create every object, cycling through the sizes.
+  for (size_t i = 0; i < oids.size(); ++i) {
+    model[oids[i]] = image(sizes[i % sizes.size()]);
+    ASSERT_TRUE(CommitPut(oids[i], "Blob", model[oids[i]]).ok());
+  }
+  check("created");
+  reopen();
+  check("created, reopened");
+
+  // Phases 2 and 3: random resizes (crossing chunk counts both ways),
+  // several per transaction, plus deletes and re-creates.
+  for (int phase = 0; phase < 2; ++phase) {
+    for (int round = 0; round < 40; ++round) {
+      auto txn = store_.txns()->Begin();
+      std::map<Oid, std::string> staged;
+      std::vector<Oid> deleted;
+      for (int k = 0; k < 3; ++k) {
+        const Oid oid = oids[rng() % oids.size()];
+        if (staged.count(oid) != 0) continue;
+        if (rng() % 6 == 0 && model.count(oid) != 0) {
+          ASSERT_TRUE(store_.Delete(txn.get(), oid).ok());
+          deleted.push_back(oid);
+          staged[oid] = "";
+          continue;
+        }
+        std::string next = image(sizes[rng() % sizes.size()]);
+        ASSERT_TRUE(store_.Put(txn.get(), oid, "Blob", next).ok());
+        staged[oid] = std::move(next);
+      }
+      ASSERT_TRUE(store_.txns()->Commit(txn.get()).ok());
+      for (auto& [oid, next] : staged) model[oid] = std::move(next);
+      for (Oid oid : deleted) model.erase(oid);
+    }
+    check("updated");
+    reopen();
+    check("updated, reopened");
+  }
+}
+
+// The commit observer sees each committed image through string views,
+// multi-chunk images whole: an index over an attribute stays exact as
+// objects grow across chunk counts and shrink back.
+TEST_F(ObjectStoreTest, ObserverIndexesChunkedImagesThroughViews) {
+  AttributeIndex index;
+  ASSERT_TRUE(index.CreateIndex({"Stock", "price"}).ok());
+  IndexingObserver observer(&index);
+  store_.SetCommitObserver(&observer);
+  const size_t m = ObjectStore::MaxFragment("Stock");
+  auto stock = [](double price, size_t pad) {
+    PersistentObject obj("Stock");
+    obj.SetAttrRaw("price", Value(price));
+    obj.SetAttrRaw("notes", Value(std::string(pad, 'n')));
+    Encoder enc;
+    obj.SerializeState(&enc);
+    return enc.Release();
+  };
+  const Oid small = store_.NewOid();
+  const Oid large = store_.NewOid();
+  ASSERT_TRUE(CommitPut(small, "Stock", stock(10.0, 8)).ok());
+  ASSERT_TRUE(CommitPut(large, "Stock", stock(20.0, 2 * m)).ok());
+  auto lookup = [&](double price) {
+    auto found = index.Lookup({"Stock", "price"}, Value(price));
+    EXPECT_TRUE(found.ok());
+    return found.ok() ? found.value() : std::vector<Oid>{};
+  };
+  EXPECT_EQ(lookup(10.0), std::vector<Oid>{small});
+  EXPECT_EQ(lookup(20.0), std::vector<Oid>{large});
+
+  // Grow the small one to three chunks and shrink the large one to one.
+  ASSERT_TRUE(CommitPut(small, "Stock", stock(30.0, 2 * m + 5)).ok());
+  ASSERT_TRUE(CommitPut(large, "Stock", stock(40.0, 1)).ok());
+  EXPECT_TRUE(lookup(10.0).empty());
+  EXPECT_TRUE(lookup(20.0).empty());
+  EXPECT_EQ(lookup(30.0), std::vector<Oid>{small});
+  EXPECT_EQ(lookup(40.0), std::vector<Oid>{large});
+  EXPECT_EQ(index.unindexable_count(), 0u);
+  store_.SetCommitObserver(nullptr);
+}
+
+// A heap page that never reached the file below one that did (a hole)
+// reads as zeros, and the open-time directory scan skips it: the objects
+// on the written page are found and new pages land above both.
+TEST_F(ObjectStoreTest, RebuildDirectorySkipsHolePages) {
+  const Oid before = store_.NewOid();
+  ASSERT_TRUE(CommitPut(before, "Doc", "written before the hole").ok());
+  ASSERT_TRUE(store_.Close().ok());
+
+  // Append a hole and then a slotted page holding one chunk record,
+  // [oid][class]["index"][count][fragment], of a new object.
+  const Oid after = before + 1000;
+  PageId hole = kInvalidPageId;
+  {
+    MetricsRegistry metrics;
+    DiskManager disk(metrics);
+    ASSERT_TRUE(disk.Open(dir_.path() + "/heap.db").ok());
+    auto h = disk.AllocatePage();
+    auto p = disk.AllocatePage();
+    ASSERT_TRUE(h.ok() && p.ok());
+    hole = h.value();
+    Page page;
+    SlottedPage sp(&page);
+    sp.Init();
+    Encoder chunk;
+    chunk.PutU64(after);
+    chunk.PutString("Doc");
+    chunk.PutU32(0);
+    chunk.PutU32(1);
+    chunk.PutString("written above the hole");
+    ASSERT_TRUE(sp.Insert(chunk.buffer()).ok());
+    ASSERT_TRUE(disk.WritePage(p.value(), page.data()).ok());
+    ASSERT_TRUE(disk.Close().ok());
+  }
+  {
+    MetricsRegistry metrics;
+    DiskManager disk(metrics);
+    ASSERT_TRUE(disk.Open(dir_.path() + "/heap.db").ok());
+    char bytes[kPageSize];
+    ASSERT_TRUE(disk.ReadPage(hole, bytes).ok());
+    const char zeros[kPageSize] = {};
+    EXPECT_EQ(std::memcmp(bytes, zeros, kPageSize), 0);
+  }
+
+  ASSERT_TRUE(store_.Open(dir_.path()).ok());
+  EXPECT_EQ(store_.ObjectCount(), 2u);
+  std::string cls, state;
+  ASSERT_TRUE(store_.Get(nullptr, before, &cls, &state).ok());
+  EXPECT_EQ(state, "written before the hole");
+  ASSERT_TRUE(store_.Get(nullptr, after, &cls, &state).ok());
+  EXPECT_EQ(state, "written above the hole");
+
+  // The store keeps working on top: new images and a reopen.
+  const Oid next = store_.NewOid();
+  EXPECT_GT(next, after);
+  ASSERT_TRUE(CommitPut(next, "Doc", std::string(3000, 'z')).ok());
+  ASSERT_TRUE(store_.Close().ok());
+  ASSERT_TRUE(store_.Open(dir_.path()).ok());
+  EXPECT_EQ(store_.ObjectCount(), 3u);
+  ASSERT_TRUE(store_.Get(nullptr, next, &cls, &state).ok());
+  EXPECT_EQ(state, std::string(3000, 'z'));
 }
 
 }  // namespace

@@ -17,7 +17,8 @@ TEST(TraceRecorderTest, RecordsAndCaps) {
   TraceRecorder recorder(3);
   for (int i = 0; i < 5; ++i) {
     recorder.Trace(TraceEntry{TraceEntry::Kind::kFired, Clock::Now(),
-                              "r" + std::to_string(i), "", 0, 0});
+                              std::string("r").append(std::to_string(i)),
+                              "", 0, 0});
   }
   EXPECT_EQ(recorder.size(), 3u);
   EXPECT_EQ(recorder.total(), 5u);

@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <list>
+#include <map>
+#include <random>
+#include <vector>
 
 #include "../test_util.h"
 
@@ -139,6 +143,131 @@ TEST_F(BufferPoolTest, LruEvictsLeastRecentlyUsed) {
   ASSERT_TRUE(pool.FetchPage(0).ok());  // Still cached -> hit.
   EXPECT_EQ(metrics_.counter("storage.pool.hits")->Value(), hits_before + 1);
   ASSERT_TRUE(pool.UnpinPage(0, false).ok());
+}
+
+/// Reference LRU: cached pages least-recent first, with pin counts and the
+/// frame each page was loaded into. A miss takes a never-used frame while
+/// any is left, else evicts the least recently used unpinned page.
+struct LruModel {
+  size_t capacity;
+  std::list<PageId> order;
+  std::map<PageId, int> pins;
+  std::map<PageId, Page*> frame_of;
+
+  bool cached(PageId pid) const { return pins.count(pid) != 0; }
+
+  /// The page a miss must evict: kInvalidPageId when a frame is still
+  /// unused; nullopt-like `busy` when every cached page is pinned.
+  PageId Victim(bool* busy) const {
+    *busy = false;
+    if (order.size() < capacity) return kInvalidPageId;
+    for (PageId pid : order) {
+      if (pins.at(pid) == 0) return pid;
+    }
+    *busy = true;
+    return kInvalidPageId;
+  }
+
+  void Touch(PageId pid) {
+    order.remove(pid);
+    order.push_back(pid);
+  }
+
+  void Install(PageId pid, PageId victim, Page* frame) {
+    if (victim != kInvalidPageId) {
+      order.remove(victim);
+      pins.erase(victim);
+      frame_of.erase(victim);
+    }
+    order.push_back(pid);
+    pins[pid] = 1;
+    frame_of[pid] = frame;
+  }
+};
+
+// A seeded random fetch/allocate/unpin trace against the reference model:
+// every step must agree on hit or miss, on Busy, and on which page a miss
+// evicts (the victim's frame is the one the new page lands in).
+TEST_F(BufferPoolTest, RandomTraceMatchesReferenceLru) {
+  constexpr size_t kFrames = 8;
+  constexpr PageId kMaxPages = 48;
+  BufferPool pool(&disk_, kFrames, metrics_);
+  LruModel model{kFrames, {}, {}, {}};
+  std::mt19937 rng(20260420);
+  const Counter* hits = metrics_.counter("storage.pool.hits");
+  const Counter* misses = metrics_.counter("storage.pool.misses");
+  PageId allocated = 0;
+  std::vector<PageId> pinned;  // One entry per outstanding pin.
+  size_t evictions = 0, busy_seen = 0;
+
+  for (int step = 0; step < 10000; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const unsigned roll = rng() % 100;
+    if (roll < 48 && !pinned.empty()) {
+      const size_t i = rng() % pinned.size();
+      const PageId pid = pinned[i];
+      pinned[i] = pinned.back();
+      pinned.pop_back();
+      ASSERT_TRUE(pool.UnpinPage(pid, (rng() & 1) != 0).ok());
+      model.pins[pid]--;
+      continue;
+    }
+    bool busy = false;
+    const bool allocate = roll < 54 && allocated < kMaxPages;
+    if (allocate || allocated == 0) {
+      const PageId pid = allocated++;
+      const PageId victim = model.Victim(&busy);
+      Result<Page*> page = pool.AllocatePage();
+      if (busy) {
+        ASSERT_TRUE(page.status().IsBusy());
+        ++busy_seen;
+        continue;
+      }
+      ASSERT_TRUE(page.ok());
+      ASSERT_EQ(page.value()->page_id(), pid);
+      if (victim != kInvalidPageId) {
+        ASSERT_EQ(page.value(), model.frame_of.at(victim));
+        ++evictions;
+      }
+      model.Install(pid, victim, page.value());
+      pinned.push_back(pid);
+      continue;
+    }
+    // Half the fetches go to a hot set of 12 pages, so hits are common.
+    const PageId span = (rng() & 1) != 0 ? std::min<PageId>(allocated, 12)
+                                         : allocated;
+    const PageId pid = static_cast<PageId>(rng() % span);
+    const uint64_t hits_before = hits->Value();
+    const uint64_t misses_before = misses->Value();
+    const bool hit = model.cached(pid);
+    const PageId victim = hit ? kInvalidPageId : model.Victim(&busy);
+    Result<Page*> page = pool.FetchPage(pid);
+    ASSERT_EQ(hits->Value() - hits_before, hit ? 1u : 0u);
+    ASSERT_EQ(misses->Value() - misses_before, hit ? 0u : 1u);
+    if (busy) {
+      ASSERT_TRUE(page.status().IsBusy());
+      ++busy_seen;
+      continue;
+    }
+    ASSERT_TRUE(page.ok());
+    ASSERT_EQ(page.value()->page_id(), pid);
+    if (hit) {
+      ASSERT_EQ(page.value(), model.frame_of.at(pid));
+      model.pins[pid]++;
+      model.Touch(pid);
+    } else {
+      if (victim != kInvalidPageId) {
+        ASSERT_EQ(page.value(), model.frame_of.at(victim));
+        ++evictions;
+      }
+      model.Install(pid, victim, page.value());
+    }
+    pinned.push_back(pid);
+  }
+  // The trace really exercised eviction and the all-pinned case.
+  EXPECT_GT(evictions, 1000u);
+  EXPECT_GT(busy_seen, 0u);
+  for (PageId pid : pinned) ASSERT_TRUE(pool.UnpinPage(pid, false).ok());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 
 #include "../test_util.h"
 
@@ -91,6 +92,75 @@ TEST(DiskManagerTest, DataSurvivesReopen) {
   EXPECT_EQ(dm.page_count(), 1u);
   char in[kPageSize] = {};
   ASSERT_TRUE(dm.ReadPage(0, in).ok());
+  EXPECT_EQ(std::memcmp(in, out, kPageSize), 0);
+}
+
+TEST(DiskManagerTest, AllocatedUnwrittenPageReadsZeros) {
+  TempDir dir("disk");
+  MetricsRegistry metrics;
+  DiskManager dm(metrics);
+  ASSERT_TRUE(dm.Open(dir.path() + "/db").ok());
+  auto pid = dm.AllocatePage();
+  ASSERT_TRUE(pid.ok());
+  char in[kPageSize];
+  std::memset(in, 0x7F, kPageSize);
+  ASSERT_TRUE(dm.ReadPage(pid.value(), in).ok());
+  const char zeros[kPageSize] = {};
+  EXPECT_EQ(std::memcmp(in, zeros, kPageSize), 0);
+  // Allocation alone leaves the file empty.
+  EXPECT_EQ(std::filesystem::file_size(dir.path() + "/db"), 0u);
+}
+
+TEST(DiskManagerTest, ReopenCountsOnlyPagesThatReachedTheFile) {
+  TempDir dir("disk");
+  const std::string path = dir.path() + "/db";
+  char out[kPageSize];
+  std::memset(out, 0x21, kPageSize);
+  {
+    MetricsRegistry metrics;
+    DiskManager dm(metrics);
+    ASSERT_TRUE(dm.Open(path).ok());
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(dm.AllocatePage().ok());
+    EXPECT_EQ(dm.page_count(), 3u);
+    ASSERT_TRUE(dm.WritePage(0, out).ok());  // Pages 1 and 2 never written.
+    ASSERT_TRUE(dm.Sync().ok());
+    ASSERT_TRUE(dm.Close().ok());
+  }
+  MetricsRegistry metrics;
+  DiskManager dm(metrics);
+  ASSERT_TRUE(dm.Open(path).ok());
+  EXPECT_EQ(dm.page_count(), 1u);
+  // The next allocation reuses the first id that never reached the file.
+  auto next = dm.AllocatePage();
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next.value(), 1u);
+}
+
+TEST(DiskManagerTest, HoleBelowWrittenPageReadsZerosAfterReopen) {
+  TempDir dir("disk");
+  const std::string path = dir.path() + "/db";
+  char out[kPageSize];
+  std::memset(out, 0x44, kPageSize);
+  {
+    MetricsRegistry metrics;
+    DiskManager dm(metrics);
+    ASSERT_TRUE(dm.Open(path).ok());
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(dm.AllocatePage().ok());
+    ASSERT_TRUE(dm.WritePage(2, out).ok());  // Pages 0 and 1 are holes.
+    ASSERT_TRUE(dm.Close().ok());
+  }
+  MetricsRegistry metrics;
+  DiskManager dm(metrics);
+  ASSERT_TRUE(dm.Open(path).ok());
+  EXPECT_EQ(dm.page_count(), 3u);
+  const char zeros[kPageSize] = {};
+  char in[kPageSize];
+  for (PageId hole : {0u, 1u}) {
+    std::memset(in, 0x7F, kPageSize);
+    ASSERT_TRUE(dm.ReadPage(hole, in).ok());
+    EXPECT_EQ(std::memcmp(in, zeros, kPageSize), 0) << "page " << hole;
+  }
+  ASSERT_TRUE(dm.ReadPage(2, in).ok());
   EXPECT_EQ(std::memcmp(in, out, kPageSize), 0);
 }
 

@@ -34,7 +34,7 @@ TEST_F(SlottedPageTest, UninitializedPageIsDetected) {
 TEST_F(SlottedPageTest, InsertAndRead) {
   auto slot = sp_.Insert("hello world");
   ASSERT_TRUE(slot.ok());
-  std::string out;
+  std::string_view out;
   ASSERT_TRUE(sp_.Read(slot.value(), &out).ok());
   EXPECT_EQ(out, "hello world");
   EXPECT_TRUE(sp_.IsLive(slot.value()));
@@ -47,13 +47,13 @@ TEST_F(SlottedPageTest, MultipleRecordsKeepDistinctSlots) {
   ASSERT_TRUE(a.ok() && b.ok() && c.ok());
   EXPECT_NE(a.value(), b.value());
   EXPECT_NE(b.value(), c.value());
-  std::string out;
+  std::string_view out;
   ASSERT_TRUE(sp_.Read(b.value(), &out).ok());
   EXPECT_EQ(out, "bbbbbb");
 }
 
 TEST_F(SlottedPageTest, ReadOfEmptySlotIsNotFound) {
-  std::string out;
+  std::string_view out;
   EXPECT_TRUE(sp_.Read(0, &out).IsNotFound());
   auto slot = sp_.Insert("x");
   ASSERT_TRUE(slot.ok());
@@ -65,7 +65,7 @@ TEST_F(SlottedPageTest, DeleteFreesSlotForReuse) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(sp_.Delete(a.value()).ok());
   EXPECT_FALSE(sp_.IsLive(a.value()));
-  std::string out;
+  std::string_view out;
   EXPECT_TRUE(sp_.Read(a.value(), &out).IsNotFound());
   // The freed slot is reused by the next insert.
   auto b = sp_.Insert("second");
@@ -86,7 +86,7 @@ TEST_F(SlottedPageTest, UpdateInPlaceShrinks) {
   auto a = sp_.Insert("a longer payload");
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(sp_.Update(a.value(), "tiny").ok());
-  std::string out;
+  std::string_view out;
   ASSERT_TRUE(sp_.Read(a.value(), &out).ok());
   EXPECT_EQ(out, "tiny");
 }
@@ -97,7 +97,7 @@ TEST_F(SlottedPageTest, UpdateGrowsWithinPage) {
   ASSERT_TRUE(a.ok() && b.ok());
   std::string big(300, 'G');
   ASSERT_TRUE(sp_.Update(a.value(), big).ok());
-  std::string out;
+  std::string_view out;
   ASSERT_TRUE(sp_.Read(a.value(), &out).ok());
   EXPECT_EQ(out, big);
   ASSERT_TRUE(sp_.Read(b.value(), &out).ok());
@@ -117,7 +117,7 @@ TEST_F(SlottedPageTest, MaxPayloadRecordFits) {
   std::string max(SlottedPage::MaxPayload(), 'M');
   auto slot = sp_.Insert(max);
   ASSERT_TRUE(slot.ok());
-  std::string out;
+  std::string_view out;
   ASSERT_TRUE(sp_.Read(slot.value(), &out).ok());
   EXPECT_EQ(out.size(), max.size());
 }
@@ -155,7 +155,7 @@ TEST_F(SlottedPageTest, CompactionReclaimsDeadBytes) {
   std::string big(600, 'B');
   auto slot = sp_.Insert(big);
   ASSERT_TRUE(slot.ok()) << slot.status().ToString();
-  std::string out;
+  std::string_view out;
   ASSERT_TRUE(sp_.Read(slot.value(), &out).ok());
   EXPECT_EQ(out, big);
   // Survivors intact after compaction.
@@ -199,7 +199,7 @@ TEST_F(SlottedPageTest, RandomOpsMatchReferenceModel) {
   }
   // Final state matches.
   for (const auto& [slot, expected] : model) {
-    std::string out;
+    std::string_view out;
     ASSERT_TRUE(sp_.Read(slot, &out).ok()) << "slot " << slot;
     EXPECT_EQ(out, expected) << "slot " << slot;
   }

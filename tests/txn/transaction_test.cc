@@ -116,7 +116,7 @@ class TxnManagerTest : public ::testing::Test {
 /// Captures committed writes for verification.
 class RecordingHeap : public HeapApplier {
  public:
-  Status ApplyPut(uint64_t oid, const std::string& payload) override {
+  Status ApplyPut(uint64_t oid, std::string_view payload) override {
     puts.emplace_back(oid, payload);
     return Status::OK();
   }

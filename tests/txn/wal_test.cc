@@ -25,10 +25,10 @@ TEST(WalTest, AppendAndReadRoundTrip) {
   WalManager wal(metrics);
   ASSERT_TRUE(wal.Open(dir.path() + "/wal.log").ok());
 
-  ASSERT_TRUE(wal.Append({WalRecordType::kBegin, 7, 0, ""}).ok());
-  ASSERT_TRUE(wal.Append({WalRecordType::kPut, 7, 101, "payload-a"}).ok());
-  ASSERT_TRUE(wal.Append({WalRecordType::kDelete, 7, 102, ""}).ok());
-  ASSERT_TRUE(wal.Append({WalRecordType::kCommit, 7, 0, ""}).ok());
+  ASSERT_TRUE(wal.Append(WalRecordType::kBegin, 7, 0, "").ok());
+  ASSERT_TRUE(wal.Append(WalRecordType::kPut, 7, 101, "payload-a").ok());
+  ASSERT_TRUE(wal.Append(WalRecordType::kDelete, 7, 102, "").ok());
+  ASSERT_TRUE(wal.Append(WalRecordType::kCommit, 7, 0, "").ok());
   ASSERT_TRUE(wal.Sync().ok());
 
   std::vector<WalRecord> records;
@@ -49,10 +49,10 @@ TEST(WalTest, AppendAfterReadContinuesAtEnd) {
   MetricsRegistry metrics;
   WalManager wal(metrics);
   ASSERT_TRUE(wal.Open(dir.path() + "/wal.log").ok());
-  ASSERT_TRUE(wal.Append({WalRecordType::kBegin, 1, 0, ""}).ok());
+  ASSERT_TRUE(wal.Append(WalRecordType::kBegin, 1, 0, "").ok());
   std::vector<WalRecord> records;
   ASSERT_TRUE(wal.ReadAll(&records).ok());
-  ASSERT_TRUE(wal.Append({WalRecordType::kCommit, 1, 0, ""}).ok());
+  ASSERT_TRUE(wal.Append(WalRecordType::kCommit, 1, 0, "").ok());
   ASSERT_TRUE(wal.ReadAll(&records).ok());
   EXPECT_EQ(records.size(), 2u);
 }
@@ -64,7 +64,7 @@ TEST(WalTest, LogSurvivesReopen) {
     MetricsRegistry metrics;
     WalManager wal(metrics);
     ASSERT_TRUE(wal.Open(path).ok());
-    ASSERT_TRUE(wal.Append({WalRecordType::kPut, 3, 55, "x"}).ok());
+    ASSERT_TRUE(wal.Append(WalRecordType::kPut, 3, 55, "x").ok());
     ASSERT_TRUE(wal.Sync().ok());
     ASSERT_TRUE(wal.Close().ok());
   }
@@ -84,7 +84,7 @@ TEST(WalTest, TornTailIsTruncatedSilently) {
     MetricsRegistry metrics;
     WalManager wal(metrics);
     ASSERT_TRUE(wal.Open(path).ok());
-    ASSERT_TRUE(wal.Append({WalRecordType::kPut, 3, 55, "full record"}).ok());
+    ASSERT_TRUE(wal.Append(WalRecordType::kPut, 3, 55, "full record").ok());
     ASSERT_TRUE(wal.Sync().ok());
     ASSERT_TRUE(wal.Close().ok());
   }
@@ -109,7 +109,7 @@ TEST(WalTest, ResetEmptiesLog) {
   MetricsRegistry metrics;
   WalManager wal(metrics);
   ASSERT_TRUE(wal.Open(dir.path() + "/wal.log").ok());
-  ASSERT_TRUE(wal.Append({WalRecordType::kPut, 1, 2, "data"}).ok());
+  ASSERT_TRUE(wal.Append(WalRecordType::kPut, 1, 2, "data").ok());
   auto size = wal.SizeBytes();
   ASSERT_TRUE(size.ok());
   EXPECT_GT(size.value(), 0u);
@@ -121,7 +121,7 @@ TEST(WalTest, ResetEmptiesLog) {
   ASSERT_TRUE(wal.ReadAll(&records).ok());
   EXPECT_TRUE(records.empty());
   // Still usable after reset.
-  ASSERT_TRUE(wal.Append({WalRecordType::kBegin, 9, 0, ""}).ok());
+  ASSERT_TRUE(wal.Append(WalRecordType::kBegin, 9, 0, "").ok());
   ASSERT_TRUE(wal.ReadAll(&records).ok());
   EXPECT_EQ(records.size(), 1u);
 }
@@ -134,9 +134,9 @@ TEST(WalTest, CrcCatchesMidLogCorruption) {
     WalManager wal(metrics);
     ASSERT_TRUE(wal.Open(path).ok());
     ASSERT_TRUE(
-        wal.Append({WalRecordType::kPut, 1, 10, "first payload"}).ok());
+        wal.Append(WalRecordType::kPut, 1, 10, "first payload").ok());
     ASSERT_TRUE(
-        wal.Append({WalRecordType::kPut, 1, 11, "second payload"}).ok());
+        wal.Append(WalRecordType::kPut, 1, 11, "second payload").ok());
     ASSERT_TRUE(wal.Sync().ok());
     ASSERT_TRUE(wal.Close().ok());
   }
@@ -162,7 +162,7 @@ TEST(WalTest, SyncFailureIsSticky) {
   MetricsRegistry metrics;
   WalManager wal(metrics);
   ASSERT_TRUE(wal.Open(dir.path() + "/wal.log").ok());
-  ASSERT_TRUE(wal.Append({WalRecordType::kPut, 1, 2, "x"}).ok());
+  ASSERT_TRUE(wal.Append(WalRecordType::kPut, 1, 2, "x").ok());
 
   FailPoints::Instance().Reset();
   ASSERT_TRUE(
@@ -176,7 +176,7 @@ TEST(WalTest, SyncFailureIsSticky) {
   EXPECT_TRUE(wal.sync_failed());
   EXPECT_TRUE(wal.Sync().IsIOError());
   // Appends stay best-effort (the abort-record neutralization path).
-  EXPECT_TRUE(wal.Append({WalRecordType::kAbort, 1, 0, ""}).ok());
+  EXPECT_TRUE(wal.Append(WalRecordType::kAbort, 1, 0, "").ok());
 }
 
 TEST(WalTest, TruncateToDropsPrefixAndLsnsStayMonotone) {
@@ -185,11 +185,11 @@ TEST(WalTest, TruncateToDropsPrefixAndLsnsStayMonotone) {
   MetricsRegistry metrics;
   WalManager wal(metrics);
   ASSERT_TRUE(wal.Open(path).ok());
-  ASSERT_TRUE(wal.Append({WalRecordType::kPut, 1, 10, "old-a"}).ok());
-  ASSERT_TRUE(wal.Append({WalRecordType::kPut, 1, 11, "old-b"}).ok());
+  ASSERT_TRUE(wal.Append(WalRecordType::kPut, 1, 10, "old-a").ok());
+  ASSERT_TRUE(wal.Append(WalRecordType::kPut, 1, 11, "old-b").ok());
   auto stable = wal.CurrentLsn();
   ASSERT_TRUE(stable.ok());
-  ASSERT_TRUE(wal.Append({WalRecordType::kPut, 2, 12, "new-c"}).ok());
+  ASSERT_TRUE(wal.Append(WalRecordType::kPut, 2, 12, "new-c").ok());
   auto end_before = wal.CurrentLsn();
   ASSERT_TRUE(end_before.ok());
 
@@ -263,7 +263,7 @@ TEST(WalTest, OpenRefusesFilesWithoutAV2HeaderAndLeavesThemUntouched) {
     EXPECT_TRUE(s.IsCorruption()) << s.ToString();
     // Refused without appending to or rewriting the file.
     EXPECT_EQ(ReadFile(path), bytes);
-    EXPECT_TRUE(wal.Append({WalRecordType::kBegin, 1, 0, ""})
+    EXPECT_TRUE(wal.Append(WalRecordType::kBegin, 1, 0, "")
                     .IsFailedPrecondition());
   }
 }
@@ -305,7 +305,7 @@ std::vector<uint64_t> AppendSeeded(WalManager* wal, uint32_t seed, int n) {
     rec.txn = rng() % 100;
     rec.oid = rng();
     rec.payload.assign(rng() % 200, static_cast<char>('a' + rng() % 26));
-    EXPECT_TRUE(wal->Append(rec).ok());
+    EXPECT_TRUE(wal->Append(rec.type, rec.txn, rec.oid, rec.payload).ok());
   }
   EXPECT_TRUE(wal->Sync().ok());
   return starts;
@@ -378,10 +378,51 @@ TEST(WalTest, ReadAllEqualsReadFromBaseOnDamagedLogs) {
   }
 }
 
+// Golden bytes of the version-2 framing, [u32 body_len][u32 crc32c(body)]
+// [u8 type][u64 txn][u64 oid][u32 payload_len][payload], little-endian:
+// appending must reproduce them byte for byte.
+TEST(WalTest, RecordFramingMatchesGoldenBytes) {
+  TempDir dir("wal");
+  const std::string path = dir.path() + "/wal.log";
+  {
+    MetricsRegistry metrics;
+    WalManager wal(metrics);
+    ASSERT_TRUE(wal.Open(path).ok());
+    ASSERT_TRUE(
+        wal.Append(WalRecordType::kPut, 7, 0x0102030405060708ull, "img")
+            .ok());
+    ASSERT_TRUE(wal.Append(WalRecordType::kDelete, 7, 258, "").ok());
+    ASSERT_TRUE(wal.Append(WalRecordType::kCommit, 7, 0, "").ok());
+    ASSERT_TRUE(wal.Sync().ok());
+    ASSERT_TRUE(wal.Close().ok());
+  }
+  const unsigned char kGolden[] = {
+      // Put: body 24 bytes, crc 0xbb1632f7, txn 7, oid 0x0102..08, "img".
+      0x18, 0x00, 0x00, 0x00, 0xf7, 0x32, 0x16, 0xbb, 0x04, 0x07, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02,
+      0x01, 0x03, 0x00, 0x00, 0x00, 0x69, 0x6d, 0x67,
+      // Delete: body 21 bytes, crc 0x8620735a, txn 7, oid 258.
+      0x15, 0x00, 0x00, 0x00, 0x5a, 0x73, 0x20, 0x86, 0x05, 0x07, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00,
+      // Commit: body 21 bytes, crc 0x50855d78, txn 7.
+      0x15, 0x00, 0x00, 0x00, 0x78, 0x5d, 0x85, 0x50, 0x02, 0x07, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00};
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  constexpr size_t kHeaderBytes = 24;
+  ASSERT_EQ(bytes.size(), kHeaderBytes + sizeof(kGolden));
+  EXPECT_EQ(bytes.substr(kHeaderBytes),
+            std::string(reinterpret_cast<const char*>(kGolden),
+                        sizeof(kGolden)));
+}
+
 TEST(WalTest, OperationsOnClosedWalFail) {
   MetricsRegistry metrics;
   WalManager wal(metrics);
-  EXPECT_TRUE(wal.Append({}).IsFailedPrecondition());
+  EXPECT_TRUE(wal.Append(WalRecordType::kBegin, 0, 0).IsFailedPrecondition());
   EXPECT_TRUE(wal.Sync().IsFailedPrecondition());
   std::vector<WalRecord> records;
   EXPECT_TRUE(wal.ReadAll(&records).IsFailedPrecondition());
