@@ -8,8 +8,8 @@
 // Durability additions (DESIGN.md §12): the group-commit producer×window
 // sweep (commit throughput must scale with producers once windows open),
 // bounded-recovery replay after a fuzzy checkpoint, HistoryScan over the
-// spilled occurrence segment store, and the object store's bulk commit,
-// snapshot apply and cold read paths.
+// spilled occurrence segment store, the replication mirror's tail read,
+// and the object store's bulk commit, snapshot apply and cold read paths.
 
 #include <benchmark/benchmark.h>
 
@@ -23,6 +23,7 @@
 #include "common/failpoint.h"
 #include "core/database.h"
 #include "events/operators.h"
+#include "histlog/segment_store.h"
 #include "oodb/object_store.h"
 
 namespace sentinel {
@@ -392,6 +393,46 @@ void BM_HistoryScanSpilled(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 
+/// A follower poll on the replication mirror: a 64-row ScanFrom at the
+/// tail of an active 1 MiB segment (the default mirror segment size) that
+/// is range(0)% full, the cursor 64 rows behind the end as a follower that
+/// keeps up leaves it. The cost should not grow with the fill.
+void BM_MirrorScanFrom(benchmark::State& state) {
+  constexpr size_t kSegmentBytes = 1 << 20;
+  constexpr uint64_t kRows = 64;
+  std::string dir = FreshDir("mirror" + std::to_string(state.range(0)));
+  MetricsRegistry metrics;
+  HistorySegmentStore store(dir, kSegmentBytes, metrics, "repl.mirror");
+  store.Open().ok();
+  EventOccurrence occ;
+  occ.class_name = "Sensor";
+  occ.method = "Report";
+  occ.params = {Value(1.5), Value(int64_t{7})};
+  const size_t framed = HistorySegmentStore::EncodeRecord(occ).size();
+  const size_t records =
+      kSegmentBytes * static_cast<size_t>(state.range(0)) / 100 / framed;
+  for (uint64_t i = 1; i <= records; ++i) {
+    occ.oid = i;
+    occ.timestamp.seq = i;
+    store.Append(occ).ok();
+  }
+  store.Flush().ok();
+  std::vector<EventOccurrence> rows;
+  for (auto _ : state) {
+    rows.clear();
+    uint64_t next = 0;
+    store.ScanFrom(records - kRows, kRows, &rows, &next).ok();
+    benchmark::DoNotOptimize(rows.data());
+    if (rows.size() != kRows) {
+      state.SkipWithError("ScanFrom did not return the tail");
+      break;
+    }
+  }
+  state.counters["segment_records"] = static_cast<double>(records);
+  store.Close().ok();
+  std::filesystem::remove_all(dir);
+}
+
 BENCHMARK(BM_PersistObject)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_MaterializeObject)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SaveRulesAndEvents)
@@ -422,6 +463,11 @@ BENCHMARK(BM_HistoryScanSpilled)
     ->Arg(1000)
     ->Arg(10000)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MirrorScanFrom)
+    ->Arg(10)
+    ->Arg(50)
+    ->Arg(90)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace sentinel

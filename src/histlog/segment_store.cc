@@ -2,16 +2,14 @@
 
 #include "histlog/segment_store.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 
 #include "common/codec.h"
 #include "common/crc32c.h"
 #include "common/failpoint.h"
-#include "common/logging.h"
 
 namespace sentinel {
 
@@ -34,72 +32,28 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-Status ReadWholeFile(const std::string& path, std::string* out) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  if (size < 0) {
-    std::fclose(f);
-    return Status::IOError("cannot size " + path);
-  }
-  std::fseek(f, 0, SEEK_SET);
-  out->resize(static_cast<size_t>(size));
-  size_t got = size == 0 ? 0 : std::fread(out->data(), 1, out->size(), f);
-  std::fclose(f);
-  if (got != out->size()) return Status::IOError("short read of " + path);
-  return Status::OK();
+/// How every reader treats a record body: one whose CRC checks was written
+/// whole, so one that does not decode is Corruption, never a tail to stop
+/// at or cut away.
+Status DecodeOrCorrupt(std::string_view body, const std::string& path,
+                       EventOccurrence* occ) {
+  Status s = HistorySegmentStore::DecodeRecordBody(body, occ);
+  if (s.ok()) return s;
+  return Status::Corruption("undecodable record in " + path + ": " +
+                            s.ToString());
 }
 
 }  // namespace
 
-/// The one reader of [len][crc][body] records, walking a segment image from
-/// byte 0. Next() yields each record whose CRC checks and returns false at
-/// the footer sentinel, a torn tail, or a CRC mismatch; a buffered append
-/// still in flight looks exactly like a torn tail. end() is the offset just
-/// past the last record Next() returned. Decode() is how every caller reads
-/// a body: a record whose CRC checks was written whole, so one that does
-/// not decode is Corruption, never a tail to stop at or cut away.
-class HistorySegmentStore::RecordReader {
- public:
-  explicit RecordReader(std::string_view bytes) : bytes_(bytes) {}
-
-  bool Next(std::string_view* body) {
-    if (bytes_.size() - end_ < 8) return false;
-    uint32_t len = 0, crc = 0;
-    std::memcpy(&len, bytes_.data() + end_, 4);
-    if (len == kFooterSentinel) return false;
-    std::memcpy(&crc, bytes_.data() + end_ + 4, 4);
-    if (bytes_.size() - end_ - 8 < len) return false;
-    const char* p = bytes_.data() + end_ + 8;
-    if (Crc32c(p, len) != crc) return false;
-    *body = std::string_view(p, len);
-    end_ += 8 + len;
-    return true;
-  }
-
-  size_t end() const { return end_; }
-
-  static Status Decode(std::string_view body, const std::string& path,
-                       EventOccurrence* occ) {
-    Status s = DecodeRecordBody(body, occ);
-    if (s.ok()) return s;
-    return Status::Corruption("undecodable record in " + path + ": " +
-                              s.ToString());
-  }
-
- private:
-  std::string_view bytes_;
-  size_t end_ = 0;
-};
-
-void HistorySegmentStore::SegmentStats::Observe(const EventOccurrence& occ) {
-  ++record_count;
-  min_seq = std::min(min_seq, occ.timestamp.seq);
-  max_seq = std::max(max_seq, occ.timestamp.seq);
-  min_micros = std::min(min_micros, occ.timestamp.micros);
-  max_micros = std::max(max_micros, occ.timestamp.micros);
-  BloomAdd(&bloom, occ.oid);
+void HistorySegmentStore::SegmentInfo::Add(const EventOccurrence& occ,
+                                           uint64_t at) {
+  if (stats.record_count % kIndexStride == 0) index.push_back(at);
+  ++stats.record_count;
+  stats.min_seq = std::min(stats.min_seq, occ.timestamp.seq);
+  stats.max_seq = std::max(stats.max_seq, occ.timestamp.seq);
+  stats.min_micros = std::min(stats.min_micros, occ.timestamp.micros);
+  stats.max_micros = std::max(stats.max_micros, occ.timestamp.micros);
+  BloomAdd(&stats.bloom, occ.oid);
 }
 
 void HistorySegmentStore::BloomAdd(std::string* bloom, Oid oid) {
@@ -123,7 +77,7 @@ bool HistorySegmentStore::BloomMayContain(const std::string& bloom, Oid oid) {
   return true;
 }
 
-std::string HistorySegmentStore::EncodeRecord(const EventOccurrence& occ) {
+std::string HistorySegmentStore::EncodeBody(const EventOccurrence& occ) {
   Encoder body;
   body.PutU64(occ.oid);
   body.PutString(occ.class_name);
@@ -132,12 +86,11 @@ std::string HistorySegmentStore::EncodeRecord(const EventOccurrence& occ) {
   body.PutValueList(occ.params);
   body.PutI64(occ.timestamp.micros);
   body.PutU64(occ.timestamp.seq);
+  return body.Release();
+}
 
-  Encoder framed;
-  framed.PutU32(static_cast<uint32_t>(body.size()));
-  framed.PutU32(Crc32c(body.buffer().data(), body.size()));
-  framed.PutRaw(body.buffer().data(), body.size());
-  return framed.Release();
+std::string HistorySegmentStore::EncodeRecord(const EventOccurrence& occ) {
+  return RecordLog::Frame(EncodeBody(occ));
 }
 
 Status HistorySegmentStore::DecodeRecordBody(std::string_view body,
@@ -168,7 +121,7 @@ std::string HistorySegmentStore::EncodeFooter(const SegmentStats& stats) {
   body.PutRaw(stats.bloom.data(), stats.bloom.size());
 
   Encoder footer;
-  footer.PutU32(kFooterSentinel);
+  footer.PutU32(RecordLog::kFooterSentinel);
   footer.PutRaw(body.buffer().data(), body.size());
   footer.PutU32(Crc32c(body.buffer().data(), body.size()));
   footer.PutRaw(kFooterMagic, 4);
@@ -190,7 +143,7 @@ bool HistorySegmentStore::DecodeFooter(const std::string& tail,
   }
   Decoder dec(p, size - 4);
   uint32_t sentinel = 0;
-  if (!dec.GetU32(&sentinel).ok() || sentinel != kFooterSentinel) {
+  if (!dec.GetU32(&sentinel).ok() || sentinel != RecordLog::kFooterSentinel) {
     return false;
   }
   const char* body = p + 4;
@@ -255,89 +208,54 @@ Status HistorySegmentStore::Open() {
   }
   // Resume appending into an unsealed tail segment; a sealed tail (or an
   // empty store) starts a fresh segment lazily at the first Append.
-  active_ = nullptr;
-  active_bytes_ = 0;
-  active_stats_ = SegmentStats();
-  active_empty_ = true;
-  if (!segments_.empty() && !segments_.back().sealed) {
+  if (has_active()) {
     SENTINEL_RETURN_IF_ERROR(RecoverActiveLocked(&segments_.back()));
   }
   open_ = true;
   return Status::OK();
 }
 
-Status HistorySegmentStore::InspectSegment(SegmentInfo* info) const {
-  std::string bytes;
-  SENTINEL_RETURN_IF_ERROR(ReadWholeFile(info->path, &bytes));
-  info->sealed = DecodeFooter(bytes, &info->stats);
+Status HistorySegmentStore::InspectSegment(SegmentInfo* info) {
+  SENTINEL_ASSIGN_OR_RETURN(RecordLog::Snapshot snap,
+                            RecordLog::OpenSnapshot(info->path));
+  if (snap.file_size() < FooterSize()) return Status::OK();
+  std::string footer;
+  SENTINEL_RETURN_IF_ERROR(
+      snap.ReadAt(snap.file_size() - FooterSize(), FooterSize(), &footer));
+  info->sealed = DecodeFooter(footer, &info->stats);
   return Status::OK();
 }
 
 Status HistorySegmentStore::RecoverActiveLocked(SegmentInfo* info) {
-  // Walk the records, rebuilding the footer stats; a torn tail (crash mid
-  // append) is truncated so the resumed segment stays well-formed.
-  std::string bytes;
-  SENTINEL_RETURN_IF_ERROR(ReadWholeFile(info->path, &bytes));
-  RecordReader reader(bytes);
-  std::string_view body;
-  SegmentStats stats;
-  while (reader.Next(&body)) {
-    EventOccurrence occ;
-    SENTINEL_RETURN_IF_ERROR(RecordReader::Decode(body, info->path, &occ));
-    stats.Observe(occ);
-  }
-  const size_t pos = reader.end();  // End of the last record that checks.
-  if (pos < bytes.size()) {
-    SENTINEL_WARN << "event=history_segment_truncated path=" << info->path
-                  << " valid_bytes=" << pos << " file_bytes=" << bytes.size();
-    std::error_code ec;
-    fs::resize_file(info->path, pos, ec);
-    if (ec) {
-      return Status::IOError("cannot truncate " + info->path + ": " +
-                             ec.message());
-    }
-  }
-  active_ = std::fopen(info->path.c_str(), "ab");
-  if (active_ == nullptr) {
-    return Status::IOError("cannot reopen history segment " + info->path);
-  }
-  active_bytes_ = pos;
-  active_stats_ = stats;
-  active_empty_ = false;
-  return Status::OK();
+  std::string no_header;
+  SENTINEL_RETURN_IF_ERROR(log_.Open(info->path, {}, &no_header));
+  Status s = log_.Recover(
+      0, /*cut_crc_mismatch=*/true,
+      [info](std::string_view body, uint64_t at) {
+        EventOccurrence occ;
+        SENTINEL_RETURN_IF_ERROR(DecodeOrCorrupt(body, info->path, &occ));
+        info->Add(occ, at);
+        return Status::OK();
+      });
+  if (!s.ok()) log_.Close(/*drop_pending=*/true).ok();
+  return s;
 }
 
 Status HistorySegmentStore::Close() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!open_ && active_ == nullptr) return Status::OK();
-  if (active_ != nullptr) {
-    if (FailPoints::AnyActive() && FailPoints::Instance().crashed()) {
-      // Simulated crash: drop buffered appends instead of letting fclose
-      // flush them (same idiom as WalManager).
-      ::close(fileno(active_));
-    } else {
-      std::fflush(active_);
-    }
-    std::fclose(active_);
-    active_ = nullptr;
-  }
   open_ = false;
-  return Status::OK();
+  // Under a simulated crash, buffered appends are dropped (as in the WAL).
+  return log_.Close(FailPoints::AnyActive() &&
+                    FailPoints::Instance().crashed());
 }
 
 Status HistorySegmentStore::OpenActiveLocked() {
   SegmentInfo info;
   info.id = next_id_++;
   info.path = SegmentPath(dir_, info.id);
-  info.sealed = false;
-  active_ = std::fopen(info.path.c_str(), "wb");
-  if (active_ == nullptr) {
-    return Status::IOError("cannot create history segment " + info.path);
-  }
+  std::string no_header;
+  SENTINEL_RETURN_IF_ERROR(log_.Open(info.path, {}, &no_header));
   segments_.push_back(std::move(info));
-  active_bytes_ = 0;
-  active_stats_ = SegmentStats();
-  active_empty_ = false;
   return Status::OK();
 }
 
@@ -345,151 +263,157 @@ Status HistorySegmentStore::SealActiveLocked() {
   if (FailPoints::AnyActive()) {
     SENTINEL_RETURN_IF_ERROR(FailPoints::Instance().Check("histlog.rotate"));
   }
-  const std::string footer = EncodeFooter(active_stats_);
-  if (std::fwrite(footer.data(), 1, footer.size(), active_) !=
-      footer.size()) {
-    return Status::IOError("history segment seal failed");
-  }
-  std::fflush(active_);
-  std::fclose(active_);
-  active_ = nullptr;
+  SENTINEL_RETURN_IF_ERROR(
+      log_.AppendRaw(EncodeFooter(segments_.back().stats)));
+  SENTINEL_RETURN_IF_ERROR(log_.Close(/*drop_pending=*/false));
   segments_.back().sealed = true;
-  segments_.back().stats = active_stats_;
-  active_empty_ = true;
   m_rotations_->Add();
   return Status::OK();
 }
 
 Status HistorySegmentStore::Append(const EventOccurrence& occ) {
+  const std::string body = EncodeBody(occ);  // Outside the mutex.
   std::lock_guard<std::mutex> lock(mutex_);
   if (!open_) return Status::FailedPrecondition("history store not open");
-  const std::string framed = EncodeRecord(occ);
-  if (!active_empty_ && active_bytes_ + framed.size() > segment_bytes_ &&
-      active_stats_.record_count > 0) {
+  if (has_active() && segments_.back().stats.record_count > 0 &&
+      log_.end() + 8 + body.size() > segment_bytes_) {
     SENTINEL_RETURN_IF_ERROR(SealActiveLocked());
   }
-  if (active_empty_) {
-    SENTINEL_RETURN_IF_ERROR(OpenActiveLocked());
-  }
-  if (FailPoints::AnyActive()) {
-    size_t partial = 0;
-    Status fp = FailPoints::Instance().Check("histlog.append", &partial);
-    if (!fp.ok()) {
-      if (partial > 0) {
-        // Torn write: a prefix of the frame reaches the file.
-        std::fwrite(framed.data(), 1, std::min(partial, framed.size()),
-                    active_);
-        std::fflush(active_);
-      }
-      return fp;
-    }
-  }
-  if (std::fwrite(framed.data(), 1, framed.size(), active_) !=
-      framed.size()) {
-    return Status::IOError("history append failed");
-  }
-  active_bytes_ += framed.size();
-  active_stats_.Observe(occ);
+  if (!has_active()) SENTINEL_RETURN_IF_ERROR(OpenActiveLocked());
+  const uint64_t at = log_.end();
+  SENTINEL_RETURN_IF_ERROR(log_.Append(body));
+  segments_.back().Add(occ, at);
   m_appends_->Add();
   return Status::OK();
 }
 
 Status HistorySegmentStore::Flush() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (active_ != nullptr) std::fflush(active_);
-  return Status::OK();
+  Status s = log_.Flush();
+  return s.IsFailedPrecondition() ? Status::OK() : s;  // No active segment.
 }
 
-Status HistorySegmentStore::ScanFrom(uint64_t after_ordinal,
-                                     size_t max_rows,
-                                     std::vector<EventOccurrence>* out,
-                                     uint64_t* next_ordinal) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!open_) return Status::FailedPrecondition("history store not open");
-  if (active_ != nullptr) std::fflush(active_);
-  *next_ordinal = after_ordinal;
-  uint64_t ordinal = 0;  // Records walked so far, across segments.
-  for (const SegmentInfo& info : segments_) {
-    if (max_rows != 0 && out->size() >= max_rows) break;
-    if (info.sealed &&
-        ordinal + info.stats.record_count <= after_ordinal) {
-      // The whole segment is behind the cursor: footer count skips it.
-      ordinal += info.stats.record_count;
-      continue;
+Status HistorySegmentStore::Walk(
+    uint64_t after_ordinal,
+    const std::function<bool(const SegmentStats&)>& prune,
+    const RecordVisitor& visit) const {
+  // Flush and snapshot the active segment first: every record appended
+  // before the call is then readable.
+  const Result<RecordLog::Snapshot> active = log_.TakeSnapshot();
+  struct Part {
+    std::string path;
+    bool live;         // The segment being appended to.
+    uint64_t from;     // File offset to start reading at.
+    uint64_t ordinal;  // Ordinal of the record just before `from`.
+  };
+  std::vector<Part> parts;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!open_) return Status::FailedPrecondition("history store not open");
+    uint64_t first = 0;  // Ordinal of the record before this segment.
+    for (const SegmentInfo& info : segments_) {
+      const uint64_t count = info.stats.record_count;
+      first += count;
+      if (info.sealed && (first <= after_ordinal || prune(info.stats))) {
+        continue;  // The footer skips it without reading a record.
+      }
+      Part part{info.path, has_active() && &info == &segments_.back(), 0,
+                first - count};
+      if (after_ordinal > part.ordinal && !info.index.empty()) {
+        const size_t k = static_cast<size_t>(
+            std::min<uint64_t>((after_ordinal - part.ordinal) / kIndexStride,
+                               info.index.size() - 1));
+        part.from = info.index[k];
+        part.ordinal += k * kIndexStride;
+      }
+      parts.push_back(std::move(part));
     }
-    std::string bytes;
-    SENTINEL_RETURN_IF_ERROR(ReadWholeFile(info.path, &bytes));
-    RecordReader reader(bytes);
+  }
+  // Read outside the mutex. A torn tail, CRC mismatch or footer ends one
+  // segment's records. A sealed segment is read whole from its file (the
+  // snapshot may predate its last records); the live one through the
+  // snapshot, unless it started after the snapshot did.
+  for (const Part& part : parts) {
+    Result<RecordLog::Snapshot> snap = active;
+    if (!part.live) {
+      snap = RecordLog::OpenSnapshot(part.path);
+    } else if (!active.ok() || active->path() != part.path) {
+      break;
+    }
+    SENTINEL_RETURN_IF_ERROR(snap.status());
+    RecordLog::Reader reader(std::move(snap).value(), part.from);
     std::string_view body;
-    while (reader.Next(&body)) {
+    uint64_t ordinal = part.ordinal;
+    bool done = false;
+    while (!done && reader.Next(&body)) {
       if (++ordinal <= after_ordinal) continue;
-      EventOccurrence occ;
-      SENTINEL_RETURN_IF_ERROR(RecordReader::Decode(body, info.path, &occ));
-      out->push_back(std::move(occ));
-      *next_ordinal = ordinal;
-      if (max_rows != 0 && out->size() >= max_rows) return Status::OK();
+      SENTINEL_RETURN_IF_ERROR(visit(body, ordinal, part.path, &done));
+    }
+    if (done) break;
+    if (reader.stop() == RecordLog::Stop::kIOError) {
+      return Status::IOError("cannot read " + part.path);
     }
   }
   return Status::OK();
 }
 
-Status HistorySegmentStore::ScanFileLocked(
-    const std::string& path, const HistoryQuery& query,
-    std::vector<EventOccurrence>* out, bool* stop) const {
-  std::string bytes;
-  SENTINEL_RETURN_IF_ERROR(ReadWholeFile(path, &bytes));
-  RecordReader reader(bytes);
-  std::string_view body;
-  while (reader.Next(&body)) {
-    EventOccurrence occ;
-    SENTINEL_RETURN_IF_ERROR(RecordReader::Decode(body, path, &occ));
-    if (query.Matches(occ)) {
-      out->push_back(std::move(occ));
-      if (query.limit != 0 && out->size() >= query.limit) {
-        *stop = true;
-        return Status::OK();
-      }
-    }
+Status HistorySegmentStore::ScanFrom(uint64_t after_ordinal, size_t max_rows,
+                                     std::vector<std::string>* bodies,
+                                     uint64_t* next_ordinal) const {
+  *next_ordinal = after_ordinal;
+  size_t rows = 0;
+  return Walk(after_ordinal, [](const SegmentStats&) { return false; },
+              [&](std::string_view body, uint64_t ordinal,
+                  const std::string&, bool* done) {
+                bodies->emplace_back(body);
+                *next_ordinal = ordinal;
+                *done = max_rows != 0 && ++rows >= max_rows;
+                return Status::OK();
+              });
+}
+
+Status HistorySegmentStore::ScanFrom(uint64_t after_ordinal, size_t max_rows,
+                                     std::vector<EventOccurrence>* out,
+                                     uint64_t* next_ordinal) const {
+  std::vector<std::string> bodies;
+  SENTINEL_RETURN_IF_ERROR(
+      ScanFrom(after_ordinal, max_rows, &bodies, next_ordinal));
+  for (const std::string& body : bodies) {
+    out->emplace_back();
+    SENTINEL_RETURN_IF_ERROR(DecodeOrCorrupt(body, dir_, &out->back()));
   }
   return Status::OK();
 }
 
 Status HistorySegmentStore::Scan(const HistoryQuery& query,
                                  std::vector<EventOccurrence>* out) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!open_) return Status::FailedPrecondition("history store not open");
-  if (active_ != nullptr) std::fflush(active_);
-  bool stop = false;
-  for (const SegmentInfo& info : segments_) {
-    if (stop) break;
-    if (info.sealed) {
-      // Footer pruning: skip the whole segment when the stats prove no
-      // record can match.
-      const SegmentStats& st = info.stats;
-      if (st.max_seq < query.min_seq || st.max_seq <= query.after_seq ||
-          st.min_seq > query.max_seq ||
-          st.max_micros < query.min_micros ||
-          st.min_micros > query.max_micros ||
-          (query.oid != kInvalidOid &&
-           !BloomMayContain(st.bloom, query.oid))) {
-        m_scan_skipped_->Add();
-        continue;
-      }
-    }
-    SENTINEL_RETURN_IF_ERROR(ScanFileLocked(info.path, query, out, &stop));
-  }
-  return Status::OK();
+  // Footer pruning: skip a sealed segment whose stats prove no record can
+  // match.
+  auto prune = [&](const SegmentStats& st) {
+    const bool skip =
+        st.max_seq < query.min_seq || st.max_seq <= query.after_seq ||
+        st.min_seq > query.max_seq || st.max_micros < query.min_micros ||
+        st.min_micros > query.max_micros ||
+        (query.oid != kInvalidOid && !BloomMayContain(st.bloom, query.oid));
+    if (skip) m_scan_skipped_->Add();
+    return skip;
+  };
+  return Walk(0, prune,
+              [&](std::string_view body, uint64_t, const std::string& path,
+                  bool* done) {
+                EventOccurrence occ;
+                SENTINEL_RETURN_IF_ERROR(DecodeOrCorrupt(body, path, &occ));
+                if (query.Matches(occ)) {
+                  out->push_back(std::move(occ));
+                  *done = query.limit != 0 && out->size() >= query.limit;
+                }
+                return Status::OK();
+              });
 }
 
 uint64_t HistorySegmentStore::TotalRecords() const {
   std::lock_guard<std::mutex> lock(mutex_);
   uint64_t total = 0;
-  for (const SegmentInfo& info : segments_) {
-    if (info.sealed) total += info.stats.record_count;
-  }
-  if (!segments_.empty() && !segments_.back().sealed) {
-    total += active_stats_.record_count;
-  }
+  for (const SegmentInfo& info : segments_) total += info.stats.record_count;
   return total;
 }
 

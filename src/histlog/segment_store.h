@@ -31,15 +31,21 @@
 // rotation) is scanned record-by-record, with a torn tail trimmed on the
 // next open, exactly like the WAL.
 //
-// Thread-safety: all public methods lock an internal mutex. Stores are
-// per-shard, so the hot append path (one shard thread) never contends;
-// scans briefly serialize against that shard's appends.
+// The active segment is a RecordLog (common/record_log.h). Each segment
+// keeps a sparse ordinal→offset index (every kIndexStride-th record, built
+// on append and by the recovery walk), so ScanFrom starts at the cursor
+// rather than at byte 0.
+//
+// Thread-safety: all public methods are safe to call concurrently. Append
+// takes the store mutex; Scan and ScanFrom hold it only to cut a plan of
+// (segment, start offset) parts and read the files outside it, so a reader
+// never stalls the raise path's appends.
 
 #ifndef SENTINEL_HISTLOG_SEGMENT_STORE_H_
 #define SENTINEL_HISTLOG_SEGMENT_STORE_H_
 
 #include <cstdint>
-#include <cstdio>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <string>
@@ -47,6 +53,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/record_log.h"
 #include "common/status.h"
 #include "events/occurrence.h"
 
@@ -139,6 +146,11 @@ class HistorySegmentStore {
   Status ScanFrom(uint64_t after_ordinal, size_t max_rows,
                   std::vector<EventOccurrence>* out,
                   uint64_t* next_ordinal) const;
+  /// ScanFrom, handing out the record bodies as stored (what a kReplBatch
+  /// reply ships) without decoding them.
+  Status ScanFrom(uint64_t after_ordinal, size_t max_rows,
+                  std::vector<std::string>* bodies,
+                  uint64_t* next_ordinal) const;
 
   /// Total records currently stored: sealed-footer counts plus the active
   /// segment's count. Unlike the <prefix>.appends counter this survives
@@ -150,14 +162,13 @@ class HistorySegmentStore {
   /// Number of segment files currently on disk (including the active one).
   size_t segment_count() const;
 
-  /// [body_len][crc][body] framing of one occurrence (txn is not
-  /// persisted). Exposed for tests and the wire layer.
+  /// [body_len][crc][body] framing of one occurrence. Exposed for tests.
   static std::string EncodeRecord(const EventOccurrence& occ);
   /// Decodes a record body (no frame). Corruption on malformed input.
   static Status DecodeRecordBody(std::string_view body, EventOccurrence* occ);
 
  private:
-  /// Footer bookkeeping accumulated while a segment is active.
+  /// Footer bookkeeping, accumulated while a segment is active.
   struct SegmentStats {
     uint64_t record_count = 0;
     uint64_t min_seq = std::numeric_limits<uint64_t>::max();
@@ -165,8 +176,6 @@ class HistorySegmentStore {
     int64_t min_micros = std::numeric_limits<int64_t>::max();
     int64_t max_micros = std::numeric_limits<int64_t>::min();
     std::string bloom = std::string(kBloomBytes, '\0');
-
-    void Observe(const EventOccurrence& occ);
   };
 
   /// One known segment file.
@@ -174,17 +183,28 @@ class HistorySegmentStore {
     std::string path;
     uint64_t id = 0;  ///< Monotone ordinal from the file name.
     bool sealed = false;
-    /// Parsed footer (valid when sealed).
+    /// The footer's (sealed) or the running (active) stats.
     SegmentStats stats;
+    /// File offset of every kIndexStride-th record. Empty for a segment
+    /// sealed before this Open: reads of it start at byte 0.
+    std::vector<uint64_t> index;
+
+    /// Accounts for one more record, stored at file offset `at`.
+    void Add(const EventOccurrence& occ, uint64_t at);
   };
 
-  /// Walks one segment's records from byte 0 (defined in the .cc).
-  class RecordReader;
+  /// Gets each body after the cursor, its ordinal and its file; sets
+  /// `*done` to stop the walk.
+  using RecordVisitor = std::function<Status(
+      std::string_view body, uint64_t ordinal, const std::string& path,
+      bool* done)>;
 
   static constexpr size_t kBloomBytes = 128;  ///< 1024 bits, k=4.
-  static constexpr uint32_t kFooterSentinel = 0xFFFFFFFFu;
+  static constexpr uint64_t kIndexStride = 64;
   static constexpr char kFooterMagic[5] = "SHSF";
 
+  /// Record body of one occurrence (txn is not persisted).
+  static std::string EncodeBody(const EventOccurrence& occ);
   static void BloomAdd(std::string* bloom, Oid oid);
   static bool BloomMayContain(const std::string& bloom, Oid oid);
 
@@ -194,18 +214,24 @@ class HistorySegmentStore {
   /// Parses a footer from the tail of `tail`; false if absent/corrupt.
   static bool DecodeFooter(const std::string& tail, SegmentStats* stats);
 
+  bool has_active() const {
+    return !segments_.empty() && !segments_.back().sealed;
+  }
   Status OpenActiveLocked();
   Status SealActiveLocked();
-  /// Scans one segment file record-by-record. Stops cleanly at a torn
-  /// tail or the footer sentinel; `stop` is set once query.limit is hit.
-  /// Corruption when a CRC-valid record does not decode.
-  Status ScanFileLocked(const std::string& path, const HistoryQuery& query,
-                        std::vector<EventOccurrence>* out, bool* stop) const;
-  /// Reads a file's footer if sealed. Used at Open for inventory.
-  Status InspectSegment(SegmentInfo* info) const;
-  /// Re-derives active-segment stats and truncates a torn tail; Corruption
-  /// (file untouched) when a CRC-valid record does not decode.
+  /// Reads a file's footer (only the footer bytes) if sealed.
+  static Status InspectSegment(SegmentInfo* info);
+  /// The recovery walk of the unsealed tail segment: rebuilds its stats and
+  /// index and cuts a torn tail or CRC mismatch; Corruption (file
+  /// untouched) when a CRC-valid record does not decode.
   Status RecoverActiveLocked(SegmentInfo* info);
+  /// The one read path behind Scan and ScanFrom: cuts a plan of segments
+  /// (and start offsets, from the index) under the mutex, skipping sealed
+  /// segments wholly behind `after_ordinal` or that `prune` rejects by
+  /// footer, then reads them outside it.
+  Status Walk(uint64_t after_ordinal,
+              const std::function<bool(const SegmentStats&)>& prune,
+              const RecordVisitor& visit) const;
 
   const std::string dir_;
   const size_t segment_bytes_;
@@ -214,10 +240,8 @@ class HistorySegmentStore {
   bool open_ = false;
   uint64_t next_id_ = 0;  ///< Ordinal for the next segment file.
   std::vector<SegmentInfo> segments_;  ///< Sorted by id; last may be active.
-  FILE* active_ = nullptr;
-  size_t active_bytes_ = 0;  ///< Record bytes in the active segment.
-  SegmentStats active_stats_;
-  bool active_empty_ = true;  ///< Active segment file not yet created.
+  /// The active segment's file (closed while no segment is active).
+  mutable RecordLog log_{"histlog.append"};
   Counter* const m_appends_;
   Counter* const m_rotations_;
   Counter* const m_scan_skipped_;

@@ -455,12 +455,7 @@ void ReplBatchMsg::Encode(Encoder* enc) const {
   enc->PutU8(snapshot_done);
   enc->PutU64(snapshot_lsn);
   enc->PutU32(static_cast<uint32_t>(wal.size()));
-  for (const WalEntry& rec : wal) {
-    enc->PutU8(rec.type);
-    enc->PutU64(rec.txn);
-    enc->PutU64(rec.oid);
-    enc->PutString(rec.payload);
-  }
+  for (const std::string& rec : wal) enc->PutRaw(rec.data(), rec.size());
   enc->PutU64(next_lsn);
   enc->PutU8(wal_reset);
   enc->PutU32(static_cast<uint32_t>(occ_records.size()));
@@ -490,11 +485,16 @@ Result<ReplBatchMsg> ReplBatchMsg::Decode(const std::string& body) {
   SENTINEL_RETURN_IF_ERROR(dec.GetU64(&msg.snapshot_lsn));
   SENTINEL_RETURN_IF_ERROR(dec.GetU32(&n));
   msg.wal.resize(n);
-  for (WalEntry& rec : msg.wal) {
-    SENTINEL_RETURN_IF_ERROR(dec.GetU8(&rec.type));
-    SENTINEL_RETURN_IF_ERROR(dec.GetU64(&rec.txn));
-    SENTINEL_RETURN_IF_ERROR(dec.GetU64(&rec.oid));
-    SENTINEL_RETURN_IF_ERROR(dec.GetString(&rec.payload));
+  for (std::string& rec : msg.wal) {
+    const size_t start = body.size() - dec.remaining();
+    uint8_t type = 0;
+    uint64_t word = 0;
+    std::string_view payload;
+    SENTINEL_RETURN_IF_ERROR(dec.GetU8(&type));
+    SENTINEL_RETURN_IF_ERROR(dec.GetU64(&word));  // txn
+    SENTINEL_RETURN_IF_ERROR(dec.GetU64(&word));  // oid
+    SENTINEL_RETURN_IF_ERROR(dec.GetStringView(&payload));
+    rec = body.substr(start, body.size() - dec.remaining() - start);
   }
   SENTINEL_RETURN_IF_ERROR(dec.GetU64(&msg.next_lsn));
   SENTINEL_RETURN_IF_ERROR(dec.GetU8(&msg.wal_reset));

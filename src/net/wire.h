@@ -348,13 +348,6 @@ struct ReplBatchMsg {
     std::string class_name;
     std::string state;
   };
-  /// One shipped WAL record (mirror of txn/wal.h WalRecord).
-  struct WalEntry {
-    uint8_t type = 0;
-    uint64_t txn = 0;
-    uint64_t oid = 0;
-    std::string payload;
-  };
 
   uint64_t epoch = 0;      ///< Serving node's current epoch.
   uint8_t primary = 0;     ///< 1 while the serving node believes it leads.
@@ -374,7 +367,9 @@ struct ReplBatchMsg {
   uint64_t snapshot_lsn = 0;
 
   // Tail section.
-  std::vector<WalEntry> wal;
+  /// WAL record bodies, u8 type | u64 txn | u64 oid | string payload: the
+  /// bytes txn/wal.h's WalRecordView parses, written here as they are.
+  std::vector<std::string> wal;
   uint64_t next_lsn = 0;       ///< Pass back as next_lsn.
   /// 1 = the requested LSN was checkpoint-truncated away; re-snapshot.
   uint8_t wal_reset = 0;

@@ -218,8 +218,10 @@ Status Follower::TailOnce(bool* progressed, bool* caught_up) {
   // transaction's ops into this batch (WAL order = commit order = the
   // strict-2PL serialization order), an abort drops them.
   std::vector<ObjectStore::ReplOp> batch;
-  for (net::ReplBatchMsg::WalEntry& entry : reply.wal) {
-    switch (static_cast<WalRecordType>(entry.type)) {
+  for (const std::string& body : reply.wal) {
+    WalRecordView entry;
+    if (!entry.Parse(body)) return Status::Corruption("malformed wal entry");
+    switch (entry.type) {
       case WalRecordType::kBegin:
         open_txns_[entry.txn].clear();
         break;

@@ -116,10 +116,6 @@ class Follower {
   Status TailOnce(bool* progressed, bool* caught_up);
 
   Status Poll(uint8_t mode, uint64_t after_oid, net::ReplBatchMsg* reply);
-  Status ApplyWalEntries(const std::vector<net::ReplBatchMsg::WalEntry>& wal,
-                         uint64_t batch_next_lsn, bool* progressed);
-  Status ReplayOccRecords(const std::vector<std::string>& bodies,
-                          uint64_t batch_next_ordinal, bool* progressed);
 
   void ThreadMain();
 

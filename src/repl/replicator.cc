@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/logging.h"
 #include "events/occurrence.h"
 #include "txn/wal.h"
 
@@ -17,6 +18,8 @@ Replicator::Replicator(Database* db, ReplicatorOptions options)
       options_(std::move(options)),
       mirror_(options_.mirror_dir, options_.mirror_segment_bytes,
               *db->metrics(), "repl.mirror"),
+      m_mirror_append_failures_(
+          db->metrics()->counter("repl.mirror.append_failures")),
       epoch_(options_.initial_epoch) {}
 
 Replicator::~Replicator() { Stop(); }
@@ -29,10 +32,19 @@ Status Replicator::Start() {
   // the mutator thread; Append serializes internally, and the mirror's
   // append order is exactly the total order followers replay in. A mirror
   // write failure must not fail the raise that produced it — history has
-  // flush-level durability by contract — so the status is dropped here and
-  // surfaces, if persistent, as a stalled ship cursor.
-  observer_ = db_->AddOccurrenceObserver(
-      [this](const EventOccurrence& occ) { (void)mirror_.Append(occ); });
+  // flush-level durability by contract — so it is counted (and warned
+  // about at the 1st, 2nd, 4th, ... failure) instead: the followers never
+  // see that occurrence.
+  observer_ = db_->AddOccurrenceObserver([this](const EventOccurrence& occ) {
+    Status s = mirror_.Append(occ);
+    if (s.ok()) return;
+    m_mirror_append_failures_->Add();
+    const uint64_t n = m_mirror_append_failures_->Value();
+    if ((n & (n - 1)) == 0) {
+      SENTINEL_WARN << "event=repl_mirror_append_failed failures=" << n
+                    << " status=\"" << s.ToString() << "\"";
+    }
+  });
   started_ = true;
   return Status::OK();
 }
@@ -130,11 +142,14 @@ Status Replicator::FillTail(const net::ReplSubscribeMsg& msg,
                             size_t max_items, net::ReplBatchMsg* reply) {
   SENTINEL_FAILPOINT("repl.ship.tail");
 
-  // WAL suffix.
-  std::vector<WalRecord> records;
+  // WAL and mirror suffixes ship their record bodies as the logs hold them:
+  // a WAL body is byte for byte a kReplBatch WAL entry, and the follower
+  // decodes mirror bodies with HistorySegmentStore::DecodeRecordBody.
   uint64_t next_lsn = msg.next_lsn;
-  Status rs = db_->store()->wal()->ReadFrom(msg.next_lsn, max_items,
-                                            &records, &next_lsn);
+  Status rs = db_->store()->wal()->ReadFrom(
+      msg.next_lsn, max_items,
+      [reply](const WalRecordView& rec) { reply->wal.emplace_back(rec.bytes); },
+      &next_lsn);
   if (rs.IsOutOfRange()) {
     // A checkpoint truncated the requested position away — this follower
     // fell too far behind to tail; it must re-snapshot.
@@ -142,31 +157,12 @@ Status Replicator::FillTail(const net::ReplSubscribeMsg& msg,
     reply->next_lsn = msg.next_lsn;
   } else {
     SENTINEL_RETURN_IF_ERROR(rs);
-    reply->wal.reserve(records.size());
-    for (WalRecord& rec : records) {
-      net::ReplBatchMsg::WalEntry entry;
-      entry.type = static_cast<uint8_t>(rec.type);
-      entry.txn = rec.txn;
-      entry.oid = rec.oid;
-      entry.payload = std::move(rec.payload);
-      reply->wal.push_back(std::move(entry));
-    }
     reply->next_lsn = next_lsn;
   }
-
-  // Occurrence mirror suffix. Ship raw record bodies (the follower decodes
-  // with HistorySegmentStore::DecodeRecordBody), so the wire image is the
-  // same bytes the mirror holds.
-  std::vector<EventOccurrence> occs;
   uint64_t next_ordinal = msg.after_ordinal;
-  SENTINEL_RETURN_IF_ERROR(
-      mirror_.ScanFrom(msg.after_ordinal, max_items, &occs, &next_ordinal));
-  reply->occ_records.reserve(occs.size());
-  for (const EventOccurrence& occ : occs) {
-    // EncodeRecord frames as [u32 len][u32 crc][body]; strip the frame.
-    reply->occ_records.push_back(
-        HistorySegmentStore::EncodeRecord(occ).substr(8));
-  }
+  SENTINEL_RETURN_IF_ERROR(mirror_.ScanFrom(msg.after_ordinal, max_items,
+                                            &reply->occ_records,
+                                            &next_ordinal));
   reply->next_ordinal = next_ordinal;
   return Status::OK();
 }

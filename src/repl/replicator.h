@@ -6,14 +6,15 @@
 // committed oid space), then tails two totally ordered streams the primary
 // already produces for its own durability:
 //
-//   * the redo WAL — every committed object mutation, shipped as decoded
-//     records and re-applied on the follower through one local WAL
+//   * the redo WAL — every committed object mutation, shipped as the raw
+//     record bodies and re-applied on the follower through one local WAL
 //     mini-transaction per batch (ObjectStore::SystemApplyBatch), and
 //   * an occurrence mirror — a HistorySegmentStore fed by an occurrence
 //     observer, giving the raise history a stable total order (ordinals)
-//     that survives restarts. It counts into the database's registry as
-//     repl.mirror.* (appends, rotations, scan_segments_skipped), apart
-//     from the spill stores' histlog.*. Followers replay these through
+//     that survives restarts, also shipped as raw bodies. It counts into
+//     the database's registry as repl.mirror.* (appends, rotations,
+//     scan_segments_skipped, and the replicator's own append_failures),
+//     apart from the spill stores' histlog.*. Followers replay these through
 //     Database::ReplayOccurrence, reproducing the primary's detector
 //     trim/spill — and therefore its HistoryScan results — byte for byte.
 //
@@ -107,6 +108,7 @@ class Replicator : public net::ReplicationHandler {
   const ReplicatorOptions options_;
   HistorySegmentStore mirror_;
   Database::ObserverHandle observer_;
+  Counter* const m_mirror_append_failures_;  ///< Occurrences not mirrored.
   std::atomic<uint64_t> epoch_;
   bool started_ = false;
   /// Serializes pull handling: epoch transitions and WAL/mirror reads stay

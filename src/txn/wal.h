@@ -7,19 +7,20 @@
 // needs undo: it replays the operations of committed transactions in log
 // order and ignores everything else.
 //
-// On-disk format (version 2):
+// On-disk format (version 2), one RecordLog (common/record_log.h):
 //
 //   [header: "SWAL" | u32 version | u64 base_lsn | u32 crc | u32 pad]
 //   [record]*   record = [u32 body_len][u32 crc32c(body)][body]
+//               body   = u8 type | u64 txn | u64 oid | u32 len | payload
 //
 // `base_lsn` is the logical offset of the first record byte: LSNs are
 // logical log offsets that stay monotone across truncations, so a stable
 // LSN captured before a checkpoint still names the same boundary after the
-// prefix behind it is dropped. A torn tail is detected by the length check
-// and truncated; a corrupted *middle* record fails its CRC and surfaces as
-// Corruption instead of silently replaying garbage. Open refuses, with
-// Corruption and without touching the file, any non-empty file that lacks
-// a valid version-2 header.
+// prefix behind it is dropped. Open refuses, with Corruption and without
+// touching the file, any non-empty file that lacks a valid version-2
+// header; otherwise it cuts a torn tail, so appends resume right after the
+// last whole record. A fully present record that fails its CRC (or does
+// not decode) is Corruption for every reader, never replayed or skipped.
 //
 // Sync failures are sticky: after the first failed flush the log refuses
 // every further Sync with IOError. A failed fsync means the kernel may have
@@ -32,14 +33,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
-#include <memory>
-#include <mutex>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/record_log.h"
 #include "common/status.h"
 #include "txn/lock_manager.h"
 
@@ -63,6 +63,19 @@ struct WalRecord {
   std::string payload;    ///< For kPut: serialized object bytes.
 };
 
+/// One WAL record body viewed in place. Its `bytes` are exactly how a
+/// kReplBatch reply carries a WAL entry, so log shipping copies them as is.
+struct WalRecordView {
+  WalRecordType type = WalRecordType::kBegin;
+  TxnId txn = 0;
+  uint64_t oid = 0;
+  std::string_view payload;
+  std::string_view bytes;  ///< type through the end of the payload.
+
+  /// False when `body` is too short for the fields it claims.
+  bool Parse(std::string_view body);
+};
+
 /// Append-only log file plus replay support.
 class WalManager {
  public:
@@ -79,17 +92,19 @@ class WalManager {
   WalManager& operator=(const WalManager&) = delete;
 
   /// Opens (creating if absent) the log at `path`. A fresh log gets a
-  /// version-2 header; an existing file must already carry one.
+  /// version-2 header; an existing file must already carry one. A torn
+  /// tail is cut here.
   Status Open(const std::string& path);
   Status Close();
 
   /// Appends one record (buffered; see Sync). The record is framed once:
   /// its fixed fields go out from the stack and `payload` is copied only
-  /// into the log's stdio buffer.
+  /// into the log's buffer. Failpoint "wal.append" (a partial count tears
+  /// the record).
   Status Append(WalRecordType type, TxnId txn, uint64_t oid,
                 std::string_view payload = {});
 
-  /// Forces the log to disk (fflush + fdatasync). Called before acking a
+  /// Forces the log to disk (write + fdatasync). Called before acking a
   /// commit — normally through GroupCommitSync, which batches concurrent
   /// callers into one physical sync. Failures are sticky (see above).
   Status Sync();
@@ -105,14 +120,18 @@ class WalManager {
   /// present but fails its CRC returns Corruption.
   Status ReadAll(std::vector<WalRecord>* out);
 
-  /// Log-shipping read: decodes up to `max_records` records starting at
-  /// logical LSN `from_lsn` and sets `*next_lsn` to the LSN one past the
-  /// last record returned (pass it back to continue). `from_lsn` must be a
-  /// record boundary previously handed out by CurrentLsn()/ReadFrom.
+  /// Log-shipping read: hands up to `max_records` records starting at
+  /// logical LSN `from_lsn` to `visit` (views valid during the call) and
+  /// sets `*next_lsn` to the LSN one past the last one. `from_lsn` must be
+  /// a record boundary previously handed out by CurrentLsn()/ReadFrom.
   /// OutOfRange when a checkpoint already truncated `from_lsn` away — the
-  /// caller (a replication follower) must fall back to a snapshot. Only
-  /// records already flushed at call time are visible; a torn tail stops
-  /// the scan cleanly, exactly like ReadAll.
+  /// caller (a replication follower) must fall back to a snapshot. Every
+  /// record appended before the call is visible; the file is read outside
+  /// the lock appends take, so a reader never stalls a commit.
+  Status ReadFrom(uint64_t from_lsn, size_t max_records,
+                  const std::function<void(const WalRecordView&)>& visit,
+                  uint64_t* next_lsn);
+  /// ReadFrom, decoded into owned records.
   Status ReadFrom(uint64_t from_lsn, size_t max_records,
                   std::vector<WalRecord>* out, uint64_t* next_lsn);
 
@@ -141,31 +160,10 @@ class WalManager {
   Result<uint64_t> SizeBytes();
 
  private:
-  /// Writes a fresh v2 header to `f` (positioned at 0). Caller holds mutex_.
-  Status WriteHeader(std::FILE* f, uint64_t base_lsn);
-  /// Validates file_'s header and loads base_lsn_. Caller holds mutex_.
-  Status ReadHeader();
-  /// The one record-decode loop behind ReadAll and ReadFrom. Caller holds
-  /// mutex_ with file_ open.
-  Status ReadFromLocked(uint64_t from_lsn, size_t max_records,
-                        std::vector<WalRecord>* out, uint64_t* next_lsn);
+  /// Shared tail of TruncateTo/Reset.
+  Status Truncate(uint64_t stable_lsn);
 
-  /// Shared tail of TruncateTo/Reset. Caller holds mutex_.
-  Status TruncateToLocked(uint64_t stable_lsn);
-
-  /// fopens `path_` for update as file_, with the manager's own stdio
-  /// buffer, positioned at the end. Caller holds mutex_.
-  Status OpenFileLocked();
-
-  /// The log's stdio buffer. A 500-put commit frames ~185 KB, which the
-  /// default 4 KiB buffer would hand to the kernel in ~45 write(2) calls.
-  static constexpr size_t kStdioBufferBytes = 256 << 10;
-
-  std::mutex mutex_;
-  std::FILE* file_ = nullptr;
-  std::unique_ptr<char[]> stdio_buffer_;
-  std::string path_;
-  uint64_t base_lsn_ = 0;        ///< LSN of the first byte after the header.
+  RecordLog log_{"wal.append"};
   std::atomic<bool> sync_failed_{false};
   Histogram* const m_sync_ns_;
   Counter* const m_truncated_bytes_;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <random>
 
@@ -206,6 +208,43 @@ TEST_F(ObjectStoreTest, RecoveryIgnoresUncommittedWal) {
   ObjectStore reopened(metrics_);
   ASSERT_TRUE(reopened.Open(dir_.path()).ok());
   EXPECT_FALSE(reopened.Exists(oid));
+}
+
+// A crash tears the first frame of a header-only WAL (the state a fresh
+// store, or Recover's Reset, leaves). Open reads no record, so recovery has
+// nothing to redo; the next synced commit must still survive a crash, not
+// sit behind the torn length prefix where replay would take it for the
+// same torn tail.
+TEST_F(ObjectStoreTest, TornFirstWalRecordDoesNotHideLaterCommits) {
+  TempDir dir("store-torn");
+  {
+    WalManager wal(metrics_);  // A header-only log.
+    ASSERT_TRUE(wal.Open(dir.path() + "/wal.log").ok());
+    ASSERT_TRUE(wal.Close().ok());
+    std::ofstream out(dir.path() + "/wal.log",
+                      std::ios::binary | std::ios::app);
+    const uint32_t len = 1000;
+    out.write(reinterpret_cast<const char*>(&len), 4);
+    out.write("torn-bytes", 8);  // 12 of 1008 framed bytes.
+  }
+  ObjectStore reopened(metrics_);
+  ASSERT_TRUE(reopened.Open(dir.path()).ok());
+  const Oid oid = reopened.NewOid();
+  ASSERT_TRUE(reopened.SystemPut(oid, "C", "synced").ok());
+
+  // The crash image: the files as they are now, with no Close.
+  TempDir image("store-image");
+  for (const char* name : {"/wal.log", "/heap.db"}) {
+    std::filesystem::copy_file(dir.path() + name, image.path() + name);
+  }
+  ObjectStore recovered(metrics_);
+  ASSERT_TRUE(recovered.Open(image.path()).ok());
+  std::string cls, state;
+  Status s = recovered.Get(nullptr, oid, &cls, &state);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(state, "synced");
+  ASSERT_TRUE(recovered.Close().ok());
+  ASSERT_TRUE(reopened.Close().ok());
 }
 
 TEST_F(ObjectStoreTest, ManyObjectsSpanPages) {

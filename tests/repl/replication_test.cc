@@ -10,11 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/failpoint.h"
 #include "core/database.h"
 #include "net/client.h"
@@ -519,6 +523,114 @@ TEST(ReplSnapshotChunkTest, ChunksShipEachObjectOnceInOidOrderUnderChurn) {
   EXPECT_EQ(shipped, expected);
   EXPECT_TRUE(std::count(shipped.begin(), shipped.end(), 10051) == 1);
   EXPECT_TRUE(std::count(shipped.begin(), shipped.end(), 10090) == 0);
+
+  ASSERT_TRUE(replicator.Stop().ok());
+  ASSERT_TRUE(db->Close().ok());
+}
+
+// A mirror append that fails must not fail the raise that produced it; it
+// is counted, and the lost occurrence takes no ordinal.
+TEST_F(ReplicationTest, FailedMirrorAppendIsCountedAndTheRaiseSucceeds) {
+  StartNode(&primary_, "mirror-fail", /*replica=*/false);
+  Counter* failures =
+      primary_.db->metrics()->counter("repl.mirror.append_failures");
+  HistorySegmentStore* mirror = primary_.replicator->mirror();
+  auto wait_for = [](const std::function<bool()>& done) {
+    for (int i = 0; i < 500 && !done(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return done();
+  };
+  RaiseThroughGateway(&primary_, 1);
+  ASSERT_TRUE(wait_for([&] { return mirror->TotalRecords() == 1; }));
+  ASSERT_TRUE(FailPoints::Instance()
+                  .EnableFromSpec("histlog.append=ioerror@hit(1)")
+                  .ok());
+  RaiseThroughGateway(&primary_, 1, 1);  // Asserts the raise is OK.
+  ASSERT_TRUE(wait_for([&] { return failures->Value() == 1; }));
+  FailPoints::Instance().Reset();
+  RaiseThroughGateway(&primary_, 1, 2);
+  ASSERT_TRUE(wait_for([&] { return mirror->TotalRecords() == 2; }));
+  EXPECT_EQ(failures->Value(), 1u);
+}
+
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : bytes) {
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 15];
+  }
+  return hex;
+}
+
+// The kReplBatch tail reply, byte for byte: WAL entries of every record
+// type and three occurrence records, from a fixed store. LSNs are taken
+// relative to where the fixed records start (what Open logs before them
+// is not the point).
+TEST(ReplWireTest, TailReplyMatchesGoldenBytes) {
+  testing_util::TempDir dir("repl-golden");
+  auto opened = Database::Open({.dir = dir.path()});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Database> db = std::move(opened).value();
+  ReplicatorOptions ropts;
+  ropts.mirror_dir = dir.path() + "/repllog";
+  Replicator replicator(db.get(), ropts);
+  ASSERT_TRUE(replicator.Start().ok());
+
+  WalManager* wal = db->store()->wal();
+  const uint64_t from = *wal->CurrentLsn();
+  ASSERT_TRUE(wal->Append(WalRecordType::kBegin, 901, 0, "").ok());
+  ASSERT_TRUE(wal->Append(WalRecordType::kPut, 901, 0x1122334455667788ull,
+                          "image-a")
+                  .ok());
+  ASSERT_TRUE(wal->Append(WalRecordType::kDelete, 901, 77, "").ok());
+  ASSERT_TRUE(wal->Append(WalRecordType::kCommit, 901, 0, "").ok());
+  ASSERT_TRUE(wal->Append(WalRecordType::kAbort, 902, 0, "").ok());
+  ASSERT_TRUE(wal->Append(WalRecordType::kCheckpoint, 0, 0,
+                          std::string("\x10\x20\0\0\0\0\0\0", 8))
+                  .ok());
+  ASSERT_TRUE(wal->Sync().ok());
+  for (int i = 0; i < 3; ++i) {
+    EventOccurrence occ;
+    occ.oid = 40 + i;
+    occ.class_name = "Sensor";
+    occ.method = "Report";
+    occ.modifier = EventModifier::kEnd;
+    occ.params = {Value(int64_t{i}), Value(std::string("v")), Value(0.5)};
+    occ.timestamp.micros = 1000000 + i;
+    occ.timestamp.seq = 7 + i;
+    ASSERT_TRUE(replicator.mirror()->Append(occ).ok());
+  }
+
+  net::ReplSubscribeMsg msg;
+  msg.epoch = 1;
+  msg.mode = net::ReplSubscribeMsg::kTail;
+  msg.next_lsn = from;
+  net::ReplBatchMsg reply;
+  ASSERT_TRUE(replicator.HandleReplSubscribe(msg, &reply).ok());
+  reply.wal_base_lsn = 0;
+  reply.wal_end_lsn -= from;
+  reply.next_lsn -= from;
+  Encoder enc;
+  reply.Encode(&enc);
+  const std::string kGolden =
+      "010000000000000001020000000000000000bd00000000000000030000000000"
+      "0000000000000000000000000000000000000000000000060000000185030000"
+      "0000000000000000000000000000000004850300000000000088776655443322"
+      "1107000000696d6167652d610585030000000000004d00000000000000000000"
+      "0002850300000000000000000000000000000000000003860300000000000000"
+      "0000000000000000000000060000000000000000000000000000000008000000"
+      "1020000000000000bd0000000000000000030000004900000028000000000000"
+      "000600000053656e736f72060000005265706f72740103000000020000000000"
+      "00000004010000007603000000000000e03f40420f0000000000070000000000"
+      "00004900000029000000000000000600000053656e736f72060000005265706f"
+      "7274010300000002010000000000000004010000007603000000000000e03f41"
+      "420f00000000000800000000000000490000002a000000000000000600000053"
+      "656e736f72060000005265706f72740103000000020200000000000000040100"
+      "00007603000000000000e03f42420f0000000000090000000000000003000000"
+      "00000000";
+  EXPECT_EQ(Hex(enc.buffer()), kGolden);
 
   ASSERT_TRUE(replicator.Stop().ok());
   ASSERT_TRUE(db->Close().ok());

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <random>
@@ -88,6 +89,7 @@ TEST(WalTest, TornTailIsTruncatedSilently) {
     ASSERT_TRUE(wal.Sync().ok());
     ASSERT_TRUE(wal.Close().ok());
   }
+  const auto whole = std::filesystem::file_size(path);
   // Simulate a crash mid-append: tack on a length prefix with no body.
   {
     std::ofstream out(path, std::ios::binary | std::ios::app);
@@ -98,6 +100,8 @@ TEST(WalTest, TornTailIsTruncatedSilently) {
   MetricsRegistry metrics;
   WalManager wal(metrics);
   ASSERT_TRUE(wal.Open(path).ok());
+  // Open cut the torn bytes: the file ends with the last whole record.
+  EXPECT_EQ(std::filesystem::file_size(path), whole);
   std::vector<WalRecord> records;
   ASSERT_TRUE(wal.ReadAll(&records).ok());
   ASSERT_EQ(records.size(), 1u);  // The torn record is dropped.
