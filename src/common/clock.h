@@ -51,10 +51,10 @@ class Clock {
   static void ResetSequenceForTest(uint64_t seq);
 
   /// Ensures every future Now() returns a seq strictly greater than `seq`
-  /// (monotone CAS-max; never moves the clock backwards). A promoted
-  /// replica calls this with the highest replicated seq so the timestamps
-  /// it issues as the new primary extend — never collide with — the
-  /// history it replayed.
+  /// (monotone CAS-max; never moves the clock backwards). Database::Open,
+  /// Replicator::Start and a promoted replica call this with the largest
+  /// seq their history already holds, so new timestamps extend — never
+  /// collide with — that history after a restart.
   static void AdvanceTo(uint64_t seq);
 
  private:

@@ -149,7 +149,8 @@ FailPoints::FailPoints() {
   if (env != nullptr && env[0] != '\0') {
     Status s = EnableFromSpec(env);
     if (!s.ok()) {
-      SENTINEL_WARN << "SENTINEL_FAILPOINTS: " << s.ToString();
+      SENTINEL_WARN << "event=failpoint_spec_rejected status=\""
+                    << s.ToString() << "\"";
     }
   }
 }
@@ -264,7 +265,7 @@ Status FailPoints::Check(const char* name, size_t* partial_bytes) {
     // so kPartialWrite implies the crash flag too.
     crash_point_ = name;
     crashed_.store(true, std::memory_order_release);
-    SENTINEL_INFO << "failpoint " << name << " simulated crash";
+    SENTINEL_INFO << "event=failpoint_crash point=" << name;
   }
   if (point.config.action == Config::Action::kPartialWrite &&
       partial_bytes != nullptr) {

@@ -72,6 +72,11 @@ Result<std::unique_ptr<Database>> Database::Open(const Options& options) {
       SENTINEL_RETURN_IF_ERROR(store->Open());
       db->history_stores_.push_back(std::move(store));
     }
+    // Seqs restart with the process; continue above the stored history so
+    // seq stays unique in it (and a paging cursor never skips new rows).
+    for (const auto& store : db->history_stores_) {
+      Clock::AdvanceTo(store->MaxSeq());
+    }
     Database* self = db.get();
     db->detector_->SetSpillSink(
         [self](size_t shard, const EventOccurrence& occ) {
@@ -171,67 +176,14 @@ Status Database::HistoryScan(const HistoryQuery& query,
       if (query.Matches(occ)) out->push_back(occ);
     }
   }
-  // Per-shard scans are each in logical order; merge to the global order.
+  // Each store returns its oldest `limit` matches in logical order, so the
+  // oldest `limit` of the merge are among them.
   std::stable_sort(out->begin() + base, out->end(),
                    [](const EventOccurrence& a, const EventOccurrence& b) {
                      return a.timestamp.seq < b.timestamp.seq;
                    });
   if (query.limit != 0 && out->size() - base > query.limit) {
     out->resize(base + query.limit);
-  }
-  return Status::OK();
-}
-
-Status Database::HistoryScanPaged(const HistoryQuery& query,
-                                  HistoryCursor after, size_t limit,
-                                  HistoryPage* page) {
-  if (!open_) return Status::FailedPrecondition("database not open");
-  if (history_stores_.empty()) {
-    return Status::FailedPrecondition(
-        "history spill disabled (Options::history_spill)");
-  }
-  if (limit == 0) {
-    return Status::InvalidArgument("history page limit must be positive");
-  }
-  page->items.clear();
-  // Each shard's store scans in its own seq order, so `limit + 1` rows per
-  // shard are enough to decide the global first `limit + 1`; the extra row
-  // distinguishes "exactly limit matches" from "clamped".
-  struct Tagged {
-    EventOccurrence occ;
-    uint32_t shard;
-  };
-  std::vector<Tagged> merged;
-  for (size_t shard = 0; shard < history_stores_.size(); ++shard) {
-    HistoryQuery q = query;
-    // Exclusive (seq, shard) cursor: a shard at or before the cursor's
-    // shard resumes strictly after the cursor seq; a later shard may still
-    // hold the cursor seq itself.
-    q.after_seq = shard <= after.shard ? after.seq
-                                       : (after.seq == 0 ? 0 : after.seq - 1);
-    q.limit = limit + 1;
-    std::vector<EventOccurrence> rows;
-    SENTINEL_RETURN_IF_ERROR(history_stores_[shard]->Scan(q, &rows));
-    for (EventOccurrence& occ : rows) {
-      merged.push_back(Tagged{std::move(occ), static_cast<uint32_t>(shard)});
-    }
-  }
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const Tagged& a, const Tagged& b) {
-                     if (a.occ.timestamp.seq != b.occ.timestamp.seq) {
-                       return a.occ.timestamp.seq < b.occ.timestamp.seq;
-                     }
-                     return a.shard < b.shard;
-                   });
-  page->complete = merged.size() <= limit;
-  if (!page->complete) merged.resize(limit);
-  page->items.reserve(merged.size());
-  for (Tagged& t : merged) page->items.push_back(std::move(t.occ));
-  if (!page->items.empty()) {
-    page->next.seq = page->items.back().timestamp.seq;
-    page->next.shard = merged.back().shard;
-  } else {
-    page->next = after;
   }
   return Status::OK();
 }
@@ -750,8 +702,8 @@ void Database::PostRaise(const EventOccurrence& occ) {
   Transaction* txn = occ.txn != nullptr ? occ.txn : shard.current_txn;
   Status s = shard.scheduler.EndRound(txn);
   if (!s.ok()) {
-    SENTINEL_DEBUG << "rule round after " << occ.Key() << ": "
-                   << s.ToString();
+    SENTINEL_DEBUG << "event=rule_round_failed key=\"" << occ.Key()
+                   << "\" status=\"" << s.ToString() << "\"";
     // An Aborted status from an immediate rule dooms the transaction.
     if (s.IsAborted() && txn != nullptr && txn->active() &&
         !txn->abort_requested()) {
@@ -815,7 +767,8 @@ size_t Database::DrainForwarded() {
       trigger.rule->Deliver(trigger.occ);
       Status s = shard.scheduler.EndRound(nullptr);
       if (!s.ok()) {
-        SENTINEL_DEBUG << "forwarded rule round: " << s.ToString();
+        SENTINEL_DEBUG << "event=forwarded_round_failed status=\""
+                       << s.ToString() << "\"";
       }
       ++executed;
     }

@@ -173,28 +173,12 @@ class Database : public RaiseContext,
   /// in-memory log that matches `query`, across all shards, merged into
   /// logical-clock order. With `include_memory`, the detector's in-memory
   /// segments are merged in too — only safe once raising threads are
-  /// quiesced (the in-memory deques are not locked).
+  /// quiesced (the in-memory deques are not locked). `query.limit` keeps
+  /// the oldest matches; a reader pages on by passing the last row's seq
+  /// as `query.after_seq` (seqs are unique within the history, see Open).
   Status HistoryScan(const HistoryQuery& query,
                      std::vector<EventOccurrence>* out,
                      bool include_memory = false);
-
-  /// One page of a cursor-driven history scan.
-  struct HistoryPage {
-    std::vector<EventOccurrence> items;  ///< Logical-clock order.
-    bool complete = true;  ///< False when `limit` cut the result short.
-    /// Cursor of the last row in `items` — pass back as `after` to resume.
-    /// Meaningful whenever `items` is non-empty.
-    HistoryCursor next;
-  };
-
-  /// Paged HistoryScan over the spilled history: returns up to `limit`
-  /// matching rows strictly after the exclusive cursor `after`, merged into
-  /// (seq, shard) order, plus the resume cursor. Unlike the min_seq
-  /// workaround, resuming from the cursor never re-delivers or skips rows
-  /// even when seqs repeat across shards (replication catch-up replays
-  /// through this path). `limit` must be positive.
-  Status HistoryScanPaged(const HistoryQuery& query, HistoryCursor after,
-                          size_t limit, HistoryPage* page);
 
   /// Shard `shard`'s history segment store; nullptr when history_spill is
   /// off (tests and the gateway's replay handler).

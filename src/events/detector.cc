@@ -77,21 +77,6 @@ void EventDetector::RecordOccurrence(const EventOccurrence& occ,
   LogSegment& seg = *segments_[shard];
   seg.log.push_back(OccurrenceShare::CopyOf(occ));
   m_occurrences_->Add();
-  // Per-key counters are admission-capped: keys come from the workload
-  // (class::method strings), so an open-ended stream of fresh signatures
-  // must not grow the map without bound. Admitted keys keep counting;
-  // overflow keys are tallied in aggregate instead.
-  std::string& key = seg.key_scratch;
-  key.clear();
-  AppendEventKey(occ.modifier, occ.class_name, occ.method, &key);
-  auto it = seg.key_counts.find(key);
-  if (it != seg.key_counts.end()) {
-    ++it->second;
-  } else if (seg.key_counts.size() < key_count_capacity_) {
-    seg.key_counts.emplace(key, 1);
-  } else {
-    m_keys_untracked_->Add();
-  }
   TrimLog(&seg, shard);
 }
 
@@ -122,21 +107,6 @@ std::vector<EventOccurrence> EventDetector::MergedLog() const {
                      return a.timestamp < b.timestamp;
                    });
   return merged;
-}
-
-uint64_t EventDetector::CountForKey(const std::string& key) const {
-  uint64_t total = 0;
-  for (const auto& seg : segments_) {
-    auto it = seg->key_counts.find(key);
-    if (it != seg->key_counts.end()) total += it->second;
-  }
-  return total;
-}
-
-size_t EventDetector::key_count_size() const {
-  size_t total = 0;
-  for (const auto& seg : segments_) total += seg->key_counts.size();
-  return total;
 }
 
 void EventDetector::AdvanceTime(const Timestamp& now) {
@@ -312,8 +282,8 @@ Status EventDetector::LoadAll(ObjectStore* store) {
         "event name index has " + std::to_string(dec.remaining()) +
         " trailing bytes after " + std::to_string(count) + " entries");
   }
-  SENTINEL_INFO << "restored " << named_.size() << " named events ("
-                << loaded_.size() << " nodes)";
+  SENTINEL_INFO << "event=events_restored named=" << named_.size()
+                << " nodes=" << loaded_.size();
   return Status::OK();
 }
 

@@ -8,7 +8,7 @@
 // the detector owns what surrounds it:
 //   * a registry of named event objects (create/look up/delete events at
 //     runtime — first-class citizenship),
-//   * the global occurrence log and per-signature counters,
+//   * the global occurrence log,
 //   * the logical-time pump for temporal operators,
 //   * persistence: saving and restoring whole event graphs through the
 //     object store, with two-phase relinking of operator children.
@@ -40,14 +40,12 @@ constexpr Oid kEventIndexOid = 3;
 class EventDetector {
  public:
   /// Counts into `metrics`: every RecordOccurrence bumps
-  /// events.occurrences, every FIFO trim events.log_trimmed, and every
-  /// occurrence whose key is refused a per-key counter events.keys_untracked.
+  /// events.occurrences and every FIFO trim events.log_trimmed.
   explicit EventDetector(MetricsRegistry& metrics,
                          const ClassCatalog* catalog = nullptr)
       : catalog_(catalog),
         m_occurrences_(metrics.counter("events.occurrences")),
-        m_trimmed_(metrics.counter("events.log_trimmed")),
-        m_keys_untracked_(metrics.counter("events.keys_untracked")) {
+        m_trimmed_(metrics.counter("events.log_trimmed")) {
     segments_.push_back(std::make_unique<LogSegment>());
   }
 
@@ -116,20 +114,6 @@ class EventDetector {
     spill_sink_ = std::move(sink);
   }
 
-  /// Occurrences logged for one signature key ("end Employee::SetSalary"),
-  /// summed over segments.
-  uint64_t CountForKey(const std::string& key) const;
-
-  /// Caps the number of distinct per-key counters. Keys are workload-
-  /// controlled (class::method strings), so without a bound a generated
-  /// workload grows this map forever; beyond the cap new keys are counted
-  /// only in events.keys_untracked. Existing keys keep counting.
-  void set_key_count_capacity(size_t capacity) {
-    key_count_capacity_ = capacity;
-  }
-  size_t key_count_capacity() const { return key_count_capacity_; }
-  size_t key_count_size() const;
-
   // --- Time pump (Periodic/Plus) ----------------------------------------------
 
   /// Advances logical time on every registered root (and, through routing,
@@ -152,8 +136,6 @@ class EventDetector {
   /// thread touches a segment's mutable state, so recording needs no lock.
   struct LogSegment {
     std::deque<OccurrencePtr> log;
-    std::map<std::string, uint64_t> key_counts;
-    std::string key_scratch;  ///< Reused key buffer for RecordOccurrence.
   };
 
   /// All nodes reachable from the named roots (deduplicated).
@@ -175,11 +157,9 @@ class EventDetector {
   /// unique_ptr for stable addresses; at least one segment always exists.
   std::vector<std::unique_ptr<LogSegment>> segments_;
   size_t log_capacity_ = 4096;  ///< Per segment.
-  size_t key_count_capacity_ = 4096;  ///< Per segment.
   std::function<void(size_t, const EventOccurrence&)> spill_sink_;
   Counter* const m_occurrences_;
   Counter* const m_trimmed_;
-  Counter* const m_keys_untracked_;
 };
 
 }  // namespace sentinel

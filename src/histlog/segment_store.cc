@@ -397,6 +397,7 @@ Status HistorySegmentStore::Scan(const HistoryQuery& query,
     if (skip) m_scan_skipped_->Add();
     return skip;
   };
+  size_t found = 0;
   return Walk(0, prune,
               [&](std::string_view body, uint64_t, const std::string& path,
                   bool* done) {
@@ -404,7 +405,7 @@ Status HistorySegmentStore::Scan(const HistoryQuery& query,
                 SENTINEL_RETURN_IF_ERROR(DecodeOrCorrupt(body, path, &occ));
                 if (query.Matches(occ)) {
                   out->push_back(std::move(occ));
-                  *done = query.limit != 0 && out->size() >= query.limit;
+                  *done = ++found == query.limit;
                 }
                 return Status::OK();
               });
@@ -415,6 +416,15 @@ uint64_t HistorySegmentStore::TotalRecords() const {
   uint64_t total = 0;
   for (const SegmentInfo& info : segments_) total += info.stats.record_count;
   return total;
+}
+
+uint64_t HistorySegmentStore::MaxSeq() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  uint64_t max_seq = 0;
+  for (const SegmentInfo& info : segments_) {
+    max_seq = std::max(max_seq, info.stats.max_seq);
+  }
+  return max_seq;
 }
 
 size_t HistorySegmentStore::segment_count() const {

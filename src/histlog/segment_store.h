@@ -11,8 +11,7 @@
 //
 // On-disk layout (one directory per shard, e.g. `<db>/history/shard-3/`):
 //
-//   seg-<id>.hist            id = monotone segment ordinal (survives
-//                            restarts; the logical clock seq does not)
+//   seg-<id>.hist            id = monotone segment ordinal
 //
 //   record   := [u32 body_len][u32 crc32c(body)][body]
 //   body     := u64 oid | string class | string method | u8 modifier |
@@ -35,6 +34,12 @@
 // keeps a sparse ordinal→offset index (every kIndexStride-th record, built
 // on append and by the recovery walk), so ScanFrom starts at the cursor
 // rather than at byte 0.
+//
+// Seqs are unique within one database's history: Database::Open and
+// Replicator::Start advance the logical clock past MaxSeq() of every store
+// they open, so occurrences raised after a restart extend the stored order
+// instead of reusing its seqs. A seq is therefore a complete scan cursor
+// (HistoryQuery::after_seq).
 //
 // Thread-safety: all public methods are safe to call concurrently. Append
 // takes the store mutex; Scan and ScanFrom hold it only to cut a plan of
@@ -63,9 +68,9 @@ namespace sentinel {
 struct HistoryQuery {
   uint64_t min_seq = 0;  ///< Inclusive logical-clock bounds.
   uint64_t max_seq = std::numeric_limits<uint64_t>::max();
-  /// Exclusive lower seq bound: only rows with seq > after_seq match. This
-  /// is the per-store face of the paging resume cursor (0 = disabled; the
-  /// logical clock never issues seq 0, so 0 excludes nothing).
+  /// Exclusive resume cursor: only rows with seq > after_seq match — pass
+  /// the seq of the last row already delivered (0 = from the start; the
+  /// logical clock never issues seq 0).
   uint64_t after_seq = 0;
   int64_t min_micros = std::numeric_limits<int64_t>::min();
   int64_t max_micros = std::numeric_limits<int64_t>::max();
@@ -80,15 +85,6 @@ struct HistoryQuery {
            occ.timestamp.micros <= max_micros &&
            (oid == kInvalidOid || occ.oid == oid);
   }
-};
-
-/// Resume cursor for paged history scans: the logical position of the last
-/// row already delivered, as (seq, shard). Exclusive — the next page starts
-/// strictly after it. Zero-initialized = scan from the beginning (seqs start
-/// at 1, so (0, 0) precedes every row).
-struct HistoryCursor {
-  uint64_t seq = 0;
-  uint32_t shard = 0;
 };
 
 /// Append-only segment store for one shard's trimmed occurrences.
@@ -129,9 +125,11 @@ class HistorySegmentStore {
   Status Flush();
 
   /// Appends every stored occurrence matching `query` to `out`, oldest
-  /// segment first (within a segment, append = logical order). Sealed
-  /// segments whose footer proves no match are skipped without reading
-  /// records. A CRC-valid record that does not decode is Corruption.
+  /// segment first (within a segment, append = logical order); a
+  /// `query.limit` caps the rows this call appends, not `out`'s size.
+  /// Sealed segments whose footer proves no match are skipped without
+  /// reading records. A CRC-valid record that does not decode is
+  /// Corruption.
   Status Scan(const HistoryQuery& query,
               std::vector<EventOccurrence>* out) const;
 
@@ -158,6 +156,10 @@ class HistorySegmentStore {
   /// of the newest record — the replication probe reports it as the ship
   /// target.
   uint64_t TotalRecords() const;
+
+  /// Largest seq stored (0 when empty), from the segments' footer and
+  /// running stats — what a reopening owner advances the clock past.
+  uint64_t MaxSeq() const;
 
   /// Number of segment files currently on disk (including the active one).
   size_t segment_count() const;

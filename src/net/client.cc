@@ -444,7 +444,6 @@ Result<std::vector<Notification>> Subscriber::HistoryScan(
     *resume = query;
     if (!batch.items.empty()) {
       resume->after_seq = batch.next_seq;
-      resume->after_shard = batch.next_shard;
     }
   }
   return std::move(batch.items);

@@ -215,7 +215,7 @@ class Subscriber {
   /// (Notification encoding; the subscription key field stays empty). Sets
   /// `*complete` to false (when non-null) if the server clamped the result
   /// at its per-scan ceiling; when that happens, `*resume` (when non-null)
-  /// holds `query` with its after_seq/after_shard cursor advanced past the
+  /// holds `query` with its after_seq cursor advanced past the
   /// last delivered row — pass it back to continue without duplicates.
   /// Requires the server database to run with history spill enabled;
   /// FailedPrecondition otherwise.

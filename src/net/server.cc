@@ -321,11 +321,9 @@ Status GatewayServer::Start() {
       return err;
     }
   }
-  SENTINEL_INFO << "gateway listening on " << options_.host << ":" << port_
-                << " (" << io_shards_.size() << " io thread"
-                << (io_shards_.size() == 1 ? "" : "s") << ", "
-                << queues_.size() << " worker shard"
-                << (queues_.size() == 1 ? "" : "s") << ")";
+  SENTINEL_INFO << "event=gateway_listening host=" << options_.host
+                << " port=" << port_ << " io_threads=" << io_shards_.size()
+                << " worker_shards=" << queues_.size();
   return Status::OK();
 }
 
@@ -425,7 +423,8 @@ void GatewayServer::IoLoop(size_t io_idx) {
     if (!running_.load(std::memory_order_acquire)) break;
     if (n < 0) {
       if (errno == EINTR) continue;
-      SENTINEL_WARN << "gateway epoll_wait: " << std::strerror(errno);
+      SENTINEL_WARN << "event=gateway_epoll_wait_failed error=\""
+                    << std::strerror(errno) << "\"";
       break;
     }
     for (int i = 0; i < n; ++i) {
@@ -483,7 +482,8 @@ void GatewayServer::AcceptPending(IoShard* io) {
     if (fd < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR) continue;
-      SENTINEL_WARN << "gateway accept: " << std::strerror(errno);
+      SENTINEL_WARN << "event=gateway_accept_failed error=\""
+                    << std::strerror(errno) << "\"";
       return;
     }
     if (!SetNonBlocking(fd).ok()) {
@@ -535,7 +535,8 @@ void GatewayServer::RegisterSession(IoShard* io, int fd) {
   ev.events = EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP;
   ev.data.u64 = id;
   if (::epoll_ctl(io->epoll_fd, EPOLL_CTL_ADD, fd, &ev) < 0) {
-    SENTINEL_WARN << "gateway epoll_ctl(add): " << std::strerror(errno);
+    SENTINEL_WARN << "event=gateway_epoll_add_failed error=\""
+                  << std::strerror(errno) << "\"";
     ::close(fd);
     return;
   }
@@ -1331,28 +1332,27 @@ void GatewayServer::HandleHistoryScan(Session* session,
   if (msg.min_micros != 0) query.min_micros = msg.min_micros;
   if (msg.max_micros != 0) query.max_micros = msg.max_micros;
   if (msg.oid != 0) query.oid = msg.oid;
-
-  HistoryCursor after;
-  after.seq = msg.after_seq;
-  after.shard = msg.after_shard;
-  Database::HistoryPage page;
-  Status s = db_->HistoryScanPaged(query, after, limit, &page);
+  query.after_seq = msg.after_seq;
+  // One row past the page tells a full page from a clamped one.
+  query.limit = static_cast<size_t>(limit) + 1;
+  std::vector<EventOccurrence> rows;
+  Status s = db_->HistoryScan(query, &rows);
   if (!s.ok()) {
     session->Reply(FrameType::kStatusReply, StatusReplyMsg::FromStatus(s));
     return;
   }
   HistoryBatchMsg reply;
-  reply.complete = page.complete;
-  reply.next_seq = page.next.seq;
-  reply.next_shard = page.next.shard;
-  reply.items.reserve(page.items.size());
-  for (const EventOccurrence& occ : page.items) {
+  reply.complete = rows.size() <= limit;
+  if (!reply.complete) rows.resize(limit);
+  reply.next_seq = rows.empty() ? msg.after_seq : rows.back().timestamp.seq;
+  reply.items.reserve(rows.size());
+  for (EventOccurrence& occ : rows) {
     Notification n;
     n.oid = occ.oid;
-    n.class_name = occ.class_name;
-    n.method = occ.method;
+    n.class_name = std::move(occ.class_name);
+    n.method = std::move(occ.method);
     n.modifier = occ.modifier;
-    n.params = occ.params;
+    n.params = std::move(occ.params);
     n.timestamp = occ.timestamp;
     reply.items.push_back(std::move(n));
   }

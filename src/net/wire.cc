@@ -244,7 +244,6 @@ void HistoryScanMsg::Encode(Encoder* enc) const {
   enc->PutU64(oid);
   enc->PutU32(limit);
   enc->PutU64(after_seq);
-  enc->PutU32(after_shard);
 }
 
 Result<HistoryScanMsg> HistoryScanMsg::Decode(const std::string& body) {
@@ -256,10 +255,7 @@ Result<HistoryScanMsg> HistoryScanMsg::Decode(const std::string& body) {
   SENTINEL_RETURN_IF_ERROR(dec.GetI64(&msg.max_micros));
   SENTINEL_RETURN_IF_ERROR(dec.GetU64(&msg.oid));
   SENTINEL_RETURN_IF_ERROR(dec.GetU32(&msg.limit));
-  if (!dec.AtEnd()) {  // Cursor absent from pre-cursor peers.
-    SENTINEL_RETURN_IF_ERROR(dec.GetU64(&msg.after_seq));
-    SENTINEL_RETURN_IF_ERROR(dec.GetU32(&msg.after_shard));
-  }
+  SENTINEL_RETURN_IF_ERROR(dec.GetU64(&msg.after_seq));
   SENTINEL_RETURN_IF_ERROR(ExpectEnd(dec));
   if (msg.min_seq > msg.max_seq) {
     return Status::InvalidArgument("history scan: min_seq > max_seq");
@@ -583,7 +579,6 @@ void HistoryBatchMsg::Encode(Encoder* enc) const {
   for (const Notification& n : items) n.Encode(enc);
   enc->PutBool(complete);
   enc->PutU64(next_seq);
-  enc->PutU32(next_shard);
 }
 
 Result<HistoryBatchMsg> HistoryBatchMsg::Decode(const std::string& body) {
@@ -598,10 +593,7 @@ Result<HistoryBatchMsg> HistoryBatchMsg::Decode(const std::string& body) {
     msg.items.push_back(std::move(n));
   }
   SENTINEL_RETURN_IF_ERROR(dec.GetBool(&msg.complete));
-  if (!dec.AtEnd()) {  // Cursor absent from pre-cursor peers.
-    SENTINEL_RETURN_IF_ERROR(dec.GetU64(&msg.next_seq));
-    SENTINEL_RETURN_IF_ERROR(dec.GetU32(&msg.next_shard));
-  }
+  SENTINEL_RETURN_IF_ERROR(dec.GetU64(&msg.next_seq));
   SENTINEL_RETURN_IF_ERROR(ExpectEnd(dec));
   return msg;
 }

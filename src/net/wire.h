@@ -207,9 +207,11 @@ struct StatsRequestMsg {
 };
 
 /// Replay spilled occurrence history: the remote face of
-/// Database::HistoryScan. Filters mirror HistoryQuery; zero/defaulted
-/// fields mean "unbounded" on that axis (`oid` 0 = every object). `limit`
-/// is clamped server-side so one request cannot balloon a reply frame.
+/// Database::HistoryScan (spilled rows only). Filters mirror HistoryQuery;
+/// zero/defaulted fields mean "unbounded" on that axis (`oid` 0 = every
+/// object). `limit` is clamped server-side so one request cannot balloon a
+/// reply frame; the server scans limit + 1 rows to tell whether the page
+/// is complete.
 struct HistoryScanMsg {
   uint64_t min_seq = 0;
   uint64_t max_seq = ~0ull;
@@ -217,12 +219,11 @@ struct HistoryScanMsg {
   int64_t max_micros = 0;  ///< 0 = open.
   uint64_t oid = 0;        ///< 0 = every object.
   uint32_t limit = 0;      ///< 0 = server default.
-  /// Exclusive resume cursor: the (seq, shard) of the last row the previous
-  /// HistoryBatch delivered (its next_seq/next_shard). (0, 0) scans from
-  /// the start. Unlike bumping min_seq, the cursor cannot skip or duplicate
-  /// rows when logical seqs collide across shards.
+  /// Exclusive resume cursor: the seq of the last row the previous
+  /// HistoryBatch delivered (its next_seq); 0 scans from the start. Seqs
+  /// are unique within a database's history, so resuming after one neither
+  /// skips nor repeats a row.
   uint64_t after_seq = 0;
-  uint32_t after_shard = 0;
 
   void Encode(Encoder* enc) const;
   static Result<HistoryScanMsg> Decode(const std::string& body);
@@ -326,13 +327,12 @@ struct NotificationBatchMsg {
 /// Reply to HistoryScan: the matching occurrences in logical-clock order
 /// (Notification encoding with an empty subscription key), plus `complete`
 /// — false when the server's limit clamp cut the result short — and the
-/// resume cursor (next_seq, next_shard): copy it into the next request's
-/// after_seq/after_shard to continue exactly where this page ended.
+/// resume cursor next_seq (the last row's seq): copy it into the next
+/// request's after_seq to continue exactly where this page ended.
 struct HistoryBatchMsg {
   std::vector<Notification> items;
   bool complete = true;
   uint64_t next_seq = 0;
-  uint32_t next_shard = 0;
 
   void Encode(Encoder* enc) const;
   static Result<HistoryBatchMsg> Decode(const std::string& body);

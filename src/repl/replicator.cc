@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "events/occurrence.h"
@@ -28,6 +29,10 @@ Status Replicator::Start() {
   std::lock_guard<std::mutex> lock(mu_);
   if (started_) return Status::OK();
   SENTINEL_RETURN_IF_ERROR(mirror_.Open());
+  // The mirror holds every occurrence since the first start, including the
+  // in-memory window the database lost at its last close: continue above
+  // it so a follower's replayed history keeps unique, increasing seqs.
+  Clock::AdvanceTo(mirror_.MaxSeq());
   // Mirror every occurrence the moment it fans out. The observer runs on
   // the mutator thread; Append serializes internally, and the mirror's
   // append order is exactly the total order followers replay in. A mirror

@@ -79,8 +79,9 @@ class Replicator : public net::ReplicationHandler {
   Replicator(const Replicator&) = delete;
   Replicator& operator=(const Replicator&) = delete;
 
-  /// Opens the occurrence mirror and hooks it to the database's occurrence
-  /// fan-out. Call before the gateway starts serving.
+  /// Opens the occurrence mirror, advances the logical clock past its
+  /// largest seq, and hooks it to the database's occurrence fan-out. Call
+  /// before the gateway starts serving.
   Status Start();
 
   /// Unhooks the observer and closes the mirror. Idempotent.

@@ -125,8 +125,8 @@ Status Rule::Execute(RuleContext& ctx) {
       result = action_(ctx);
       if (!result.ok()) {
         ++errors_;
-        SENTINEL_DEBUG << "rule " << name_ << " action: "
-                       << result.ToString();
+        SENTINEL_DEBUG << "event=rule_action_failed rule=" << name_
+                       << " status=\"" << result.ToString() << "\"";
       }
     }
   }

@@ -268,8 +268,8 @@ Status RuleManager::LoadAll(ObjectStore* store) {
       }
     }
     if (!bindable && rule->enabled()) {
-      SENTINEL_WARN << "rule " << rule->name()
-                    << " loaded disabled: condition/action not registered";
+      SENTINEL_WARN << "event=rule_loaded_disabled rule=" << rule->name()
+                    << " reason=\"condition/action not registered\"";
       rule->Disable();
     }
     rules_.emplace(rule->name(), std::move(rule));

@@ -48,8 +48,8 @@ void RuleScheduler::Trigger(Rule* rule, const EventDetection& det) {
     if (!s.ok()) {
       ++trigger_errors_;
       last_trigger_error_ = s;
-      SENTINEL_WARN << "out-of-round dispatch of rule " << rule->name()
-                    << " failed: " << s.ToString();
+      SENTINEL_WARN << "event=rule_dispatch_failed rule=" << rule->name()
+                    << " status=\"" << s.ToString() << "\"";
       if (tracer_ != nullptr) {
         tracer_->Trace(TraceEntry{
             TraceEntry::Kind::kDispatchError, Clock::Now(), rule->name(),

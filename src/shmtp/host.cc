@@ -25,6 +25,13 @@ namespace shmtp {
 
 namespace {
 
+/// Frames decoded from one ring per scan before moving on (fairness).
+constexpr uint32_t kMaxBatch = 256;
+/// Pid-liveness sweep cadence; also the park timeout while idle.
+constexpr uint32_t kSweepIntervalMs = 20;
+/// Empty scans (each followed by a yield) before arming a futex park.
+constexpr uint32_t kSpinIterations = 512;
+
 uint64_t NowMs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -76,7 +83,6 @@ Status ShmHost::Start() {
   options_.rings = std::max<uint32_t>(options_.rings, 1);
   options_.job_ring_bytes = std::max<uint64_t>(options_.job_ring_bytes, 4096);
   options_.cpl_ring_bytes = std::max<uint64_t>(options_.cpl_ring_bytes, 4096);
-  options_.max_batch = std::max<uint32_t>(options_.max_batch, 1);
   layout_ = SegmentLayout{options_.rings, options_.job_ring_bytes,
                           options_.cpl_ring_bytes};
 
@@ -153,13 +159,13 @@ void ShmHost::IntakeLoop() {
   uint32_t idle = 0;
   while (!stop_.load(std::memory_order_acquire)) {
     uint64_t now = NowMs();
-    bool sweep = now - last_sweep_ms >= options_.sweep_interval_ms;
+    bool sweep = now - last_sweep_ms >= kSweepIntervalMs;
     if (sweep) last_sweep_ms = now;
     if (ScanOnce(sweep)) {
       idle = 0;
       continue;
     }
-    if (++idle < options_.spin_iterations) {
+    if (++idle < kSpinIterations) {
       // Give a same-core producer the CPU; cheaper than a park/unpark
       // round trip when frames arrive within the spin budget.
       sched_yield();
@@ -172,7 +178,7 @@ void ShmHost::IntakeLoop() {
     for (const auto& ring : rings_) {
       if (ring->deferred_offset < ring->deferred.size()) deferred = true;
     }
-    Park(deferred ? 1 : options_.sweep_interval_ms);
+    Park(deferred ? 1 : kSweepIntervalMs);
   }
 }
 
@@ -366,7 +372,7 @@ bool ShmHost::DrainRing(uint32_t i) {
       static_cast<uint32_t>(net::kFrameHeaderSize) + options_.max_frame_body;
 
   uint32_t decoded = 0;
-  while (head != tail && decoded < options_.max_batch) {
+  while (head != tail && decoded < kMaxBatch) {
     uint64_t avail = tail - head;
     uint32_t len = 0;
     if (avail < kJobRecordPrefix) {

@@ -54,15 +54,9 @@ class ShmHost {
     uint64_t job_ring_bytes = 1u << 20;
     uint64_t cpl_ring_bytes = 256u << 10;
     uint32_t max_frame_body = 4u << 20;
-    /// Frames decoded from one ring per scan before moving on (fairness).
-    uint32_t max_batch = 256;
     /// Admission quotas, mirrored from ServerOptions (0 = unlimited).
     uint32_t max_inflight_raises = 0;
     uint32_t tenant_max_inflight_raises = 0;
-    /// Pid-liveness sweep cadence; also the park timeout while idle.
-    uint32_t sweep_interval_ms = 20;
-    /// Empty-scan spins before arming a futex park.
-    uint32_t spin_iterations = 512;
   };
 
   /// Hooks into the owning gateway. All queues/pointers must outlive the

@@ -33,7 +33,8 @@ Status TransactionManager::DoAbort(Transaction* txn, const std::string& why,
   if (txn->locked_any()) locks_->ReleaseAll(txn->id());
   txn->state_ = TxnState::kAborted;
   m_aborts_->Add();
-  SENTINEL_DEBUG << "txn " << txn->id() << " aborted: " << why;
+  SENTINEL_DEBUG << "event=txn_aborted txn=" << txn->id() << " reason=\""
+                 << why << "\"";
   return Status::OK();
 }
 

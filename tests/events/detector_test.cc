@@ -44,9 +44,6 @@ TEST(DetectorTest, OccurrenceLogTracksCountsAndCaps) {
   detector.RecordOccurrence(MakeOccurrence(2, "B", "N"));
   EXPECT_EQ(metrics.counter("events.occurrences")->Value(), 6u);
   EXPECT_EQ(detector.occurrence_log().size(), 3u);  // Capped.
-  EXPECT_EQ(detector.CountForKey("end A::M"), 5u);
-  EXPECT_EQ(detector.CountForKey("end B::N"), 1u);
-  EXPECT_EQ(detector.CountForKey("end C::X"), 0u);
 }
 
 TEST(DetectorTest, TrimmedCounterTracksEvictions) {
@@ -127,24 +124,6 @@ TEST(DetectorTest, UnregisterKeepsAliasedOidIndexed) {
   EXPECT_TRUE(detector.FindByOid(77).ok());  // "b" still names it.
   ASSERT_TRUE(detector.UnregisterEvent("b").ok());
   EXPECT_TRUE(detector.FindByOid(77).status().IsNotFound());
-}
-
-TEST(DetectorTest, KeyCounterCapIsEnforced) {
-  MetricsRegistry metrics;
-  EventDetector detector(metrics);
-  detector.set_key_count_capacity(2);
-  detector.RecordOccurrence(MakeOccurrence(1, "A", "M"));
-  detector.RecordOccurrence(MakeOccurrence(1, "B", "N"));
-  detector.RecordOccurrence(MakeOccurrence(1, "C", "P"));  // Over the cap.
-  detector.RecordOccurrence(MakeOccurrence(1, "D", "Q"));
-  EXPECT_EQ(detector.key_count_size(), 2u);
-  EXPECT_EQ(metrics.counter("events.keys_untracked")->Value(), 2u);
-  EXPECT_EQ(detector.CountForKey("end C::P"), 0u);
-  // Admitted keys keep counting past the cap.
-  detector.RecordOccurrence(MakeOccurrence(1, "A", "M"));
-  EXPECT_EQ(detector.CountForKey("end A::M"), 2u);
-  // The occurrence log itself is unaffected by the counter cap.
-  EXPECT_EQ(metrics.counter("events.occurrences")->Value(), 5u);
 }
 
 class DetectorPersistenceTest : public ::testing::Test {

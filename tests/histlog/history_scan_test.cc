@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "common/clock.h"
 #include "core/database.h"
 
 namespace sentinel {
@@ -22,6 +23,36 @@ class HistoryScanTest : public ::testing::Test {
     auto opened = Database::Open(extra);
     EXPECT_TRUE(opened.ok()) << opened.status().ToString();
     return std::move(opened).value();
+  }
+
+  /// One page of a cursor-driven scan, as the gateway serves it: up to
+  /// `limit` spilled rows after `query->after_seq`, `*complete` when no row
+  /// was left over; advances the cursor past the last row returned.
+  static Status ScanPage(Database* db, HistoryQuery* query, size_t limit,
+                         std::vector<EventOccurrence>* rows, bool* complete) {
+    HistoryQuery q = *query;
+    q.limit = limit + 1;
+    rows->clear();
+    SENTINEL_RETURN_IF_ERROR(db->HistoryScan(q, rows));
+    *complete = rows->size() <= limit;
+    if (!*complete) rows->resize(limit);
+    if (!rows->empty()) query->after_seq = rows->back().timestamp.seq;
+    return Status::OK();
+  }
+
+  /// Raises SetPrice(base + i) for i in [0, count).
+  static void RaisePrices(ReactiveObject* stock, int count, double base) {
+    for (int i = 0; i < count; ++i) {
+      stock->RaiseEvent("SetPrice", EventModifier::kEnd, {Value(base + i)});
+    }
+  }
+
+  static std::vector<double> Prices(const std::vector<EventOccurrence>& rows) {
+    std::vector<double> out;
+    for (const EventOccurrence& occ : rows) {
+      out.push_back(occ.params[0].AsDouble());
+    }
+    return out;
   }
 
   void RegisterStock(Database* db) {
@@ -115,7 +146,7 @@ TEST_F(HistoryScanTest, OidFilterAndLimitApply) {
   ASSERT_TRUE(db->HistoryScan(limited, &got, /*include_memory=*/true).ok());
   EXPECT_EQ(got.size(), 5u);
   // The limit keeps the OLDEST matches — a replay consumer pages forward
-  // by advancing min_seq past the last row it saw.
+  // by passing the last row's seq as after_seq.
   EXPECT_EQ(got[0].params[0].AsDouble(), 0.0);
 
   ASSERT_TRUE(db->UnregisterLiveObject(&a).ok());
@@ -204,20 +235,18 @@ TEST_F(HistoryScanTest, PagedScanResumesWithoutDuplicatesOrGaps) {
 
   // Page through with a limit far below the total; the cursor must hand
   // back exactly the full scan, in order, with no duplicate or skipped seq.
-  HistoryCursor cursor;
   std::vector<EventOccurrence> paged;
+  HistoryQuery page;
   bool complete = false;
   int pages = 0;
   while (!complete) {
     ASSERT_LT(pages++, 32) << "cursor failed to advance";
-    Database::HistoryPage page;
-    ASSERT_TRUE(db->HistoryScanPaged({}, cursor, 7, &page).ok());
-    complete = page.complete;
+    std::vector<EventOccurrence> rows;
+    ASSERT_TRUE(ScanPage(db.get(), &page, 7, &rows, &complete).ok());
     if (!complete) {
-      EXPECT_EQ(page.items.size(), 7u);
+      EXPECT_EQ(rows.size(), 7u);
     }
-    paged.insert(paged.end(), page.items.begin(), page.items.end());
-    cursor = page.next;
+    paged.insert(paged.end(), rows.begin(), rows.end());
   }
   ASSERT_EQ(paged.size(), full.size());
   for (size_t i = 0; i < full.size(); ++i) {
@@ -228,15 +257,102 @@ TEST_F(HistoryScanTest, PagedScanResumesWithoutDuplicatesOrGaps) {
   // Regression: before the cursor existed, a clamped page followed by a
   // re-scan of the same query re-delivered the first rows. With the cursor
   // the second page starts strictly after the first.
-  Database::HistoryPage first, second;
-  ASSERT_TRUE(db->HistoryScanPaged({}, HistoryCursor{}, 10, &first).ok());
-  ASSERT_FALSE(first.complete);
-  ASSERT_TRUE(db->HistoryScanPaged({}, first.next, 10, &second).ok());
-  ASSERT_FALSE(second.items.empty());
-  EXPECT_GT(second.items.front().timestamp.seq,
-            first.items.back().timestamp.seq);
+  HistoryQuery cursor;
+  std::vector<EventOccurrence> first, second;
+  ASSERT_TRUE(ScanPage(db.get(), &cursor, 10, &first, &complete).ok());
+  ASSERT_FALSE(complete);
+  ASSERT_TRUE(ScanPage(db.get(), &cursor, 10, &second, &complete).ok());
+  ASSERT_FALSE(second.empty());
+  EXPECT_GT(second.front().timestamp.seq, first.back().timestamp.seq);
 
   ASSERT_TRUE(db->UnregisterLiveObject(&stock).ok());
+  ASSERT_TRUE(db->Close().ok());
+}
+
+TEST_F(HistoryScanTest, RestartContinuesSeqsAboveTheSpilledHistory) {
+  TempDir dir("hist_db");
+  Database::Options opts;
+  opts.occurrence_log_capacity = 2;
+  opts.history_spill = true;
+  uint64_t old_max_seq = 0;
+  {
+    auto db = OpenDb(dir.path(), opts);
+    RegisterStock(db.get());
+    ReactiveObject stock("Stock");
+    ASSERT_TRUE(db->RegisterLiveObject(&stock).ok());
+    RaisePrices(&stock, 10, 0);  // 0..7 spill; 8 and 9 die with the process.
+    std::vector<EventOccurrence> spilled;
+    ASSERT_TRUE(db->HistoryScan({}, &spilled).ok());
+    ASSERT_EQ(spilled.size(), 8u);
+    old_max_seq = spilled.back().timestamp.seq;
+    ASSERT_TRUE(db->UnregisterLiveObject(&stock).ok());
+    ASSERT_TRUE(db->Close().ok());
+  }
+  // A new process starts its logical clock over.
+  Clock::ResetSequenceForTest(1);
+  auto db = OpenDb(dir.path(), opts);
+  ReactiveObject stock("Stock");
+  ASSERT_TRUE(db->RegisterLiveObject(&stock).ok());
+  RaisePrices(&stock, 10, 100);
+
+  std::vector<EventOccurrence> all;
+  ASSERT_TRUE(db->HistoryScan({}, &all, /*include_memory=*/true).ok());
+  std::vector<double> expected;
+  for (int i = 0; i < 8; ++i) expected.push_back(i);
+  for (int i = 0; i < 10; ++i) expected.push_back(100 + i);
+  EXPECT_EQ(Prices(all), expected);  // Raise order, not interleaved.
+  for (size_t i = 8; i < all.size(); ++i) {
+    EXPECT_GT(all[i].timestamp.seq, old_max_seq) << "row " << i;
+  }
+
+  // Paging one row at a time returns every spilled row once, in order.
+  std::vector<EventOccurrence> spilled;
+  ASSERT_TRUE(db->HistoryScan({}, &spilled).ok());
+  ASSERT_EQ(spilled.size(), 16u);
+  std::vector<EventOccurrence> paged;
+  HistoryQuery cursor;
+  bool complete = false;
+  for (int pages = 0; !complete; ++pages) {
+    ASSERT_LT(pages, 20) << "cursor failed to advance";
+    std::vector<EventOccurrence> rows;
+    ASSERT_TRUE(ScanPage(db.get(), &cursor, 1, &rows, &complete).ok());
+    paged.insert(paged.end(), rows.begin(), rows.end());
+  }
+  EXPECT_EQ(Prices(paged), Prices(spilled));
+  ASSERT_TRUE(db->UnregisterLiveObject(&stock).ok());
+  ASSERT_TRUE(db->Close().ok());
+}
+
+TEST_F(HistoryScanTest, ShardedLimitKeepsTheOldestRows) {
+  TempDir dir("hist_db");
+  Database::Options opts;
+  opts.occurrence_log_capacity = 2;
+  opts.history_spill = true;
+  opts.raise_shards = 2;
+  auto db = OpenDb(dir.path(), opts);
+  RegisterStock(db.get());
+
+  // The older rows spill into shard 1's store, the newer into shard 0's,
+  // so the store scanned first holds none of the oldest five.
+  ReactiveObject older("Stock");
+  ReactiveObject newer("Stock");
+  ASSERT_TRUE(db->RegisterLiveObject(&older).ok());
+  ASSERT_TRUE(db->RegisterLiveObject(&newer).ok());
+  Database::BindRaiseShard(1);
+  RaisePrices(&older, 10, 0);
+  Database::BindRaiseShard(0);
+  RaisePrices(&newer, 10, 100);
+
+  HistoryQuery limited;
+  limited.limit = 5;
+  for (bool include_memory : {false, true}) {
+    std::vector<EventOccurrence> got;
+    ASSERT_TRUE(db->HistoryScan(limited, &got, include_memory).ok());
+    EXPECT_EQ(Prices(got), (std::vector<double>{0, 1, 2, 3, 4}))
+        << "include_memory=" << include_memory;
+  }
+  ASSERT_TRUE(db->UnregisterLiveObject(&older).ok());
+  ASSERT_TRUE(db->UnregisterLiveObject(&newer).ok());
   ASSERT_TRUE(db->Close().ok());
 }
 

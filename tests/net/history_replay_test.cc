@@ -10,6 +10,7 @@
 
 #include <memory>
 
+#include "common/clock.h"
 #include "core/database.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -23,6 +24,16 @@ class HistoryReplayTest : public ::testing::Test {
  protected:
   void StartServer(bool history_spill) {
     tmp_ = std::make_unique<testing_util::TempDir>("history_replay");
+    OpenAndServe(history_spill);
+    ASSERT_TRUE(db_->RegisterClass(ClassBuilder("Sensor")
+                                       .Reactive()
+                                       .Method("Report", {.begin = false,
+                                                          .end = true})
+                                       .Build())
+                    .ok());
+  }
+
+  void OpenAndServe(bool history_spill) {
     Database::Options opts;
     opts.dir = tmp_->path();
     opts.occurrence_log_capacity = 8;  // Trim (and spill) early.
@@ -30,15 +41,33 @@ class HistoryReplayTest : public ::testing::Test {
     auto opened = Database::Open(opts);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     db_ = std::move(opened).value();
-    ASSERT_TRUE(db_->RegisterClass(ClassBuilder("Sensor")
-                                       .Reactive()
-                                       .Method("Report", {.begin = false,
-                                                          .end = true})
-                                       .Build())
-                    .ok());
     server_ = std::make_unique<GatewayServer>(db_.get(), ServerOptions{});
     Status s = server_->Start();
     ASSERT_TRUE(s.ok()) << s.ToString();
+  }
+
+  /// Stops the gateway and the database as a process exit would, then
+  /// brings both back on the same directory with a fresh logical clock.
+  void RestartServer() {
+    server_->Stop();
+    server_.reset();
+    ASSERT_TRUE(db_->Close().ok());
+    db_.reset();
+    Clock::ResetSequenceForTest(1);
+    OpenAndServe(/*history_spill=*/true);
+  }
+
+  /// Raises Report(base + i) for i in [0, count) on one relay object.
+  void RaiseReports(int count, double base) {
+    auto conn = Dial();
+    Publisher producer(conn.get());
+    uint64_t relay_oid = 0;
+    for (int i = 0; i < count; ++i) {
+      auto oid = producer.Raise("Sensor", "Report", EventModifier::kEnd,
+                                {Value(base + i)}, relay_oid);
+      ASSERT_TRUE(oid.ok()) << oid.status().ToString();
+      relay_oid = *oid;
+    }
   }
 
   void TearDown() override {
@@ -111,7 +140,7 @@ TEST_F(HistoryReplayTest, ClientPagesWithLimitAndCompleteFlag) {
   auto conn = Dial();
   Subscriber consumer(conn.get());
   // 22 spilled rows, page size 10: two clamped pages and a final short one,
-  // chained through the (seq, shard) resume cursor.
+  // chained through the after_seq resume cursor.
   HistoryScanMsg page;
   page.limit = 10;
   std::vector<Notification> all;
@@ -146,8 +175,8 @@ TEST_F(HistoryReplayTest, ResumeCursorNeverDuplicatesRows) {
 
   // The original bug: a clamped scan said complete=false but offered no
   // cursor, so a naive retry of the same query re-delivered page one. The
-  // reply now carries (next_seq, next_shard); resuming from it yields
-  // strictly later rows.
+  // reply now carries next_seq; resuming from it yields strictly later
+  // rows.
   HistoryScanMsg query;
   query.limit = 10;
   bool complete = true;
@@ -196,6 +225,26 @@ TEST_F(HistoryReplayTest, OidFilterSelectsOneObjectsHistory) {
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   ASSERT_FALSE(replay->empty());
   for (const Notification& n : *replay) EXPECT_EQ(n.oid, oid_a);
+}
+
+TEST_F(HistoryReplayTest, HistoryScanAllAcrossRestartSeesEachRowOnce) {
+  StartServer(/*history_spill=*/true);
+  RaiseReports(20, 0);  // 0..11 spill; the 8-row window dies at the stop.
+  RestartServer();
+  RaiseReports(20, 100);  // 100..111 spill.
+
+  auto conn = Dial();
+  Subscriber consumer(conn.get());
+  auto all = consumer.HistoryScanAll({}, /*page_limit=*/5);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  ASSERT_EQ(all->size(), 24u);
+  for (size_t i = 0; i < all->size(); ++i) {
+    const double expected = i < 12 ? i : 88.0 + i;  // 0..11, 100..111.
+    EXPECT_EQ((*all)[i].params[0].AsDouble(), expected) << "row " << i;
+    if (i > 0) {
+      EXPECT_GT((*all)[i].timestamp.seq, (*all)[i - 1].timestamp.seq);
+    }
+  }
 }
 
 TEST_F(HistoryReplayTest, ServerWithoutSpillReportsFailedPrecondition) {

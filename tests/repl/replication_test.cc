@@ -5,7 +5,8 @@
 // protocol, and after promotion serves byte-identical history plus new
 // writes. Covers the read-only fence on replicas, epoch fencing of a
 // deposed primary, checkpoint-truncation fallback to re-snapshot, ship- and
-// promote-boundary fault injection, and cursor-durable follower restart.
+// promote-boundary fault injection, cursor-durable follower restart, and
+// seq order across a primary restart.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/codec.h"
 #include "common/failpoint.h"
 #include "core/database.h"
@@ -92,9 +94,9 @@ class ReplicationTest : public ::testing::Test {
     ASSERT_TRUE(ss.ok()) << ss.ToString();
   }
 
-  /// Stops a follower node as a process would: gateway and replicator go
-  /// down with the database. The data directory stays.
-  void StopFollower(Node* node) {
+  /// Stops a node as a process would: gateway and replicator go down with
+  /// the database. The data directory stays.
+  void StopNode(Node* node) {
     node->server->Stop();
     node->server.reset();
     node->replicator.reset();
@@ -102,14 +104,14 @@ class ReplicationTest : public ::testing::Test {
     node->db.reset();
   }
 
-  /// Reopens a follower node from its existing directory — database,
-  /// replicator (mirror resumes in place), and gateway all come back.
-  void ReopenFollower(Node* node) {
+  /// Reopens a node from its existing directory — database, replicator
+  /// (mirror resumes in place), and gateway all come back.
+  void ReopenNode(Node* node, bool replica) {
     Database::Options opts;
     opts.dir = node->tmp->path();
     opts.occurrence_log_capacity = 8;
     opts.history_spill = true;
-    opts.replica = true;
+    opts.replica = replica;
     auto opened = Database::Open(opts);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     node->db = std::move(opened).value();
@@ -434,9 +436,9 @@ TEST_F(ReplicationTest, FollowerRestartResumesFromPersistedCursors) {
   // Clean follower restart. Like a restarted primary, it loses the
   // in-memory occurrence window (history keeps flush-level durability) —
   // but never duplicates or reorders what was durably applied.
-  StopFollower(&follower_node_);
+  StopNode(&follower_node_);
   RaiseThroughGateway(&primary_, 20, /*base=*/100);
-  ReopenFollower(&follower_node_);
+  ReopenNode(&follower_node_, /*replica=*/true);
 
   Follower f2(follower_node_.db.get(), FollowTo(primary_));
   CatchUp(&f2);
@@ -457,6 +459,78 @@ TEST_F(ReplicationTest, FollowerRestartResumesFromPersistedCursors) {
   // spill, 8 in memory); the 8-row in-memory window at shutdown is the
   // documented loss.
   EXPECT_EQ(rows.size(), 52u);
+}
+
+TEST_F(ReplicationTest,
+       HistoryScanStaysInSeqOrderAcrossAPrimaryRestart) {
+  StartNode(&primary_, "seq_primary", /*replica=*/false);
+  RaiseThroughGateway(&primary_, 20);
+  StartNode(&follower_node_, "seq_follower", /*replica=*/true);
+  {
+    Follower f(follower_node_.db.get(), FollowTo(primary_));
+    CatchUp(&f);
+  }
+  // The primary restarts as a new process would: its logical clock starts
+  // over, and it drops its 8-row in-memory window (rows 12..19).
+  StopNode(&primary_);
+  Clock::ResetSequenceForTest(1);
+  ReopenNode(&primary_, /*replica=*/false);
+  RaiseThroughGateway(&primary_, 20, /*base=*/100);
+
+  Follower f2(follower_node_.db.get(), FollowTo(primary_));
+  CatchUp(&f2);
+  EXPECT_EQ(f2.applied_ordinal(), 40u);
+
+  // The follower holds every occurrence in raise order, exactly as the
+  // primary's mirror ships it.
+  const auto rows = History(follower_node_.db.get(), true);
+  ASSERT_EQ(rows.size(), 40u);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const double expected = i < 20 ? i : 80.0 + i;  // 0..19, 100..119.
+    EXPECT_EQ(rows[i].params[0].AsDouble(), expected) << "row " << i;
+  }
+  std::vector<EventOccurrence> mirrored;
+  ASSERT_TRUE(primary_.replicator->mirror()->Scan({}, &mirrored).ok());
+  ExpectSameHistory(mirrored, rows);
+
+  // The primary's own history is the follower's minus the window it lost.
+  std::vector<EventOccurrence> expected;
+  for (const EventOccurrence& occ : rows) {
+    const double v = occ.params[0].AsDouble();
+    if (v < 12 || v >= 20) expected.push_back(occ);
+  }
+  ExpectSameHistory(expected, History(primary_.db.get(), true));
+}
+
+// Pins a known limit of the seq invariant (DESIGN.md §12.5): rows a
+// primary raised but never shipped keep seqs that the promoted follower
+// issues again, so a deposed primary must be wiped before it follows.
+TEST_F(ReplicationTest,
+       HistoryScanOfADeposedPrimaryOverlapsTheNewPrimarysSeqs) {
+  StartNode(&primary_, "overlap_primary", /*replica=*/false);
+  RaiseThroughGateway(&primary_, 12);
+  StartNode(&follower_node_, "overlap_follower", /*replica=*/true);
+  Follower f(follower_node_.db.get(), FollowTo(primary_));
+  CatchUp(&f);
+  RaiseThroughGateway(&primary_, 4, /*base=*/100);  // Never shipped.
+
+  // The follower runs in its own process, whose clock only knows what it
+  // replayed.
+  Clock::ResetSequenceForTest(1);
+  auto epoch = f.Promote();
+  ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+  ASSERT_TRUE(Follower::Fence("127.0.0.1", primary_.port(), *epoch).ok());
+  RaiseThroughGateway(&follower_node_, 4, /*base=*/200);
+
+  auto tail_seqs = [](Database* db) {
+    const auto rows = History(db, true);
+    std::vector<uint64_t> seqs;
+    for (size_t i = rows.size() - 4; i < rows.size(); ++i) {
+      seqs.push_back(rows[i].timestamp.seq);
+    }
+    return seqs;
+  };
+  EXPECT_EQ(tail_seqs(primary_.db.get()), tail_seqs(follower_node_.db.get()));
 }
 
 TEST(ReplSnapshotChunkTest, ChunksShipEachObjectOnceInOidOrderUnderChurn) {
