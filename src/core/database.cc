@@ -136,11 +136,10 @@ Result<std::unique_ptr<Database>> Database::Open(const Options& options) {
 
   // Background checkpointer: bounds recovery time without stalling
   // mutators. Started last so it never races component construction.
-  if (options.checkpoint_interval_ms > 0 || options.checkpoint_wal_bytes > 0) {
+  if (options.checkpoint_wal_bytes > 0) {
     Database* self = db.get();
     db->checkpointer_ = std::make_unique<Checkpointer>(
-        Checkpointer::Options{options.checkpoint_interval_ms,
-                              options.checkpoint_wal_bytes},
+        options.checkpoint_wal_bytes,
         [self]() -> uint64_t {
           Result<uint64_t> size = self->store_.wal()->SizeBytes();
           return size.ok() ? *size : 0;
@@ -669,9 +668,10 @@ void Database::FanOutOccurrence(const EventOccurrence& occ) {
 
 Status Database::ReplayOccurrence(const EventOccurrence& occ) {
   if (!open_) return Status::FailedPrecondition("database not open");
-  // Route by oid exactly like the gateway routes raises, so the replica's
-  // per-shard logs — and therefore their trim/spill into the history
-  // stores — reproduce the primary's byte for byte.
+  // Route by oid. The gateway routes a class-default relay's raise by
+  // class name instead, so with several shards the per-shard split can
+  // differ from the primary's; the merged history does not (DESIGN.md
+  // §13.1).
   const size_t idx = ShardIndexForOid(occ.oid, shards_.size());
   detector_->RecordOccurrence(occ, idx);
   FanOutOccurrence(occ);

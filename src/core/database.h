@@ -88,10 +88,10 @@ class Database : public RaiseContext,
     /// raise shards share one WAL fsync, trading up to a window of commit
     /// latency for throughput that scales with the producer count.
     uint32_t group_commit_window_us = 0;
-    /// Background fuzzy-checkpoint triggers; both 0 (the default) = no
-    /// background checkpointer (CheckpointNow still works on demand).
-    uint32_t checkpoint_interval_ms = 0;  ///< Time trigger; 0 disables.
-    uint64_t checkpoint_wal_bytes = 0;    ///< WAL-size trigger; 0 disables.
+    /// Background fuzzy checkpoint once the WAL grows past this many
+    /// bytes; 0 (the default) = no background checkpointer (CheckpointNow
+    /// still works on demand).
+    uint64_t checkpoint_wal_bytes = 0;
     /// Spill FIFO-trimmed occurrences into per-shard append-only history
     /// segments under `dir`/history/ instead of dropping them, making the
     /// full event history queryable via HistoryScan.
@@ -208,9 +208,12 @@ class Database : public RaiseContext,
   void Demote() { replica_.store(true, std::memory_order_release); }
 
   /// Replication apply of one shipped occurrence: records it (verbatim
-  /// timestamp) into the shard the oid routes to — reproducing the
-  /// primary's trim/spill into the history stores byte for byte — and fans
-  /// it out to occurrence observers (local subscribers, the repl mirror).
+  /// timestamp) into the shard the oid routes to and fans it out to
+  /// occurrence observers (local subscribers, the repl mirror). Unsharded,
+  /// trim/spill match the primary's exactly; with raise_shards > 1 the
+  /// merged history matches, but a class-default relay's rows (recorded by
+  /// class-name hash on the primary) can land on another shard's spill
+  /// store (DESIGN.md §13.1).
   /// Only the single replication tailer thread may call this; the detector
   /// deques are unlocked.
   Status ReplayOccurrence(const EventOccurrence& occ);

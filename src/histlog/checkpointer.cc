@@ -2,7 +2,6 @@
 
 #include "histlog/checkpointer.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "common/logging.h"
@@ -10,7 +9,7 @@
 namespace sentinel {
 
 void Checkpointer::Start() {
-  if (options_.interval_ms == 0 && options_.wal_bytes == 0) return;
+  if (wal_bytes_ == 0) return;
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (thread_.joinable()) return;
@@ -29,32 +28,16 @@ void Checkpointer::Stop() {
 }
 
 void Checkpointer::Loop() {
-  using Clock = std::chrono::steady_clock;
   // Poll fast enough to notice WAL growth promptly but far slower than the
-  // commit path; the time trigger is exact up to one poll tick.
-  const auto poll = std::chrono::milliseconds(
-      options_.interval_ms > 0
-          ? std::max<uint32_t>(1, std::min<uint32_t>(options_.interval_ms, 50))
-          : 50);
-  auto last = Clock::now();
+  // commit path.
+  constexpr auto kPoll = std::chrono::milliseconds(50);
   for (;;) {
     {
       std::unique_lock<std::mutex> lk(mu_);
-      cv_.wait_for(lk, poll, [&] { return stop_; });
+      cv_.wait_for(lk, kPoll, [&] { return stop_; });
       if (stop_) return;
     }
-    const auto now = Clock::now();
-    bool due = false;
-    if (options_.interval_ms > 0 &&
-        now - last >= std::chrono::milliseconds(options_.interval_ms)) {
-      due = true;
-    }
-    if (!due && options_.wal_bytes > 0 && wal_size_ &&
-        wal_size_() >= options_.wal_bytes) {
-      due = true;
-    }
-    if (!due) continue;
-    last = now;
+    if (wal_size_() < wal_bytes_) continue;
     Status s = checkpoint_();
     if (!s.ok()) {
       SENTINEL_WARN << "event=background_checkpoint_failed status=\""

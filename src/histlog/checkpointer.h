@@ -4,10 +4,9 @@
 // WAL (and with it, recovery time) stays bounded without any mutator ever
 // stalling for the checkpoint.
 //
-// Two independent triggers, either may be disabled:
-//   * a time interval (`interval_ms`): checkpoint at least this often,
-//   * a WAL size threshold (`wal_bytes`): checkpoint as soon as the log
-//     grows past it (polled, so the trigger lags by at most one poll tick).
+// One trigger: a WAL size threshold (`wal_bytes`). The thread polls the
+// log size every 50 ms and checkpoints as soon as it has grown past the
+// threshold, so the trigger lags by at most one poll tick.
 //
 // The checkpoint work itself (ObjectStore::Checkpoint) runs on this thread;
 // commits proceed concurrently by design (see object_store.h). A failing
@@ -29,19 +28,15 @@
 
 namespace sentinel {
 
-/// Periodic / size-triggered checkpoint driver.
+/// WAL-size-triggered checkpoint driver.
 class Checkpointer {
  public:
-  struct Options {
-    uint32_t interval_ms = 0;  ///< 0 disables the time trigger.
-    uint64_t wal_bytes = 0;    ///< 0 disables the size trigger.
-  };
-
+  /// `wal_bytes` is the trigger threshold (0 disables the checkpointer);
   /// `wal_size` reports the current WAL payload size; `checkpoint` runs one
   /// fuzzy checkpoint. Both are called from the background thread only.
-  Checkpointer(Options options, std::function<uint64_t()> wal_size,
+  Checkpointer(uint64_t wal_bytes, std::function<uint64_t()> wal_size,
                std::function<Status()> checkpoint)
-      : options_(options),
+      : wal_bytes_(wal_bytes),
         wal_size_(std::move(wal_size)),
         checkpoint_(std::move(checkpoint)) {}
 
@@ -50,7 +45,7 @@ class Checkpointer {
   Checkpointer(const Checkpointer&) = delete;
   Checkpointer& operator=(const Checkpointer&) = delete;
 
-  /// Starts the thread. No-op when both triggers are disabled.
+  /// Starts the thread. No-op when `wal_bytes` is 0.
   void Start();
 
   /// Stops and joins the thread. Idempotent; safe without Start.
@@ -59,7 +54,7 @@ class Checkpointer {
  private:
   void Loop();
 
-  const Options options_;
+  const uint64_t wal_bytes_;
   const std::function<uint64_t()> wal_size_;
   const std::function<Status()> checkpoint_;
 

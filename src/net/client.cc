@@ -23,6 +23,10 @@ namespace net {
 namespace {
 
 constexpr size_t kReadChunk = 64 * 1024;
+/// First retry backoff; RetryPolicy::max_backoff_ms caps its doubling.
+constexpr uint32_t kInitialBackoffMs = 1;
+/// Per-ack wait bound on LocalPublisher's shm path; expiring fails the call.
+constexpr auto kShmAckTimeout = std::chrono::milliseconds(5000);
 
 }  // namespace
 
@@ -101,7 +105,7 @@ Status Connection::SendRaw(const std::string& bytes) {
 
 Status Connection::SendFrame(FrameType type, const std::string& body) {
   std::string wire;
-  EncodeFrame(type, body, &wire);
+  SENTINEL_RETURN_IF_ERROR(EncodeFrame(type, body, &wire));
   return SendRaw(wire);
 }
 
@@ -272,7 +276,8 @@ Status Publisher::SendWindowed(
       for (; sent < burst_end; ++sent) {
         Encoder enc;
         pending[sent]->Encode(&enc);
-        conn_->EncodeFrameTo(FrameType::kRaiseEvent, enc.buffer(), &wire);
+        SENTINEL_RETURN_IF_ERROR(
+            conn_->EncodeFrameTo(FrameType::kRaiseEvent, enc.buffer(), &wire));
       }
       SENTINEL_RETURN_IF_ERROR(conn_->SendRaw(wire));
     }
@@ -320,7 +325,7 @@ Result<uint64_t> Publisher::Raise(const std::string& class_name,
   msg.params = params;
   Encoder enc;
   msg.Encode(&enc);
-  uint32_t backoff = retry_policy_.initial_backoff_ms;
+  uint32_t backoff = kInitialBackoffMs;
   std::vector<Ack> acks;
   for (int attempt = 1;; ++attempt) {
     SENTINEL_RETURN_IF_ERROR(
@@ -352,7 +357,7 @@ Status Publisher::RaisePipelined(const std::vector<RaiseEventMsg>& msgs,
 
   Status first_error = Status::OK();
   Status first_transient = Status::OK();
-  uint32_t backoff = retry_policy_.initial_backoff_ms;
+  uint32_t backoff = kInitialBackoffMs;
   std::vector<Ack> acks;
   for (int attempt = 1; !pending.empty(); ++attempt) {
     // Windowed pass: acks map 1:1 onto `pending` in request order — which
@@ -507,7 +512,6 @@ Result<std::unique_ptr<LocalPublisher>> LocalPublisher::Open(
     Options options) {
   auto pub = std::unique_ptr<LocalPublisher>(new LocalPublisher());
   pub->window_ = options.window == 0 ? 1 : options.window;
-  pub->ack_timeout_ms_ = options.ack_timeout_ms;
   if (!options.segment.empty()) {
     Result<std::unique_ptr<shmtp::ShmHandle>> attached =
         shmtp::ShmHandle::Attach(options.segment);
@@ -520,7 +524,7 @@ Result<std::unique_ptr<LocalPublisher>> LocalPublisher::Open(
     // caller asked for the gateway, not for a transport.
   }
   SENTINEL_ASSIGN_OR_RETURN(
-      pub->conn_, Connection::Dial(options.host, options.port, options.tcp));
+      pub->conn_, Connection::Dial(options.host, options.port));
   pub->tcp_ = std::make_unique<Publisher>(pub->conn_.get(), pub->window_);
   return pub;
 }
@@ -565,7 +569,6 @@ Status LocalPublisher::RaisePipelinedShmInternal(
   std::string wire;
   Encoder enc;  // Reused across the window loop: no per-raise allocation.
   std::vector<std::pair<Status, uint64_t>> acks;
-  const auto ack_timeout = std::chrono::milliseconds(ack_timeout_ms_);
   while (acked < msgs.size()) {
     // Fill the window. A full job ring is not an error — the host is
     // momentarily behind; draining an ack below implies progress.
@@ -574,7 +577,8 @@ Status LocalPublisher::RaisePipelinedShmInternal(
       wire.clear();
       enc.Clear();
       msgs[sent].Encode(&enc);
-      EncodeFrame(FrameType::kRaiseEvent, enc.buffer(), &wire);
+      SENTINEL_RETURN_IF_ERROR(
+          EncodeFrame(FrameType::kRaiseEvent, enc.buffer(), &wire));
       Status s = shm_->PushFrame(wire);
       if (s.IsResourceExhausted()) {
         ring_full = true;
@@ -591,7 +595,7 @@ Status LocalPublisher::RaisePipelinedShmInternal(
       continue;
     }
     Frame reply;
-    SENTINEL_RETURN_IF_ERROR(shm_->ReadAckFrame(&reply, ack_timeout));
+    SENTINEL_RETURN_IF_ERROR(shm_->ReadAckFrame(&reply, kShmAckTimeout));
     acks.clear();
     SENTINEL_RETURN_IF_ERROR(ExpandAckFrame(reply, &acks));
     if (acked + acks.size() > sent) {

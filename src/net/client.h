@@ -42,8 +42,7 @@ namespace net {
 /// is unknown. Default: no retries.
 struct RetryPolicy {
   int max_attempts = 1;           ///< Total tries; 1 disables retry.
-  uint32_t initial_backoff_ms = 1;
-  uint32_t max_backoff_ms = 64;   ///< Backoff doubles up to this cap.
+  uint32_t max_backoff_ms = 64;   ///< Backoff doubles from 1 ms up to this.
 };
 
 /// Dial-time options.
@@ -89,9 +88,9 @@ class Connection {
 
   /// Encodes a frame exactly as SendFrame would, without sending — the
   /// building block for pre-encoded pipelined bursts.
-  void EncodeFrameTo(FrameType type, const std::string& body,
-                     std::string* out) const {
-    EncodeFrame(type, body, out);
+  Status EncodeFrameTo(FrameType type, const std::string& body,
+                       std::string* out) const {
+    return EncodeFrame(type, body, out);
   }
 
   // --- Unary control plane ---------------------------------------------------
@@ -249,10 +248,6 @@ class LocalPublisher {
     uint16_t port = 0;
     /// Raises kept in flight by RaisePipelined (0 means 1).
     size_t window = 256;
-    /// Per-ack wait bound on the shm path; expiring fails the call.
-    uint32_t ack_timeout_ms = 5000;
-    /// Dial options for the TCP fallback.
-    ClientOptions tcp;
   };
 
   /// Attaches over shm, or — on any attach failure (no segment, rings
@@ -292,7 +287,6 @@ class LocalPublisher {
   std::unique_ptr<Connection> conn_;      ///< TCP fallback (null with shm).
   std::unique_ptr<Publisher> tcp_;        ///< Lives on conn_.
   size_t window_ = 256;
-  uint32_t ack_timeout_ms_ = 5000;
 };
 
 }  // namespace net

@@ -62,6 +62,11 @@ Notification FromOccurrence(const std::string& key,
   return n;
 }
 
+/// Answers a request with an error StatusReply.
+void Reject(Session* session, const Status& status) {
+  session->Reply(FrameType::kStatusReply, StatusReplyMsg::FromStatus(status));
+}
+
 /// The name table behind GatewayStats: each field, the registry counter
 /// holding it, and its key in the GetStats "gateway" section (inside that
 /// section's "shm" object for the shared-memory transport's counters).
@@ -128,28 +133,62 @@ void AppendCounters(const GatewayStats& s, bool shm, std::string* out) {
 
 /// Credits back the admission charge of one queued raise when the worker is
 /// done with it — whatever "done" meant (acked, decode error, or the session
-/// died first). Pairing the decrement with the exact session/tenant that was
-/// charged keeps the quota books balanced across Hello-time tenant changes
-/// and disconnect-while-queued.
+/// died first).
 struct ChargeRelease {
-  const IngressItem& item;
-  ~ChargeRelease() {
-    if (item.charged_tenant == nullptr) return;
-    item.session->inflight_raises.fetch_sub(1, std::memory_order_relaxed);
-    item.charged_tenant->inflight_raises.fetch_sub(1,
-                                                   std::memory_order_relaxed);
-  }
+  IngressItem& item;
+  ~ChargeRelease() { ReleaseRaise(&item); }
 };
 
 }  // namespace
+
+const char* ChargeRaise(const ServerOptions& options, IngressItem* item) {
+  Session* session = item->session.get();
+  TenantState* tenant = session->tenant.load(std::memory_order_acquire);
+  if (options.max_inflight_raises != 0 &&
+      session->inflight_raises.load(std::memory_order_relaxed) >=
+          options.max_inflight_raises) {
+    return "session";
+  }
+  if (options.tenant_max_inflight_raises != 0 &&
+      tenant->inflight_raises.load(std::memory_order_relaxed) >=
+          options.tenant_max_inflight_raises) {
+    return "tenant";
+  }
+  session->inflight_raises.fetch_add(1, std::memory_order_relaxed);
+  tenant->inflight_raises.fetch_add(1, std::memory_order_relaxed);
+  item->charged_tenant = tenant;
+  return nullptr;
+}
+
+void ReleaseRaise(IngressItem* item) {
+  // The exact session/tenant that was charged: the books stay balanced
+  // across Hello-time tenant changes and disconnect-while-queued.
+  if (item->charged_tenant == nullptr) return;
+  item->session->inflight_raises.fetch_sub(1, std::memory_order_relaxed);
+  item->charged_tenant->inflight_raises.fetch_sub(1,
+                                                  std::memory_order_relaxed);
+  item->charged_tenant = nullptr;
+}
+
+size_t RouteFrame(const Session& session, const Frame& frame,
+                  size_t nshards) {
+  if (nshards == 1) return 0;
+  uint64_t oid = 0;
+  std::string class_name;
+  if (frame.type == FrameType::kRaiseEvent &&
+      PeekRaiseRouting(frame.body, &oid, &class_name)) {
+    return ShardIndexForRoute(class_name, static_cast<Oid>(oid), nshards);
+  }
+  // A raise with an undecodable routing prefix fails its decode on any
+  // worker, so session affinity serves it as well as any other request.
+  return session.id() % nshards;
+}
 
 GatewayServer::GatewayServer(Database* db, ServerOptions options)
     : db_(db),
       options_(std::move(options)),
       hub_(std::make_shared<NotificationHub>(*db->metrics())) {
   if (options_.io_threads == 0) options_.io_threads = 1;
-  notify_limits_.max_count = options_.max_pending_notifications;
-  notify_limits_.max_bytes = options_.max_pending_notify_bytes;
   const size_t nshards = db_->raise_shards();
   queues_.reserve(nshards);
   exec_mu_.reserve(nshards);
@@ -188,15 +227,15 @@ Status GatewayServer::Start() {
   // an empty hub instead of freed memory. AlreadyExists just means another
   // (earlier) gateway on this database registered it.
   std::shared_ptr<NotificationHub> hub = hub_;
-  NotifyLimits limits = notify_limits_;
+  const size_t limit = options_.max_pending_notifications;
   Status s = db_->functions()->RegisterAction(
-      kNotifySubscribersAction, [hub, limits](RuleContext& ctx) {
+      kNotifySubscribersAction, [hub, limit](RuleContext& ctx) {
         if (ctx.rule == nullptr || ctx.detection == nullptr) {
           return Status::OK();
         }
         const std::string key = "rule:" + ctx.rule->name();
         const EventOccurrence& occ = ctx.detection->last();
-        hub->Broadcast(key, [&] { return FromOccurrence(key, occ); }, limits);
+        hub->Broadcast(key, [&] { return FromOccurrence(key, occ); }, limit);
         return Status::OK();
       });
   if (!s.ok() && !s.IsAlreadyExists()) return s;
@@ -205,11 +244,11 @@ Status GatewayServer::Start() {
   // sessions subscribed to its key. The Notification is built only for a
   // key somebody subscribed to.
   observer_ = db_->AddOccurrenceObserver(
-      [hub, limits](const EventOccurrence& occ) {
+      [hub, limit](const EventOccurrence& occ) {
         thread_local std::string key;  // One reused buffer per worker.
         key.clear();
         AppendEventKey(occ.modifier, occ.class_name, occ.method, &key);
-        hub->Broadcast(key, [&] { return FromOccurrence(key, occ); }, limits);
+        hub->Broadcast(key, [&] { return FromOccurrence(key, occ); }, limit);
       });
 
   // Sessions that never send Hello bill the default tenant.
@@ -295,15 +334,6 @@ Status GatewayServer::Start() {
     workers_.emplace_back([this, shard] { WorkerLoop(shard); });
   }
   if (!options_.shm_segment.empty()) {
-    shmtp::ShmHost::Options shm_opts;
-    shm_opts.segment = options_.shm_segment;
-    shm_opts.rings = options_.shm_rings;
-    shm_opts.job_ring_bytes = options_.shm_ring_bytes;
-    shm_opts.cpl_ring_bytes = options_.shm_completion_bytes;
-    shm_opts.max_frame_body = options_.max_frame_body;
-    shm_opts.max_inflight_raises = options_.max_inflight_raises;
-    shm_opts.tenant_max_inflight_raises =
-        options_.tenant_max_inflight_raises;
     shmtp::ShmHost::Env shm_env;
     for (auto& queue : queues_) shm_env.queues.push_back(queue.get());
     shm_env.default_tenant = TenantFor("");
@@ -311,9 +341,7 @@ Status GatewayServer::Start() {
       return next_session_id_.fetch_add(1, std::memory_order_relaxed);
     };
     shm_env.metrics = db_->metrics();
-    shm_host_ =
-        std::make_unique<shmtp::ShmHost>(std::move(shm_opts),
-                                         std::move(shm_env));
+    shm_host_ = std::make_unique<shmtp::ShmHost>(options_, std::move(shm_env));
     Status err = shm_host_->Start();
     if (!err.ok()) {
       shm_host_.reset();
@@ -560,15 +588,6 @@ void GatewayServer::CloseSession(IoShard* io, uint64_t id) {
   hub_->Remove(id);
 }
 
-void GatewayServer::UnchargeRejected(const std::vector<IngressItem>& items) {
-  for (const IngressItem& item : items) {
-    if (item.charged_tenant == nullptr) continue;
-    item.session->inflight_raises.fetch_sub(1, std::memory_order_relaxed);
-    item.charged_tenant->inflight_raises.fetch_sub(1,
-                                                   std::memory_order_relaxed);
-  }
-}
-
 bool GatewayServer::DrainSocket(IoShard* io,
                                 const std::shared_ptr<Session>& session) {
   // Edge-triggered: read until the receive queue is provably empty. A
@@ -594,8 +613,6 @@ bool GatewayServer::DrainSocket(IoShard* io,
   // queue mutex over the whole read burst.
   size_t offset = 0;
   bool protocol_error = false;
-  const uint32_t session_quota = options_.max_inflight_raises;
-  const uint32_t tenant_quota = options_.tenant_max_inflight_raises;
   while (true) {
     Frame frame;
     size_t consumed = 0;
@@ -609,8 +626,7 @@ bool GatewayServer::DrainSocket(IoShard* io,
       // Malformed stream: report once, flush, drop the connection — there
       // is no way to resynchronize a corrupt length-prefixed stream.
       protocol_errors_->Add();
-      session->Reply(FrameType::kStatusReply,
-                     StatusReplyMsg::FromStatus(error));
+      Reject(session.get(), error);
       session->drop_after_flush = true;
       session->inbuf.clear();
       protocol_error = true;
@@ -625,8 +641,7 @@ bool GatewayServer::DrainSocket(IoShard* io,
     }
     if (!admit.ok()) {
       backpressure_rejections_->Add();
-      session->Reply(FrameType::kStatusReply,
-                     StatusReplyMsg::FromStatus(admit));
+      Reject(session.get(), admit);
       continue;
     }
 
@@ -635,34 +650,17 @@ bool GatewayServer::DrainSocket(IoShard* io,
     if (frame.type == FrameType::kRaiseEvent) {
       // Admission quotas, right here at the socket: a producer over its
       // in-flight window gets an immediate ResourceExhausted instead of a
-      // slot in the ingress queue. Counters are eventually exact — the
-      // worker credits them back as it acks — and the check-then-add race
-      // between IO shards can only overshoot by one frame per shard.
-      TenantState* tenant = session->tenant.load(std::memory_order_acquire);
-      const char* which = nullptr;
-      if (session_quota != 0 &&
-          session->inflight_raises.load(std::memory_order_relaxed) >=
-              session_quota) {
-        which = "session";
-      } else if (tenant_quota != 0 &&
-                 tenant->inflight_raises.load(std::memory_order_relaxed) >=
-                     tenant_quota) {
-        which = "tenant";
-      }
-      if (which != nullptr) {
+      // slot in the ingress queue.
+      if (const char* which = ChargeRaise(options_, &item)) {
         quota_rejections_->Add();
         backpressure_rejections_->Add();
-        session->Reply(
-            FrameType::kStatusReply,
-            StatusReplyMsg::FromStatus(Status::ResourceExhausted(
-                std::string(which) + " in-flight raise quota exceeded")));
+        Reject(session.get(),
+               Status::ResourceExhausted(std::string(which) +
+                                         " in-flight raise quota exceeded"));
         continue;
       }
-      session->inflight_raises.fetch_add(1, std::memory_order_relaxed);
-      tenant->inflight_raises.fetch_add(1, std::memory_order_relaxed);
-      item.charged_tenant = tenant;
     }
-    size_t target = RouteFrame(session.get(), frame);
+    size_t target = RouteFrame(*session, frame, queues_.size());
     item.frame = std::move(frame);
     io->staging[target].push_back(std::move(item));
   }
@@ -716,34 +714,13 @@ bool GatewayServer::DrainSocket(IoShard* io,
                                 "ingress queue full (" +
                                 std::to_string(queues_[shard]->capacity()) +
                                 ")");
-      UnchargeRejected(staged);
+      for (IngressItem& item : staged) ReleaseRaise(&item);
       backpressure_rejections_->Add(staged.size());
-      for (size_t i = 0; i < staged.size(); ++i) {
-        session->Reply(FrameType::kStatusReply,
-                       StatusReplyMsg::FromStatus(reject));
-      }
+      for (size_t i = 0; i < staged.size(); ++i) Reject(session.get(), reject);
       staged.clear();
     }
   }
   return true;
-}
-
-size_t GatewayServer::RouteFrame(const Session* session,
-                                 const Frame& frame) const {
-  const size_t nshards = queues_.size();
-  if (nshards == 1) return 0;
-  if (frame.type == FrameType::kRaiseEvent) {
-    uint64_t oid = 0;
-    std::string class_name;
-    if (PeekRaiseRouting(frame.body, &oid, &class_name)) {
-      return ShardIndexForRoute(class_name, static_cast<Oid>(oid), nshards);
-    }
-    // Undecodable routing prefix: any worker will produce the same decode
-    // error, so session affinity is fine.
-  }
-  // Non-raise requests (and notification state in particular) stay on one
-  // worker per session.
-  return session->id() % nshards;
 }
 
 bool GatewayServer::FlushSocket(Session* session) {
@@ -966,7 +943,7 @@ void GatewayServer::AckBatcher::Emit(Pending* p) {
   server_->WorkerFlush(p->session);
 }
 
-void GatewayServer::ProcessItem(size_t shard, const IngressItem& item,
+void GatewayServer::ProcessItem(size_t shard, IngressItem& item,
                                 AckBatcher* acks) {
   // Credit the quota back no matter how this item resolves.
   ChargeRelease release{item};
@@ -985,11 +962,7 @@ void GatewayServer::ProcessItem(size_t shard, const IngressItem& item,
   switch (item.frame.type) {
     case FrameType::kPing: {
       Result<PingMsg> msg = PingMsg::Decode(body);
-      if (!msg.ok()) {
-        session->Reply(FrameType::kStatusReply,
-                       StatusReplyMsg::FromStatus(msg.status()));
-        return;
-      }
+      if (!msg.ok()) return Reject(session.get(), msg.status());
       PongMsg pong;
       pong.token = msg->token;
       session->Reply(FrameType::kPong, pong);
@@ -1028,59 +1001,37 @@ void GatewayServer::ProcessItem(size_t shard, const IngressItem& item,
     }
     case FrameType::kFetchNotifications: {
       Result<FetchMsg> msg = FetchMsg::Decode(body);
-      if (!msg.ok()) {
-        session->Reply(FrameType::kStatusReply,
-                       StatusReplyMsg::FromStatus(msg.status()));
-        return;
-      }
+      if (!msg.ok()) return Reject(session.get(), msg.status());
       HandleFetch(session, *msg);
       return;
     }
     case FrameType::kHello: {
       Result<HelloMsg> msg = HelloMsg::Decode(body);
-      if (!msg.ok()) {
-        session->Reply(FrameType::kStatusReply,
-                       StatusReplyMsg::FromStatus(msg.status()));
-        return;
-      }
+      if (!msg.ok()) return Reject(session.get(), msg.status());
       HandleHello(session, *msg);
       return;
     }
     case FrameType::kGetStats: {
       Result<StatsRequestMsg> msg = StatsRequestMsg::Decode(body);
-      if (!msg.ok()) {
-        session->Reply(FrameType::kStatusReply,
-                       StatusReplyMsg::FromStatus(msg.status()));
-        return;
-      }
+      if (!msg.ok()) return Reject(session.get(), msg.status());
       HandleGetStats(session.get(), *msg);
       return;
     }
     case FrameType::kHistoryScan: {
       Result<HistoryScanMsg> msg = HistoryScanMsg::Decode(body);
-      if (!msg.ok()) {
-        session->Reply(FrameType::kStatusReply,
-                       StatusReplyMsg::FromStatus(msg.status()));
-        return;
-      }
+      if (!msg.ok()) return Reject(session.get(), msg.status());
       HandleHistoryScan(session.get(), *msg);
       return;
     }
     case FrameType::kReplSubscribe: {
       Result<ReplSubscribeMsg> msg = ReplSubscribeMsg::Decode(body);
-      if (!msg.ok()) {
-        session->Reply(FrameType::kStatusReply,
-                       StatusReplyMsg::FromStatus(msg.status()));
-        return;
-      }
+      if (!msg.ok()) return Reject(session.get(), msg.status());
       HandleReplSubscribe(session.get(), *msg);
       return;
     }
     default:
-      session->Reply(FrameType::kStatusReply,
-                     StatusReplyMsg::FromStatus(Status::InvalidArgument(
-                         "frame type is not a request")));
-      return;
+      return Reject(session.get(),
+                    Status::InvalidArgument("frame type is not a request"));
   }
 }
 
@@ -1247,10 +1198,9 @@ void GatewayServer::HandleFetch(const std::shared_ptr<Session>& session,
     }
     if (session->fetch_parked) {
       // One long-poll per session: a sane client never overlaps them.
-      session->Reply(FrameType::kStatusReply,
-                     StatusReplyMsg::FromStatus(Status::FailedPrecondition(
-                         "a fetch is already parked on this session")));
-      return;
+      return Reject(session.get(),
+                    Status::FailedPrecondition(
+                        "a fetch is already parked on this session"));
     }
   }
   hub_->ParkFetch(session, msg.max,
@@ -1319,9 +1269,8 @@ void GatewayServer::HandleGetStats(Session* session,
 
 void GatewayServer::HandleHistoryScan(Session* session,
                                       const HistoryScanMsg& msg) {
-  // Hard ceiling regardless of the request: each notification is tens to
-  // hundreds of bytes, so 4096 keeps the reply comfortably inside any
-  // configured frame cap. `complete` tells the client it was clamped.
+  // Hard row ceiling regardless of the request; the rows' bytes are bounded
+  // separately below. `complete` tells the client it was clamped.
   constexpr uint32_t kMaxScanItems = 4096;
   const uint32_t limit = msg.limit == 0
                              ? kMaxScanItems
@@ -1337,23 +1286,27 @@ void GatewayServer::HandleHistoryScan(Session* session,
   query.limit = static_cast<size_t>(limit) + 1;
   std::vector<EventOccurrence> rows;
   Status s = db_->HistoryScan(query, &rows);
-  if (!s.ok()) {
-    session->Reply(FrameType::kStatusReply, StatusReplyMsg::FromStatus(s));
-    return;
-  }
+  if (!s.ok()) return Reject(session, s);
   HistoryBatchMsg reply;
   reply.complete = rows.size() <= limit;
   if (!reply.complete) rows.resize(limit);
-  reply.next_seq = rows.empty() ? msg.after_seq : rows.back().timestamp.seq;
+  reply.next_seq = msg.after_seq;
   reply.items.reserve(rows.size());
-  for (EventOccurrence& occ : rows) {
-    Notification n;
-    n.oid = occ.oid;
-    n.class_name = std::move(occ.class_name);
-    n.method = std::move(occ.method);
-    n.modifier = occ.modifier;
-    n.params = std::move(occ.params);
-    n.timestamp = occ.timestamp;
+  size_t used = 0;
+  for (const EventOccurrence& occ : rows) {
+    Notification n = FromOccurrence("", occ);
+    Encoder probe;
+    n.Encode(&probe);
+    if (!FitsReply(probe.size(), &used)) {
+      if (used == 0) {
+        return Reject(session, ReplyRowTooLarge("history row seq " +
+                                    std::to_string(occ.timestamp.seq),
+                                probe.size()));
+      }
+      reply.complete = false;  // The client's frame cap: page on.
+      break;
+    }
+    reply.next_seq = occ.timestamp.seq;
     reply.items.push_back(std::move(n));
   }
   session->Reply(FrameType::kHistoryBatch, reply);
@@ -1362,17 +1315,12 @@ void GatewayServer::HandleHistoryScan(Session* session,
 void GatewayServer::HandleReplSubscribe(Session* session,
                                         const ReplSubscribeMsg& msg) {
   if (repl_ == nullptr) {
-    session->Reply(FrameType::kStatusReply,
-                   StatusReplyMsg::FromStatus(Status::FailedPrecondition(
-                       "replication not enabled on this node")));
-    return;
+    return Reject(session, Status::FailedPrecondition(
+                               "replication not enabled on this node"));
   }
   ReplBatchMsg reply;
   Status s = repl_->HandleReplSubscribe(msg, &reply);
-  if (!s.ok()) {
-    session->Reply(FrameType::kStatusReply, StatusReplyMsg::FromStatus(s));
-    return;
-  }
+  if (!s.ok()) return Reject(session, s);
   session->Reply(FrameType::kReplBatch, reply);
 }
 

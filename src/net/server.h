@@ -105,8 +105,8 @@ struct ServerOptions {
   size_t max_tenants = 256;
 
   // --- Notification egress ----------------------------------------------------
-  size_t max_pending_notifications = 1024;  ///< Per-session, FIFO-trimmed.
-  size_t max_pending_notify_bytes = 4u << 20;  ///< Per-session byte cap.
+  /// Per-session, FIFO-trimmed (as is kMaxPendingNotifyBytes).
+  size_t max_pending_notifications = 1024;
 
   // --- Shared-memory local transport (src/shmtp) ------------------------------
   /// shm_open name of the local-producer segment, e.g. "/sentinel-gw".
@@ -114,11 +114,28 @@ struct ServerOptions {
   std::string shm_segment;
   /// Producer ring slots: the number of local handles attachable at once.
   uint32_t shm_rings = 4;
-  /// Per-ring job (producer -> host) byte capacity.
-  uint64_t shm_ring_bytes = 1u << 20;
-  /// Per-ring completion (host -> producer) byte capacity.
-  uint64_t shm_completion_bytes = 256u << 10;
 };
+
+// --- Raise admission ---------------------------------------------------------
+// The TCP IO shards and the shm host (src/shmtp) admit raise frames through
+// these three functions, so both intakes keep one set of quota books and
+// send a frame to the same shard.
+
+/// Charges one in-flight raise to `item->session` and its current tenant
+/// unless a quota in `options` (0 = unlimited) is at its cap. Returns
+/// nullptr when charged (`item->charged_tenant` names the tenant billed),
+/// else the quota that refused, "session" or "tenant", charging nothing.
+/// Workers credit the counters back as they ack; the check-then-add race
+/// between intake threads can overshoot by one frame per thread.
+const char* ChargeRaise(const ServerOptions& options, IngressItem* item);
+
+/// Credits back the charge ChargeRaise made on `item` (no-op when none).
+void ReleaseRaise(IngressItem* item);
+
+/// The shard queue (of `nshards`) that `frame` from `session` runs on:
+/// raises by their routing prefix, anything else by session so its
+/// notification state stays on one worker.
+size_t RouteFrame(const Session& session, const Frame& frame, size_t nshards);
 
 /// A view of the gateway's counters, all monotone. Each field is read from
 /// one net.* or shm.* counter in the database's MetricsRegistry (the name
@@ -232,8 +249,6 @@ class GatewayServer {
   /// Reads to EAGAIN (edge-triggered), splits frames, applies admission
   /// quotas, routes to shard queues; returns false when the session died.
   bool DrainSocket(IoShard* io, const std::shared_ptr<Session>& session);
-  /// The shard queue `frame` must be processed on.
-  size_t RouteFrame(const Session* session, const Frame& frame) const;
   /// writev's queued output until EAGAIN or empty; returns false when the
   /// session died. Takes the session's writer lock.
   bool FlushSocket(Session* session);
@@ -250,8 +265,6 @@ class GatewayServer {
   /// Flushes every session queued on the shard's flush list.
   void DrainFlushQueue(IoShard* io);
   void CloseSession(IoShard* io, uint64_t id);
-  /// Undoes admission charges for items a full queue bounced.
-  void UnchargeRejected(const std::vector<IngressItem>& items);
 
   // --- Worker thread helpers --------------------------------------------------
   /// Buffers consecutive same-session raise acks so a drain can answer
@@ -281,7 +294,7 @@ class GatewayServer {
     void Emit(Pending* p);
   };
 
-  void ProcessItem(size_t shard, const IngressItem& item, AckBatcher* acks);
+  void ProcessItem(size_t shard, IngressItem& item, AckBatcher* acks);
   /// Applies one remote raise; `msg.params` are moved into the occurrence.
   StatusReplyMsg HandleRaiseEvent(size_t shard, RaiseEventMsg& msg);
   StatusReplyMsg HandleCreateRule(const CreateRuleMsg& msg);
@@ -319,7 +332,6 @@ class GatewayServer {
   Database* db_;
   ServerOptions options_;
   ReplicationHandler* repl_ = nullptr;
-  NotifyLimits notify_limits_;
   std::shared_ptr<NotificationHub> hub_;
   /// One bounded queue per raise shard, each with the configured capacity.
   std::vector<std::unique_ptr<IngressQueue>> queues_;

@@ -17,38 +17,38 @@ constexpr size_t kOutChunkTarget = 64 * 1024;
 
 /// Deterministic size estimate for the per-session notify-bytes quota.
 /// Deliberately cheap (no encode pass): fixed frame overhead plus the
-/// variable-length fields. Add and subtract use the same function, so the
-/// running total never drifts.
+/// variable-length fields, string params included. Add and subtract use
+/// the same function, so the running total never drifts.
 size_t ApproxNotificationBytes(const Notification& n) {
-  return 48 + n.key.size() + n.class_name.size() + n.method.size() +
-         16 * n.params.size();
+  size_t bytes = 48 + n.key.size() + n.class_name.size() + n.method.size();
+  for (const Value& p : n.params) {
+    bytes += 16 + (p.is_string() ? p.AsString().size() : 0);
+  }
+  return bytes;
 }
 
 }  // namespace
 
 void Session::QueueReply(FrameType type, const std::string& body) {
-  bool was_empty;
-  {
-    std::lock_guard<std::mutex> lock(out_mu_);
-    was_empty = outbox_.empty();
-    if (outbox_.empty() || outbox_.back().size() >= kOutChunkTarget) {
-      outbox_.emplace_back();
-      outbox_.back().reserve(
-          std::min(kOutChunkTarget, kFrameHeaderSize + body.size()));
-    }
-    EncodeFrame(type, body, &outbox_.back());
-  }
-  if (was_empty && flush_notifier_) flush_notifier_(this);
+  if (QueueReplyQuiet(type, body) && flush_notifier_) flush_notifier_(this);
 }
 
-void Session::QueueReplyQuiet(FrameType type, const std::string& body) {
+bool Session::QueueReplyQuiet(FrameType type, const std::string& body) {
   std::lock_guard<std::mutex> lock(out_mu_);
-  if (outbox_.empty() || outbox_.back().size() >= kOutChunkTarget) {
+  const bool was_empty = outbox_.empty();
+  if (was_empty || outbox_.back().size() >= kOutChunkTarget) {
     outbox_.emplace_back();
     outbox_.back().reserve(
         std::min(kOutChunkTarget, kFrameHeaderSize + body.size()));
   }
-  EncodeFrame(type, body, &outbox_.back());
+  Status framed = EncodeFrame(type, body, &outbox_.back());
+  if (!framed.ok()) {
+    // No peer could read such a frame: send the reason in its place.
+    Encoder enc;
+    StatusReplyMsg::FromStatus(framed).Encode(&enc);
+    EncodeFrame(FrameType::kStatusReply, enc.buffer(), &outbox_.back()).ok();
+  }
+  return was_empty;
 }
 
 void Session::TakeOutput(std::deque<std::string>* wq) {
@@ -202,7 +202,7 @@ void ReplyWithBatch(Session* session, uint32_t max) {
 
 size_t NotificationHub::Broadcast(const std::string& key,
                                   const std::function<Notification()>& make,
-                                  const NotifyLimits& limits) {
+                                  size_t max_count) {
   // Fast miss: nobody anywhere is subscribed (the raw-throughput case).
   if (sub_count_.load(std::memory_order_relaxed) == 0) return 0;
 
@@ -227,7 +227,7 @@ size_t NotificationHub::Broadcast(const std::string& key,
   size_t reached = 0;
   uint64_t dropped = 0;
   const size_t n_bytes = ApproxNotificationBytes(n);
-  const size_t max_count = std::max<size_t>(limits.max_count, 1);
+  max_count = std::max<size_t>(max_count, 1);
   for (const std::shared_ptr<Session>& session : targets) {
     std::lock_guard<std::mutex> note(session->note_mu);
     // The index can briefly lag a reap; the cleared subscription set is
@@ -237,7 +237,7 @@ size_t NotificationHub::Broadcast(const std::string& key,
     session->pending.push_back(n);
     session->pending_bytes += n_bytes;
     while (session->pending.size() > max_count ||
-           (limits.max_bytes > 0 && session->pending_bytes > limits.max_bytes &&
+           (session->pending_bytes > kMaxPendingNotifyBytes &&
             session->pending.size() > 1)) {
       size_t bytes = ApproxNotificationBytes(session->pending.front());
       session->pending_bytes -= std::min(session->pending_bytes, bytes);

@@ -67,14 +67,17 @@ class Session {
 
   /// Encodes (type, body) into a frame and appends it to the outbox.
   /// Invokes the flush notifier (outside the outbox lock) when the outbox
-  /// was empty, so the owning IO shard learns it has bytes to write.
+  /// was empty, so the owning IO shard learns it has bytes to write. A
+  /// body no frame can carry (over kFrameBodyLimit) is answered with an
+  /// error StatusReply in its place.
   void QueueReply(FrameType type, const std::string& body);
 
-  /// QueueReply without invoking the flush notifier. The caller takes on
-  /// the obligation to either flush the outbox itself or call
-  /// NotifyFlush() — used by the worker direct-flush fast path, which
-  /// only wakes the IO shard when its own flush left residue.
-  void QueueReplyQuiet(FrameType type, const std::string& body);
+  /// QueueReply without invoking the flush notifier; true when the outbox
+  /// was empty. The caller takes on the obligation to either flush the
+  /// outbox itself or call NotifyFlush() — used by the worker direct-flush
+  /// fast path, which only wakes the IO shard when its own flush left
+  /// residue.
+  bool QueueReplyQuiet(FrameType type, const std::string& body);
 
   /// Invokes the flush notifier unconditionally (pairs with
   /// QueueReplyQuiet when the direct flush could not finish the job).
@@ -142,13 +145,11 @@ class Session {
   std::function<void(Session*)> flush_notifier_;
 };
 
-/// Per-session bounds applied when a notification is enqueued; exceeding
-/// either cap trims the oldest pending entries (delivery stays lossy-FIFO,
-/// the drop is counted, and the session keeps draining).
-struct NotifyLimits {
-  size_t max_count = 1024;
-  size_t max_bytes = 4u << 20;
-};
+/// Per-session cap on the approximate bytes of pending notifications.
+/// Past it (or past the count cap Broadcast takes) the oldest pending
+/// entries are trimmed: delivery stays lossy-FIFO, the drop is counted, and
+/// the session keeps draining.
+constexpr size_t kMaxPendingNotifyBytes = 4u << 20;
 
 /// Registry of live sessions plus the subscription fan-out. Owned via
 /// shared_ptr by the server *and* by the gateway's rule-action closure, so
@@ -195,13 +196,13 @@ class NotificationHub {
                  std::chrono::steady_clock::time_point deadline);
 
   /// Delivers `make()` to every session subscribed to `key` (mutator
-  /// thread): appends to the session's pending queue (FIFO-trimmed at the
-  /// count and byte caps in `limits`) and completes a parked fetch right
-  /// away. `make` runs once, and only when `key` has subscribers. Returns
-  /// the number of sessions reached.
+  /// thread): appends to the session's pending queue (FIFO-trimmed past
+  /// `max_count` entries or kMaxPendingNotifyBytes) and completes a parked
+  /// fetch right away. `make` runs once, and only when `key` has
+  /// subscribers. Returns the number of sessions reached.
   size_t Broadcast(const std::string& key,
                    const std::function<Notification()>& make,
-                   const NotifyLimits& limits);
+                   size_t max_count);
 
   /// Answers parked fetches whose deadline passed with whatever is pending
   /// (possibly an empty batch). Pops only due entries. Returns the

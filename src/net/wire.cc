@@ -57,8 +57,13 @@ bool IsKnownFrameType(uint8_t raw) {
   return false;
 }
 
-void EncodeFrame(FrameType type, const std::string& body, std::string* out,
-                 uint8_t version) {
+Status EncodeFrame(FrameType type, const std::string& body, std::string* out,
+                   uint8_t version) {
+  if (body.size() > kFrameBodyLimit) {
+    return Status::ResourceExhausted(
+        "frame body of " + std::to_string(body.size()) +
+        " bytes exceeds the 24-bit length field");
+  }
   Encoder enc;
   // Length and version share one little-endian u32: low 24 bits length,
   // high byte version.
@@ -67,6 +72,19 @@ void EncodeFrame(FrameType type, const std::string& body, std::string* out,
   enc.PutU8(static_cast<uint8_t>(type));
   out->append(enc.buffer());
   out->append(body);
+  return Status::OK();
+}
+
+bool FitsReply(size_t bytes, size_t* used) {
+  if (bytes > kMaxReplyRowBytes - *used) return false;
+  *used += bytes;
+  return true;
+}
+
+Status ReplyRowTooLarge(const std::string& row, size_t bytes) {
+  return Status::ResourceExhausted(
+      row + " is " + std::to_string(bytes) + " bytes, over the " +
+      std::to_string(kMaxReplyRowBytes) + "-byte reply cap");
 }
 
 DecodeProgress TryDecodeFrame(std::string_view buf, uint32_t max_body,

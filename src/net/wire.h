@@ -75,6 +75,20 @@ constexpr uint32_t kFrameBodyLimit = (1u << 24) - 1;
 /// buffering so a hostile peer cannot balloon server memory.
 constexpr uint32_t kDefaultMaxFrameBody = 4u << 20;  // 4 MiB
 
+/// Bytes a reply that ships rows (HistoryBatch, ReplBatch) may spend on
+/// them: clients read frames with a kDefaultMaxFrameBody cap, less 1 KiB
+/// for the reply's fixed fields.
+constexpr size_t kMaxReplyRowBytes = kDefaultMaxFrameBody - 1024;
+
+/// True, counting the row into `*used`, when a row of `bytes` encoded
+/// bytes still fits a reply whose rows take `*used` of kMaxReplyRowBytes.
+/// A reply ships at least one row: when `*used` is 0 and this is false,
+/// answer ReplyRowTooLarge instead.
+bool FitsReply(size_t bytes, size_t* used);
+
+/// The error for a row (`row` names it) too large for any reply.
+Status ReplyRowTooLarge(const std::string& row, size_t bytes);
+
 /// Bytes of frame header preceding the body.
 constexpr size_t kFrameHeaderSize = 5;  // u24 length + u8 version + u8 type
 
@@ -86,8 +100,10 @@ struct Frame {
 
 /// Appends the framed encoding of (type, body) to `out`. `version` is the
 /// header version byte; only tests forging hostile headers pass another.
-void EncodeFrame(FrameType type, const std::string& body, std::string* out,
-                 uint8_t version = kProtocolV2);
+/// A body over kFrameBodyLimit cannot be framed: nothing is appended and
+/// the result is ResourceExhausted.
+Status EncodeFrame(FrameType type, const std::string& body, std::string* out,
+                   uint8_t version = kProtocolV2);
 
 /// Outcome of TryDecodeFrame.
 enum class DecodeProgress {

@@ -16,6 +16,9 @@ namespace repl {
 
 namespace {
 
+/// Tailer-thread poll interval once caught up.
+constexpr uint32_t kPollMs = 20;
+
 /// Progress-record payload: the cursors a restarted follower resumes from.
 std::string EncodeProgress(bool snapshot_done, uint64_t safe_lsn,
                            uint64_t after_ordinal, uint64_t max_seq) {
@@ -69,8 +72,8 @@ void Follower::ThreadMain() {
     // Sleep in small slices so Stop() is prompt.
     uint32_t slept = 0;
     while (running_.load(std::memory_order_acquire) &&
-           slept < options_.poll_ms) {
-      const uint32_t slice = std::min<uint32_t>(5, options_.poll_ms - slept);
+           slept < kPollMs) {
+      const uint32_t slice = std::min<uint32_t>(5, kPollMs - slept);
       std::this_thread::sleep_for(std::chrono::milliseconds(slice));
       slept += slice;
     }

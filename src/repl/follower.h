@@ -7,8 +7,8 @@
 // WAL tail (decoded records, buffered per transaction and applied at each
 // commit through one local WAL mini-transaction) interleaved with the
 // occurrence-mirror tail (replayed through Database::ReplayOccurrence so
-// the follower's detector log, spill segments — and therefore HistoryScan —
-// match the primary's byte for byte).
+// the follower's HistoryScan matches the primary's; the per-shard spill
+// split may differ when sharded, DESIGN.md §13.1).
 //
 // Durable resume: the follower's ship cursors ride *inside* the same
 // SystemApplyBatch as the data they describe (the kReplStateOid system
@@ -49,8 +49,6 @@ namespace repl {
 struct FollowerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
-  /// Tailer-thread poll interval once caught up.
-  uint32_t poll_ms = 20;
   /// Per-section row cap requested from the primary.
   uint32_t max_items = 256;
 };

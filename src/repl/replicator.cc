@@ -14,6 +14,13 @@
 namespace sentinel {
 namespace repl {
 
+namespace {
+
+/// Per-section row cap when a request leaves max_items at 0.
+constexpr size_t kDefaultMaxItems = 512;
+
+}  // namespace
+
 Replicator::Replicator(Database* db, ReplicatorOptions options)
     : db_(db),
       options_(std::move(options)),
@@ -83,7 +90,7 @@ Status Replicator::HandleReplSubscribe(const net::ReplSubscribeMsg& msg,
   SENTINEL_RETURN_IF_ERROR(FillProbe(reply));
 
   const size_t max_items =
-      msg.max_items != 0 ? msg.max_items : options_.default_max_items;
+      msg.max_items != 0 ? msg.max_items : kDefaultMaxItems;
   switch (msg.mode) {
     case net::ReplSubscribeMsg::kProbe:
       return Status::OK();
@@ -117,6 +124,7 @@ Status Replicator::FillSnapshot(const net::ReplSubscribeMsg& msg,
   uint64_t cursor = msg.after_oid;
   reply->next_oid = cursor;
   reply->snapshot_done = 1;
+  size_t used = 0;
   // Walk the store upward from the cursor, one slice at a time. A slice
   // holds one oid more than can still ship, so a full reply knows whether
   // any oid is left; skipped oids (below) make room for the next slice.
@@ -128,6 +136,7 @@ Status Replicator::FillSnapshot(const net::ReplSubscribeMsg& msg,
         reply->snapshot_done = 0;  // More oids past next_oid.
         return Status::OK();
       }
+      const uint64_t shipped_to = reply->next_oid;
       cursor = oid;
       reply->next_oid = cursor;
       if (oid == kReplStateOid) continue;  // Follower-local bookkeeping.
@@ -137,6 +146,16 @@ Status Replicator::FillSnapshot(const net::ReplSubscribeMsg& msg,
                                    &image.state);
       if (s.IsNotFound()) continue;  // Deleted since listed; WAL replays it.
       SENTINEL_RETURN_IF_ERROR(s);
+      // Encoded as a u64 oid and two u32-length strings.
+      const size_t bytes = 16 + image.class_name.size() + image.state.size();
+      if (!net::FitsReply(bytes, &used)) {
+        if (used == 0) {
+          return net::ReplyRowTooLarge("object " + std::to_string(oid), bytes);
+        }
+        reply->next_oid = shipped_to;  // This oid leads the next reply.
+        reply->snapshot_done = 0;
+        return Status::OK();
+      }
       reply->objects.push_back(std::move(image));
     }
     if (oids.size() <= room) return Status::OK();  // Store exhausted.
@@ -149,12 +168,27 @@ Status Replicator::FillTail(const net::ReplSubscribeMsg& msg,
 
   // WAL and mirror suffixes ship their record bodies as the logs hold them:
   // a WAL body is byte for byte a kReplBatch WAL entry, and the follower
-  // decodes mirror bodies with HistorySegmentStore::DecodeRecordBody.
+  // decodes mirror bodies with HistorySegmentStore::DecodeRecordBody. Both
+  // sections share one reply's row bytes.
+  size_t used = 0;
+  Status too_large;
   uint64_t next_lsn = msg.next_lsn;
   Status rs = db_->store()->wal()->ReadFrom(
       msg.next_lsn, max_items,
-      [reply](const WalRecordView& rec) { reply->wal.emplace_back(rec.bytes); },
+      [&](const WalRecordView& rec) {
+        if (!net::FitsReply(rec.bytes.size(), &used)) {
+          if (used == 0) {
+            too_large = net::ReplyRowTooLarge(
+                "wal record at lsn " + std::to_string(next_lsn),
+                rec.bytes.size());
+          }
+          return false;
+        }
+        reply->wal.emplace_back(rec.bytes);
+        return true;
+      },
       &next_lsn);
+  SENTINEL_RETURN_IF_ERROR(too_large);
   if (rs.IsOutOfRange()) {
     // A checkpoint truncated the requested position away — this follower
     // fell too far behind to tail; it must re-snapshot.
@@ -165,9 +199,23 @@ Status Replicator::FillTail(const net::ReplSubscribeMsg& msg,
     reply->next_lsn = next_lsn;
   }
   uint64_t next_ordinal = msg.after_ordinal;
-  SENTINEL_RETURN_IF_ERROR(mirror_.ScanFrom(msg.after_ordinal, max_items,
-                                            &reply->occ_records,
-                                            &next_ordinal));
+  std::vector<std::string>& occ = reply->occ_records;
+  SENTINEL_RETURN_IF_ERROR(
+      mirror_.ScanFrom(msg.after_ordinal, max_items, &occ, &next_ordinal));
+  // Ordinals are consecutive, so the rows that fit end at after + kept.
+  size_t kept = 0;
+  while (kept < occ.size() && net::FitsReply(4 + occ[kept].size(), &used)) {
+    ++kept;
+  }
+  if (kept < occ.size()) {
+    if (used == 0) {
+      return net::ReplyRowTooLarge(
+          "mirror record " + std::to_string(msg.after_ordinal + 1),
+          4 + occ[0].size());
+    }
+    occ.resize(kept);
+    next_ordinal = msg.after_ordinal + kept;
+  }
   reply->next_ordinal = next_ordinal;
   return Status::OK();
 }

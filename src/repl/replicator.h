@@ -15,8 +15,8 @@
 //     the database's registry as repl.mirror.* (appends, rotations,
 //     scan_segments_skipped, and the replicator's own append_failures),
 //     apart from the spill stores' histlog.*. Followers replay these through
-//     Database::ReplayOccurrence, reproducing the primary's detector
-//     trim/spill — and therefore its HistoryScan results — byte for byte.
+//     Database::ReplayOccurrence, reproducing the primary's HistoryScan
+//     results (see there for the sharded spill split).
 //
 // Both streams are pull-based: the follower polls kReplSubscribe and the
 // primary answers with one kReplBatch. The primary keeps no per-follower
@@ -60,8 +60,6 @@ struct ReplicatorOptions {
   std::string mirror_dir;
   /// Rotation threshold for one mirror segment file.
   size_t mirror_segment_bytes = 1 << 20;
-  /// Per-section row cap when a request leaves max_items at 0.
-  uint32_t default_max_items = 512;
   /// Epoch this node starts serving at.
   uint64_t initial_epoch = 1;
 };

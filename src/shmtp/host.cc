@@ -17,7 +17,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "core/shard.h"
 #include "net/wire.h"
 
 namespace sentinel {
@@ -25,6 +24,10 @@ namespace shmtp {
 
 namespace {
 
+/// Per-ring job (producer -> host) and completion (host -> producer) byte
+/// capacities. Handles read both from the superblock.
+constexpr uint64_t kJobRingBytes = 1u << 20;
+constexpr uint64_t kCplRingBytes = 256u << 10;
 /// Frames decoded from one ring per scan before moving on (fairness).
 constexpr uint32_t kMaxBatch = 256;
 /// Pid-liveness sweep cadence; also the park timeout while idle.
@@ -46,15 +49,17 @@ bool PidDead(uint32_t pid) {
 
 }  // namespace
 
-ShmHost::ShmHost(Options options, Env env)
-    : options_(std::move(options)), env_(std::move(env)) {}
+ShmHost::ShmHost(const net::ServerOptions& options, Env env)
+    : options_(options), env_(std::move(env)) {
+  options_.shm_rings = std::max<uint32_t>(options_.shm_rings, 1);
+}
 
 ShmHost::~ShmHost() {
   StopIntake();
   if (base_ != nullptr) {
     munmap(base_, layout_.total_bytes());
     base_ = nullptr;
-    shm_unlink(options_.segment.c_str());
+    shm_unlink(options_.shm_segment.c_str());
   }
 }
 
@@ -76,37 +81,33 @@ Status ShmHost::Start() {
   attaches_ = env_.metrics->counter("shm.attaches");
   reclaims_ = env_.metrics->counter("shm.reclaims");
   protocol_errors_ = env_.metrics->counter("shm.protocol_errors");
-  if (options_.segment.empty() || options_.segment[0] != '/') {
+  if (options_.shm_segment.empty() || options_.shm_segment[0] != '/') {
     return Status::InvalidArgument(
-        "shmtp segment name must start with '/': " + options_.segment);
+        "shmtp segment name must start with '/': " + options_.shm_segment);
   }
-  options_.rings = std::max<uint32_t>(options_.rings, 1);
-  options_.job_ring_bytes = std::max<uint64_t>(options_.job_ring_bytes, 4096);
-  options_.cpl_ring_bytes = std::max<uint64_t>(options_.cpl_ring_bytes, 4096);
-  layout_ = SegmentLayout{options_.rings, options_.job_ring_bytes,
-                          options_.cpl_ring_bytes};
+  layout_ = SegmentLayout{options_.shm_rings, kJobRingBytes, kCplRingBytes};
 
   // A segment left behind by a crashed host is dead weight — its host_pid
   // is gone and no handle can make progress against it. Replace it.
-  shm_unlink(options_.segment.c_str());
-  int fd = shm_open(options_.segment.c_str(), O_CREAT | O_EXCL | O_RDWR,
+  shm_unlink(options_.shm_segment.c_str());
+  int fd = shm_open(options_.shm_segment.c_str(), O_CREAT | O_EXCL | O_RDWR,
                     0600);
   if (fd < 0) {
-    return Status::IOError("shm_open(" + options_.segment +
+    return Status::IOError("shm_open(" + options_.shm_segment +
                            "): " + std::strerror(errno));
   }
   if (ftruncate(fd, static_cast<off_t>(layout_.total_bytes())) != 0) {
     Status s = Status::IOError("ftruncate(shm): " +
                                std::string(std::strerror(errno)));
     close(fd);
-    shm_unlink(options_.segment.c_str());
+    shm_unlink(options_.shm_segment.c_str());
     return s;
   }
   void* mapped = mmap(nullptr, layout_.total_bytes(),
                       PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
   close(fd);
   if (mapped == MAP_FAILED) {
-    shm_unlink(options_.segment.c_str());
+    shm_unlink(options_.shm_segment.c_str());
     return Status::IOError("mmap(shm): " + std::string(std::strerror(errno)));
   }
   base_ = static_cast<char*>(mapped);
@@ -114,14 +115,14 @@ Status ShmHost::Start() {
   Superblock* sb = new (base_) Superblock();
   sb->magic = kSegmentMagic;
   sb->layout_version = kLayoutVersion;
-  sb->ring_count = options_.rings;
+  sb->ring_count = options_.shm_rings;
   sb->segment_bytes = layout_.total_bytes();
-  sb->job_ring_bytes = options_.job_ring_bytes;
-  sb->cpl_ring_bytes = options_.cpl_ring_bytes;
+  sb->job_ring_bytes = kJobRingBytes;
+  sb->cpl_ring_bytes = kCplRingBytes;
   sb->max_frame_body = options_.max_frame_body;
   sb->host_pid = static_cast<uint32_t>(getpid());
   rings_.clear();
-  for (uint32_t i = 0; i < options_.rings; ++i) {
+  for (uint32_t i = 0; i < options_.shm_rings; ++i) {
     new (base_ + layout_.header_offset(i)) RingHeader();
     rings_.push_back(std::make_unique<Ring>());
   }
@@ -146,7 +147,7 @@ void ShmHost::StopIntake() {
     // observe the shutdown promptly.
     sb_->doorbell.exchange(kDoorbellAwake, std::memory_order_seq_cst);
     FutexWake(&sb_->doorbell, 1);
-    for (uint32_t i = 0; i < options_.rings; ++i) {
+    for (uint32_t i = 0; i < options_.shm_rings; ++i) {
       header(i)->cpl_seq.fetch_add(1, std::memory_order_seq_cst);
       FutexWake(&header(i)->cpl_seq, 1);
     }
@@ -184,12 +185,12 @@ void ShmHost::IntakeLoop() {
 
 bool ShmHost::ScanOnce(bool sweep_liveness) {
   bool progress = false;
-  for (uint32_t i = 0; i < options_.rings; ++i) {
+  for (uint32_t i = 0; i < options_.shm_rings; ++i) {
     if (ManageRing(i, sweep_liveness)) progress = true;
     Ring* ring = rings_[i].get();
     if (ring->session == nullptr) continue;
     if (ring->deferred_offset < ring->deferred.size()) {
-      if (FlushDeferred(i, ring)) progress = true;
+      if (FlushDeferred(ring)) progress = true;
       // Order preserved: no fresh decode while older frames wait.
       if (ring->deferred_offset < ring->deferred.size()) continue;
     }
@@ -256,8 +257,8 @@ void ShmHost::AttachRing(uint32_t i) {
 void ShmHost::ReclaimRing(uint32_t i, const char* fault) {
   RingHeader* rh = header(i);
   if (fault != nullptr) {
-    SENTINEL_WARN << "event=shm_ring_reclaimed segment=" << options_.segment
-                  << " ring=" << i
+    SENTINEL_WARN << "event=shm_ring_reclaimed segment="
+                  << options_.shm_segment << " ring=" << i
                   << " pid=" << rh->pid.load(std::memory_order_relaxed)
                   << " reason=\"" << fault << "\"";
   }
@@ -267,7 +268,7 @@ void ShmHost::ReclaimRing(uint32_t i, const char* fault) {
     if (ring->session != nullptr) {
       // Queued-but-unprocessed frames from this tenancy die here: workers
       // skip closed sessions (never applying them), while their quota
-      // charges still credit back through ChargeRelease. Frames already
+      // charges still credit back through ReleaseRaise. Frames already
       // applied stay applied — the handle's contract is at-most-once for
       // anything it never saw acked.
       ring->session->closed.store(true, std::memory_order_release);
@@ -291,28 +292,7 @@ void ShmHost::ReclaimRing(uint32_t i, const char* fault) {
   reclaims_->Add();
 }
 
-bool ShmHost::TryCharge(const std::shared_ptr<net::Session>& session,
-                        net::IngressItem* item) {
-  net::TenantState* tenant =
-      session->tenant.load(std::memory_order_acquire);
-  if (options_.max_inflight_raises != 0 &&
-      session->inflight_raises.load(std::memory_order_relaxed) >=
-          options_.max_inflight_raises) {
-    return false;
-  }
-  if (options_.tenant_max_inflight_raises != 0 &&
-      tenant->inflight_raises.load(std::memory_order_relaxed) >=
-          options_.tenant_max_inflight_raises) {
-    return false;
-  }
-  session->inflight_raises.fetch_add(1, std::memory_order_relaxed);
-  tenant->inflight_raises.fetch_add(1, std::memory_order_relaxed);
-  item->charged_tenant = tenant;
-  return true;
-}
-
-bool ShmHost::FlushDeferred(uint32_t i, Ring* ring) {
-  (void)i;
+bool ShmHost::FlushDeferred(Ring* ring) {
   auto& d = ring->deferred;
   bool progress = false;
   while (ring->deferred_offset < d.size()) {
@@ -323,7 +303,7 @@ bool ShmHost::FlushDeferred(uint32_t i, Ring* ring) {
     std::vector<net::IngressItem> batch;
     size_t end = begin;
     while (end < d.size() && d[end].shard == shard) {
-      if (!TryCharge(ring->session, &d[end].item)) break;
+      if (net::ChargeRaise(options_, &d[end].item) != nullptr) break;
       batch.push_back(std::move(d[end].item));
       ++end;
     }
@@ -338,15 +318,8 @@ bool ShmHost::FlushDeferred(uint32_t i, Ring* ring) {
       // Queue full mid-run: credit the un-admitted remainder back and put
       // it where it was — lossless deferral, order intact.
       for (size_t k = 0; k < batch.size(); ++k) {
-        net::IngressItem& item = batch[k];
-        if (item.charged_tenant != nullptr) {
-          item.session->inflight_raises.fetch_sub(1,
-                                                  std::memory_order_relaxed);
-          item.charged_tenant->inflight_raises.fetch_sub(
-              1, std::memory_order_relaxed);
-          item.charged_tenant = nullptr;
-        }
-        d[begin + accepted + k].item = std::move(item);
+        net::ReleaseRaise(&batch[k]);
+        d[begin + accepted + k].item = std::move(batch[k]);
       }
       ring->deferred_offset = begin + accepted;
       return progress;
@@ -367,7 +340,7 @@ bool ShmHost::DrainRing(uint32_t i) {
   uint64_t tail = rh->job_tail.load(std::memory_order_acquire);
   if (head == tail) return false;
   const char* jr = job_ring(i);
-  const uint64_t cap = options_.job_ring_bytes;
+  const uint64_t cap = kJobRingBytes;
   const uint32_t max_record =
       static_cast<uint32_t>(net::kFrameHeaderSize) + options_.max_frame_body;
 
@@ -414,13 +387,8 @@ bool ShmHost::DrainRing(uint32_t i) {
               "shmtp job ring carries raise frames only")));
       continue;
     }
-    uint64_t oid = 0;
-    std::string class_name;
-    size_t shard = 0;
-    if (env_.queues.size() > 1 &&
-        net::PeekRaiseRouting(frame.body, &oid, &class_name)) {
-      shard = ShardIndexForRoute(class_name, oid, env_.queues.size());
-    }
+    const size_t shard =
+        net::RouteFrame(*ring->session, frame, env_.queues.size());
     net::IngressItem item;
     item.session = ring->session;
     item.frame = std::move(frame);
@@ -428,7 +396,7 @@ bool ShmHost::DrainRing(uint32_t i) {
   }
   // Space is reusable only now that every record is copied out.
   rh->job_head.store(head, std::memory_order_release);
-  FlushDeferred(i, ring);
+  FlushDeferred(ring);
   return true;
 }
 
@@ -441,7 +409,7 @@ void ShmHost::WriteCompletions(uint32_t i, net::Session* session) {
   session->TakeOutput(&chunks);
   if (chunks.empty()) return;
   char* cr = cpl_ring(i);
-  const uint64_t cap = options_.cpl_ring_bytes;
+  const uint64_t cap = kCplRingBytes;
   uint64_t tail = rh->cpl_tail.load(std::memory_order_relaxed);
   bool overflow = false;
   for (const std::string& chunk : chunks) {
@@ -470,7 +438,7 @@ void ShmHost::Park(uint32_t timeout_ms) {
   // the FutexWake; a producer that commits before it is caught by the
   // re-scan. No interleaving strands a committed frame.
   sb_->doorbell.store(kDoorbellParked, std::memory_order_seq_cst);
-  for (uint32_t i = 0; i < options_.rings; ++i) {
+  for (uint32_t i = 0; i < options_.shm_rings; ++i) {
     RingHeader* rh = header(i);
     if (rh->job_tail.load(std::memory_order_seq_cst) !=
             rh->job_head.load(std::memory_order_relaxed) ||

@@ -5,8 +5,9 @@
 // The host owns the segment (create/initialise/unlink) and runs one intake
 // thread that scans the per-producer job rings, decodes committed frames,
 // and feeds them into the *same* per-shard IngressQueues the TCP gateway
-// uses — so sharding, admission quotas, worker ordering, metrics, and ack
-// batching are shared, not reimplemented. Each attached ring is fronted by
+// uses, admitting and routing each through the gateway's own ChargeRaise /
+// RouteFrame — so sharding, admission quotas, worker ordering, metrics, and
+// ack batching are shared, not reimplemented. Each attached ring is fronted by
 // a socketless net::Session (fd = -1): workers ack through
 // the normal AckBatcher path, the session's flush notifier lands the
 // encoded reply frames in the ring's completion region, and the handle
@@ -39,6 +40,7 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "net/ingress_queue.h"
+#include "net/server.h"
 #include "net/session.h"
 #include "shmtp/layout.h"
 
@@ -47,18 +49,6 @@ namespace shmtp {
 
 class ShmHost {
  public:
-  struct Options {
-    /// shm_open name, e.g. "/sentinel-gw.1234". Must start with '/'.
-    std::string segment;
-    uint32_t rings = 4;
-    uint64_t job_ring_bytes = 1u << 20;
-    uint64_t cpl_ring_bytes = 256u << 10;
-    uint32_t max_frame_body = 4u << 20;
-    /// Admission quotas, mirrored from ServerOptions (0 = unlimited).
-    uint32_t max_inflight_raises = 0;
-    uint32_t tenant_max_inflight_raises = 0;
-  };
-
   /// Hooks into the owning gateway. All queues/pointers must outlive the
   /// host (the server guarantees this by stopping intake before tearing
   /// either down).
@@ -70,7 +60,9 @@ class ShmHost {
     MetricsRegistry* metrics = nullptr;
   };
 
-  ShmHost(Options options, Env env);
+  /// Reads the gateway's `options`: shm_segment (shm_open name, must start
+  /// with '/'), shm_rings, max_frame_body and the admission quotas.
+  ShmHost(const net::ServerOptions& options, Env env);
   ~ShmHost();
 
   ShmHost(const ShmHost&) = delete;
@@ -86,8 +78,6 @@ class ShmHost {
   /// valid until destruction — call this *before* shutting the ingress
   /// queues down, destroy after the workers are joined.
   void StopIntake();
-
-  const Options& options() const { return options_; }
 
  private:
   /// Host-private (non-shared) per-ring state.
@@ -121,13 +111,9 @@ class ShmHost {
   bool ManageRing(uint32_t i, bool sweep_liveness);
   /// Decodes + admits committed frames from ring `i`; true on progress.
   bool DrainRing(uint32_t i);
-  /// Tries to push `ring.deferred` items to their shard queues, in order.
-  /// True when everything pending was admitted.
-  bool FlushDeferred(uint32_t i, Ring* ring);
-  /// Admission-charges `item`'s session/tenant unless a quota is at cap;
-  /// false = defer (nothing charged).
-  bool TryCharge(const std::shared_ptr<net::Session>& session,
-                 net::IngressItem* item);
+  /// Charges and pushes `ring->deferred` items to their shard queues, in
+  /// order, stopping at a quota cap or a full queue. True on progress.
+  bool FlushDeferred(Ring* ring);
   void AttachRing(uint32_t i);
   /// Frees ring `i` for the next attacher. `fault` says why a ring that
   /// did not detach cleanly is being killed (logged as a warning); nullptr
@@ -140,7 +126,7 @@ class ShmHost {
   /// `timeout_ms`.
   void Park(uint32_t timeout_ms);
 
-  Options options_;
+  net::ServerOptions options_;
   Env env_;
   SegmentLayout layout_;
   char* base_ = nullptr;  ///< mmap base (nullptr until Start succeeds).

@@ -138,13 +138,14 @@ Status WalManager::ReadFrom(uint64_t from_lsn, size_t max_records,
       [out](const WalRecordView& rec) {
         out->push_back(
             WalRecord{rec.type, rec.txn, rec.oid, std::string(rec.payload)});
+        return true;
       },
       next_lsn);
 }
 
 Status WalManager::ReadFrom(
     uint64_t from_lsn, size_t max_records,
-    const std::function<void(const WalRecordView&)>& visit,
+    const std::function<bool(const WalRecordView&)>& visit,
     uint64_t* next_lsn) {
   *next_lsn = from_lsn;
   SENTINEL_ASSIGN_OR_RETURN(RecordLog::Snapshot snap, log_.TakeSnapshot());
@@ -163,7 +164,7 @@ Status WalManager::ReadFrom(
       return Status::Corruption("malformed wal record at lsn " +
                                 std::to_string(*next_lsn));
     }
-    visit(rec);
+    if (!visit(rec)) return Status::OK();
     *next_lsn = reader.pos();
   }
   switch (reader.stop()) {

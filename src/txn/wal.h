@@ -122,14 +122,15 @@ class WalManager {
 
   /// Log-shipping read: hands up to `max_records` records starting at
   /// logical LSN `from_lsn` to `visit` (views valid during the call) and
-  /// sets `*next_lsn` to the LSN one past the last one. `from_lsn` must be
+  /// sets `*next_lsn` to the LSN one past the last one it took. `visit`
+  /// returning false stops the read before that record. `from_lsn` must be
   /// a record boundary previously handed out by CurrentLsn()/ReadFrom.
   /// OutOfRange when a checkpoint already truncated `from_lsn` away — the
   /// caller (a replication follower) must fall back to a snapshot. Every
   /// record appended before the call is visible; the file is read outside
   /// the lock appends take, so a reader never stalls a commit.
   Status ReadFrom(uint64_t from_lsn, size_t max_records,
-                  const std::function<void(const WalRecordView&)>& visit,
+                  const std::function<bool(const WalRecordView&)>& visit,
                   uint64_t* next_lsn);
   /// ReadFrom, decoded into owned records.
   Status ReadFrom(uint64_t from_lsn, size_t max_records,

@@ -147,7 +147,7 @@ TEST_F(CheckpointTest, ConcurrentCheckpointsAndCloseNeverDoubleTruncate) {
   // explicit Checkpoint callers below are mid-flight.
   std::atomic<int> background_ok{0};
   Checkpointer background(
-      {/*interval_ms=*/0, /*wal_bytes=*/256},
+      /*wal_bytes=*/256,
       [&]() -> uint64_t {
         Result<uint64_t> size = db->store()->wal()->SizeBytes();
         return size.ok() ? *size : 0;
@@ -203,7 +203,7 @@ TEST_F(CheckpointTest, ConcurrentCheckpointsAndCloseNeverDoubleTruncate) {
 
 TEST(CheckpointerTest, DisabledOptionsStartNoThread) {
   std::atomic<int> calls{0};
-  Checkpointer ckpt({/*interval_ms=*/0, /*wal_bytes=*/0}, [] { return 0; },
+  Checkpointer ckpt(/*wal_bytes=*/0, [] { return 1u << 30; },
                     [&] {
                       calls.fetch_add(1);
                       return Status::OK();
@@ -213,16 +213,18 @@ TEST(CheckpointerTest, DisabledOptionsStartNoThread) {
   EXPECT_EQ(calls.load(), 0);
 }
 
-TEST(CheckpointerTest, IntervalTriggerRunsAndCountsFailures) {
+TEST(CheckpointerTest, WalSizeTriggerRunsAndCountsFailures) {
   std::atomic<int> calls{0};
+  // The WAL never shrinks below the threshold here, so every poll tick
+  // (50 ms) is due.
   Checkpointer ckpt(
-      {/*interval_ms=*/10, /*wal_bytes=*/0}, [] { return 0; },
+      /*wal_bytes=*/256, [] { return 1024; },
       [&] {
         int n = calls.fetch_add(1);
         return n == 0 ? Status::IOError("flaky disk") : Status::OK();
       });
   ckpt.Start();
-  for (int i = 0; i < 100 && calls.load() < 2; ++i) {
+  for (int i = 0; i < 200 && calls.load() < 2; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   ckpt.Stop();

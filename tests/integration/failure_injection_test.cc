@@ -207,6 +207,27 @@ TEST_F(FailureInjectionTest, FailedCommitIsNeutralizedAcrossReopen) {
   EXPECT_TRUE(reopened.value()->Close().ok());
 }
 
+// Database::Options::failpoints arms its spec before the store opens, so a
+// test injects faults without touching the process environment; a spec
+// that does not parse fails the open.
+TEST_F(FailureInjectionTest, OpenArmsFailpointsFromOptions) {
+  FailPoints::Instance().Reset();
+  TempDir other("failure_options");
+  Database::Options opts;
+  opts.dir = other.path();
+  opts.failpoints = "test.from_options=ioerror@once";
+  auto opened = Database::Open(opts);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_TRUE(FailPoints::Instance().Check("test.from_options").IsIOError());
+  EXPECT_TRUE(FailPoints::Instance().Check("test.from_options").ok());
+  EXPECT_TRUE(opened.value()->Close().ok());
+
+  FailPoints::Instance().Reset();
+  opts.failpoints = "test.from_options=no_such_action";
+  EXPECT_FALSE(Database::Open(opts).ok());
+  FailPoints::Instance().Reset();
+}
+
 TEST_F(FailureInjectionTest, AbortRestoresMultipleObjectsInReverseOrder) {
   ReactiveObject a("Node"), b("Node");
   a.SetAttrRaw("v", Value(1));

@@ -428,6 +428,50 @@ TEST_F(GatewayTest, DisconnectWhileParkedReapsFetchAndSubscriptions) {
   EXPECT_EQ(server_->session_count(), 1u);  // Just the producer.
 }
 
+// The per-session byte cap binds when the count cap does not: a subscriber
+// that never fetches keeps at most kMaxPendingNotifyBytes of large-param
+// notifications pending, and the overflow is counted as dropped.
+TEST_F(GatewayTest, PendingNotificationsStayUnderTheByteCap) {
+  server_->Stop();
+  options_.max_pending_notifications = 1 << 20;  // Out of the way.
+  server_ = std::make_unique<GatewayServer>(db_.get(), options_);
+  Status started = server_->Start();
+  ASSERT_TRUE(started.ok()) << started.ToString();
+
+  auto consumer_conn = Dial();
+  Subscriber consumer(consumer_conn.get());
+  ASSERT_TRUE(consumer.Subscribe("end Sensor::Report").ok());
+  auto producer_conn = Dial();
+  Publisher producer(producer_conn.get());
+  const std::string blob(64 << 10, 'n');
+  constexpr size_t kRaises = 100;  // 6.4 MiB of params.
+  for (size_t i = 0; i < kRaises; ++i) {
+    auto oid = producer.Raise("Sensor", "Report", EventModifier::kEnd,
+                              {Value(static_cast<int64_t>(i)), Value(blob)});
+    ASSERT_TRUE(oid.ok()) << oid.status().ToString();
+  }
+  const uint64_t dropped = server_->stats().notifications_dropped;
+  EXPECT_GT(dropped, 0u);
+
+  // Drain what stayed pending, a few rows per reply: the newest ones, in
+  // order, under the cap.
+  size_t pending = 0;
+  size_t bytes = 0;
+  for (;;) {
+    auto batch = consumer.Fetch(8, 0);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    if (batch->empty()) break;
+    for (const Notification& n : *batch) {
+      ASSERT_EQ(n.params.size(), 2u);
+      EXPECT_EQ(n.params[0].AsInt(), static_cast<int64_t>(dropped + pending));
+      bytes += n.params[1].AsString().size();
+      ++pending;
+    }
+  }
+  EXPECT_EQ(pending + dropped, kRaises);
+  EXPECT_LE(bytes, kMaxPendingNotifyBytes);
+}
+
 TEST_F(GatewayTest, GarbageBytesGetErrorReplyThenDisconnect) {
   // An unknown frame type right in the header.
   Encoder unknown_type;

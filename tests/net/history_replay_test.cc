@@ -247,6 +247,69 @@ TEST_F(HistoryReplayTest, HistoryScanAllAcrossRestartSeesEachRowOnce) {
   }
 }
 
+// 120 spilled rows of ~50 KiB (~6 MiB) cannot ride one HistoryBatch under
+// the 4 MiB frame cap clients read with: the server pages by bytes, and
+// HistoryScanAll follows the cursor to the end.
+TEST_F(HistoryReplayTest, HistoryScanAllPagesLargeRowsUnderTheFrameCap) {
+  StartServer(/*history_spill=*/true);
+  const std::string blob(50 << 10, 'h');
+  {
+    auto conn = Dial();
+    Publisher producer(conn.get());
+    uint64_t relay_oid = 0;
+    for (int i = 0; i < 128; ++i) {
+      auto oid = producer.Raise("Sensor", "Report", EventModifier::kEnd,
+                                {Value(static_cast<double>(i)), Value(blob)},
+                                relay_oid);
+      ASSERT_TRUE(oid.ok()) << oid.status().ToString();
+      relay_oid = *oid;
+    }
+  }
+  auto conn = Dial();
+  Subscriber consumer(conn.get());
+  auto all = consumer.HistoryScanAll({});
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  ASSERT_EQ(all->size(), 120u);  // 128 raises less the in-memory window.
+  for (size_t i = 0; i < all->size(); ++i) {
+    ASSERT_EQ((*all)[i].params.size(), 2u);
+    EXPECT_EQ((*all)[i].params[0].AsDouble(), static_cast<double>(i));
+    EXPECT_EQ((*all)[i].params[1].AsString().size(), blob.size());
+  }
+}
+
+// A row that no reply can carry is an error naming it, and the connection
+// survives. The row is raised in-process: a raise frame that large would
+// itself exceed the gateway's frame cap.
+TEST_F(HistoryReplayTest, RowOverTheFrameCapIsAnErrorNamingIt) {
+  StartServer(/*history_spill=*/true);
+  server_->Stop();  // The raises below run on this thread.
+  ReactiveObject sensor("Sensor");
+  ASSERT_TRUE(db_->RegisterLiveObject(&sensor).ok());
+  for (int i = 0; i < 9; ++i) {  // The first one spills (capacity 8).
+    const std::string param = i == 0 ? std::string(5 << 20, 'x') : "";
+    ASSERT_TRUE(db_->WithTransaction([&](Transaction*) {
+                     sensor.RaiseEvent("Report", EventModifier::kEnd,
+                                       {Value(param)});
+                     return Status::OK();
+                   })
+                    .ok());
+  }
+  ASSERT_TRUE(db_->UnregisterLiveObject(&sensor).ok());
+  server_ = std::make_unique<GatewayServer>(db_.get(), ServerOptions{});
+  Status s = server_->Start();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+
+  auto conn = Dial();
+  Subscriber consumer(conn.get());
+  auto replay = consumer.HistoryScan({});
+  EXPECT_TRUE(replay.status().IsResourceExhausted())
+      << replay.status().ToString();
+  EXPECT_NE(replay.status().ToString().find("history row seq"),
+            std::string::npos)
+      << replay.status().ToString();
+  EXPECT_TRUE(conn->Ping().ok());
+}
+
 TEST_F(HistoryReplayTest, ServerWithoutSpillReportsFailedPrecondition) {
   StartServer(/*history_spill=*/false);
   auto conn = Dial();

@@ -62,10 +62,12 @@ class ReplicationTest : public ::testing::Test {
 
   /// Brings up a node. The occurrence-log capacity is small so raises trim
   /// (and spill) early — history equivalence then covers the spill path.
-  void StartNode(Node* node, const std::string& tag, bool replica) {
+  void StartNode(Node* node, const std::string& tag, bool replica,
+                 size_t raise_shards = 1) {
     node->tmp = std::make_unique<testing_util::TempDir>(tag);
     Database::Options opts;
     opts.dir = node->tmp->path();
+    opts.raise_shards = raise_shards;
     opts.occurrence_log_capacity = 8;
     opts.history_spill = true;
     opts.replica = replica;
@@ -145,12 +147,17 @@ class ReplicationTest : public ::testing::Test {
 
   /// Persists `count` Sensor objects on `node` inside WAL-logged
   /// transactions — the write traffic checkpoints truncate and the
-  /// snapshot/tail paths have to ship.
-  void PersistSensors(Node* node, int count, double base = 0) {
+  /// snapshot/tail paths have to ship. `blob_bytes` > 0 adds a string
+  /// attribute of that size to each.
+  void PersistSensors(Node* node, int count, double base = 0,
+                      size_t blob_bytes = 0) {
     for (int i = 0; i < count; ++i) {
       ReactiveObject obj("Sensor");
       ASSERT_TRUE(node->db->RegisterLiveObject(&obj).ok());
       obj.SetAttrRaw("reading", Value(base + i));
+      if (blob_bytes > 0) {
+        obj.SetAttrRaw("blob", Value(std::string(blob_bytes, 'b')));
+      }
       ASSERT_TRUE(node->db
                       ->WithTransaction([&](Transaction* txn) {
                         return node->db->Persist(txn, &obj);
@@ -604,6 +611,80 @@ TEST(ReplSnapshotChunkTest, ChunksShipEachObjectOnceInOidOrderUnderChurn) {
 
 // A mirror append that fails must not fail the raise that produced it; it
 // is counted, and the lost occurrence takes no ordinal.
+// 300 objects of 20 KiB (~6 MiB) cannot ship in one reply under the 4 MiB
+// frame cap clients read with; the snapshot pages by bytes instead of
+// failing every poll at the default 256 rows per reply.
+TEST_F(ReplicationTest, LargeSnapshotShipsInRepliesUnderTheFrameCap) {
+  StartNode(&primary_, "repl_primary", /*replica=*/false);
+  PersistSensors(&primary_, 300, /*base=*/0, /*blob_bytes=*/20 << 10);
+  StartNode(&follower_node_, "repl_follower", /*replica=*/true);
+
+  FollowerOptions opts;  // Default max_items: the row cap alone is not enough.
+  opts.port = primary_.port();
+  Follower f(follower_node_.db.get(), opts);
+  CatchUp(&f);
+  EXPECT_EQ(Objects(primary_.db.get()), Objects(follower_node_.db.get()));
+}
+
+// The same bound on the WAL tail: 100 commits of 64 KiB objects made after
+// the bootstrap ship as several tail replies.
+TEST_F(ReplicationTest, LargeWalTailShipsInRepliesUnderTheFrameCap) {
+  StartNode(&primary_, "repl_primary", /*replica=*/false);
+  StartNode(&follower_node_, "repl_follower", /*replica=*/true);
+  FollowerOptions opts;
+  opts.port = primary_.port();
+  Follower f(follower_node_.db.get(), opts);
+  CatchUp(&f);
+
+  PersistSensors(&primary_, 100, /*base=*/0, /*blob_bytes=*/64 << 10);
+  CatchUp(&f);
+  EXPECT_EQ(Objects(primary_.db.get()), Objects(follower_node_.db.get()));
+}
+
+// A documented difference, pinned until one occurrence log replaces the
+// per-shard spill: the primary records a class-default relay's (oid 0)
+// occurrence on the shard its class name hashes to, while
+// Database::ReplayOccurrence routes by the occurrence's oid. With two
+// shards the merged history agrees row for row, but the rows split between
+// the shards' spill stores differently. See DESIGN.md §13.
+TEST_F(ReplicationTest, ShardedFollowerSplitsClassDefaultHistoryByOid) {
+  StartNode(&primary_, "repl_primary", /*replica=*/false, /*raise_shards=*/2);
+  {
+    auto conn = net::Connection::Dial("127.0.0.1", primary_.port());
+    ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+    net::Publisher producer(conn->get());
+    for (int i = 0; i < 60; ++i) {
+      auto oid = producer.Raise("Split" + std::to_string(i % 5), "Ping",
+                                EventModifier::kEnd, {Value(i)});
+      ASSERT_TRUE(oid.ok()) << oid.status().ToString();
+    }
+  }
+  StartNode(&follower_node_, "repl_follower", /*replica=*/true,
+            /*raise_shards=*/2);
+  Follower f(follower_node_.db.get(), FollowTo(primary_));
+  CatchUp(&f);
+
+  const auto merged = History(primary_.db.get(), /*include_memory=*/true);
+  EXPECT_EQ(merged.size(), 60u);
+  ExpectSameHistory(merged, History(follower_node_.db.get(), true));
+
+  auto spilled_seqs = [](Database* db, size_t shard) {
+    std::vector<uint64_t> seqs;
+    std::vector<EventOccurrence> rows;
+    EXPECT_TRUE(db->history_store(shard)->Scan({}, &rows).ok());
+    for (const EventOccurrence& occ : rows) seqs.push_back(occ.timestamp.seq);
+    return seqs;
+  };
+  const auto primary0 = spilled_seqs(primary_.db.get(), 0);
+  const auto primary1 = spilled_seqs(primary_.db.get(), 1);
+  const auto follower0 = spilled_seqs(follower_node_.db.get(), 0);
+  const auto follower1 = spilled_seqs(follower_node_.db.get(), 1);
+  EXPECT_EQ(primary0.size() + primary1.size(),
+            follower0.size() + follower1.size());
+  EXPECT_NE(primary0, follower0);
+  EXPECT_NE(primary1, follower1);
+}
+
 TEST_F(ReplicationTest, FailedMirrorAppendIsCountedAndTheRaiseSucceeds) {
   StartNode(&primary_, "mirror-fail", /*replica=*/false);
   Counter* failures =

@@ -263,11 +263,16 @@ TEST_F(ShmtpTest, HostParksAndProducerWakesIt) {
     return server_->stats().shm_parks >= 1;
   }));
 
-  // Spaced-out raises land while the host is parked; the empty->non-empty
-  // doorbell must wake it (each raise's ack proves delivery, and at least
-  // one wake must be a futex wake rather than a park timeout).
+  // Each raise waits for a park armed after the previous one, so it lands
+  // on a parked host (a park lasts up to 20 ms; this polls every 5 ms). The
+  // empty->non-empty doorbell must wake it: each raise's ack proves
+  // delivery, and at least one wake must be a futex wake rather than a park
+  // timeout.
   for (int i = 0; i < 10; ++i) {
-    std::this_thread::sleep_for(milliseconds(30));
+    const uint64_t parks = server_->stats().shm_parks;
+    ASSERT_TRUE(PollUntil(milliseconds(2000), [&] {
+      return server_->stats().shm_parks > parks;
+    }));
     auto oid = pub->Raise("Sensor", "Report", EventModifier::kEnd,
                           {Value(static_cast<int64_t>(i))});
     ASSERT_TRUE(oid.ok()) << oid.status().ToString();
