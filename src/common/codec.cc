@@ -2,6 +2,8 @@
 
 #include "common/codec.h"
 
+#include <algorithm>
+
 namespace sentinel {
 
 namespace {
@@ -148,7 +150,9 @@ Status Decoder::GetValueList(ValueList* vs) {
   uint32_t n;
   SENTINEL_RETURN_IF_ERROR(GetU32(&n));
   vs->clear();
-  vs->reserve(n);
+  // Each value takes at least its tag byte, so a hostile count cannot ask
+  // for more than the bytes left.
+  vs->reserve(std::min<size_t>(n, remaining()));
   for (uint32_t i = 0; i < n; ++i) {
     Value v;
     SENTINEL_RETURN_IF_ERROR(GetValue(&v));

@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -25,8 +26,9 @@ namespace {
 constexpr size_t kReadChunk = 64 * 1024;
 /// First retry backoff; RetryPolicy::max_backoff_ms caps its doubling.
 constexpr uint32_t kInitialBackoffMs = 1;
-/// Per-ack wait bound on LocalPublisher's shm path; expiring fails the call.
-constexpr auto kShmAckTimeout = std::chrono::milliseconds(5000);
+/// Wait bound on LocalPublisher's shm path, per ack and per full-ring
+/// push; expiring fails the call.
+constexpr auto kShmTimeout = std::chrono::milliseconds(5000);
 
 }  // namespace
 
@@ -68,18 +70,9 @@ Result<std::unique_ptr<Connection>> Connection::Dial(const std::string& host,
 Status Connection::Hello(const ClientOptions& options) {
   HelloMsg hello;
   hello.tenant = options.tenant;
-  Encoder enc;
-  hello.Encode(&enc);
-  Frame reply;
-  SENTINEL_RETURN_IF_ERROR(Call(FrameType::kHello, enc.buffer(), &reply));
-  if (reply.type == FrameType::kStatusReply) {
-    return ExpectStatusReply(reply, nullptr);
-  }
-  if (reply.type != FrameType::kHelloReply) {
-    return Status::Internal("expected HelloReply");
-  }
-  SENTINEL_ASSIGN_OR_RETURN(HelloReplyMsg msg,
-                            HelloReplyMsg::Decode(reply.body));
+  SENTINEL_ASSIGN_OR_RETURN(
+      HelloReplyMsg msg,
+      Call<HelloReplyMsg>(FrameType::kHello, hello, FrameType::kHelloReply));
   server_max_frame_body_ = msg.max_frame_body;
   server_ = msg.server;
   return Status::OK();
@@ -132,10 +125,24 @@ Status Connection::ReadFrame(Frame* frame) {
   }
 }
 
-Status Connection::Call(FrameType type, const std::string& body,
-                        Frame* reply) {
+Status Connection::Exchange(FrameType type, const std::string& body,
+                            FrameType reply_type, Frame* reply) {
   SENTINEL_RETURN_IF_ERROR(SendFrame(type, body));
-  return ReadFrame(reply);
+  SENTINEL_RETURN_IF_ERROR(ReadFrame(reply));
+  if (reply->type == reply_type) {
+    return reply_type == FrameType::kStatusReply
+               ? ExpectStatusReply(*reply, nullptr)
+               : Status::OK();
+  }
+  if (reply->type == FrameType::kStatusReply) {
+    // The server answered with its error in place of the reply.
+    Status s = ExpectStatusReply(*reply, nullptr);
+    if (!s.ok()) return s;
+  }
+  return Status::Internal(
+      "expected reply frame type " +
+      std::to_string(static_cast<int>(reply_type)) + ", got type " +
+      std::to_string(static_cast<int>(reply->type)));
 }
 
 Status Connection::ExpectStatusReply(const Frame& reply, uint64_t* payload) {
@@ -152,38 +159,20 @@ Status Connection::ExpectStatusReply(const Frame& reply, uint64_t* payload) {
 Status Connection::Ping() {
   PingMsg msg;
   msg.token = 0x53454e54;  // Arbitrary; verified in the echo.
-  Encoder enc;
-  msg.Encode(&enc);
-  Frame reply;
-  SENTINEL_RETURN_IF_ERROR(Call(FrameType::kPing, enc.buffer(), &reply));
-  if (reply.type == FrameType::kStatusReply) {
-    return ExpectStatusReply(reply, nullptr);  // Server-side decode error.
-  }
-  if (reply.type != FrameType::kPong) {
-    return Status::Internal("expected Pong");
-  }
-  SENTINEL_ASSIGN_OR_RETURN(PongMsg pong, PongMsg::Decode(reply.body));
+  SENTINEL_ASSIGN_OR_RETURN(
+      PongMsg pong, Call<PongMsg>(FrameType::kPing, msg, FrameType::kPong));
   if (pong.token != msg.token) return Status::Internal("pong token mismatch");
   return Status::OK();
 }
 
 Status Connection::CreateRule(const CreateRuleMsg& spec) {
-  Encoder enc;
-  spec.Encode(&enc);
-  Frame reply;
-  SENTINEL_RETURN_IF_ERROR(
-      Call(FrameType::kCreateRule, enc.buffer(), &reply));
-  return ExpectStatusReply(reply, nullptr);
+  return Call(FrameType::kCreateRule, spec);
 }
 
 Status Connection::RuleToggle(FrameType type, const std::string& name) {
   RuleNameMsg msg;
   msg.name = name;
-  Encoder enc;
-  msg.Encode(&enc);
-  Frame reply;
-  SENTINEL_RETURN_IF_ERROR(Call(type, enc.buffer(), &reply));
-  return ExpectStatusReply(reply, nullptr);
+  return Call(type, msg);
 }
 
 Status Connection::EnableRule(const std::string& name) {
@@ -197,27 +186,16 @@ Status Connection::DisableRule(const std::string& name) {
 Result<std::string> Connection::GetStats(uint32_t sections) {
   StatsRequestMsg msg;
   msg.sections = sections;
-  Encoder enc;
-  msg.Encode(&enc);
-  Frame reply;
-  SENTINEL_RETURN_IF_ERROR(Call(FrameType::kGetStats, enc.buffer(), &reply));
-  if (reply.type == FrameType::kStatusReply) {
-    Status s = ExpectStatusReply(reply, nullptr);
-    if (s.ok()) s = Status::Internal("expected a stats reply");
-    return s;
-  }
-  if (reply.type != FrameType::kStatsReply) {
-    return Status::Internal("expected StatsReply");
-  }
-  SENTINEL_ASSIGN_OR_RETURN(StatsReplyMsg stats,
-                            StatsReplyMsg::Decode(reply.body));
+  SENTINEL_ASSIGN_OR_RETURN(
+      StatsReplyMsg stats,
+      Call<StatsReplyMsg>(FrameType::kGetStats, msg, FrameType::kStatsReply));
   return std::move(stats.json);
 }
 
 // --- Publisher ---------------------------------------------------------------
 
-Publisher::Publisher(Connection* connection, size_t window)
-    : conn_(connection), window_(window == 0 ? 1 : window) {}
+Publisher::Publisher(FrameLink* link, size_t window)
+    : link_(link), window_(window == 0 ? 1 : window) {}
 
 void Publisher::Backoff(uint32_t* backoff_ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(*backoff_ms));
@@ -226,7 +204,7 @@ void Publisher::Backoff(uint32_t* backoff_ms) {
 
 Status Publisher::ReadAcks(std::vector<Ack>* out) {
   Frame reply;
-  SENTINEL_RETURN_IF_ERROR(conn_->ReadFrame(&reply));
+  SENTINEL_RETURN_IF_ERROR(link_->ReadFrame(&reply));
   if (reply.type == FrameType::kStatusReply) {
     SENTINEL_ASSIGN_OR_RETURN(StatusReplyMsg msg,
                               StatusReplyMsg::Decode(reply.body));
@@ -274,12 +252,12 @@ Status Publisher::SendWindowed(
       wire.clear();
       size_t burst_end = std::min(pending.size(), acks->size() + window_);
       for (; sent < burst_end; ++sent) {
-        Encoder enc;
-        pending[sent]->Encode(&enc);
+        enc_.Clear();
+        pending[sent]->Encode(&enc_);
         SENTINEL_RETURN_IF_ERROR(
-            conn_->EncodeFrameTo(FrameType::kRaiseEvent, enc.buffer(), &wire));
+            EncodeFrame(FrameType::kRaiseEvent, enc_.buffer(), &wire));
       }
-      SENTINEL_RETURN_IF_ERROR(conn_->SendRaw(wire));
+      SENTINEL_RETURN_IF_ERROR(link_->SendRaw(wire));
     }
     SENTINEL_RETURN_IF_ERROR(ReadAcks(acks));
     if (acks->size() > sent) {
@@ -323,13 +301,15 @@ Result<uint64_t> Publisher::Raise(const std::string& class_name,
   msg.method = method;
   msg.modifier = modifier;
   msg.params = params;
-  Encoder enc;
-  msg.Encode(&enc);
+  enc_.Clear();
+  msg.Encode(&enc_);
+  std::string wire;
+  SENTINEL_RETURN_IF_ERROR(
+      EncodeFrame(FrameType::kRaiseEvent, enc_.buffer(), &wire));
   uint32_t backoff = kInitialBackoffMs;
   std::vector<Ack> acks;
   for (int attempt = 1;; ++attempt) {
-    SENTINEL_RETURN_IF_ERROR(
-        conn_->SendFrame(FrameType::kRaiseEvent, enc.buffer()));
+    SENTINEL_RETURN_IF_ERROR(link_->SendRaw(wire));
     acks.clear();
     while (acks.empty()) {
       SENTINEL_RETURN_IF_ERROR(ReadAcks(&acks));
@@ -396,12 +376,7 @@ Status Publisher::RaisePipelined(const std::vector<RaiseEventMsg>& msgs,
 Status Subscriber::Subscribe(const std::string& key) {
   SubscribeMsg msg;
   msg.key = key;
-  Encoder enc;
-  msg.Encode(&enc);
-  Frame reply;
-  SENTINEL_RETURN_IF_ERROR(
-      conn_->Call(FrameType::kSubscribe, enc.buffer(), &reply));
-  return Connection::ExpectStatusReply(reply, nullptr);
+  return conn_->Call(FrameType::kSubscribe, msg);
 }
 
 Result<std::vector<Notification>> Subscriber::Fetch(uint32_t max,
@@ -409,41 +384,19 @@ Result<std::vector<Notification>> Subscriber::Fetch(uint32_t max,
   FetchMsg msg;
   msg.max = max;
   msg.wait_ms = wait_ms;
-  Encoder enc;
-  msg.Encode(&enc);
-  Frame reply;
-  SENTINEL_RETURN_IF_ERROR(
-      conn_->Call(FrameType::kFetchNotifications, enc.buffer(), &reply));
-  if (reply.type == FrameType::kStatusReply) {
-    Status s = Connection::ExpectStatusReply(reply, nullptr);
-    if (s.ok()) s = Status::Internal("expected a notification batch");
-    return s;
-  }
-  if (reply.type != FrameType::kNotificationBatch) {
-    return Status::Internal("expected NotificationBatch");
-  }
-  SENTINEL_ASSIGN_OR_RETURN(NotificationBatchMsg batch,
-                            NotificationBatchMsg::Decode(reply.body));
+  SENTINEL_ASSIGN_OR_RETURN(
+      NotificationBatchMsg batch,
+      conn_->Call<NotificationBatchMsg>(FrameType::kFetchNotifications, msg,
+                                        FrameType::kNotificationBatch));
   return std::move(batch.items);
 }
 
 Result<std::vector<Notification>> Subscriber::HistoryScan(
     const HistoryScanMsg& query, bool* complete, HistoryScanMsg* resume) {
-  Encoder enc;
-  query.Encode(&enc);
-  Frame reply;
-  SENTINEL_RETURN_IF_ERROR(
-      conn_->Call(FrameType::kHistoryScan, enc.buffer(), &reply));
-  if (reply.type == FrameType::kStatusReply) {
-    Status s = Connection::ExpectStatusReply(reply, nullptr);
-    if (s.ok()) s = Status::Internal("expected a history batch");
-    return s;
-  }
-  if (reply.type != FrameType::kHistoryBatch) {
-    return Status::Internal("expected HistoryBatch");
-  }
-  SENTINEL_ASSIGN_OR_RETURN(HistoryBatchMsg batch,
-                            HistoryBatchMsg::Decode(reply.body));
+  SENTINEL_ASSIGN_OR_RETURN(
+      HistoryBatchMsg batch,
+      conn_->Call<HistoryBatchMsg>(FrameType::kHistoryScan, query,
+                                   FrameType::kHistoryBatch));
   if (complete != nullptr) *complete = batch.complete;
   if (resume != nullptr) {
     *resume = query;
@@ -476,145 +429,74 @@ Result<std::vector<Notification>> Subscriber::HistoryScanAll(
 
 namespace {
 
-/// Expands one reply frame into per-request (status, payload) acks —
-/// kStatusReply is one ack, kBatchStatusReply one per run count. The shm
-/// and TCP paths share ack semantics by construction: both decode the
-/// same frames.
-Status ExpandAckFrame(const Frame& reply,
-                      std::vector<std::pair<Status, uint64_t>>* out) {
-  if (reply.type == FrameType::kStatusReply) {
-    SENTINEL_ASSIGN_OR_RETURN(StatusReplyMsg msg,
-                              StatusReplyMsg::Decode(reply.body));
-    out->emplace_back(msg.ToStatus(), msg.payload);
-    return Status::OK();
-  }
-  if (reply.type == FrameType::kBatchStatusReply) {
-    SENTINEL_ASSIGN_OR_RETURN(BatchStatusReplyMsg batch,
-                              BatchStatusReplyMsg::Decode(reply.body));
-    for (const BatchStatusReplyMsg::Run& run : batch.runs) {
-      StatusReplyMsg one;
-      one.code = run.code;
-      one.message = run.message;
-      Status s = one.ToStatus();
-      for (uint32_t i = 0; i < run.count; ++i) {
-        out->emplace_back(s, run.payload);
+/// The shared-memory FrameLink: each frame is one job-ring record, and
+/// replies come off the ring's completion stream.
+class ShmLink final : public FrameLink {
+ public:
+  explicit ShmLink(std::unique_ptr<shmtp::ShmHandle> handle)
+      : handle_(std::move(handle)) {}
+
+  Status SendRaw(const std::string& bytes) override {
+    for (size_t at = 0; at < bytes.size();) {
+      if (bytes.size() - at < kFrameHeaderSize) {
+        return Status::InvalidArgument("partial frame header");
       }
+      // The header's low 24 bits (little-endian) are the body length.
+      const auto* h = reinterpret_cast<const uint8_t*>(bytes.data() + at);
+      const size_t len =
+          kFrameHeaderSize + static_cast<size_t>(h[0] | h[1] << 8 | h[2] << 16);
+      if (len > bytes.size() - at) {
+        return Status::InvalidArgument("partial frame body");
+      }
+      SENTINEL_RETURN_IF_ERROR(Push(std::string_view(bytes).substr(at, len)));
+      at += len;
     }
     return Status::OK();
   }
-  return Status::Internal("expected an ack frame, got type " +
-                          std::to_string(static_cast<int>(reply.type)));
-}
+
+  Status ReadFrame(Frame* frame) override {
+    return handle_->ReadAckFrame(frame, kShmTimeout);
+  }
+
+ private:
+  /// A full job ring is not an error: the host is momentarily behind and
+  /// drains it without waiting on this producer, so yield until it has
+  /// room — bounded like an ack wait, in case the host stopped.
+  Status Push(std::string_view frame) {
+    const auto deadline = std::chrono::steady_clock::now() + kShmTimeout;
+    while (true) {
+      Status s = handle_->PushFrame(frame);
+      if (!s.IsResourceExhausted()) return s;
+      if (std::chrono::steady_clock::now() >= deadline) {
+        return Status::Busy("timed out waiting for shmtp job-ring space");
+      }
+      std::this_thread::yield();
+    }
+  }
+
+  std::unique_ptr<shmtp::ShmHandle> handle_;
+};
 
 }  // namespace
 
 Result<std::unique_ptr<LocalPublisher>> LocalPublisher::Open(
     Options options) {
-  auto pub = std::unique_ptr<LocalPublisher>(new LocalPublisher());
-  pub->window_ = options.window == 0 ? 1 : options.window;
   if (!options.segment.empty()) {
     Result<std::unique_ptr<shmtp::ShmHandle>> attached =
         shmtp::ShmHandle::Attach(options.segment);
     if (attached.ok()) {
-      pub->shm_ = std::move(attached).value();
-      return pub;
+      return std::unique_ptr<LocalPublisher>(new LocalPublisher(
+          std::make_unique<ShmLink>(std::move(attached).value()),
+          options.window, true));
     }
     // Any attach failure — segment absent, rings exhausted, layout
     // mismatch, host gone — downgrades to TCP, never to an error: the
     // caller asked for the gateway, not for a transport.
   }
-  SENTINEL_ASSIGN_OR_RETURN(
-      pub->conn_, Connection::Dial(options.host, options.port));
-  pub->tcp_ = std::make_unique<Publisher>(pub->conn_.get(), pub->window_);
-  return pub;
-}
-
-LocalPublisher::~LocalPublisher() = default;
-
-Result<uint64_t> LocalPublisher::Raise(const std::string& class_name,
-                                       const std::string& method,
-                                       EventModifier modifier,
-                                       const ValueList& params,
-                                       uint64_t oid) {
-  if (shm_ == nullptr) {
-    return tcp_->Raise(class_name, method, modifier, params, oid);
-  }
-  RaiseEventMsg msg;
-  msg.oid = oid;
-  msg.class_name = class_name;
-  msg.method = method;
-  msg.modifier = modifier;
-  msg.params = params;
-  std::vector<RaiseEventMsg> one;
-  one.push_back(std::move(msg));
-  uint64_t payload = 0;
-  SENTINEL_RETURN_IF_ERROR(RaisePipelinedShmInternal(one, nullptr, &payload));
-  return payload;
-}
-
-Status LocalPublisher::RaisePipelined(const std::vector<RaiseEventMsg>& msgs,
-                                      uint64_t* rejected) {
-  if (rejected != nullptr) *rejected = 0;
-  if (shm_ == nullptr) return tcp_->RaisePipelined(msgs, rejected);
-  return RaisePipelinedShmInternal(msgs, rejected, nullptr);
-}
-
-Status LocalPublisher::RaisePipelinedShmInternal(
-    const std::vector<RaiseEventMsg>& msgs, uint64_t* rejected,
-    uint64_t* last_payload) {
-  size_t sent = 0;
-  size_t acked = 0;
-  Status first_error = Status::OK();
-  uint64_t rejected_count = 0;
-  std::string wire;
-  Encoder enc;  // Reused across the window loop: no per-raise allocation.
-  std::vector<std::pair<Status, uint64_t>> acks;
-  while (acked < msgs.size()) {
-    // Fill the window. A full job ring is not an error — the host is
-    // momentarily behind; draining an ack below implies progress.
-    bool ring_full = false;
-    while (sent < msgs.size() && sent - acked < window_) {
-      wire.clear();
-      enc.Clear();
-      msgs[sent].Encode(&enc);
-      SENTINEL_RETURN_IF_ERROR(
-          EncodeFrame(FrameType::kRaiseEvent, enc.buffer(), &wire));
-      Status s = shm_->PushFrame(wire);
-      if (s.IsResourceExhausted()) {
-        ring_full = true;
-        break;
-      }
-      SENTINEL_RETURN_IF_ERROR(s);
-      ++sent;
-    }
-    if (acked == sent) {
-      if (!ring_full) continue;
-      // Nothing in flight yet the ring will not take one frame: it can
-      // only drain by host progress, so yield rather than burn the core.
-      std::this_thread::yield();
-      continue;
-    }
-    Frame reply;
-    SENTINEL_RETURN_IF_ERROR(shm_->ReadAckFrame(&reply, kShmAckTimeout));
-    acks.clear();
-    SENTINEL_RETURN_IF_ERROR(ExpandAckFrame(reply, &acks));
-    if (acked + acks.size() > sent) {
-      return Status::Internal("shmtp host acked more raises than were sent");
-    }
-    for (const auto& [status, payload] : acks) {
-      if (!status.ok()) {
-        if (status.IsResourceExhausted() || status.IsBusy()) {
-          ++rejected_count;
-        }
-        if (first_error.ok()) first_error = status;
-      } else if (last_payload != nullptr) {
-        *last_payload = payload;
-      }
-      ++acked;
-    }
-  }
-  if (rejected != nullptr) *rejected = rejected_count;
-  return first_error;
+  SENTINEL_ASSIGN_OR_RETURN(std::unique_ptr<Connection> conn,
+                            Connection::Dial(options.host, options.port));
+  return std::unique_ptr<LocalPublisher>(
+      new LocalPublisher(std::move(conn), options.window, false));
 }
 
 }  // namespace net

@@ -2,13 +2,19 @@
 //
 // Client library for the Sentinel event gateway, split by role:
 //
-//   * Connection — one TCP connection: dialing, the Hello that names the
-//     tenant, framing, and the unary control-plane calls (ping, rule
-//     management, stats). Not thread safe; one instance per thread.
-//   * Publisher — the producer role layered on a Connection: single raises
-//     with retry, and windowed pipelined raises that keep a bounded number
-//     of frames in flight while expanding the server's coalesced
+//   * FrameLink — the carrier under a producer: whole encoded frames out,
+//     one reply frame in.
+//   * Connection — one TCP connection and a FrameLink: dialing, the Hello
+//     that names the tenant, framing, and the unary control-plane calls
+//     (ping, rule management, stats), all through one checked Call. Not
+//     thread safe; one instance per thread.
+//   * Publisher — the producer role over a FrameLink: single raises with
+//     retry, and windowed pipelined raises that keep a bounded number of
+//     frames in flight while expanding the server's coalesced
 //     BatchStatusReply acks back into per-request statuses.
+//   * LocalPublisher — a Publisher that owns its link: the gateway's
+//     shared-memory job ring when one is reachable, else a Connection. The
+//     carrier changes nothing else — same window, stall and retry.
 //   * Subscriber — the consumer role: subscriptions and (long-poll)
 //     notification fetches.
 //
@@ -23,17 +29,13 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "net/wire.h"
 
 namespace sentinel {
-
-namespace shmtp {
-class ShmHandle;
-}  // namespace shmtp
-
 namespace net {
 
 /// Retry policy for transient server rejections (ResourceExhausted from
@@ -51,9 +53,25 @@ struct ClientOptions {
   std::string tenant;
 };
 
+/// The carrier a Publisher raises over: whole encoded frames out, one
+/// reply frame in. A Connection is one; LocalPublisher's shared-memory
+/// link is the other.
+class FrameLink {
+ public:
+  FrameLink() = default;
+  virtual ~FrameLink() = default;
+  FrameLink(const FrameLink&) = delete;
+  FrameLink& operator=(const FrameLink&) = delete;
+
+  /// Writes pre-encoded whole frames, back to back, verbatim.
+  virtual Status SendRaw(const std::string& bytes) = 0;
+  /// Blocks until one whole reply frame is available.
+  virtual Status ReadFrame(Frame* frame) = 0;
+};
+
 /// One blocking TCP connection to a GatewayServer: socket, framing, and the
 /// unary request/response calls every role needs. Not thread safe.
-class Connection {
+class Connection : public FrameLink {
  public:
   /// Connects to host:port (IPv4 dotted quad) and sends a Hello naming
   /// `options.tenant`.
@@ -61,10 +79,7 @@ class Connection {
                                                   uint16_t port,
                                                   ClientOptions options = {});
 
-  ~Connection();
-
-  Connection(const Connection&) = delete;
-  Connection& operator=(const Connection&) = delete;
+  ~Connection() override;
 
   /// Server's frame-body ceiling from the HelloReply.
   uint32_t server_max_frame_body() const { return server_max_frame_body_; }
@@ -78,13 +93,30 @@ class Connection {
   /// Writes pre-encoded frame bytes verbatim. Lets a pipelining caller (or
   /// a benchmark that must not encode inside its timed section) build the
   /// wire image up front.
-  Status SendRaw(const std::string& bytes);
+  Status SendRaw(const std::string& bytes) override;
   /// Blocks until one whole response frame is available.
-  Status ReadFrame(Frame* frame);
-  /// SendFrame then ReadFrame: one strict request/response exchange.
-  Status Call(FrameType type, const std::string& body, Frame* reply);
+  Status ReadFrame(Frame* frame) override;
   /// Interprets a kStatusReply frame (error on other frame types).
   static Status ExpectStatusReply(const Frame& reply, uint64_t* payload);
+
+  /// One checked request/response exchange: sends `request` as a `type`
+  /// frame and decodes the reply, which must be a `reply_type` frame. A
+  /// StatusReply in its place is the server's error; any other frame type
+  /// is Internal.
+  template <typename Reply, typename Request>
+  Result<Reply> Call(FrameType type, const Request& request,
+                     FrameType reply_type) {
+    Frame reply;
+    SENTINEL_RETURN_IF_ERROR(Exchange(type, request, reply_type, &reply));
+    return Reply::Decode(reply.body);
+  }
+  /// Call for a request answered by a bare StatusReply: its status is the
+  /// result.
+  template <typename Request>
+  Status Call(FrameType type, const Request& request) {
+    Frame reply;
+    return Exchange(type, request, FrameType::kStatusReply, &reply);
+  }
 
   /// Encodes a frame exactly as SendFrame would, without sending — the
   /// building block for pre-encoded pipelined bursts.
@@ -119,20 +151,36 @@ class Connection {
   Status Hello(const ClientOptions& options);
   Status RuleToggle(FrameType type, const std::string& name);
 
+  /// Call's body, after encoding: sends, reads one reply, applies the
+  /// reply rule. With `reply_type` kStatusReply the reply's own status is
+  /// the result.
+  Status Exchange(FrameType type, const std::string& body,
+                  FrameType reply_type, Frame* reply);
+  template <typename Request>
+  Status Exchange(FrameType type, const Request& request,
+                  FrameType reply_type, Frame* reply) {
+    Encoder enc;
+    request.Encode(&enc);
+    return Exchange(type, enc.buffer(), reply_type, reply);
+  }
+
   int fd_ = -1;
   std::string inbuf_;  ///< Bytes read past the last complete frame.
   uint32_t server_max_frame_body_ = kDefaultMaxFrameBody;
   std::string server_;
 };
 
-/// Producer role: raises events over a Connection it does not own. The
+/// Producer role: raises events over a FrameLink it does not own. The
 /// pipelined path keeps at most `window` raises in flight — enough to hide
 /// the round trip, bounded so a slow server applies backpressure to the
 /// producer instead of the producer ballooning both sides' buffers.
 class Publisher {
  public:
-  /// `connection` must outlive the Publisher. `window` of 0 means 1.
-  explicit Publisher(Connection* connection, size_t window = 128);
+  /// `link` must outlive the Publisher. `window` of 0 means 1.
+  explicit Publisher(FrameLink* link, size_t window = 128);
+  virtual ~Publisher() = default;
+  Publisher(const Publisher&) = delete;
+  Publisher& operator=(const Publisher&) = delete;
 
   void set_retry_policy(const RetryPolicy& policy) { retry_policy_ = policy; }
   const RetryPolicy& retry_policy() const { return retry_policy_; }
@@ -188,11 +236,12 @@ class Publisher {
   /// Sleeps for the current backoff and advances it (doubling to the cap).
   void Backoff(uint32_t* backoff_ms);
 
-  Connection* conn_;
+  FrameLink* link_;
   size_t window_;
   RetryPolicy retry_policy_;
   uint64_t retries_total_ = 0;
   uint64_t first_rejected_seq_ = kNoRejectedSeq;
+  Encoder enc_;  ///< Reused by the window loop: no allocation per raise.
 };
 
 /// Consumer role: subscriptions and notification fetches over a Connection
@@ -232,13 +281,13 @@ class Subscriber {
   Connection* conn_;
 };
 
-/// Local-first producer: attaches to the gateway's shared-memory segment
-/// (src/shmtp) when one is reachable and pushes raise frames with zero
-/// syscalls on the hot path; otherwise it transparently dials TCP and
-/// behaves exactly like a Publisher. The raise surface is a subset of
-/// Publisher's, with identical semantics — acks are the same
-/// StatusReply / ranged BatchStatusReply frames either way.
-class LocalPublisher {
+/// Local-first producer: a Publisher that owns its link. It attaches to
+/// the gateway's shared-memory segment (src/shmtp) when one is reachable,
+/// each frame then one job-ring record pushed with zero syscalls on the
+/// hot path; otherwise it dials TCP. Either way raises run the same
+/// Publisher loop — window, stall on a transient rejection, RetryPolicy —
+/// and decode the same StatusReply / ranged BatchStatusReply acks.
+class LocalPublisher : public Publisher {
  public:
   struct Options {
     /// shm_open name of the server's segment; "" skips straight to TCP.
@@ -254,39 +303,18 @@ class LocalPublisher {
   /// exhausted, incompatible layout, dead host) — dials host:port.
   static Result<std::unique_ptr<LocalPublisher>> Open(Options options);
 
-  ~LocalPublisher();
-
-  LocalPublisher(const LocalPublisher&) = delete;
-  LocalPublisher& operator=(const LocalPublisher&) = delete;
-
   /// True when raises travel through shared memory.
-  bool via_shm() const { return shm_ != nullptr; }
-
-  /// Single raise, strict request/response. Mirrors Publisher::Raise.
-  Result<uint64_t> Raise(const std::string& class_name,
-                         const std::string& method, EventModifier modifier,
-                         const ValueList& params, uint64_t oid = 0);
-
-  /// Windowed pipelined raises; mirrors Publisher::RaisePipelined without
-  /// the retry machinery (one pass; `*rejected` counts transient
-  /// rejections). On the shm path, backpressure is absorbed by the host's
-  /// lossless deferral, so rejections only surface via quota acks.
-  Status RaisePipelined(const std::vector<RaiseEventMsg>& msgs,
-                        uint64_t* rejected = nullptr);
+  bool via_shm() const { return via_shm_; }
 
  private:
-  LocalPublisher() = default;
+  LocalPublisher(std::unique_ptr<FrameLink> link, size_t window,
+                 bool via_shm)
+      : Publisher(link.get(), window),
+        link_(std::move(link)),
+        via_shm_(via_shm) {}
 
-  /// Shm-path windowed loop. `last_payload` (optional) receives the
-  /// payload of the last OK ack — the relay oid for a single raise.
-  Status RaisePipelinedShmInternal(const std::vector<RaiseEventMsg>& msgs,
-                                   uint64_t* rejected,
-                                   uint64_t* last_payload);
-
-  std::unique_ptr<shmtp::ShmHandle> shm_;
-  std::unique_ptr<Connection> conn_;      ///< TCP fallback (null with shm).
-  std::unique_ptr<Publisher> tcp_;        ///< Lives on conn_.
-  size_t window_ = 256;
+  std::unique_ptr<FrameLink> link_;
+  bool via_shm_;
 };
 
 }  // namespace net

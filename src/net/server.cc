@@ -673,7 +673,8 @@ bool GatewayServer::DrainSocket(IoShard* io,
   // shard's exec lock guarantees the worker is not mid-drain, and because
   // the worker only pops its queue while holding that lock (WorkerLoop),
   // an empty queue observed under it proves every previously admitted
-  // frame has already been processed *and acked* — nothing is overtaken.
+  // frame has already been processed *and its ack queued* in the FIFO
+  // outbox — nothing is overtaken.
   // Bursts keep the queue handoff: the worker's drain loop is where ack
   // coalescing pays for itself.
   {
@@ -693,6 +694,8 @@ bool GatewayServer::DrainSocket(IoShard* io,
         AckBatcher acks(this);
         ProcessItem(target, io->staging[target][0], &acks);
         acks.FlushAll();
+        exec.unlock();
+        acks.WriteQueued();
         io->staging[target].clear();
         inline_raises_->Add();
         return true;
@@ -845,7 +848,7 @@ void GatewayServer::WorkerLoop(size_t shard) {
     // must never leave the queue before this thread holds exec_mu_. The IO
     // threads' inline fast path infers "no admitted frame is ahead of mine"
     // from an empty queue observed under that lock, which only holds if
-    // every popped item is processed and acked before the lock is
+    // every popped item is processed and its ack queued before the lock is
     // released — popping first would let an inline raise overtake a
     // same-session request the worker had taken but not yet executed.
     queue->WaitReady(wait);
@@ -857,14 +860,19 @@ void GatewayServer::WorkerLoop(size_t shard) {
       n = queue->PopBatch(options_.max_batch, std::chrono::milliseconds(0),
                           &batch);
       for (size_t i = 0; i < n; ++i) ProcessItem(shard, batch[i], &acks);
-      // End of drain: coalesced acks go out now. The owning IO shards wake
-      // via the sessions' flush notifiers — no broadcast wakeup needed.
+      // End of drain: coalesced acks are queued now, in order, and written
+      // below once the lock is free.
       acks.FlushAll();
       // Run rules other shards forwarded to us while we were busy (or
       // idle — the WaitReady above bounds how long a forwarded trigger
       // sits).
       if (sharded) db_->DrainForwarded();
     }
+    // Write the acks outside the exec lock: a sync client answered under
+    // it would send its next raise while the lock is still held, miss the
+    // inline path's try-lock and queue — and the miss would repeat with
+    // every ack. Outboxes are FIFO, so the write adds no reordering.
+    acks.WriteQueued();
     if (shard == 0) {
       hub_->ExpireParkedFetches(std::chrono::steady_clock::now());
     }
@@ -919,11 +927,19 @@ void GatewayServer::AckBatcher::FlushAll() {
   pending_.clear();
 }
 
+void GatewayServer::AckBatcher::WriteQueued() {
+  for (const std::shared_ptr<Session>& session : queued_) {
+    server_->WorkerFlush(session);
+  }
+  queued_.clear();
+}
+
 void GatewayServer::AckBatcher::Emit(Pending* p) {
   if (p->total == 0) return;
-  // Queue quietly, then try to write from this worker thread: when the
-  // writer lock is uncontended the ack skips the wake-pipe handoff to the
-  // IO shard entirely, which roughly halves sync-RPC round-trip cost.
+  // Queue quietly; WriteQueued later tries to write from this thread:
+  // when the writer lock is uncontended the ack skips the wake-pipe
+  // handoff to the IO shard entirely, which roughly halves sync-RPC
+  // round-trip cost.
   Encoder enc;
   if (p->total == 1) {
     // A lone ack is cheaper as the plain frame.
@@ -940,7 +956,9 @@ void GatewayServer::AckBatcher::Emit(Pending* p) {
     p->session->QueueReplyQuiet(FrameType::kBatchStatusReply, enc.buffer());
     server_->batched_acks_->Add(p->total);
   }
-  server_->WorkerFlush(p->session);
+  if (queued_.empty() || queued_.back() != p->session) {
+    queued_.push_back(p->session);
+  }
 }
 
 void GatewayServer::ProcessItem(size_t shard, IngressItem& item,

@@ -281,6 +281,9 @@ class GatewayServer {
     void FlushSession(Session* session);
     /// Flushes everything (end of drain batch).
     void FlushAll();
+    /// Writes the acks flushed since the last call to their sockets (or
+    /// hands them to the IO shard). Call after releasing the exec lock.
+    void WriteQueued();
 
    private:
     GatewayServer* server_;
@@ -291,6 +294,8 @@ class GatewayServer {
     };
     /// At most max_batch sessions per drain; linear scan beats hashing.
     std::vector<Pending> pending_;
+    /// Sessions with acks queued but not yet written, in flush order.
+    std::vector<std::shared_ptr<Session>> queued_;
     void Emit(Pending* p);
   };
 
@@ -341,7 +346,10 @@ class GatewayServer {
   /// to execute a lone raise inline when the shard queue is empty (the
   /// sync fast path — two context switches per RPC instead of three).
   /// Queue empty under this lock therefore means every admitted frame has
-  /// been processed and acked, so the inline raise overtakes nothing.
+  /// been processed and its ack queued in the session's FIFO outbox, so
+  /// the inline raise overtakes nothing. The ack's socket write happens
+  /// after the unlock: a sync client answered under the lock would send
+  /// its next raise while the lock is still held and miss the inline path.
   /// Per-object serialization is preserved: only one thread runs a shard's
   /// mutator rounds at a time.
   std::vector<std::unique_ptr<std::mutex>> exec_mu_;

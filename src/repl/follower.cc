@@ -127,8 +127,8 @@ Status Follower::Poll(uint8_t mode, uint64_t after_oid,
   Encoder enc;
   msg.Encode(&enc);
   net::Frame frame;
-  Status s = conn_->Call(net::FrameType::kReplSubscribe, enc.buffer(),
-                         &frame);
+  Status s = conn_->SendFrame(net::FrameType::kReplSubscribe, enc.buffer());
+  if (s.ok()) s = conn_->ReadFrame(&frame);
   if (!s.ok()) {
     conn_.reset();  // Transport state unknown after a failed exchange.
     return s;
@@ -326,18 +326,10 @@ Status Follower::Fence(const std::string& host, uint16_t port,
   net::ReplSubscribeMsg msg;
   msg.epoch = epoch;
   msg.mode = net::ReplSubscribeMsg::kProbe;
-  Encoder enc;
-  msg.Encode(&enc);
-  net::Frame frame;
-  SENTINEL_RETURN_IF_ERROR(
-      conn->Call(net::FrameType::kReplSubscribe, enc.buffer(), &frame));
-  if (frame.type == net::FrameType::kStatusReply) {
-    return net::Connection::ExpectStatusReply(frame, nullptr);
-  }
-  if (frame.type != net::FrameType::kReplBatch) {
-    return Status::Internal("expected ReplBatch frame");
-  }
-  return Status::OK();
+  return conn
+      ->Call<net::ReplBatchMsg>(net::FrameType::kReplSubscribe, msg,
+                                net::FrameType::kReplBatch)
+      .status();
 }
 
 }  // namespace repl

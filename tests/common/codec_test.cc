@@ -118,6 +118,15 @@ TEST(CodecTest, BadValueTagIsCorruption) {
   EXPECT_TRUE(dec.GetValue(&v).IsCorruption());
 }
 
+TEST(CodecTest, HostileValueCountIsCorruptionNotAnAllocation) {
+  Encoder enc;
+  enc.PutU32(std::numeric_limits<uint32_t>::max());
+  enc.PutValue(Value(int64_t{1}));
+  Decoder dec(enc.buffer());
+  ValueList vs;
+  EXPECT_TRUE(dec.GetValueList(&vs).IsCorruption());
+}
+
 TEST(CodecTest, RemainingTracksConsumption) {
   Encoder enc;
   enc.PutU32(5);

@@ -20,7 +20,7 @@ set(structs
   "ServerOptions|net/server.h|struct ServerOptions {"
   "ReplicatorOptions|repl/replicator.h|struct ReplicatorOptions {"
   "FollowerOptions|repl/follower.h|struct FollowerOptions {"
-  "LocalPublisher::Options|net/client.h|class LocalPublisher {[^}]*struct Options {"
+  "LocalPublisher::Options|net/client.h|class LocalPublisher [^{]*{[^}]*struct Options {"
   "RetryPolicy|net/client.h|struct RetryPolicy {"
   "ClientOptions|net/client.h|struct ClientOptions {")
 

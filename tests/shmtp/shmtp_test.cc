@@ -13,9 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -122,32 +125,70 @@ class ShmtpTest : public ::testing::Test {
     return sub;
   }
 
-  // Pushes one committed garbage record through a fresh handle. The host
-  // must kill that ring (a protocol error, reclaimed) and leave the slot
-  // usable: a new producer then round-trips a raise over shm.
-  void ExpectGarbageRecordReclaimsRing(const std::string& record) {
+  // Pushes one committed hostile record through a fresh handle. The host
+  // must either kill that ring (a protocol error, reclaimed) or answer the
+  // record on the completion stream — never crash or hang — and leave the
+  // slot usable: a new producer then round-trips a raise over shm. Returns
+  // true when the ring was reclaimed.
+  bool PushHostileRecord(const std::string& record) {
     const net::GatewayStats before = server_->stats();
+    bool reclaimed = false;
     {
       auto attached = ShmHandle::Attach(options_.shm_segment);
-      ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+      EXPECT_TRUE(attached.ok()) << attached.status().ToString();
+      if (!attached.ok()) return false;
       auto handle = std::move(attached).value();
-      ASSERT_TRUE(handle->PushFrame(record).ok());
-      ASSERT_TRUE(PollUntil(milliseconds(5000), [&] {
+      EXPECT_TRUE(handle->PushFrame(record).ok());
+      bool answered = false;
+      EXPECT_TRUE(PollUntil(milliseconds(5000), [&] {
+        if (server_->stats().shm_reclaims > before.shm_reclaims) {
+          reclaimed = true;
+          return true;
+        }
+        // Safe to read while the host may reclaim: the fresh ring's
+        // completion cursors are 0 before and after the reset.
+        Frame reply;
+        Status s = handle->ReadAckFrame(&reply, milliseconds(5));
+        if (s.IsBusy()) return false;
+        EXPECT_TRUE(s.ok()) << s.ToString();
+        EXPECT_TRUE(reply.type == FrameType::kStatusReply ||
+                    reply.type == FrameType::kBatchStatusReply)
+            << "reply frame type " << static_cast<int>(reply.type);
+        answered = true;
+        return true;
+      }));
+      // A reclaimed slot is free again, no longer this handle's to close.
+      if (reclaimed) handle->AbandonForTest();
+      if (!reclaimed && !answered) return false;
+    }
+    if (!reclaimed) {
+      // The clean detach frees the slot once the host observes it.
+      EXPECT_TRUE(PollUntil(milliseconds(5000), [&] {
         return server_->stats().shm_reclaims > before.shm_reclaims;
       }));
-      // The slot is free again, no longer this handle's to close.
-      handle->AbandonForTest();
     }
     const net::GatewayStats after = server_->stats();
-    EXPECT_EQ(after.shm_protocol_errors, before.shm_protocol_errors + 1);
+    EXPECT_EQ(after.shm_protocol_errors,
+              before.shm_protocol_errors + (reclaimed ? 1 : 0));
     EXPECT_EQ(after.shm_reclaims, before.shm_reclaims + 1);
 
     auto opened = LocalPublisher::Open(PubOptions());
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    ASSERT_TRUE((*opened)->via_shm());
+    EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+    if (!opened.ok()) return reclaimed;
+    EXPECT_TRUE((*opened)->via_shm());
     auto oid = (*opened)->Raise("Sensor", "Report", EventModifier::kEnd,
                                 {Value(1.0)});
     EXPECT_TRUE(oid.ok()) << oid.status().ToString();
+    // Hand the slot back before the next hostile record claims it.
+    opened->reset();
+    EXPECT_TRUE(PollUntil(milliseconds(5000), [&] {
+      return server_->stats().shm_reclaims > after.shm_reclaims;
+    }));
+    return reclaimed;
+  }
+
+  void ExpectGarbageRecordReclaimsRing(const std::string& record) {
+    EXPECT_TRUE(PushHostileRecord(record));
   }
 
   // Drains notifications until `expected` arrive or a fetch comes back
@@ -350,6 +391,56 @@ TEST_F(ShmtpTest, RecordWithBadVersionByteReclaimsRing) {
   ExpectGarbageRecordReclaimsRing(wire);
 }
 
+// Seeded hostile records: mutations of a valid raise frame, each pushed as
+// one committed job-ring record. Each run takes the next seed from a
+// per-process counter, so --gtest_repeat covers more of them.
+TEST_F(ShmtpTest, MutatedRaiseRecordsAreReclaimedOrAnswered) {
+  static uint32_t iteration = 0;
+  const uint32_t seed = iteration++;
+  SCOPED_TRACE(std::string("seed ").append(std::to_string(seed)));
+  std::mt19937 rng(seed);
+  auto below = [&](size_t n) {
+    return static_cast<size_t>(std::uniform_int_distribution<size_t>(
+        0, n - 1)(rng));
+  };
+  auto byte = [&] { return static_cast<char>(below(256)); };
+  options_.shm_rings = 1;
+  StartServer();
+  const std::string valid = RaiseFrame(static_cast<int64_t>(seed));
+  const size_t body = valid.size() - net::kFrameHeaderSize;
+  for (int kind = 0; kind < 5; ++kind) {
+    for (int round = 0; round < 3; ++round) {
+      std::string record = valid;
+      switch (kind) {
+        case 0:  // Truncation.
+          record.resize(below(valid.size()));
+          break;
+        case 1:  // A rewritten u24 length.
+          for (size_t i = 0; i < 3; ++i) record[i] = byte();
+          break;
+        case 2:  // The version byte.
+          record[3] = byte();
+          break;
+        case 3:  // The type byte.
+          record[4] = byte();
+          break;
+        default:  // Flipped body bytes.
+          for (size_t n = 1 + below(4); n > 0; --n) {
+            record[net::kFrameHeaderSize + below(body)] ^=
+                static_cast<char>(1 + below(255));
+          }
+          break;
+      }
+      SCOPED_TRACE(std::string("mutation kind ")
+                       .append(std::to_string(kind))
+                       .append(" round ")
+                       .append(std::to_string(round)));
+      PushHostileRecord(record);
+      if (HasFailure()) return;
+    }
+  }
+}
+
 TEST_F(ShmtpTest, AttachFailsWhenRingsExhaustedAndPublisherFallsBack) {
   options_.shm_rings = 1;
   StartServer();
@@ -476,6 +567,149 @@ TEST_F(ShmtpTest, CrashedProducerIsReclaimedWithoutDoubleApply) {
   net::GatewayStats stats = server_->stats();
   EXPECT_GE(stats.shm_reclaims, 1u);
   EXPECT_GE(stats.shm_attaches, 2u);
+}
+
+// What one raise sequence produced through one carrier: a line per
+// Raise / RaisePipelined call (its status, and the relay oid or the
+// rejected count), the subscriber's notifications in order, and the
+// merged occurrence log in logical-clock order.
+struct CarrierRun {
+  std::vector<std::string> acks;
+  std::vector<std::string> notifications;
+  std::vector<std::string> history;
+};
+
+std::string Describe(const std::string& key, uint64_t oid,
+                     const ValueList& params) {
+  return key + ToString(params) + " by " + std::to_string(oid);
+}
+
+// Runs `steps` (one-message steps as single Raise calls, the rest as
+// RaisePipelined bursts) through a LocalPublisher against a fresh database
+// and gateway — over shm, or forced onto TCP by naming a segment nobody
+// created.
+CarrierRun RunThroughCarrier(const std::vector<std::vector<RaiseEventMsg>>&
+                                 steps,
+                             bool via_shm) {
+  CarrierRun run;
+  testing_util::TempDir tmp(via_shm ? "carrier_shm" : "carrier_tcp");
+  // A small in-memory log spills most occurrences, so the merged log
+  // covers both the spilled segments and the in-memory tail.
+  auto opened = Database::Open({.dir = tmp.path(),
+                                .occurrence_log_capacity = 8,
+                                .history_spill = true});
+  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+  if (!opened.ok()) return run;
+  std::unique_ptr<Database> db = std::move(opened).value();
+  for (const char* cls : {"Sensor", "Valve"}) {
+    EXPECT_TRUE(db->RegisterClass(ClassBuilder(cls)
+                                      .Reactive()
+                                      .Method(cls == std::string("Sensor")
+                                                  ? "Report"
+                                                  : "Set",
+                                              {.begin = true, .end = true})
+                                      .Build())
+                    .ok());
+  }
+  net::ServerOptions options;
+  options.shm_segment = UniqueSegment();
+  net::GatewayServer server(db.get(), options);
+  EXPECT_TRUE(server.Start().ok());
+
+  auto sub_conn = Connection::Dial("127.0.0.1", server.port());
+  EXPECT_TRUE(sub_conn.ok()) << sub_conn.status().ToString();
+  if (!sub_conn.ok()) return run;
+  Subscriber sub(sub_conn->get());
+  EXPECT_TRUE(sub.Subscribe("end Sensor::Report").ok());
+  EXPECT_TRUE(sub.Subscribe("end Valve::Set").ok());
+
+  LocalPublisher::Options o;
+  o.segment = via_shm ? options.shm_segment : UniqueSegment();
+  o.port = server.port();
+  o.window = 4;  // Bursts run past it, so the window loop cycles.
+  auto pub = LocalPublisher::Open(o);
+  EXPECT_TRUE(pub.ok()) << pub.status().ToString();
+  if (!pub.ok()) return run;
+  EXPECT_EQ((*pub)->via_shm(), via_shm);
+  for (const std::vector<RaiseEventMsg>& step : steps) {
+    if (step.size() == 1) {
+      const RaiseEventMsg& m = step[0];
+      auto got = (*pub)->Raise(m.class_name, m.method, m.modifier, m.params,
+                               m.oid);
+      run.acks.push_back(std::string("raise ")
+                             .append(got.status().ToString())
+                             .append(" oid ")
+                             .append(std::to_string(got.ok() ? *got : 0)));
+    } else {
+      uint64_t rejected = 0;
+      Status s = (*pub)->RaisePipelined(step, &rejected);
+      run.acks.push_back(std::string("burst ")
+                             .append(s.ToString())
+                             .append(" rejected ")
+                             .append(std::to_string(rejected)));
+    }
+  }
+  for (auto batch = sub.Fetch(64, 500); batch.ok() && !batch->empty();
+       batch = sub.Fetch(64, 500)) {
+    for (const Notification& n : *batch) {
+      run.notifications.push_back(Describe(n.key, n.oid, n.params));
+    }
+  }
+  pub->reset();
+  server.Stop();
+  std::vector<EventOccurrence> log;
+  EXPECT_TRUE(db->HistoryScan({}, &log, /*include_memory=*/true).ok());
+  for (const EventOccurrence& occ : log) {
+    run.history.push_back(Describe(occ.Key(), occ.oid, occ.params));
+  }
+  EXPECT_TRUE(db->Close().ok());
+  return run;
+}
+
+// The carrier must not change the producer role: one seeded sequence —
+// oid-0 relays and explicit oids (one of them the wrong class for its
+// object, so some acks are errors), two classes, single raises and
+// pipelined bursts — gives the same acks, notifications and merged
+// occurrence log over shm as over TCP.
+TEST(ShmtpCarrierTest, TcpAndShmGiveIdenticalResults) {
+  std::mt19937 rng(20260517);
+  auto below = [&](uint32_t n) {
+    return std::uniform_int_distribution<uint32_t>(0, n - 1)(rng);
+  };
+  const uint64_t oids[] = {0, 0, 7001, 7002};
+  std::vector<std::vector<RaiseEventMsg>> steps;
+  for (int i = 0; i < 40; ++i) {
+    std::vector<RaiseEventMsg> step(below(3) == 0 ? 1 : 2 + below(12));
+    for (RaiseEventMsg& m : step) {
+      const bool sensor = below(2) == 0;
+      m.class_name = sensor ? "Sensor" : "Valve";
+      m.method = sensor ? "Report" : "Set";
+      m.modifier = EventModifier::kEnd;
+      m.oid = oids[below(4)];
+      m.params = {Value(static_cast<int64_t>(below(1000))),
+                  Value(std::string("p").append(std::to_string(below(10))))};
+    }
+    steps.push_back(std::move(step));
+  }
+
+  const CarrierRun shm = RunThroughCarrier(steps, /*via_shm=*/true);
+  const CarrierRun tcp = RunThroughCarrier(steps, /*via_shm=*/false);
+  ASSERT_EQ(shm.acks.size(), steps.size());
+  EXPECT_EQ(shm.acks, tcp.acks);
+  EXPECT_FALSE(shm.notifications.empty());
+  EXPECT_EQ(shm.notifications, tcp.notifications);
+  EXPECT_EQ(shm.history.size(), shm.notifications.size());
+  EXPECT_EQ(shm.history, tcp.history);
+  // The sequence exercised both outcomes.
+  auto has = [&](const char* text) {
+    return std::any_of(shm.acks.begin(), shm.acks.end(),
+                       [&](const std::string& a) {
+                         return a.find(text) != std::string::npos;
+                       });
+  };
+  EXPECT_TRUE(has("InvalidArgument"));
+  EXPECT_TRUE(has("raise OK"));
+  EXPECT_TRUE(has("burst OK"));
 }
 
 }  // namespace
