@@ -103,6 +103,10 @@ Status HistorySegmentStore::DecodeRecordBody(std::string_view body,
   SENTINEL_RETURN_IF_ERROR(dec.GetString(&occ->class_name));
   SENTINEL_RETURN_IF_ERROR(dec.GetString(&occ->method));
   SENTINEL_RETURN_IF_ERROR(dec.GetU8(&modifier));
+  if (modifier > static_cast<uint8_t>(EventModifier::kEnd)) {
+    return Status::Corruption("history record: bad event modifier " +
+                              std::to_string(modifier));
+  }
   occ->modifier = static_cast<EventModifier>(modifier);
   SENTINEL_RETURN_IF_ERROR(dec.GetValueList(&occ->params));
   SENTINEL_RETURN_IF_ERROR(dec.GetI64(&occ->timestamp.micros));

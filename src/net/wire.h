@@ -15,13 +15,19 @@
 // reports the server's frame-body ceiling.
 //
 // Bodies are encoded by common/codec (the same Encoder/Decoder the object
-// store and WAL use). Decoding never trusts the peer: truncated, oversized,
+// store and WAL use). Each message lists its fields once, in wire order, in
+// a static Fields(m, io); a BodyWriter walks that list to encode and a
+// BodyReader walks the same list to decode, so the two directions cannot
+// drift apart. Decoding never trusts the peer: truncated, oversized,
 // unknown-type, and trailing-garbage frames all surface as Status errors
-// instead of crashes, because framed bytes come from the network.
+// instead of crashes, because framed bytes come from the network, and every
+// list count is bounded by the bytes left before anything is reserved.
 
 #ifndef SENTINEL_NET_WIRE_H_
 #define SENTINEL_NET_WIRE_H_
 
+#include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -120,28 +126,176 @@ enum class DecodeProgress {
 DecodeProgress TryDecodeFrame(std::string_view buf, uint32_t max_body,
                               Frame* frame, size_t* consumed, Status* error);
 
+// --- Message bodies -------------------------------------------------------
+
+class BodyWriter;
+
+/// A struct whose fields a static Fields(m, io) lists in wire order.
+template <typename T>
+concept WireStruct = requires(T& m, BodyWriter& io) { T::Fields(m, io); };
+
+/// Encodes the fields a Fields list names, in order.
+class BodyWriter {
+ public:
+  explicit BodyWriter(Encoder* enc) : enc_(enc) {}
+
+  template <typename... F>
+  void operator()(const F&... fields) {
+    (Put(fields), ...);
+  }
+
+  /// A u32 count, then each WAL record body as it is, without a length
+  /// prefix: the body's own layout says where it ends.
+  void WalBodies(const std::vector<std::string>& records) {
+    enc_->PutU32(static_cast<uint32_t>(records.size()));
+    for (const std::string& rec : records) {
+      enc_->PutRaw(rec.data(), rec.size());
+    }
+  }
+
+ private:
+  void Put(uint8_t v) { enc_->PutU8(v); }
+  void Put(uint32_t v) { enc_->PutU32(v); }
+  void Put(uint64_t v) { enc_->PutU64(v); }
+  void Put(int64_t v) { enc_->PutI64(v); }
+  void Put(bool v) { enc_->PutBool(v); }
+  void Put(const std::string& v) { enc_->PutString(v); }
+  void Put(EventModifier v) { enc_->PutU8(static_cast<uint8_t>(v)); }
+  // Exactly a Value: a scalar field must not convert into a tagged one.
+  template <std::same_as<Value> V>
+  void Put(const V& v) {
+    enc_->PutValue(v);
+  }
+  template <WireStruct T>
+  void Put(const T& item) {
+    T::Fields(item, *this);
+  }
+  /// A u32 count, then each item.
+  template <typename T>
+  void Put(const std::vector<T>& items) {
+    enc_->PutU32(static_cast<uint32_t>(items.size()));
+    for (const T& item : items) Put(item);
+  }
+
+  Encoder* enc_;
+};
+
+/// Decodes the fields a Fields list names, in order. The first error
+/// sticks: later reads do nothing, and Finish reports it.
+class BodyReader {
+ public:
+  explicit BodyReader(std::string_view body) : body_(body), dec_(body) {}
+
+  /// False once any read has failed.
+  template <typename... F>
+  bool operator()(F&... fields) {
+    return status_.ok() && (Get(fields) && ...);
+  }
+
+  /// The WalBodies layout: each body is u8 type | u64 txn | u64 oid |
+  /// string payload, copied out whole.
+  bool WalBodies(std::vector<std::string>& records) {
+    return status_.ok() &&
+           List(records, [this](std::string& rec) { return GetWalBody(rec); });
+  }
+
+  /// The first read error (Corruption on underflow, InvalidArgument on a
+  /// bad modifier); else InvalidArgument when bytes trail the last field,
+  /// since a well-formed peer never pads.
+  Status Finish() const;
+
+ private:
+  bool Take(Status s) {
+    if (s.ok()) return true;
+    status_ = std::move(s);
+    return false;
+  }
+  bool Get(uint8_t& v) { return Take(dec_.GetU8(&v)); }
+  bool Get(uint32_t& v) { return Take(dec_.GetU32(&v)); }
+  bool Get(uint64_t& v) { return Take(dec_.GetU64(&v)); }
+  bool Get(int64_t& v) { return Take(dec_.GetI64(&v)); }
+  bool Get(bool& v) { return Take(dec_.GetBool(&v)); }
+  bool Get(std::string& v) { return Take(dec_.GetString(&v)); }
+  bool Get(std::string_view& v) { return Take(dec_.GetStringView(&v)); }
+  bool Get(Value& v) { return Take(dec_.GetValue(&v)); }
+  /// InvalidArgument above kEnd.
+  bool Get(EventModifier& v);
+  template <WireStruct T>
+  bool Get(T& item) {
+    T::Fields(item, *this);
+    return status_.ok();
+  }
+  template <typename T>
+  bool Get(std::vector<T>& items) {
+    return List(items, [this](T& item) { return Get(item); });
+  }
+  bool GetWalBody(std::string& rec);
+
+  /// The one list reader: a u32 count, then `read_one` per item. The count
+  /// is the peer's and the bytes left are not, and every item takes at
+  /// least one byte, so the reservation never exceeds the bytes left.
+  template <typename T, typename ReadOne>
+  bool List(std::vector<T>& items, ReadOne read_one) {
+    uint32_t count = 0;
+    if (!Get(count)) return false;
+    items.clear();
+    items.reserve(std::min<size_t>(count, dec_.remaining()));
+    for (uint32_t i = 0; i < count; ++i) {
+      if (!read_one(items.emplace_back())) return false;
+    }
+    return true;
+  }
+
+  std::string_view body_;
+  Decoder dec_;
+  Status status_;
+};
+
+/// Builds a message's Encode and Decode from its M::Fields list. Decode
+/// reads every field, rejects trailing bytes, then runs M::Check, the
+/// message's semantic rules (InvalidArgument; none by default).
+template <typename M>
+struct Body {
+  void Encode(Encoder* enc) const {
+    BodyWriter io(enc);
+    M::Fields(static_cast<const M&>(*this), io);
+  }
+
+  static Result<M> Decode(const std::string& body) {
+    M msg;
+    BodyReader io(body);
+    M::Fields(msg, io);
+    SENTINEL_RETURN_IF_ERROR(io.Finish());
+    SENTINEL_RETURN_IF_ERROR(msg.Check());
+    return msg;
+  }
+
+  Status Check() const { return Status::OK(); }
+};
+
 // --- Request messages -----------------------------------------------------
 
 /// Liveness probe; the server echoes `token` in a Pong.
-struct PingMsg {
+struct PingMsg : Body<PingMsg> {
   uint64_t token = 0;
 
-  void Encode(Encoder* enc) const;
-  static Result<PingMsg> Decode(const std::string& body);
+  static void Fields(auto& m, auto& io) { io(m.token); }
 };
 
 /// Raise a primitive event on the server: the remote analog of calling a
 /// designated method on a reactive object. `oid` selects the server-side
 /// relay object (0 lets the server pick one per class).
-struct RaiseEventMsg {
+struct RaiseEventMsg : Body<RaiseEventMsg> {
   uint64_t oid = 0;
   std::string class_name;
   std::string method;
   EventModifier modifier = EventModifier::kEnd;
   ValueList params;
 
-  void Encode(Encoder* enc) const;
-  static Result<RaiseEventMsg> Decode(const std::string& body);
+  Status Check() const;
+  static void Fields(auto& m, auto& io) {
+    io(m.oid, m.class_name, m.method, m.modifier, m.params);
+  }
 };
 
 /// Decodes only the routing prefix (oid, class_name) of a kRaiseEvent
@@ -156,7 +310,7 @@ bool PeekRaiseRouting(const std::string& body, uint64_t* oid,
 /// exactly how persisted rules rebind (an empty condition name means
 /// "always true"; an empty action name defaults to the gateway's built-in
 /// subscriber-notify action).
-struct CreateRuleMsg {
+struct CreateRuleMsg : Body<CreateRuleMsg> {
   std::string name;
   std::string event_signature;  ///< e.g. "end Employee::ChangeIncome".
   std::string condition_name;
@@ -165,61 +319,64 @@ struct CreateRuleMsg {
   int64_t priority = 0;
   bool enabled = true;
 
-  void Encode(Encoder* enc) const;
-  static Result<CreateRuleMsg> Decode(const std::string& body);
+  Status Check() const;
+  static void Fields(auto& m, auto& io) {
+    io(m.name, m.event_signature, m.condition_name, m.action_name,
+       m.coupling, m.priority, m.enabled);
+  }
 };
 
 /// Enable/Disable an existing rule by name (frame type carries the verb).
-struct RuleNameMsg {
+struct RuleNameMsg : Body<RuleNameMsg> {
   std::string name;
 
-  void Encode(Encoder* enc) const;
-  static Result<RuleNameMsg> Decode(const std::string& body);
+  Status Check() const;
+  static void Fields(auto& m, auto& io) { io(m.name); }
 };
 
 /// Subscribe this session to a notification key: either an occurrence key
 /// ("end Employee::ChangeIncome") or a rule-firing key ("rule:RuleName").
-struct SubscribeMsg {
+struct SubscribeMsg : Body<SubscribeMsg> {
   std::string key;
 
-  void Encode(Encoder* enc) const;
-  static Result<SubscribeMsg> Decode(const std::string& body);
+  Status Check() const;
+  static void Fields(auto& m, auto& io) { io(m.key); }
 };
 
 /// Fetch up to `max` queued notifications, waiting up to `wait_ms` for the
 /// first one (0 = return immediately, possibly empty).
-struct FetchMsg {
+struct FetchMsg : Body<FetchMsg> {
   uint32_t max = 64;
   uint32_t wait_ms = 0;
 
-  void Encode(Encoder* enc) const;
-  static Result<FetchMsg> Decode(const std::string& body);
+  Status Check() const;
+  static void Fields(auto& m, auto& io) { io(m.max, m.wait_ms); }
 };
 
 /// Names the connection's tenant: the admission domain it bills its quotas
 /// to ("" = the default tenant). Optional; the server answers with a
 /// HelloReply. A session that never sends one bills the default tenant.
-struct HelloMsg {
+struct HelloMsg : Body<HelloMsg> {
   static constexpr uint32_t kMagic = 0x534E544Cu;  // "SNTL"
 
   uint32_t magic = kMagic;
   std::string tenant;
 
-  void Encode(Encoder* enc) const;
-  static Result<HelloMsg> Decode(const std::string& body);
+  Status Check() const;
+  static void Fields(auto& m, auto& io) { io(m.magic, m.tenant); }
 };
 
 /// Request the server's stats snapshot. `sections` is a bitmask choosing
 /// what the reply's JSON covers; unknown bits are rejected so they stay
 /// available for future sections.
-struct StatsRequestMsg {
+struct StatsRequestMsg : Body<StatsRequestMsg> {
   static constexpr uint32_t kDatabase = 1u << 0;  ///< Metrics registry.
   static constexpr uint32_t kGateway = 1u << 1;   ///< Server/queue counters.
 
   uint32_t sections = kDatabase | kGateway;
 
-  void Encode(Encoder* enc) const;
-  static Result<StatsRequestMsg> Decode(const std::string& body);
+  Status Check() const;
+  static void Fields(auto& m, auto& io) { io(m.sections); }
 };
 
 /// Replay spilled occurrence history: the remote face of
@@ -228,7 +385,7 @@ struct StatsRequestMsg {
 /// object). `limit` is clamped server-side so one request cannot balloon a
 /// reply frame; the server scans limit + 1 rows to tell whether the page
 /// is complete.
-struct HistoryScanMsg {
+struct HistoryScanMsg : Body<HistoryScanMsg> {
   uint64_t min_seq = 0;
   uint64_t max_seq = ~0ull;
   int64_t min_micros = 0;  ///< 0 = open (occurrence micros are positive).
@@ -241,8 +398,11 @@ struct HistoryScanMsg {
   /// skips nor repeats a row.
   uint64_t after_seq = 0;
 
-  void Encode(Encoder* enc) const;
-  static Result<HistoryScanMsg> Decode(const std::string& body);
+  Status Check() const;
+  static void Fields(auto& m, auto& io) {
+    io(m.min_seq, m.max_seq, m.min_micros, m.max_micros, m.oid, m.limit,
+       m.after_seq);
+  }
 };
 
 /// One poll of the log-shipping replication stream (request). A follower
@@ -253,7 +413,7 @@ struct HistoryScanMsg {
 /// epoch; a request with a *newer* epoch demotes the serving node (epoch
 /// fencing — a deposed primary stops accepting producers the moment it
 /// hears of its successor).
-struct ReplSubscribeMsg {
+struct ReplSubscribeMsg : Body<ReplSubscribeMsg> {
   enum Mode : uint8_t { kProbe = 0, kSnapshot = 1, kTail = 2 };
 
   uint64_t epoch = 0;
@@ -263,15 +423,18 @@ struct ReplSubscribeMsg {
   uint64_t after_ordinal = 0;   ///< Tail: occurrence-mirror cursor (excl.).
   uint32_t max_items = 0;       ///< Per-section row cap; 0 = server default.
 
-  void Encode(Encoder* enc) const;
-  static Result<ReplSubscribeMsg> Decode(const std::string& body);
+  Status Check() const;
+  static void Fields(auto& m, auto& io) {
+    io(m.epoch, m.mode, m.after_oid, m.next_lsn, m.after_ordinal,
+       m.max_items);
+  }
 };
 
 // --- Response messages ----------------------------------------------------
 
 /// Generic request outcome. `payload` carries a small result where one
 /// exists (RaiseEvent: the relay oid raises were applied to).
-struct StatusReplyMsg {
+struct StatusReplyMsg : Body<StatusReplyMsg> {
   uint8_t code = 0;  ///< Status::Code cast to its underlying value.
   std::string message;
   uint64_t payload = 0;
@@ -280,19 +443,18 @@ struct StatusReplyMsg {
   Status ToStatus() const;
   static StatusReplyMsg FromStatus(const Status& s, uint64_t payload = 0);
 
-  void Encode(Encoder* enc) const;
-  static Result<StatusReplyMsg> Decode(const std::string& body);
+  Status Check() const;
+  static void Fields(auto& m, auto& io) { io(m.code, m.message, m.payload); }
 };
 
 /// Reply to Hello: the server's frame-body ceiling, so a well-behaved
 /// client never sends a frame the server would have to kill the
 /// connection over, plus an informational banner.
-struct HelloReplyMsg {
+struct HelloReplyMsg : Body<HelloReplyMsg> {
   uint32_t max_frame_body = kDefaultMaxFrameBody;
   std::string server;  ///< Informational banner, e.g. "sentinel-gateway/2".
 
-  void Encode(Encoder* enc) const;
-  static Result<HelloReplyMsg> Decode(const std::string& body);
+  static void Fields(auto& m, auto& io) { io(m.max_frame_body, m.server); }
 };
 
 /// Ranged, coalesced acks. Answers a run of consecutive same-session
@@ -301,25 +463,29 @@ struct HelloReplyMsg {
 /// carries the per-request payload only when count == 1 (a run of raises
 /// against one relay shares its oid, so coalescing keeps that case exact
 /// too — the encoder only merges acks whose payloads match).
-struct BatchStatusReplyMsg {
+struct BatchStatusReplyMsg : Body<BatchStatusReplyMsg> {
   struct Run {
     uint32_t count = 0;
     uint8_t code = 0;
     std::string message;
     uint64_t payload = 0;
+
+    static void Fields(auto& m, auto& io) {
+      io(m.count, m.code, m.message, m.payload);
+    }
   };
   std::vector<Run> runs;
 
   /// Sum of run counts: how many request acks this frame settles.
   size_t TotalAcks() const;
 
-  void Encode(Encoder* enc) const;
-  static Result<BatchStatusReplyMsg> Decode(const std::string& body);
+  Status Check() const;
+  static void Fields(auto& m, auto& io) { io(m.runs); }
 };
 
 /// One delivered notification: the subscription key it matched plus the
 /// occurrence fields of the paper's generated primitive event.
-struct Notification {
+struct Notification : Body<Notification> {
   std::string key;
   uint64_t oid = 0;
   std::string class_name;
@@ -328,16 +494,17 @@ struct Notification {
   ValueList params;
   Timestamp timestamp;
 
-  void Encode(Encoder* enc) const;
-  static Status DecodeInto(Decoder* dec, Notification* out);
+  static void Fields(auto& m, auto& io) {
+    io(m.key, m.oid, m.class_name, m.method, m.modifier, m.params,
+       m.timestamp.micros, m.timestamp.seq);
+  }
 };
 
 /// Reply to FetchNotifications.
-struct NotificationBatchMsg {
+struct NotificationBatchMsg : Body<NotificationBatchMsg> {
   std::vector<Notification> items;
 
-  void Encode(Encoder* enc) const;
-  static Result<NotificationBatchMsg> Decode(const std::string& body);
+  static void Fields(auto& m, auto& io) { io(m.items); }
 };
 
 /// Reply to HistoryScan: the matching occurrences in logical-clock order
@@ -345,24 +512,27 @@ struct NotificationBatchMsg {
 /// — false when the server's limit clamp cut the result short — and the
 /// resume cursor next_seq (the last row's seq): copy it into the next
 /// request's after_seq to continue exactly where this page ended.
-struct HistoryBatchMsg {
+struct HistoryBatchMsg : Body<HistoryBatchMsg> {
   std::vector<Notification> items;
   bool complete = true;
   uint64_t next_seq = 0;
 
-  void Encode(Encoder* enc) const;
-  static Result<HistoryBatchMsg> Decode(const std::string& body);
+  static void Fields(auto& m, auto& io) { io(m.items, m.complete, m.next_seq); }
 };
 
 /// Reply to ReplSubscribe. Sections are filled per the request mode;
 /// cursors always come back advanced so the follower's next request
 /// resumes exactly where this batch ended.
-struct ReplBatchMsg {
+struct ReplBatchMsg : Body<ReplBatchMsg> {
   /// One snapshot object image.
   struct ObjectImage {
     uint64_t oid = 0;
     std::string class_name;
     std::string state;
+
+    static void Fields(auto& m, auto& io) {
+      io(m.oid, m.class_name, m.state);
+    }
   };
 
   uint64_t epoch = 0;      ///< Serving node's current epoch.
@@ -393,16 +563,19 @@ struct ReplBatchMsg {
   std::vector<std::string> occ_records;
   uint64_t next_ordinal = 0;   ///< Pass back as after_ordinal.
 
-  void Encode(Encoder* enc) const;
-  static Result<ReplBatchMsg> Decode(const std::string& body);
+  static void Fields(auto& m, auto& io) {
+    io(m.epoch, m.primary, m.mode, m.wal_base_lsn, m.wal_end_lsn,
+       m.mirror_total, m.objects, m.next_oid, m.snapshot_done, m.snapshot_lsn);
+    io.WalBodies(m.wal);
+    io(m.next_lsn, m.wal_reset, m.occ_records, m.next_ordinal);
+  }
 };
 
 /// Reply to Ping.
-struct PongMsg {
+struct PongMsg : Body<PongMsg> {
   uint64_t token = 0;
 
-  void Encode(Encoder* enc) const;
-  static Result<PongMsg> Decode(const std::string& body);
+  static void Fields(auto& m, auto& io) { io(m.token); }
 };
 
 /// Reply to GetStats: one JSON document, built on the mutator thread, with
@@ -412,11 +585,11 @@ struct PongMsg {
 /// JSON (not codec structs) so the schema can grow section-by-section
 /// without a wire-format change, and so the payload is directly usable by
 /// external tooling.
-struct StatsReplyMsg {
+struct StatsReplyMsg : Body<StatsReplyMsg> {
   std::string json;
 
-  void Encode(Encoder* enc) const;
-  static Result<StatsReplyMsg> Decode(const std::string& body);
+  Status Check() const;
+  static void Fields(auto& m, auto& io) { io(m.json); }
 };
 
 }  // namespace net

@@ -349,10 +349,17 @@ TEST(SegmentStoreReaderTest, SeededDamageOutcomesPerCaller) {
         break;
       }
       case Damage::kUndecodable: {
-        // A whole record with a good CRC whose body is too short to hold
-        // an oid, spliced in after `valid` good records.
+        // A whole record with a good CRC whose body does not decode,
+        // spliced in after `valid` good records: too short to hold an oid,
+        // or whole but with a modifier byte above kEnd.
         valid = rng() % n;
-        const std::string body(1 + rng() % 7, '\x7f');
+        std::string body(1 + rng() % 7, '\x7f');
+        if (rng() % 2 == 0) {
+          body = HistorySegmentStore::EncodeRecord(MakeOccurrence(7, "S", "M"))
+                     .substr(8);
+          const size_t modifier_at = 8 + (4 + 1) + (4 + 1);  // oid, S, M.
+          body[modifier_at] = static_cast<char>(2 + rng() % 254);
+        }
         const uint32_t len = static_cast<uint32_t>(body.size());
         const uint32_t crc = Crc32c(body.data(), body.size());
         std::string bad(reinterpret_cast<const char*>(&len), 4);
