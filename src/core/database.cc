@@ -349,12 +349,9 @@ Status Database::RegisterBuiltinClasses() {
       ensure(ClassBuilder("Reactive").Reactive().Build()));
   SENTINEL_RETURN_IF_ERROR(
       ensure(ClassBuilder("Event").Extends("Notifiable").Build()));
-  for (const char* cls :
-       {"PrimitiveEvent", "Conjunction", "Disjunction", "Sequence",
-        "AnyEvent", "NotEvent", "AperiodicEvent", "PeriodicEvent",
-        "PlusEvent", "EveryEvent"}) {
+  for (const EventClass& cls : EventClasses()) {
     SENTINEL_RETURN_IF_ERROR(
-        ensure(ClassBuilder(cls).Extends("Event").Build()));
+        ensure(ClassBuilder(cls.name).Extends("Event").Build()));
   }
   // Rule is notifiable (consumes events) and reactive (its lifecycle
   // operations generate events — rules can monitor rules).

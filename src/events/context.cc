@@ -20,8 +20,23 @@ const char* ToString(ParameterContext context) {
   return "?";
 }
 
-void PairingBuffer::AddInitiator(const EventDetection& det) {
-  if (context_ == ParameterContext::kRecent) {
+void PutContext(Encoder* enc, ParameterContext context) {
+  enc->PutU8(static_cast<uint8_t>(context));
+}
+
+Status GetContext(Decoder* dec, ParameterContext* context) {
+  uint8_t tag;
+  SENTINEL_RETURN_IF_ERROR(dec->GetU8(&tag));
+  if (tag > static_cast<uint8_t>(ParameterContext::kCumulative)) {
+    return Status::Corruption("bad parameter context tag");
+  }
+  *context = static_cast<ParameterContext>(tag);
+  return Status::OK();
+}
+
+void PairingBuffer::AddInitiator(ParameterContext context,
+                                 const EventDetection& det) {
+  if (context == ParameterContext::kRecent) {
     // Only the most recent initiator can start a future detection.
     pending_.clear();
   }
@@ -29,7 +44,7 @@ void PairingBuffer::AddInitiator(const EventDetection& det) {
 }
 
 std::vector<std::vector<EventDetection>> PairingBuffer::PairWithTerminator(
-    const EventDetection& terminator,
+    ParameterContext context, const EventDetection& terminator,
     const std::function<bool(const EventDetection&)>& eligible) {
   std::vector<std::vector<EventDetection>> groups;
 
@@ -43,7 +58,7 @@ std::vector<std::vector<EventDetection>> PairingBuffer::PairWithTerminator(
     return groups;
   }
 
-  switch (context_) {
+  switch (context) {
     case ParameterContext::kRecent: {
       // Pair with the newest eligible initiator; keep it for reuse.
       size_t idx = candidates.back();

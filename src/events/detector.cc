@@ -9,8 +9,40 @@
 namespace sentinel {
 
 namespace {
+
 constexpr char kEventIndexClass[] = "__event_index__";
+
+// Operators start with null children; LoadAll relinks them.
+constexpr EventClass kEventClasses[] = {
+    {"PrimitiveEvent",
+     [](const ClassCatalog* catalog) -> EventPtr {
+       auto prim = std::make_shared<PrimitiveEvent>(EventSignature{});
+       prim->set_catalog(catalog);
+       return prim;
+     }},
+    {"Conjunction",
+     [](const ClassCatalog*) { return And(nullptr, nullptr); }},
+    {"Disjunction",
+     [](const ClassCatalog*) { return Or(nullptr, nullptr); }},
+    {"Sequence",
+     [](const ClassCatalog*) { return Seq(nullptr, nullptr); }},
+    {"AnyEvent",
+     [](const ClassCatalog*) { return Any(0, {}); }},
+    {"NotEvent",
+     [](const ClassCatalog*) { return Not(nullptr, nullptr, nullptr); }},
+    {"AperiodicEvent",
+     [](const ClassCatalog*) { return Aperiodic(nullptr, nullptr, nullptr); }},
+    {"PeriodicEvent",
+     [](const ClassCatalog*) { return Periodic(nullptr, 1, nullptr); }},
+    {"PlusEvent",
+     [](const ClassCatalog*) { return Plus(nullptr, 0); }},
+    {"EveryEvent",
+     [](const ClassCatalog*) { return Every(1, nullptr); }},
+};
+
 }  // namespace
+
+std::span<const EventClass> EventClasses() { return kEventClasses; }
 
 Status EventDetector::RegisterEvent(const std::string& name,
                                     EventPtr event) {
@@ -156,49 +188,35 @@ Status EventDetector::SaveAll(ObjectStore* store, Transaction* txn) {
 }
 
 Status EventDetector::LoadAll(ObjectStore* store) {
+  Status s = LoadGraph(store);
+  if (!s.ok()) {
+    named_.clear();
+    loaded_.clear();
+    oid_index_.clear();
+  }
+  return s;
+}
+
+Status EventDetector::LoadGraph(ObjectStore* store) {
   named_.clear();
   loaded_.clear();
   oid_index_.clear();
 
   // Phase 1: instantiate every persisted event node.
-  static const char* kEventClasses[] = {
-      "PrimitiveEvent", "Conjunction", "Disjunction", "Sequence",
-      "AnyEvent",       "NotEvent",    "AperiodicEvent", "PeriodicEvent",
-      "PlusEvent",      "EveryEvent"};
-  for (const char* cls : kEventClasses) {
-    for (Oid oid : store->Extent(cls)) {
+  for (const EventClass& cls : EventClasses()) {
+    for (Oid oid : store->Extent(cls.name)) {
       std::string class_name, state;
       SENTINEL_RETURN_IF_ERROR(
           store->Get(nullptr, oid, &class_name, &state));
-      EventPtr node;
-      const std::string c = class_name;
-      if (c == "PrimitiveEvent") {
-        auto prim = std::make_shared<PrimitiveEvent>(EventSignature{});
-        prim->set_catalog(catalog_);
-        node = prim;
-      } else if (c == "Conjunction") {
-        node = std::make_shared<Conjunction>(nullptr, nullptr);
-      } else if (c == "Disjunction") {
-        node = std::make_shared<Disjunction>(nullptr, nullptr);
-      } else if (c == "Sequence") {
-        node = std::make_shared<Sequence>(nullptr, nullptr);
-      } else if (c == "AnyEvent") {
-        node = std::make_shared<AnyEvent>(0, std::vector<EventPtr>{});
-      } else if (c == "NotEvent") {
-        node = std::make_shared<NotEvent>(nullptr, nullptr, nullptr);
-      } else if (c == "AperiodicEvent") {
-        node = std::make_shared<AperiodicEvent>(nullptr, nullptr, nullptr);
-      } else if (c == "PeriodicEvent") {
-        node = std::make_shared<PeriodicEvent>(nullptr, 0, nullptr);
-      } else if (c == "PlusEvent") {
-        node = std::make_shared<PlusEvent>(nullptr, 0);
-      } else if (c == "EveryEvent") {
-        node = std::make_shared<EveryEvent>(1, nullptr);
-      } else {
-        return Status::Corruption("unknown event class " + c);
-      }
+      EventPtr node = cls.make(catalog_);
       Decoder dec(state);
       SENTINEL_RETURN_IF_ERROR(node->DeserializeState(&dec));
+      if (!dec.AtEnd()) {
+        return Status::Corruption(
+            std::string(cls.name).append(" ").append(OidToString(oid))
+                .append(" has ").append(std::to_string(dec.remaining()))
+                .append(" trailing bytes"));
+      }
       node->set_oid(oid);
       oid_index_[oid] = node;
       loaded_[oid] = std::move(node);
@@ -207,50 +225,12 @@ Status EventDetector::LoadAll(ObjectStore* store) {
 
   // Phase 2: relink operator children.
   auto lookup = [this](Oid oid) -> EventPtr {
-    if (oid == kInvalidOid) return nullptr;
     auto it = loaded_.find(oid);
     return it == loaded_.end() ? nullptr : it->second;
   };
   for (auto& [oid, node] : loaded_) {
-    if (auto* bin = dynamic_cast<BinaryEvent*>(node.get())) {
-      bin->SetChildren(lookup(bin->persisted_left_oid()),
-                       lookup(bin->persisted_right_oid()));
-    } else if (auto* any = dynamic_cast<AnyEvent*>(node.get())) {
-      std::vector<EventPtr> children;
-      for (Oid child : any->persisted_child_oids()) {
-        children.push_back(lookup(child));
-      }
-      if (!children.empty()) any->SetChildrenList(std::move(children));
-    } else if (auto* notev = dynamic_cast<NotEvent*>(node.get())) {
-      std::vector<EventPtr> children;
-      for (Oid child : notev->persisted_child_oids()) {
-        children.push_back(lookup(child));
-      }
-      notev->SetChildrenList(std::move(children));
-    } else if (auto* ap = dynamic_cast<AperiodicEvent*>(node.get())) {
-      std::vector<EventPtr> children;
-      for (Oid child : ap->persisted_child_oids()) {
-        children.push_back(lookup(child));
-      }
-      ap->SetChildrenList(std::move(children));
-    } else if (auto* per = dynamic_cast<PeriodicEvent*>(node.get())) {
-      std::vector<EventPtr> children;
-      for (Oid child : per->persisted_child_oids()) {
-        children.push_back(lookup(child));
-      }
-      per->SetChildrenList(std::move(children));
-    } else if (auto* plus = dynamic_cast<PlusEvent*>(node.get())) {
-      std::vector<EventPtr> children;
-      for (Oid child : plus->persisted_child_oids()) {
-        children.push_back(lookup(child));
-      }
-      plus->SetChildrenList(std::move(children));
-    } else if (auto* every = dynamic_cast<EveryEvent*>(node.get())) {
-      std::vector<EventPtr> children;
-      for (Oid child : every->persisted_child_oids()) {
-        children.push_back(lookup(child));
-      }
-      every->SetChildrenList(std::move(children));
+    if (auto* op = dynamic_cast<CompositeEvent*>(node.get())) {
+      SENTINEL_RETURN_IF_ERROR(op->Relink(lookup));
     }
   }
 

@@ -20,6 +20,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -35,6 +36,17 @@ namespace sentinel {
 
 /// Record holding the persisted name->root-oid index of the registry.
 constexpr Oid kEventIndexOid = 3;
+
+/// One persistent event class: its catalog name and a factory for the
+/// empty node that LoadAll fills from the stored state.
+struct EventClass {
+  const char* name;
+  EventPtr (*make)(const ClassCatalog* catalog);
+};
+
+/// Every persistent event class, in load order. The database registers
+/// each in its catalog and LoadAll reads each extent.
+std::span<const EventClass> EventClasses();
 
 /// Registry, log, and persistence for event objects.
 class EventDetector {
@@ -128,7 +140,9 @@ class EventDetector {
 
   /// Rebuilds the registry from the store: instantiates every persisted
   /// event node, relinks operator children, restores names. Existing
-  /// registry content is replaced.
+  /// registry content is replaced. A damaged graph (trailing bytes after a
+  /// node's state, a missing child, a cycle, a dangling name) is
+  /// Corruption and leaves the registry empty.
   Status LoadAll(ObjectStore* store);
 
  private:
@@ -137,6 +151,9 @@ class EventDetector {
   struct LogSegment {
     std::deque<OccurrencePtr> log;
   };
+
+  /// LoadAll's body; LoadAll empties the registry when it fails.
+  Status LoadGraph(ObjectStore* store);
 
   /// All nodes reachable from the named roots (deduplicated).
   std::vector<Event*> ReachableNodes() const;

@@ -24,36 +24,11 @@ EventOccurrence TimerOccurrence(int64_t fire_micros) {
 // --- AnyEvent ----------------------------------------------------------------
 
 AnyEvent::AnyEvent(size_t m, std::vector<EventPtr> children)
-    : Event("AnyEvent"), m_(m) {
-  SetChildrenList(std::move(children));
-}
+    : CompositeEvent("AnyEvent", std::move(children)), m_(m) {}
 
-AnyEvent::~AnyEvent() {
-  for (const EventPtr& child : children_) child->RemoveListener(this);
-}
-
-void AnyEvent::SetChildrenList(std::vector<EventPtr> children) {
-  for (const EventPtr& child : children_) child->RemoveListener(this);
-  children_ = std::move(children);
-  pending_.assign(children_.size(), {});
-  for (const EventPtr& child : children_) child->AddListener(this);
-  InvalidateGraphCaches();
-}
-
-std::vector<Event*> AnyEvent::Children() const {
-  std::vector<Event*> out;
-  out.reserve(children_.size());
-  for (const EventPtr& child : children_) out.push_back(child.get());
-  return out;
-}
-
-void AnyEvent::OnEvent(Event* source, const EventDetection& det) {
-  for (size_t i = 0; i < children_.size(); ++i) {
-    if (children_[i].get() == source) {
-      pending_[i].push_back(det);
-      break;  // A child appears once in the list.
-    }
-  }
+void AnyEvent::OnChild(size_t index, const EventDetection& det) {
+  pending_.resize(child_count());  // Follows the child list after a relink.
+  pending_[index].push_back(det);
   // Count children with a pending detection.
   std::vector<size_t> ready;
   for (size_t i = 0; i < pending_.size(); ++i) {
@@ -81,92 +56,44 @@ void AnyEvent::ResetState() {
 
 std::string AnyEvent::Describe() const {
   std::string s = "Any(" + std::to_string(m_);
-  for (const EventPtr& child : children_) s += ", " + child->Describe();
+  for (size_t i = 0; i < child_count(); ++i) s += ", " + DescribeChild(i);
   return s + ")";
 }
 
-void AnyEvent::SerializeState(Encoder* enc) const {
+void AnyEvent::PutParams(Encoder* enc) const {
   enc->PutU32(static_cast<uint32_t>(m_));
-  enc->PutU32(static_cast<uint32_t>(children_.size()));
-  for (const EventPtr& child : children_) enc->PutU64(child->oid());
+  enc->PutU32(static_cast<uint32_t>(child_count()));
 }
 
-Status AnyEvent::DeserializeState(Decoder* dec) {
+Result<size_t> AnyEvent::GetParams(Decoder* dec) {
   uint32_t m, n;
   SENTINEL_RETURN_IF_ERROR(dec->GetU32(&m));
   SENTINEL_RETURN_IF_ERROR(dec->GetU32(&n));
   m_ = m;
-  persisted_children_.clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    Oid oid;
-    SENTINEL_RETURN_IF_ERROR(dec->GetU64(&oid));
-    persisted_children_.push_back(oid);
-  }
-  return Status::OK();
+  return size_t{n};
 }
 
 // --- NotEvent ----------------------------------------------------------------
 
 NotEvent::NotEvent(EventPtr start, EventPtr forbidden, EventPtr finish,
                    ParameterContext context)
-    : Event("NotEvent"), initiators_(context) {
-  SetChildrenList({std::move(start), std::move(forbidden), std::move(finish)});
+    : CompositeEvent("NotEvent", {std::move(start), std::move(forbidden),
+                                  std::move(finish)}),
+      context_(context) {}
+
+void NotEvent::PutParams(Encoder* enc) const { PutContext(enc, context_); }
+
+Result<size_t> NotEvent::GetParams(Decoder* dec) {
+  SENTINEL_RETURN_IF_ERROR(GetContext(dec, &context_));
+  return size_t{3};
 }
 
-NotEvent::~NotEvent() { Detach(); }
-
-void NotEvent::Detach() {
-  if (start_) start_->RemoveListener(this);
-  if (forbidden_) forbidden_->RemoveListener(this);
-  if (finish_) finish_->RemoveListener(this);
-}
-
-void NotEvent::SetChildrenList(std::vector<EventPtr> children) {
-  Detach();
-  start_ = children.size() > 0 ? std::move(children[0]) : nullptr;
-  forbidden_ = children.size() > 1 ? std::move(children[1]) : nullptr;
-  finish_ = children.size() > 2 ? std::move(children[2]) : nullptr;
-  if (start_) start_->AddListener(this);
-  if (forbidden_) forbidden_->AddListener(this);
-  if (finish_) finish_->AddListener(this);
-  InvalidateGraphCaches();
-}
-
-void NotEvent::SerializeState(Encoder* enc) const {
-  enc->PutU8(static_cast<uint8_t>(initiators_.context()));
-  enc->PutU64(start_ ? start_->oid() : kInvalidOid);
-  enc->PutU64(forbidden_ ? forbidden_->oid() : kInvalidOid);
-  enc->PutU64(finish_ ? finish_->oid() : kInvalidOid);
-}
-
-Status NotEvent::DeserializeState(Decoder* dec) {
-  uint8_t ctx;
-  SENTINEL_RETURN_IF_ERROR(dec->GetU8(&ctx));
-  if (ctx > static_cast<uint8_t>(ParameterContext::kCumulative)) {
-    return Status::Corruption("bad parameter context tag");
-  }
-  initiators_ = PairingBuffer(static_cast<ParameterContext>(ctx));
-  persisted_children_.assign(3, kInvalidOid);
-  for (Oid& oid : persisted_children_) {
-    SENTINEL_RETURN_IF_ERROR(dec->GetU64(&oid));
-  }
-  return Status::OK();
-}
-
-std::vector<Event*> NotEvent::Children() const {
-  std::vector<Event*> out;
-  if (start_) out.push_back(start_.get());
-  if (forbidden_) out.push_back(forbidden_.get());
-  if (finish_) out.push_back(finish_.get());
-  return out;
-}
-
-void NotEvent::OnEvent(Event* source, const EventDetection& det) {
-  if (source == start_.get()) {
-    initiators_.AddInitiator(det);
+void NotEvent::OnChild(size_t index, const EventDetection& det) {
+  if (index == 0) {  // start
+    initiators_.AddInitiator(context_, det);
     return;
   }
-  if (source == forbidden_.get()) {
+  if (index == 1) {  // forbidden
     // An occurrence of E2 kills every window it falls inside: any initiator
     // already complete when E2 completed can no longer detect.
     std::deque<EventDetection> survivors;
@@ -174,18 +101,18 @@ void NotEvent::OnEvent(Event* source, const EventDetection& det) {
       if (!(init.end_ts < det.end_ts)) survivors.push_back(init);
     }
     initiators_.Clear();
-    for (const EventDetection& s : survivors) initiators_.AddInitiator(s);
+    for (const EventDetection& s : survivors) {
+      initiators_.AddInitiator(context_, s);
+    }
     return;
   }
-  if (source == finish_.get()) {
-    auto groups = initiators_.PairWithTerminator(
-        det, [&det](const EventDetection& init) {
-          return init.end_ts < det.end_ts;
-        });
-    for (auto& group : groups) {
-      group.push_back(det);
-      Signal(EventDetection::Merge(group));
-    }
+  auto groups = initiators_.PairWithTerminator(
+      context_, det, [&det](const EventDetection& init) {
+        return init.end_ts < det.end_ts;
+      });
+  for (auto& group : groups) {
+    group.push_back(det);
+    Signal(EventDetection::Merge(group));
   }
 }
 
@@ -195,65 +122,29 @@ void NotEvent::ResetState() {
 }
 
 std::string NotEvent::Describe() const {
-  return "Not(" + start_->Describe() + ", !" + forbidden_->Describe() +
-         ", " + finish_->Describe() + ")";
+  return "Not(" + DescribeChild(0) + ", !" + DescribeChild(1) + ", " +
+         DescribeChild(2) + ")";
 }
 
 // --- AperiodicEvent ------------------------------------------------------------
 
 AperiodicEvent::AperiodicEvent(EventPtr opener, EventPtr tracked,
                                EventPtr closer)
-    : Event("AperiodicEvent") {
-  SetChildrenList({std::move(opener), std::move(tracked), std::move(closer)});
-}
+    : CompositeEvent("AperiodicEvent", {std::move(opener), std::move(tracked),
+                                        std::move(closer)}) {}
 
-AperiodicEvent::~AperiodicEvent() { Detach(); }
+void AperiodicEvent::PutParams(Encoder*) const {}
 
-void AperiodicEvent::Detach() {
-  if (opener_) opener_->RemoveListener(this);
-  if (tracked_) tracked_->RemoveListener(this);
-  if (closer_) closer_->RemoveListener(this);
-}
+Result<size_t> AperiodicEvent::GetParams(Decoder*) { return size_t{3}; }
 
-void AperiodicEvent::SetChildrenList(std::vector<EventPtr> children) {
-  Detach();
-  opener_ = children.size() > 0 ? std::move(children[0]) : nullptr;
-  tracked_ = children.size() > 1 ? std::move(children[1]) : nullptr;
-  closer_ = children.size() > 2 ? std::move(children[2]) : nullptr;
-  if (opener_) opener_->AddListener(this);
-  if (tracked_) tracked_->AddListener(this);
-  if (closer_) closer_->AddListener(this);
-  InvalidateGraphCaches();
-}
-
-void AperiodicEvent::SerializeState(Encoder* enc) const {
-  enc->PutU64(opener_ ? opener_->oid() : kInvalidOid);
-  enc->PutU64(tracked_ ? tracked_->oid() : kInvalidOid);
-  enc->PutU64(closer_ ? closer_->oid() : kInvalidOid);
-}
-
-Status AperiodicEvent::DeserializeState(Decoder* dec) {
-  persisted_children_.assign(3, kInvalidOid);
-  for (Oid& oid : persisted_children_) {
-    SENTINEL_RETURN_IF_ERROR(dec->GetU64(&oid));
-  }
-  return Status::OK();
-}
-
-std::vector<Event*> AperiodicEvent::Children() const {
-  std::vector<Event*> out;
-  if (opener_) out.push_back(opener_.get());
-  if (tracked_) out.push_back(tracked_.get());
-  if (closer_) out.push_back(closer_.get());
-  return out;
-}
-
-void AperiodicEvent::OnEvent(Event* source, const EventDetection& det) {
-  if (source == opener_.get()) {
+void AperiodicEvent::OnChild(size_t index, const EventDetection& det) {
+  // A tracked event that is also the closer closes windows.
+  if (index == 1 && child(1) == child(2)) index = 2;
+  if (index == 0) {  // opener
     windows_.push_back(det);
     return;
   }
-  if (source == closer_.get()) {
+  if (index == 2) {  // closer
     // Close every window opened before the closer completed.
     std::deque<EventDetection> still_open;
     for (const EventDetection& w : windows_) {
@@ -262,7 +153,7 @@ void AperiodicEvent::OnEvent(Event* source, const EventDetection& det) {
     windows_ = std::move(still_open);
     return;
   }
-  if (source == tracked_.get() && !windows_.empty()) {
+  if (!windows_.empty()) {
     // Signal once per tracked occurrence inside any open window, paired
     // with the oldest open window's initiator (windows stay open).
     const EventDetection& window = windows_.front();
@@ -278,69 +169,42 @@ void AperiodicEvent::ResetState() {
 }
 
 std::string AperiodicEvent::Describe() const {
-  return "Aperiodic(" + opener_->Describe() + ", " + tracked_->Describe() +
-         ", " + closer_->Describe() + ")";
+  return "Aperiodic(" + DescribeChild(0) + ", " + DescribeChild(1) + ", " +
+         DescribeChild(2) + ")";
 }
 
 // --- PeriodicEvent -------------------------------------------------------------
 
 PeriodicEvent::PeriodicEvent(EventPtr opener, int64_t period_micros,
                              EventPtr closer)
-    : Event("PeriodicEvent"), period_micros_(period_micros) {
-  SetChildrenList({std::move(opener), std::move(closer)});
-}
+    : CompositeEvent("PeriodicEvent", {std::move(opener), std::move(closer)}),
+      period_micros_(period_micros) {}
 
-PeriodicEvent::~PeriodicEvent() { Detach(); }
-
-void PeriodicEvent::Detach() {
-  if (opener_) opener_->RemoveListener(this);
-  if (closer_) closer_->RemoveListener(this);
-}
-
-void PeriodicEvent::SetChildrenList(std::vector<EventPtr> children) {
-  Detach();
-  opener_ = children.size() > 0 ? std::move(children[0]) : nullptr;
-  closer_ = children.size() > 1 ? std::move(children[1]) : nullptr;
-  if (opener_) opener_->AddListener(this);
-  if (closer_) closer_->AddListener(this);
-  InvalidateGraphCaches();
-}
-
-void PeriodicEvent::SerializeState(Encoder* enc) const {
+void PeriodicEvent::PutParams(Encoder* enc) const {
   enc->PutI64(period_micros_);
-  enc->PutU64(opener_ ? opener_->oid() : kInvalidOid);
-  enc->PutU64(closer_ ? closer_->oid() : kInvalidOid);
 }
 
-Status PeriodicEvent::DeserializeState(Decoder* dec) {
+Result<size_t> PeriodicEvent::GetParams(Decoder* dec) {
   SENTINEL_RETURN_IF_ERROR(dec->GetI64(&period_micros_));
-  persisted_children_.assign(2, kInvalidOid);
-  for (Oid& oid : persisted_children_) {
-    SENTINEL_RETURN_IF_ERROR(dec->GetU64(&oid));
+  if (period_micros_ <= 0) {
+    // AdvanceTime steps each window by the period: it would never finish.
+    return Status::Corruption(
+        std::string("periodic event with non-positive period ")
+            .append(std::to_string(period_micros_)));
   }
-  return Status::OK();
+  return size_t{2};
 }
 
-std::vector<Event*> PeriodicEvent::Children() const {
-  std::vector<Event*> out;
-  if (opener_) out.push_back(opener_.get());
-  if (closer_) out.push_back(closer_.get());
-  return out;
-}
-
-void PeriodicEvent::OnEvent(Event* source, const EventDetection& det) {
-  if (source == opener_.get()) {
-    windows_.push_back(
-        Window{det, det.end_ts.micros + period_micros_});
+void PeriodicEvent::OnChild(size_t index, const EventDetection& det) {
+  if (index == 0) {  // opener
+    windows_.push_back(Window{det, det.end_ts.micros + period_micros_});
     return;
   }
-  if (source == closer_.get()) {
-    std::deque<Window> still_open;
-    for (const Window& w : windows_) {
-      if (!(w.opened_by.end_ts < det.end_ts)) still_open.push_back(w);
-    }
-    windows_ = std::move(still_open);
+  std::deque<Window> still_open;
+  for (const Window& w : windows_) {
+    if (!(w.opened_by.end_ts < det.end_ts)) still_open.push_back(w);
   }
+  windows_ = std::move(still_open);
 }
 
 void PeriodicEvent::AdvanceTime(const Timestamp& now) {
@@ -361,48 +225,25 @@ void PeriodicEvent::ResetState() {
 }
 
 std::string PeriodicEvent::Describe() const {
-  return "Periodic(" + opener_->Describe() + ", " +
-         std::to_string(period_micros_) + "us, " + closer_->Describe() + ")";
+  return "Periodic(" + DescribeChild(0) + ", " +
+         std::to_string(period_micros_) + "us, " + DescribeChild(1) + ")";
 }
 
 // --- PlusEvent -----------------------------------------------------------------
 
 PlusEvent::PlusEvent(EventPtr base, int64_t delta_micros)
-    : Event("PlusEvent"), delta_micros_(delta_micros) {
-  SetChildrenList({std::move(base)});
-}
+    : CompositeEvent("PlusEvent", {std::move(base)}),
+      delta_micros_(delta_micros) {}
 
-PlusEvent::~PlusEvent() {
-  if (base_) base_->RemoveListener(this);
-}
+void PlusEvent::PutParams(Encoder* enc) const { enc->PutI64(delta_micros_); }
 
-void PlusEvent::SetChildrenList(std::vector<EventPtr> children) {
-  if (base_) base_->RemoveListener(this);
-  base_ = children.empty() ? nullptr : std::move(children[0]);
-  if (base_) base_->AddListener(this);
-  InvalidateGraphCaches();
-}
-
-void PlusEvent::SerializeState(Encoder* enc) const {
-  enc->PutI64(delta_micros_);
-  enc->PutU64(base_ ? base_->oid() : kInvalidOid);
-}
-
-Status PlusEvent::DeserializeState(Decoder* dec) {
+Result<size_t> PlusEvent::GetParams(Decoder* dec) {
   SENTINEL_RETURN_IF_ERROR(dec->GetI64(&delta_micros_));
-  persisted_children_.assign(1, kInvalidOid);
-  SENTINEL_RETURN_IF_ERROR(dec->GetU64(&persisted_children_[0]));
-  return Status::OK();
+  return size_t{1};
 }
 
-std::vector<Event*> PlusEvent::Children() const {
-  std::vector<Event*> out;
-  if (base_) out.push_back(base_.get());
-  return out;
-}
-
-void PlusEvent::OnEvent(Event* source, const EventDetection& det) {
-  if (source == base_.get()) pending_.push_back(det);
+void PlusEvent::OnChild(size_t, const EventDetection& det) {
+  pending_.push_back(det);
 }
 
 void PlusEvent::AdvanceTime(const Timestamp& now) {
@@ -427,30 +268,27 @@ void PlusEvent::ResetState() {
 }
 
 std::string PlusEvent::Describe() const {
-  return "Plus(" + base_->Describe() + ", " +
-         std::to_string(delta_micros_) + "us)";
+  return "Plus(" + DescribeChild(0) + ", " + std::to_string(delta_micros_) +
+         "us)";
 }
 
 // --- EveryEvent ----------------------------------------------------------------
 
 EveryEvent::EveryEvent(size_t n, EventPtr base)
-    : Event("EveryEvent"), n_(n == 0 ? 1 : n) {
-  SetChildrenList({std::move(base)});
+    : CompositeEvent("EveryEvent", {std::move(base)}), n_(n == 0 ? 1 : n) {}
+
+void EveryEvent::PutParams(Encoder* enc) const {
+  enc->PutU32(static_cast<uint32_t>(n_));
 }
 
-EveryEvent::~EveryEvent() {
-  if (base_) base_->RemoveListener(this);
+Result<size_t> EveryEvent::GetParams(Decoder* dec) {
+  uint32_t n;
+  SENTINEL_RETURN_IF_ERROR(dec->GetU32(&n));
+  n_ = n == 0 ? 1 : n;
+  return size_t{1};
 }
 
-void EveryEvent::SetChildrenList(std::vector<EventPtr> children) {
-  if (base_) base_->RemoveListener(this);
-  base_ = children.empty() ? nullptr : std::move(children[0]);
-  if (base_) base_->AddListener(this);
-  InvalidateGraphCaches();
-}
-
-void EveryEvent::OnEvent(Event* source, const EventDetection& det) {
-  if (source != base_.get()) return;
+void EveryEvent::OnChild(size_t, const EventDetection& det) {
   window_.push_back(det);
   if (window_.size() < n_) return;
   Signal(EventDetection::Merge(window_));
@@ -462,29 +300,8 @@ void EveryEvent::ResetState() {
   Event::ResetState();
 }
 
-std::vector<Event*> EveryEvent::Children() const {
-  std::vector<Event*> out;
-  if (base_) out.push_back(base_.get());
-  return out;
-}
-
 std::string EveryEvent::Describe() const {
-  return "Every(" + std::to_string(n_) + ", " +
-         (base_ ? base_->Describe() : "?") + ")";
-}
-
-void EveryEvent::SerializeState(Encoder* enc) const {
-  enc->PutU32(static_cast<uint32_t>(n_));
-  enc->PutU64(base_ ? base_->oid() : kInvalidOid);
-}
-
-Status EveryEvent::DeserializeState(Decoder* dec) {
-  uint32_t n;
-  SENTINEL_RETURN_IF_ERROR(dec->GetU32(&n));
-  n_ = n == 0 ? 1 : n;
-  persisted_children_.assign(1, kInvalidOid);
-  SENTINEL_RETURN_IF_ERROR(dec->GetU64(&persisted_children_[0]));
-  return Status::OK();
+  return "Every(" + std::to_string(n_) + ", " + DescribeChild(0) + ")";
 }
 
 // --- Builders -------------------------------------------------------------------

@@ -3,7 +3,8 @@
 // Extension operators beyond the paper's conjunction/disjunction/sequence.
 // These are the operators of Snoop — the event specification language the
 // Sentinel project published as its follow-on work (§7 "future research
-// directions") — implemented on the same Event-graph machinery:
+// directions") — implemented on the same CompositeEvent base as the
+// paper's operators:
 //
 //   Any(m, E1..En)        — signaled when m of the n distinct component
 //                           events have occurred, in any order.
@@ -13,6 +14,7 @@
 //                           started by E1 and closed by E3.
 //   Periodic(E1, t, E3)   — signals every t microseconds between E1 and E3.
 //   Plus(E1, t)           — signals t microseconds after each E1.
+//   Every(n, E)           — signals on every n-th occurrence of E.
 //
 // Periodic and Plus are time-driven; they fire from AdvanceTime(now), which
 // the EventDetector calls with the current clock (tests drive it manually).
@@ -26,120 +28,87 @@
 #include <vector>
 
 #include "events/context.h"
-#include "events/event.h"
+#include "events/operators.h"
 
 namespace sentinel {
 
 /// Any(m, E1..En): m-out-of-n completion, any order. Pairing is Chronicle
 /// (oldest pending detection of each contributing child).
-class AnyEvent : public Event, public EventListener {
+class AnyEvent : public CompositeEvent {
  public:
   AnyEvent(size_t m, std::vector<EventPtr> children);
-  ~AnyEvent() override;
 
-  std::vector<Event*> Children() const override;
   std::string Describe() const override;
   void ResetState() override;
-  void OnEvent(Event* source, const EventDetection& det) override;
 
   size_t m() const { return m_; }
 
-  void SerializeState(Encoder* enc) const override;
-  Status DeserializeState(Decoder* dec) override;
-  const std::vector<Oid>& persisted_child_oids() const {
-    return persisted_children_;
-  }
-  /// Registry relink hook.
-  void SetChildrenList(std::vector<EventPtr> children);
+ protected:
+  void OnChild(size_t index, const EventDetection& det) override;
+  void PutParams(Encoder* enc) const override;
+  Result<size_t> GetParams(Decoder* dec) override;
 
  private:
   size_t m_;
-  std::vector<EventPtr> children_;
   std::vector<std::deque<EventDetection>> pending_;  // One queue per child.
-  std::vector<Oid> persisted_children_;
 };
 
 /// Not(E1, E2, E3): E3 after E1 with no intervening E2.
-class NotEvent : public Event, public EventListener {
+class NotEvent : public CompositeEvent {
  public:
   /// `start` = E1, `forbidden` = E2, `finish` = E3.
   NotEvent(EventPtr start, EventPtr forbidden, EventPtr finish,
            ParameterContext context = ParameterContext::kChronicle);
-  ~NotEvent() override;
 
-  std::vector<Event*> Children() const override;
   std::string Describe() const override;
   void ResetState() override;
-  void OnEvent(Event* source, const EventDetection& det) override;
 
-  void SerializeState(Encoder* enc) const override;
-  Status DeserializeState(Decoder* dec) override;
-  const std::vector<Oid>& persisted_child_oids() const {
-    return persisted_children_;
-  }
-  /// Registry relink hook: (start, forbidden, finish).
-  void SetChildrenList(std::vector<EventPtr> children);
+ protected:
+  void OnChild(size_t index, const EventDetection& det) override;
+  void PutParams(Encoder* enc) const override;
+  Result<size_t> GetParams(Decoder* dec) override;
 
  private:
-  void Detach();
-
-  EventPtr start_, forbidden_, finish_;
+  ParameterContext context_;
   PairingBuffer initiators_;
-  std::vector<Oid> persisted_children_;
 };
 
 /// Aperiodic(E1, E2, E3): each E2 inside an open [E1, E3) window signals.
-class AperiodicEvent : public Event, public EventListener {
+class AperiodicEvent : public CompositeEvent {
  public:
   AperiodicEvent(EventPtr opener, EventPtr tracked, EventPtr closer);
-  ~AperiodicEvent() override;
 
-  std::vector<Event*> Children() const override;
   std::string Describe() const override;
   void ResetState() override;
-  void OnEvent(Event* source, const EventDetection& det) override;
 
   size_t open_windows() const { return windows_.size(); }
 
-  void SerializeState(Encoder* enc) const override;
-  Status DeserializeState(Decoder* dec) override;
-  const std::vector<Oid>& persisted_child_oids() const {
-    return persisted_children_;
-  }
-  /// Registry relink hook: (opener, tracked, closer).
-  void SetChildrenList(std::vector<EventPtr> children);
+ protected:
+  void OnChild(size_t index, const EventDetection& det) override;
+  void PutParams(Encoder* enc) const override;
+  Result<size_t> GetParams(Decoder* dec) override;
 
  private:
-  void Detach();
-
-  EventPtr opener_, tracked_, closer_;
   std::deque<EventDetection> windows_;  // Open window initiators.
-  std::vector<Oid> persisted_children_;
 };
 
 /// Periodic(E1, period, E3): fires on the period grid while a window is
 /// open. Detections carry a synthesized "__timer__" occurrence.
-class PeriodicEvent : public Event, public EventListener {
+class PeriodicEvent : public CompositeEvent {
  public:
   PeriodicEvent(EventPtr opener, int64_t period_micros, EventPtr closer);
-  ~PeriodicEvent() override;
 
-  std::vector<Event*> Children() const override;
   std::string Describe() const override;
   void ResetState() override;
-  void OnEvent(Event* source, const EventDetection& det) override;
   void AdvanceTime(const Timestamp& now) override;
 
   size_t open_windows() const { return windows_.size(); }
   int64_t period_micros() const { return period_micros_; }
 
-  void SerializeState(Encoder* enc) const override;
-  Status DeserializeState(Decoder* dec) override;
-  const std::vector<Oid>& persisted_child_oids() const {
-    return persisted_children_;
-  }
-  /// Registry relink hook: (opener, closer).
-  void SetChildrenList(std::vector<EventPtr> children);
+ protected:
+  void OnChild(size_t index, const EventDetection& det) override;
+  void PutParams(Encoder* enc) const override;
+  Result<size_t> GetParams(Decoder* dec) override;
 
  private:
   struct Window {
@@ -147,73 +116,53 @@ class PeriodicEvent : public Event, public EventListener {
     int64_t next_fire_micros;
   };
 
-  void Detach();
-
-  EventPtr opener_, closer_;
   int64_t period_micros_;
   std::deque<Window> windows_;
-  std::vector<Oid> persisted_children_;
 };
 
 /// Every(n, E): fires on every n-th detection of E, carrying the n
 /// constituents that completed the window (a counting/closure-style
 /// operator for "react to every 100th update" rules).
-class EveryEvent : public Event, public EventListener {
+class EveryEvent : public CompositeEvent {
  public:
   EveryEvent(size_t n, EventPtr base);
-  ~EveryEvent() override;
 
-  std::vector<Event*> Children() const override;
   std::string Describe() const override;
   void ResetState() override;
-  void OnEvent(Event* source, const EventDetection& det) override;
 
   size_t n() const { return n_; }
   size_t pending() const { return window_.size(); }
 
-  void SerializeState(Encoder* enc) const override;
-  Status DeserializeState(Decoder* dec) override;
-  const std::vector<Oid>& persisted_child_oids() const {
-    return persisted_children_;
-  }
-  /// Registry relink hook: (base).
-  void SetChildrenList(std::vector<EventPtr> children);
+ protected:
+  void OnChild(size_t index, const EventDetection& det) override;
+  void PutParams(Encoder* enc) const override;
+  Result<size_t> GetParams(Decoder* dec) override;
 
  private:
   size_t n_;
-  EventPtr base_;
   std::vector<EventDetection> window_;
-  std::vector<Oid> persisted_children_;
 };
 
 /// Plus(E1, delta): fires once, delta micros after each E1.
-class PlusEvent : public Event, public EventListener {
+class PlusEvent : public CompositeEvent {
  public:
   PlusEvent(EventPtr base, int64_t delta_micros);
-  ~PlusEvent() override;
 
-  std::vector<Event*> Children() const override;
   std::string Describe() const override;
   void ResetState() override;
-  void OnEvent(Event* source, const EventDetection& det) override;
   void AdvanceTime(const Timestamp& now) override;
 
   size_t pending() const { return pending_.size(); }
   int64_t delta_micros() const { return delta_micros_; }
 
-  void SerializeState(Encoder* enc) const override;
-  Status DeserializeState(Decoder* dec) override;
-  const std::vector<Oid>& persisted_child_oids() const {
-    return persisted_children_;
-  }
-  /// Registry relink hook: (base).
-  void SetChildrenList(std::vector<EventPtr> children);
+ protected:
+  void OnChild(size_t index, const EventDetection& det) override;
+  void PutParams(Encoder* enc) const override;
+  Result<size_t> GetParams(Decoder* dec) override;
 
  private:
-  EventPtr base_;
   int64_t delta_micros_;
   std::deque<EventDetection> pending_;
-  std::vector<Oid> persisted_children_;
 };
 
 /// Builders.

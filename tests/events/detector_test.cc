@@ -195,15 +195,20 @@ TEST_F(DetectorPersistenceTest, SnoopOperatorsRoundTrip) {
   EventPtr notev = Not(Prim("end D::Q"), Prim("end X::F"), Prim("end E::R"));
   EventPtr periodic = Periodic(Prim("end F::S"), 12345, Prim("end G::T"));
   EventPtr plus = Plus(Prim("end H::U"), 777);
+  EventPtr aperiodic =
+      Aperiodic(Prim("end I::V"), Prim("end J::W"), Prim("end K::X"));
+  EventPtr every = Every(5, Prim("end L::Y"));
   ASSERT_TRUE(detector.RegisterEvent("any", any).ok());
   ASSERT_TRUE(detector.RegisterEvent("not", notev).ok());
   ASSERT_TRUE(detector.RegisterEvent("periodic", periodic).ok());
   ASSERT_TRUE(detector.RegisterEvent("plus", plus).ok());
+  ASSERT_TRUE(detector.RegisterEvent("aperiodic", aperiodic).ok());
+  ASSERT_TRUE(detector.RegisterEvent("every", every).ok());
   ASSERT_TRUE(SaveInTxn(&detector).ok());
 
   EventDetector restored(metrics_);
   ASSERT_TRUE(restored.LoadAll(&store_).ok());
-  EXPECT_EQ(restored.event_count(), 4u);
+  EXPECT_EQ(restored.event_count(), 6u);
   EXPECT_EQ(restored.GetEvent("any").value()->Describe(),
             "Any(2, end A::M, end B::N, end C::P)");
   EXPECT_EQ(restored.GetEvent("not").value()->Describe(),
@@ -215,6 +220,13 @@ TEST_F(DetectorPersistenceTest, SnoopOperatorsRoundTrip) {
   auto* pl = dynamic_cast<PlusEvent*>(restored.GetEvent("plus").value().get());
   ASSERT_NE(pl, nullptr);
   EXPECT_EQ(pl->delta_micros(), 777);
+  EXPECT_EQ(restored.GetEvent("aperiodic").value()->Describe(),
+            "Aperiodic(end I::V, end J::W, end K::X)");
+  auto* ev =
+      dynamic_cast<EveryEvent*>(restored.GetEvent("every").value().get());
+  ASSERT_NE(ev, nullptr);
+  EXPECT_EQ(ev->n(), 5u);
+  EXPECT_EQ(ev->Describe(), "Every(5, end L::Y)");
 }
 
 TEST_F(DetectorPersistenceTest, SaveIsIdempotentAcrossCalls) {
