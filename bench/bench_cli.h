@@ -1,7 +1,8 @@
 // Copyright (c) 2026 The Sentinel Authors. Licensed under Apache-2.0.
 //
-// Flag parsing shared by the hand-rolled (non-google-benchmark) bench
-// binaries, so every bench in bench/ understands the same two flags:
+// The one flag parser of every bench binary (the google-benchmark ones
+// through bench_main.h), so every bench in bench/ understands the same two
+// flags:
 //
 //   --json <path>   write a sentinel-bench-v1 report after the run
 //   --quick         shrink iteration counts for CI / test smoke runs

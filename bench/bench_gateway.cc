@@ -1,36 +1,35 @@
 // Copyright (c) 2026 The Sentinel Authors. Licensed under Apache-2.0.
 //
-// Gateway cost model: what does putting the event interface behind a TCP
-// gateway cost versus calling the Database facade in-process?
+// Gateway cost model: what does putting the event interface behind a
+// gateway cost, and what do the local transport and the raise shards buy?
 //
-//   1. direct       — in-process RaiseEvent through WithTransaction
-//   2. rpc          — one connection, one synchronous raise RPC at a time,
+//   1. rpc          — one connection, one synchronous raise RPC at a time,
 //                     with the frame pre-encoded OUTSIDE the timed loop so
 //                     the number measures the wire round-trip, not
-//                     client-side encoding or per-op clock reads
-//   3. pipelined xN — N publisher connections streaming windowed raises
-//                     through the bounded ingress queues, swept across
-//                     raise-shard counts (--shards 1,2,4; each point runs
-//                     against a fresh database so shard state is cold)
-//   4. shm          — the same windowed pipelined workload through the
-//                     zero-syscall shared-memory local transport
-//                     (gateway/shm_pipelined): producers attach to the
-//                     host's shm rings instead of dialing TCP, so
-//                     shm_pipelined / pipelined is the local-transport
-//                     speedup on this host
-//   5. raise→notify — end-to-end latency through a parked long-poll
-//   6. soak         — raise→notify p50/p90/p99 with a sweep of parked
+//                     client-side encoding or per-op clock reads; rpc_x8
+//                     runs eight such connections at once
+//   2. pipelined xN — N producers streaming windowed raises through the
+//                     bounded ingress queues, swept across raise-shard
+//                     counts (--shards 1,2,4), over TCP (gateway/pipelined,
+//                     gateway/pipelined_shards<k>) and over the
+//                     zero-syscall shared-memory transport
+//                     (gateway/shm_pipelined, 1 shard). Every point runs
+//                     the same server options, window and batch against a
+//                     fresh database; only the producers' link differs, so
+//                     shm_pipelined / pipelined is the transport alone
+//   3. soak         — raise→notify p50/p90/p99 with a sweep of parked
 //                     background sessions (--soak 64,256,1024); the epoll
 //                     plane's claim is that tail latency stays flat as
 //                     parked sessions scale, and --assert-flat enforces it
 //                     (gating on p90, which survives isolated scheduler
 //                     stalls that a small-sample p99 cannot)
 //
+// The in-process raise is bench_metrics' BM_RaisePath; raise→notify with
+// no parked sessions is perfbench's notify_p50_us.
+//
 // Producers in the pipelined sweep raise on distinct oids so the OID-hash
 // routing actually spreads them across shards; the scaling curve is the
-// whole point of the sweep. On a single-core machine the >1-shard points
-// measure scheduling overhead, not speedup — judge the curve on a
-// multi-core runner.
+// whole point of the sweep.
 //
 // Plain main() (bench_three_way.cc precedent): the interesting numbers are
 // a table, not a google-benchmark timing loop.
@@ -63,28 +62,18 @@ using net::Publisher;
 using net::Subscriber;
 
 // Timed work per section; --quick shrinks them for CI smoke runs.
-int g_direct_ops = 20000;
 int g_rpc_ops = 5000;
-int g_pipelined_per_producer = 5000;
-int g_pipeline_batch = 250;
-int g_latency_samples = 2000;
+int g_pipelined_batches = 12;  ///< Per producer, of kPipelineBatch raises.
 int g_soak_samples = 500;
-constexpr int kWarmup = 200;  ///< Untimed ops before each timed section.
+constexpr int kWarmup = 200;  ///< Untimed RPCs before each timed section.
 constexpr int kSoakWarmup = 50;
+/// Raises per RaisePipelined call: four windows, so the window binds.
+constexpr size_t kPipelineBatch = 4096;
+constexpr size_t kPipelineWindow = 1024;
 
 std::unique_ptr<Connection> Dial(uint16_t port) {
   return std::move(Connection::Dial("127.0.0.1", port)).value();
 }
-
-struct Row {
-  std::string mode;
-  std::string slug;  ///< JSON result name component.
-  int64_t ops;
-  double events_per_sec;
-  double ns_per_event;
-  size_t shards = 0;      ///< Raise shards (pipelined sweep rows only).
-  uint64_t rejected = 0;  ///< Backpressure rejections during the row.
-};
 
 double Quantile(std::vector<int64_t>& samples, double q) {
   std::sort(samples.begin(), samples.end());
@@ -92,124 +81,125 @@ double Quantile(std::vector<int64_t>& samples, double q) {
   return static_cast<double>(samples[idx]);
 }
 
-std::unique_ptr<Database> OpenFreshDb(const std::filesystem::path& dir,
-                                      size_t raise_shards) {
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  Database::Options options;
-  options.dir = dir.string();
-  options.raise_shards = raise_shards;
-  auto db = std::move(Database::Open(options)).value();
-  db->RegisterClass(ClassBuilder("Sensor")
-                        .Reactive()
-                        .Method("Report", {.begin = true, .end = true})
-                        .Build())
-      .ok();
-  return db;
+/// A gateway in front of a fresh `raise_shards`-sharded database with the
+/// Sensor class; tearing it down removes the directory.
+struct Gateway {
+  Gateway(std::filesystem::path path, size_t raise_shards,
+          const net::ServerOptions& options)
+      : dir(std::move(path)) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    Database::Options db_options;
+    db_options.dir = dir.string();
+    db_options.raise_shards = raise_shards;
+    db = std::move(Database::Open(db_options)).value();
+    db->RegisterClass(ClassBuilder("Sensor")
+                          .Reactive()
+                          .Method("Report", {.begin = true, .end = true})
+                          .Build())
+        .ok();
+    server = std::make_unique<GatewayServer>(db.get(), options);
+    if (Status s = server->Start(); !s.ok()) {
+      std::fprintf(stderr, "start: %s\n", s.ToString().c_str());
+      std::exit(1);
+    }
+  }
+  ~Gateway() {
+    server->Stop();
+    db->Close().ok();
+    std::filesystem::remove_all(dir);
+  }
+  uint16_t port() const { return server->port(); }
+
+  std::filesystem::path dir;
+  std::unique_ptr<Database> db;
+  std::unique_ptr<GatewayServer> server;
+};
+
+/// Prints one throughput row and returns its result.
+BenchResult Throughput(const std::string& mode, const std::string& slug,
+                       double ops, int64_t elapsed_ns) {
+  const double ns = static_cast<double>(elapsed_ns) / ops;
+  std::printf("  %-30s %14.0f %14.0f\n", mode.c_str(), 1e9 / ns, ns);
+  BenchResult result;
+  result.name = "gateway/" + slug;
+  result.iterations = static_cast<int64_t>(ops);
+  result.real_ns_per_iter = ns;
+  result.counters["events_per_sec"] = 1e9 / ns;
+  return result;
 }
 
-/// One pipelined-throughput measurement: `producers` publisher connections
-/// stream windowed batches at a gateway over a `raise_shards`-sharded
-/// database, each producer raising on its own oid so routing spreads the
-/// load.
-Row RunPipelined(const std::filesystem::path& dir, size_t raise_shards,
-                 int producers) {
-  auto db = OpenFreshDb(dir, raise_shards);
+/// Synchronous RPC per raise over `conns` connections at once. Each
+/// connection is strictly one-at-a-time: send a raise, wait for its ack,
+/// repeat. x1 is bounded below by the kernel's TCP round-trip (two context
+/// switches per op: latency physics, not plane cost); x8 is the plane's
+/// sync-RPC capacity.
+BenchResult RunRpc(const std::filesystem::path& dir, int conns) {
   net::ServerOptions options;
   options.ingress_capacity = 4096;
-  GatewayServer server(db.get(), options);
-  if (Status s = server.Start(); !s.ok()) {
-    std::fprintf(stderr, "start: %s\n", s.ToString().c_str());
-    std::exit(1);
+  Gateway gw(dir, 1, options);
+  std::vector<std::unique_ptr<Connection>> rpc_conns;
+  std::vector<std::string> frames;
+  for (int c = 0; c < conns; ++c) {
+    rpc_conns.push_back(Dial(gw.port()));
+    net::RaiseEventMsg msg;
+    msg.class_name = "Sensor";
+    msg.method = "Report";
+    msg.modifier = EventModifier::kEnd;
+    msg.params = {Value(static_cast<double>(c))};
+    Encoder enc;
+    msg.Encode(&enc);
+    std::string frame;
+    rpc_conns.back()->EncodeFrameTo(net::FrameType::kRaiseEvent, enc.buffer(),
+                                    &frame);
+    frames.push_back(std::move(frame));
   }
-
-  // Connections and one untimed warmup batch per producer happen before
-  // the clock starts, so the timed region covers steady-state streaming.
-  std::vector<std::unique_ptr<Connection>> conns;
-  std::vector<std::unique_ptr<Publisher>> pubs;
-  std::vector<std::vector<net::RaiseEventMsg>> batches(
-      static_cast<size_t>(producers));
-  for (int p = 0; p < producers; ++p) {
-    auto& batch = batches[static_cast<size_t>(p)];
-    batch.resize(static_cast<size_t>(g_pipeline_batch));
-    for (auto& msg : batch) {
-      msg.oid = 1000 + static_cast<uint64_t>(p);
-      msg.class_name = "Sensor";
-      msg.method = "Report";
-      msg.modifier = EventModifier::kEnd;
-      msg.params = {Value(static_cast<int64_t>(0))};
+  auto rpc_loop = [&](int c, int ops) {
+    Connection* conn = rpc_conns[static_cast<size_t>(c)].get();
+    const std::string& frame = frames[static_cast<size_t>(c)];
+    for (int i = 0; i < ops; ++i) {
+      conn->SendRaw(frame).ok();
+      net::Frame reply;
+      conn->ReadFrame(&reply).ok();
     }
-    conns.push_back(Dial(server.port()));
-    pubs.push_back(std::make_unique<Publisher>(conns.back().get(),
-                                               /*window=*/256));
-    pubs.back()->RaisePipelined(batch, nullptr);
-  }
-  std::vector<std::thread> threads;
-  std::vector<uint64_t> rejected(static_cast<size_t>(producers), 0);
+  };
+  auto run_all = [&](int ops) {
+    std::vector<std::thread> threads;
+    for (int c = 0; c < conns; ++c) threads.emplace_back(rpc_loop, c, ops);
+    for (std::thread& t : threads) t.join();
+  };
+  run_all(kWarmup);  // Also proves the exchange is well-formed.
+  const int per_conn = std::max(1, g_rpc_ops / conns);
   int64_t t0 = SteadyNowNs();
-  for (int p = 0; p < producers; ++p) {
-    threads.emplace_back([&, p] {
-      Publisher* pub = pubs[static_cast<size_t>(p)].get();
-      const auto& batch = batches[static_cast<size_t>(p)];
-      for (int done = 0; done < g_pipelined_per_producer;
-           done += g_pipeline_batch) {
-        uint64_t r = 0;
-        pub->RaisePipelined(batch, &r);
-        rejected[static_cast<size_t>(p)] += r;
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
+  run_all(per_conn);
   int64_t t1 = SteadyNowNs();
-  server.Stop();
-  db->Close().ok();
-  db.reset();
-  std::filesystem::remove_all(dir);
-
-  double total = static_cast<double>(producers) * g_pipelined_per_producer;
-  double ns = static_cast<double>(t1 - t0) / total;
-  Row row;
-  row.mode = "gateway pipelined x" + std::to_string(producers) +
-             " shards=" + std::to_string(raise_shards);
-  // Shard count 1 keeps the historical result name so the scaling curve
-  // has its committed baseline to compare against.
-  row.slug = raise_shards == 1
-                 ? "pipelined"
-                 : "pipelined_shards" + std::to_string(raise_shards);
-  row.ops = static_cast<int64_t>(total);
-  row.events_per_sec = 1e9 / ns;
-  row.ns_per_event = ns;
-  row.shards = raise_shards;
-  for (uint64_t r : rejected) row.rejected += r;
-  return row;
+  return Throughput("gateway rpc x" + std::to_string(conns),
+                    conns == 1 ? "rpc" : "rpc_x" + std::to_string(conns),
+                    static_cast<double>(conns) * per_conn, t1 - t0);
 }
 
-/// One shared-memory-transport measurement: the same windowed pipelined
-/// workload as RunPipelined (same per-producer op count, shard count 1),
-/// but each producer is a LocalPublisher attached to the gateway's shm
-/// segment instead of a TCP connection. The server gets the deep-drain
-/// tuning a local-producer deployment would run with: a bigger ingress
-/// queue and mutator batch so the zero-syscall path is not throttled by
-/// knobs sized for socket clients.
-Row RunShmPipelined(const std::filesystem::path& dir, int producers) {
-  auto db = OpenFreshDb(dir, 1);
+/// One pipelined-throughput point: `producers` LocalPublishers stream
+/// windowed batches at a gateway over a `raise_shards`-sharded database,
+/// each raising on its own oid so routing spreads the load. With `shm` they
+/// attach to the gateway's shared-memory rings, else they dial TCP; the
+/// server (which hosts the segment either way), the window and the batch
+/// are the same for every point.
+BenchResult RunPipelined(const std::filesystem::path& dir,
+                         size_t raise_shards, int producers, bool shm) {
   net::ServerOptions options;
   options.ingress_capacity = 8192;
-  options.max_batch = 512;
   options.shm_segment = "/sentinel-bench-gw-" + std::to_string(getpid());
-  options.shm_rings = static_cast<uint32_t>(std::max(producers, 1));
-  GatewayServer server(db.get(), options);
-  if (Status s = server.Start(); !s.ok()) {
-    std::fprintf(stderr, "start: %s\n", s.ToString().c_str());
-    std::exit(1);
-  }
+  options.shm_rings = static_cast<uint32_t>(producers);
+  Gateway gw(dir, raise_shards, options);
 
+  // Producers and one untimed warmup batch each come before the clock
+  // starts, so the timed region covers steady-state streaming.
   std::vector<std::unique_ptr<LocalPublisher>> pubs;
   std::vector<std::vector<net::RaiseEventMsg>> batches(
       static_cast<size_t>(producers));
   for (int p = 0; p < producers; ++p) {
     auto& batch = batches[static_cast<size_t>(p)];
-    batch.resize(static_cast<size_t>(g_pipeline_batch));
+    batch.resize(kPipelineBatch);
     for (auto& msg : batch) {
       msg.oid = 1000 + static_cast<uint64_t>(p);
       msg.class_name = "Sensor";
@@ -218,29 +208,26 @@ Row RunShmPipelined(const std::filesystem::path& dir, int producers) {
       msg.params = {Value(static_cast<int64_t>(0))};
     }
     LocalPublisher::Options lp;
-    lp.segment = options.shm_segment;
-    lp.port = server.port();
-    lp.window = 1024;  // Ring depth is cheap; keep the host busy.
-    auto opened = std::move(net::LocalPublisher::Open(lp)).value();
-    if (!opened->via_shm()) {
+    if (shm) lp.segment = options.shm_segment;
+    lp.port = gw.port();
+    lp.window = kPipelineWindow;
+    pubs.push_back(std::move(LocalPublisher::Open(lp)).value());
+    if (pubs.back()->via_shm() != shm) {
       std::fprintf(stderr, "shm attach fell back to TCP; not benching that\n");
       std::exit(1);
     }
-    pubs.push_back(std::move(opened));
-    pubs.back()->RaisePipelined(batches[static_cast<size_t>(p)], nullptr)
-        .ok();  // Untimed warmup batch.
+    pubs.back()->RaisePipelined(batch, nullptr).ok();
   }
   std::vector<std::thread> threads;
   std::vector<uint64_t> rejected(static_cast<size_t>(producers), 0);
   int64_t t0 = SteadyNowNs();
   for (int p = 0; p < producers; ++p) {
     threads.emplace_back([&, p] {
-      LocalPublisher* pub = pubs[static_cast<size_t>(p)].get();
-      const auto& batch = batches[static_cast<size_t>(p)];
-      for (int done = 0; done < g_pipelined_per_producer;
-           done += g_pipeline_batch) {
+      for (int b = 0; b < g_pipelined_batches; ++b) {
         uint64_t r = 0;
-        pub->RaisePipelined(batch, &r).ok();
+        pubs[static_cast<size_t>(p)]
+            ->RaisePipelined(batches[static_cast<size_t>(p)], &r)
+            .ok();
         rejected[static_cast<size_t>(p)] += r;
       }
     });
@@ -248,22 +235,26 @@ Row RunShmPipelined(const std::filesystem::path& dir, int producers) {
   for (std::thread& t : threads) t.join();
   int64_t t1 = SteadyNowNs();
   pubs.clear();  // Detach before the host goes away.
-  server.Stop();
-  db->Close().ok();
-  db.reset();
-  std::filesystem::remove_all(dir);
 
-  double total = static_cast<double>(producers) * g_pipelined_per_producer;
-  double ns = static_cast<double>(t1 - t0) / total;
-  Row row;
-  row.mode = "gateway shm pipelined x" + std::to_string(producers);
-  row.slug = "shm_pipelined";
-  row.ops = static_cast<int64_t>(total);
-  row.events_per_sec = 1e9 / ns;
-  row.ns_per_event = ns;
-  row.shards = 1;
-  for (uint64_t r : rejected) row.rejected += r;
-  return row;
+  const std::string shards = std::to_string(raise_shards);
+  // Shard count 1 keeps the historical result name so the scaling curve
+  // has its committed baseline to compare against.
+  const std::string slug = shm                ? "shm_pipelined"
+                           : raise_shards == 1 ? "pipelined"
+                                               : "pipelined_shards" + shards;
+  BenchResult result = Throughput(
+      std::string("gateway ") + (shm ? "shm" : "tcp") + " pipelined x" +
+          std::to_string(producers) + " shards=" + shards,
+      slug,
+      static_cast<double>(producers) * g_pipelined_batches * kPipelineBatch,
+      t1 - t0);
+  result.counters["producers"] = producers;
+  result.counters["shards"] = static_cast<double>(raise_shards);
+  uint64_t total_rejected = 0;
+  for (uint64_t r : rejected) total_rejected += r;
+  result.counters["backpressure_rejections"] =
+      static_cast<double>(total_rejected);
+  return result;
 }
 
 struct SoakPoint {
@@ -281,15 +272,10 @@ struct SoakPoint {
 /// rescanned per wakeup, so p99 grew with the session count; the epoll
 /// plane must keep it flat.
 SoakPoint RunSoakPoint(const std::filesystem::path& dir, int sessions) {
-  auto db = OpenFreshDb(dir, 1);
   net::ServerOptions options;
   options.io_threads = 2;
   options.ingress_capacity = 4096;
-  GatewayServer server(db.get(), options);
-  if (Status s = server.Start(); !s.ok()) {
-    std::fprintf(stderr, "start: %s\n", s.ToString().c_str());
-    std::exit(1);
-  }
+  Gateway gw(dir, 1, options);
 
   // Parked sessions subscribe to the `begin` occurrence, which the kEnd
   // raises below never trigger: they sit parked for the whole run.
@@ -301,7 +287,7 @@ SoakPoint RunSoakPoint(const std::filesystem::path& dir, int sessions) {
   Encoder park_enc;
   park.Encode(&park_enc);
   for (int i = 0; i < sessions; ++i) {
-    auto conn = Dial(server.port());
+    auto conn = Dial(gw.port());
     Subscriber sub(conn.get());
     if (!sub.Subscribe("begin Sensor::Report").ok()) std::exit(1);
     // Written but never read: the worker parks the fetch server-side.
@@ -310,10 +296,10 @@ SoakPoint RunSoakPoint(const std::filesystem::path& dir, int sessions) {
     parked.push_back(std::move(conn));
   }
 
-  auto consumer_conn = Dial(server.port());
+  auto consumer_conn = Dial(gw.port());
   Subscriber consumer(consumer_conn.get());
   consumer.Subscribe("end Sensor::Report").ok();
-  auto producer_conn = Dial(server.port());
+  auto producer_conn = Dial(gw.port());
   Publisher producer(producer_conn.get());
 
   auto sample_one = [&](int i) -> int64_t {
@@ -332,12 +318,7 @@ SoakPoint RunSoakPoint(const std::filesystem::path& dir, int sessions) {
     int64_t ns = sample_one(i);
     if (ns >= 0) latencies.push_back(ns);
   }
-
   parked.clear();
-  server.Stop();
-  db->Close().ok();
-  db.reset();
-  std::filesystem::remove_all(dir);
 
   SoakPoint point;
   point.sessions = sessions;
@@ -423,189 +404,18 @@ int RunBench(int producers, const std::vector<size_t>& shard_sweep,
   auto dir = std::filesystem::temp_directory_path() / "sentinel_bench_gw";
   BenchReport report("bench_gateway");
 
-  if (soak_only) {
-    int rc = RunSoak(dir, session_sweep, assert_flat, &report);
-    if (rc != 0) return rc;
-    return cli.WriteReport(report);
-  }
-
-  auto db = OpenFreshDb(dir, 1);
-
-  std::vector<Row> rows;
-
-  // --- 1. Direct in-process baseline (no gateway running yet). -----------
-  {
-    ReactiveObject sensor("Sensor");
-    db->RegisterLiveObject(&sensor).ok();
-    auto raise_one = [&](int i) {
-      db->WithTransaction([&](Transaction*) {
-        sensor.RaiseEvent("Report", EventModifier::kEnd,
-                          {Value(static_cast<double>(i))});
-        return Status::OK();
-      }).ok();
-    };
-    for (int i = 0; i < kWarmup; ++i) raise_one(i);  // Untimed warmup.
-    int64_t t0 = SteadyNowNs();
-    for (int i = 0; i < g_direct_ops; ++i) raise_one(i);
-    int64_t t1 = SteadyNowNs();
-    double ns = static_cast<double>(t1 - t0) / g_direct_ops;
-    rows.push_back({"direct in-process", "direct", g_direct_ops, 1e9 / ns,
-                    ns});
-    db->UnregisterLiveObject(&sensor).ok();
-  }
-
-  net::ServerOptions options;
-  options.ingress_capacity = 4096;
-  GatewayServer server(db.get(), options);
-  if (Status s = server.Start(); !s.ok()) {
-    std::fprintf(stderr, "start: %s\n", s.ToString().c_str());
-    return 1;
-  }
-
-  // --- 2. Synchronous RPC per raise. --------------------------------------
-  // Each connection is strictly one-at-a-time: send a raise, wait for its
-  // ack, repeat. The frame is encoded once, outside the timed region, and
-  // the loop reads the clock only at its ends, so the number measures the
-  // wire round-trip through the plane — not client-side encode cost or
-  // per-op clock reads.
-  //
-  // Two points: x1 is one connection, bounded below by the kernel's TCP
-  // round-trip (two context switches per op — latency physics, not plane
-  // cost); x8 is eight concurrent sync connections, the plane's sync-RPC
-  // capacity, which is the number the <5×-of-pipelined target reads
-  // (`gateway/rpc`).
-  for (int conns : {1, 8}) {
-    std::vector<std::unique_ptr<Connection>> rpc_conns;
-    std::vector<std::string> frames;
-    for (int c = 0; c < conns; ++c) {
-      rpc_conns.push_back(Dial(server.port()));
-      net::RaiseEventMsg msg;
-      msg.class_name = "Sensor";
-      msg.method = "Report";
-      msg.modifier = EventModifier::kEnd;
-      msg.params = {Value(static_cast<double>(c))};
-      Encoder enc;
-      msg.Encode(&enc);
-      std::string frame;
-      rpc_conns.back()->EncodeFrameTo(net::FrameType::kRaiseEvent,
-                                      enc.buffer(), &frame);
-      frames.push_back(std::move(frame));
+  if (!soak_only) {
+    std::printf("gateway throughput (%d producers)\n", producers);
+    std::printf("  %-30s %14s %14s\n", "mode", "events/sec", "ns/event");
+    for (int conns : {1, 8}) report.Add(RunRpc(dir, conns));
+    for (size_t shards : shard_sweep) {
+      report.Add(RunPipelined(dir, shards, producers, /*shm=*/false));
     }
-    const int per_conn = std::max(1, g_rpc_ops / conns);
-    auto rpc_loop = [&](int c, int ops) {
-      Connection* conn = rpc_conns[static_cast<size_t>(c)].get();
-      const std::string& frame = frames[static_cast<size_t>(c)];
-      for (int i = 0; i < ops; ++i) {
-        conn->SendRaw(frame).ok();
-        net::Frame reply;
-        conn->ReadFrame(&reply).ok();
-      }
-    };
-    {  // Warmup also proves the exchange is well-formed before timing.
-      std::vector<std::thread> warm;
-      for (int c = 0; c < conns; ++c)
-        warm.emplace_back(rpc_loop, c, kWarmup);
-      for (std::thread& t : warm) t.join();
-    }
-    int64_t t0 = SteadyNowNs();
-    std::vector<std::thread> threads;
-    for (int c = 0; c < conns; ++c)
-      threads.emplace_back(rpc_loop, c, per_conn);
-    for (std::thread& t : threads) t.join();
-    int64_t t1 = SteadyNowNs();
-    double total = static_cast<double>(conns) * per_conn;
-    double ns = static_cast<double>(t1 - t0) / total;
-    // The single-connection point keeps the historical `rpc` result name:
-    // the committed baseline was one blocking connection, and on a
-    // one-core host extra sync connections only add wakeup-preemption
-    // churn, so x1 is also the honest best case.
-    rows.push_back({"gateway rpc x" + std::to_string(conns),
-                    conns == 1 ? "rpc" : "rpc_x8",
-                    static_cast<int64_t>(total), 1e9 / ns, ns});
+    report.Add(RunPipelined(dir, 1, producers, /*shm=*/true));
   }
 
-  // --- 3. Raise-to-notify latency through a parked long-poll. ------------
-  std::vector<int64_t> latencies;
-  {
-    auto consumer_conn = Dial(server.port());
-    Subscriber consumer(consumer_conn.get());
-    consumer.Subscribe("end Sensor::Report").ok();
-    auto producer_conn = Dial(server.port());
-    Publisher producer(producer_conn.get());
-    auto sample_one = [&](int i) -> int64_t {
-      int64_t t0 = SteadyNowNs();
-      producer.Raise("Sensor", "Report", EventModifier::kEnd,
-                     {Value(static_cast<double>(i))})
-          .ok();
-      auto batch = consumer.Fetch(4, 1000);
-      int64_t t1 = SteadyNowNs();
-      return (batch.ok() && !batch->empty()) ? t1 - t0 : -1;
-    };
-    for (int i = 0; i < kWarmup; ++i) sample_one(i);  // Untimed warmup.
-    latencies.reserve(static_cast<size_t>(g_latency_samples));
-    for (int i = 0; i < g_latency_samples; ++i) {
-      int64_t ns = sample_one(i);
-      if (ns >= 0) latencies.push_back(ns);
-    }
-  }
-
-  server.Stop();
-  db->Close().ok();
-  db.reset();
-  std::filesystem::remove_all(dir);
-
-  // --- 4. Pipelined throughput, swept across raise-shard counts. ---------
-  // Each point gets a fresh database + gateway so no shard configuration
-  // inherits the previous one's relays, logs, or warmed caches.
-  uint64_t total_rejected = 0;
-  for (size_t shards : shard_sweep) {
-    rows.push_back(RunPipelined(dir, shards, producers));
-    total_rejected += rows.back().rejected;
-  }
-
-  // --- 4b. Same workload through the shared-memory local transport. ------
-  rows.push_back(RunShmPipelined(dir, producers));
-  total_rejected += rows.back().rejected;
-
-  std::printf("gateway throughput (%d producer connections)\n", producers);
-  std::printf("  %-26s %14s %14s\n", "mode", "events/sec", "ns/event");
-  for (const Row& row : rows) {
-    std::printf("  %-26s %14.0f %14.0f\n", row.mode.c_str(),
-                row.events_per_sec, row.ns_per_event);
-    BenchResult result;
-    result.name = "gateway/" + row.slug;
-    result.iterations = row.ops;
-    result.real_ns_per_iter = row.ns_per_event;
-    result.counters["events_per_sec"] = row.events_per_sec;
-    if (row.shards > 0) {  // Pipelined sweep rows carry their config.
-      result.counters["producers"] = static_cast<double>(producers);
-      result.counters["shards"] = static_cast<double>(row.shards);
-      result.counters["backpressure_rejections"] =
-          static_cast<double>(row.rejected);
-    }
-    report.Add(result);
-  }
-  std::printf("  backpressure rejections: %llu\n",
-              static_cast<unsigned long long>(total_rejected));
-  if (!latencies.empty()) {
-    double p50 = Quantile(latencies, 0.50);
-    double p99 = Quantile(latencies, 0.99);
-    std::printf(
-        "raise-to-notify latency (%zu samples): p50=%.1fus p99=%.1fus\n",
-        latencies.size(), p50 / 1e3, p99 / 1e3);
-    BenchResult result;
-    result.name = "gateway/raise_to_notify";
-    result.iterations = static_cast<int64_t>(latencies.size());
-    result.real_ns_per_iter = p50;
-    result.counters["p50_ns"] = p50;
-    result.counters["p99_ns"] = p99;
-    report.Add(result);
-  }
-
-  // --- 5. Multi-session soak sweep. ---------------------------------------
   int rc = RunSoak(dir, session_sweep, assert_flat, &report);
   if (rc != 0) return rc;
-
   return cli.WriteReport(report);
 }
 
@@ -615,18 +425,15 @@ int main(int argc, char** argv) {
   sentinel::bench_main::BenchCli cli =
       sentinel::bench_main::BenchCli::Parse(argc, argv);
   if (cli.quick) {
-    sentinel::g_direct_ops = 2000;
     sentinel::g_rpc_ops = 500;
-    sentinel::g_pipelined_per_producer = 500;
-    sentinel::g_pipeline_batch = 100;
-    sentinel::g_latency_samples = 100;
+    sentinel::g_pipelined_batches = 1;
     sentinel::g_soak_samples = 200;
   }
   // --shards 1,2,4 picks the raise-shard counts the pipelined section
   // sweeps; --soak 64,256,1024 picks the parked-session counts the soak
-  // sweeps; --soak-only skips sections 1-4; --assert-flat exits nonzero
-  // when soak p99 is not flat within 25%; remaining positional arg =
-  // producer connection count.
+  // sweeps; --soak-only skips the rpc and pipelined sections;
+  // --assert-flat exits nonzero when soak p90 is not flat within 25%;
+  // remaining positional arg = producer count.
   std::vector<size_t> shard_sweep = {1, 2, 4};
   std::vector<int> session_sweep = {64, 256, 1024};
   bool soak_only = false;

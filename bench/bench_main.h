@@ -1,27 +1,24 @@
 // Copyright (c) 2026 The Sentinel Authors. Licensed under Apache-2.0.
 //
 // Shared main() for the google-benchmark-based bench binaries, replacing
-// BENCHMARK_MAIN() to add two flags every Sentinel bench understands:
-//
-//   --json <path>   after the normal console run, write the results as a
-//                   sentinel-bench-v1 document (common/bench_report.h) —
-//                   the machine-readable side of EXPERIMENTS.md
-//   --quick         cap measuring time per case (tiny --benchmark_min_time)
-//                   so CI and tests can smoke-run the suite in seconds
-//
-// Both flags are stripped before benchmark::Initialize sees the argv, so
-// every stock google-benchmark flag still works unchanged.
+// BENCHMARK_MAIN() to add the two flags every Sentinel bench understands
+// (bench_cli.h): --json <path> writes the results as a sentinel-bench-v1
+// document (common/bench_report.h) after the normal console run, and
+// --quick caps measuring time per case (tiny --benchmark_min_time) so CI
+// and tests can smoke-run the suite in seconds. Every other argument goes
+// to benchmark::Initialize, so every stock google-benchmark flag still
+// works unchanged.
 
 #ifndef SENTINEL_BENCH_BENCH_MAIN_H_
 #define SENTINEL_BENCH_BENCH_MAIN_H_
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "bench_cli.h"
 #include "common/bench_report.h"
 
 namespace sentinel {
@@ -63,21 +60,12 @@ inline std::string BinaryBaseName(const char* argv0) {
 }
 
 inline int BenchmarkMain(int argc, char** argv) {
-  std::string json_path;
-  std::vector<char*> args;
-  args.push_back(argv[0]);
+  BenchCli cli = BenchCli::Parse(argc, argv);
+  std::vector<char*> args = {argv[0]};
   // benchmark 1.7 takes min_time as plain seconds (no unit suffix).
   static char quick_min_time[] = "--benchmark_min_time=0.001";
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--quick") {
-      args.push_back(quick_min_time);
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
+  if (cli.quick) args.push_back(quick_min_time);
+  for (std::string& arg : cli.positional) args.push_back(arg.data());
 
   int bench_argc = static_cast<int>(args.size());
   benchmark::Initialize(&bench_argc, args.data());
@@ -88,18 +76,9 @@ inline int BenchmarkMain(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 
-  if (!json_path.empty()) {
-    BenchReport report(BinaryBaseName(argv[0]));
-    for (const BenchResult& result : reporter.results()) {
-      report.Add(result);
-    }
-    Status s = report.WriteFile(json_path);
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-  }
-  return 0;
+  BenchReport report(BinaryBaseName(argv[0]));
+  for (const BenchResult& result : reporter.results()) report.Add(result);
+  return cli.WriteReport(report);
 }
 
 }  // namespace bench_main

@@ -72,9 +72,9 @@ void BM_RegistrySnapshot(benchmark::State& state) {
   state.counters["histograms"] = histograms;
 }
 
-/// The overhead yardstick: in-process raises through WithTransaction,
-/// identical to bench_gateway's "direct" mode. Compare it between a change
-/// and its parent commit to see what new instrumentation costs.
+/// The overhead yardstick: in-process raises through WithTransaction, the
+/// floor under every gateway number in bench_gateway. Compare it between a
+/// change and its parent commit to see what new instrumentation costs.
 void BM_RaisePath(benchmark::State& state) {
   auto dir =
       std::filesystem::temp_directory_path() / "sentinel_bench_metrics";

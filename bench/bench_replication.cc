@@ -1,17 +1,10 @@
 // Copyright (c) 2026 The Sentinel Authors. Licensed under Apache-2.0.
 //
-// Replication cost model: what does a hot standby cost, and what does a
-// failover buy you?
-//
-//   1. catch-up   — a fresh follower bootstraps (snapshot + WAL tail +
-//                   occurrence-mirror tail) against a primary already
-//                   holding N raised occurrences; the number is replayed
-//                   occurrences per second, end to end over the gateway
-//                   protocol with durable apply batches on the follower.
-//   2. failover   — the primary's gateway stops; the clock runs from
-//                   Promote() until the promoted node acks its first
-//                   producer raise. Repeated over fresh primary/standby
-//                   pairs and reported as mean/max.
+// Replication cost model: how long does a failover take? The primary's
+// gateway stops; the clock runs from Promote() until the promoted node acks
+// its first producer raise. Repeated over fresh primary/standby pairs and
+// reported as mean/max. Follower catch-up throughput is perfbench's
+// repl.catchup_eps.
 //
 // Plain main() (bench_three_way.cc precedent): the interesting numbers are
 // a table, not a google-benchmark timing loop.
@@ -40,7 +33,6 @@ using net::Connection;
 using net::GatewayServer;
 using net::Publisher;
 
-int g_catchup_occurrences = 20000;
 int g_failover_rounds = 5;
 
 struct BenchNode {
@@ -124,47 +116,6 @@ void RaiseMany(BenchNode* node, int count) {
   }
 }
 
-int RunCatchUp(BenchReport* report) {
-  std::printf("follower catch-up (%d occurrences)\n", g_catchup_occurrences);
-  BenchNode primary = OpenNode("primary_catchup", false);
-  RaiseMany(&primary, g_catchup_occurrences);
-
-  BenchNode standby = OpenNode("standby_catchup", true);
-  repl::FollowerOptions fopts;
-  fopts.port = primary.server->port();
-  fopts.max_items = 512;
-  repl::Follower follower(standby.db.get(), fopts);
-
-  bool caught_up = false;
-  const int64_t t0 = SteadyNowNs();
-  while (!caught_up) {
-    if (Status s = follower.CatchUpOnce(&caught_up); !s.ok()) {
-      std::fprintf(stderr, "catch-up: %s\n", s.ToString().c_str());
-      return 1;
-    }
-  }
-  const int64_t t1 = SteadyNowNs();
-
-  const double seconds = static_cast<double>(t1 - t0) / 1e9;
-  const double occs = static_cast<double>(follower.applied_ordinal());
-  std::printf("  %-28s %12.0f occ/s  (%.2fs total, lsn %llu)\n",
-              "catch-up throughput", occs / seconds, seconds,
-              static_cast<unsigned long long>(follower.next_lsn()));
-
-  BenchResult result;
-  result.name = "replication/catchup";
-  result.iterations = static_cast<int64_t>(occs);
-  result.real_ns_per_iter = static_cast<double>(t1 - t0) / occs;
-  result.counters["occurrences_per_sec"] = occs / seconds;
-  result.counters["occurrences"] = occs;
-  result.counters["applied_lsn"] = static_cast<double>(follower.next_lsn());
-  report->Add(result);
-
-  standby.Stop();
-  primary.Stop();
-  return 0;
-}
-
 int RunFailover(BenchReport* report) {
   std::printf("failover (promote + first acked raise, %d rounds)\n",
               g_failover_rounds);
@@ -232,7 +183,6 @@ int RunFailover(BenchReport* report) {
 
 int RunBench(const bench_main::BenchCli& cli) {
   BenchReport report("bench_replication");
-  if (int rc = RunCatchUp(&report); rc != 0) return rc;
   if (int rc = RunFailover(&report); rc != 0) return rc;
   return cli.WriteReport(report);
 }
@@ -243,9 +193,6 @@ int RunBench(const bench_main::BenchCli& cli) {
 int main(int argc, char** argv) {
   sentinel::bench_main::BenchCli cli =
       sentinel::bench_main::BenchCli::Parse(argc, argv);
-  if (cli.quick) {
-    sentinel::g_catchup_occurrences = 2000;
-    sentinel::g_failover_rounds = 3;
-  }
+  if (cli.quick) sentinel::g_failover_rounds = 3;
   return sentinel::RunBench(cli);
 }

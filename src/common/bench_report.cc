@@ -122,6 +122,14 @@ Status ValidateBenchSuiteJson(const JsonValue& doc) {
     return Status::InvalidArgument(
         "bench json: schema is not sentinel-bench-suite-v1");
   }
+  const JsonValue* host = doc.Find("host");
+  if (host == nullptr || !host->IsObject()) {
+    return Status::InvalidArgument("bench json: suite missing 'host' object");
+  }
+  for (const char* key : {"nproc", "cpu_model", "affinity", "compiler",
+                          "build_type", "sanitizer", "git_sha"}) {
+    SENTINEL_RETURN_IF_ERROR(RequireString(*host, key, "host"));
+  }
   const JsonValue* benches = doc.Find("benches");
   if (benches == nullptr || !benches->IsArray()) {
     return Status::InvalidArgument("bench json: suite missing 'benches' array");

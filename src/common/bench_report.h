@@ -8,10 +8,10 @@
 //    "results": [{"name": "...", "iterations": N,
 //                 "real_ns_per_iter": X, "counters": {"k": V, ...}}, ...]}
 //
-// bench/run_all.sh concatenates per-binary reports into a suite document
-// ({"schema":"sentinel-bench-suite-v1","benches":[...]}) and validates it
-// with the checkers below, so CI fails on malformed output rather than
-// archiving garbage (BENCH_core.json / BENCH_gateway.json artifacts).
+// bench/run_all.sh merges per-binary reports into a suite document
+// ({"schema":"sentinel-bench-suite-v1","host":{...},"benches":[...]}) and
+// validates it with the checkers below, so CI fails on malformed output
+// rather than archiving garbage (the BENCH_*.json artifacts).
 
 #ifndef SENTINEL_COMMON_BENCH_REPORT_H_
 #define SENTINEL_COMMON_BENCH_REPORT_H_
@@ -58,7 +58,8 @@ class BenchReport {
 Status ValidateBenchReportJson(const JsonValue& doc);
 
 /// Checks a parsed suite document: {"schema":"sentinel-bench-suite-v1",
-/// "benches":[<per-binary report>, ...]} with every element valid.
+/// "host":{<machine and build fingerprint strings>},"benches":[<per-binary
+/// report>, ...]} with every element valid.
 Status ValidateBenchSuiteJson(const JsonValue& doc);
 
 /// Parses `text` and accepts either a per-binary report or a suite.

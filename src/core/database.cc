@@ -3,6 +3,7 @@
 #include "core/database.h"
 
 #include <algorithm>
+#include <filesystem>
 #include <thread>
 
 #include "common/clock.h"
@@ -63,12 +64,17 @@ Result<std::unique_ptr<Database>> Database::Open(const Options& options) {
 
   // History spill: FIFO-trimmed occurrences land in per-shard segment
   // stores instead of vanishing. The sink runs on the trimming shard's
-  // thread; each store serializes internally.
+  // thread; each store serializes internally. Every shard directory on
+  // disk is opened, so a restart with fewer raise shards still scans (and
+  // keeps the clock above) the others; appends go to the first nshards.
   if (options.history_spill) {
-    for (size_t i = 0; i < nshards; ++i) {
+    const std::string prefix = options.dir + "/history/shard-";
+    for (size_t i = 0;
+         i < nshards || std::filesystem::exists(prefix + std::to_string(i));
+         ++i) {
       auto store = std::make_unique<HistorySegmentStore>(
-          options.dir + "/history/shard-" + std::to_string(i),
-          options.history_segment_bytes, db->metrics_);
+          prefix + std::to_string(i), options.history_segment_bytes,
+          db->metrics_);
       SENTINEL_RETURN_IF_ERROR(store->Open());
       db->history_stores_.push_back(std::move(store));
     }
@@ -226,7 +232,9 @@ Status Database::BackfillIndex(const IndexSpec& spec) {
 Status Database::SaveIndexDefs() {
   Encoder enc;
   index_.EncodeSpecs(&enc);
-  return store_.SystemPut(kIndexDefsOid, "__index_defs__", enc.Release());
+  return store_.SystemApplyBatch({{.oid = kIndexDefsOid,
+                                   .class_name = "__index_defs__",
+                                   .state = enc.Release()}});
 }
 
 Status Database::CreateIndex(const std::string& class_name,

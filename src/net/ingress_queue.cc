@@ -55,7 +55,6 @@ size_t IngressQueue::TryPushBatch(std::vector<IngressItem>* items) {
 
 size_t IngressQueue::PopBatch(size_t max_batch, std::chrono::milliseconds wait,
                               std::vector<IngressItem>* out) {
-  if (max_batch == 0) return 0;
   std::unique_lock<std::mutex> lock(mu_);
   not_empty_.wait_for(lock, wait,
                       [this] { return !items_.empty() || shutdown_; });

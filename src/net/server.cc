@@ -117,6 +117,9 @@ Counter* RegistryCounter(Database* db, uint64_t GatewayStats::*field) {
   return nullptr;
 }
 
+/// Requests a worker drains per wakeup.
+constexpr size_t kMaxBatch = 64;
+
 /// Appends "key":value for the net (or the shm) rows, comma-separated.
 void AppendCounters(const GatewayStats& s, bool shm, std::string* out) {
   bool first = true;
@@ -857,8 +860,7 @@ void GatewayServer::WorkerLoop(size_t shard) {
       // The exec lock serializes this shard's mutator rounds against IO
       // threads running the inline sync fast path.
       std::lock_guard<std::mutex> exec(*exec_mu_[shard]);
-      n = queue->PopBatch(options_.max_batch, std::chrono::milliseconds(0),
-                          &batch);
+      n = queue->PopBatch(kMaxBatch, std::chrono::milliseconds(0), &batch);
       for (size_t i = 0; i < n; ++i) ProcessItem(shard, batch[i], &acks);
       // End of drain: coalesced acks are queued now, in order, and written
       // below once the lock is free.

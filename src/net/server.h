@@ -88,7 +88,6 @@ struct ServerOptions {
 
   // --- Ingress / drain --------------------------------------------------------
   size_t ingress_capacity = 1024;
-  size_t max_batch = 64;         ///< Requests drained per mutator wakeup.
 
   // --- Admission quotas (0 = unlimited) ---------------------------------------
   /// Raises one session may have admitted-but-unacked; beyond it the IO
@@ -292,7 +291,7 @@ class GatewayServer {
       std::vector<BatchStatusReplyMsg::Run> runs;
       size_t total = 0;
     };
-    /// At most max_batch sessions per drain; linear scan beats hashing.
+    /// At most kMaxBatch sessions per drain; linear scan beats hashing.
     std::vector<Pending> pending_;
     /// Sessions with acks queued but not yet written, in flush order.
     std::vector<std::shared_ptr<Session>> queued_;

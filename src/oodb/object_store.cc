@@ -599,35 +599,15 @@ Status ObjectStore::ApplyDelete(uint64_t oid) {
   return Status::OK();
 }
 
-Status ObjectStore::SystemPut(Oid oid, const std::string& class_name,
-                              const std::string& state) {
-  if (!open_) return Status::FailedPrecondition("store not open");
-  SENTINEL_FAILPOINT("store.system_put");
-  std::string framed = FrameRecord(oid, class_name, state);
-  // System mini-transaction so the write is durable in the WAL before it
-  // lands on the heap. Every mini-txn gets a distinct id from a reserved
-  // range: a shared id would let recovery replay a torn mini-txn's Put on
-  // the strength of an earlier mini-txn's commit record.
-  TxnId id = kSystemTxnBase + system_txn_seq_.fetch_add(1);
-  // Mini-txns observe the same append-to-apply barrier as user commits so
-  // a fuzzy checkpoint cannot truncate their records before the heap apply.
-  std::shared_lock<std::shared_mutex> apply_guard(
-      *txn_manager_->apply_barrier());
-  SENTINEL_RETURN_IF_ERROR(wal_.Append(WalRecordType::kBegin, id, 0));
-  SENTINEL_RETURN_IF_ERROR(wal_.Append(WalRecordType::kPut, id, oid, framed));
-  SENTINEL_RETURN_IF_ERROR(wal_.Append(WalRecordType::kCommit, id, 0));
-  SENTINEL_RETURN_IF_ERROR(group_commit_ != nullptr ? group_commit_->Sync()
-                                                    : wal_.Sync());
-  return InstallImage(oid, class_name, state);
-}
-
 Status ObjectStore::SystemApplyBatch(const std::vector<ReplOp>& ops) {
   if (!open_) return Status::FailedPrecondition("store not open");
   if (ops.empty()) return Status::OK();
   SENTINEL_FAILPOINT("store.apply_batch");
   // One mini-transaction for the whole batch: recovery replays it all or
   // none, so a replication cursor written as one of the ops can never
-  // describe data the heap does not durably hold.
+  // describe data the heap does not durably hold. It observes the same
+  // append-to-apply barrier as user commits so a fuzzy checkpoint cannot
+  // truncate its records before the heap apply.
   TxnId id = kSystemTxnBase + system_txn_seq_.fetch_add(1);
   std::shared_lock<std::shared_mutex> apply_guard(
       *txn_manager_->apply_barrier());
@@ -663,7 +643,9 @@ Status ObjectStore::SystemApplyBatch(const std::vector<ReplOp>& ops) {
 Status ObjectStore::SaveCatalog(const ClassCatalog& catalog) {
   Encoder enc;
   catalog.Encode(&enc);
-  return SystemPut(kCatalogOid, kCatalogClass, enc.Release());
+  return SystemApplyBatch({{.oid = kCatalogOid,
+                            .class_name = kCatalogClass,
+                            .state = enc.Release()}});
 }
 
 Status ObjectStore::LoadCatalog(ClassCatalog* catalog) {

@@ -39,9 +39,9 @@
 
 namespace sentinel {
 
-/// System mini-transactions (SystemPut) draw WAL txn ids from this base so
-/// they never collide with user transactions — and, crucially, with each
-/// other: sharing one id would let recovery replay a torn mini-txn's
+/// System mini-transactions (SystemApplyBatch) draw WAL txn ids from this
+/// base so they never collide with user transactions — and, crucially, with
+/// each other: sharing one id would let recovery replay a torn mini-txn's
 /// records on the strength of an unrelated mini-txn's commit record.
 constexpr TxnId kSystemTxnBase = 1ull << 63;
 
@@ -157,12 +157,7 @@ class ObjectStore : public HeapApplier {
     return checkpoint_generation_.load(std::memory_order_acquire);
   }
 
-  /// Writes a system record (catalog, registries) durably and immediately,
-  /// outside user transactions, via a WAL mini-transaction.
-  Status SystemPut(Oid oid, const std::string& class_name,
-                   const std::string& state);
-
-  /// One operation of a replication apply batch (see SystemApplyBatch).
+  /// One operation of a system batch (see SystemApplyBatch).
   struct ReplOp {
     bool del = false;  ///< true = delete `oid`; false = put.
     Oid oid = kInvalidOid;
@@ -170,12 +165,13 @@ class ObjectStore : public HeapApplier {
     std::string state;       ///< Put only.
   };
 
-  /// Applies a replicated batch durably: all ops are logged in ONE local
-  /// WAL mini-transaction (begin, ops, commit, one group sync) and then
-  /// installed in the heap. A follower that crashes mid-batch recovers to
-  /// a batch boundary — its own redo replay either has the whole batch or
-  /// none of it — so a ship cursor persisted *inside* the batch can never
-  /// run ahead of the data it describes.
+  /// Writes system records (the catalog, index definitions, a replicated
+  /// batch) durably and immediately, outside user transactions: all ops
+  /// are logged in ONE local WAL mini-transaction (begin, ops, commit, one
+  /// group sync) and then installed in the heap. A follower that crashes
+  /// mid-batch recovers to a batch boundary — its own redo replay either
+  /// has the whole batch or none of it — so a ship cursor persisted
+  /// *inside* the batch can never run ahead of the data it describes.
   Status SystemApplyBatch(const std::vector<ReplOp>& ops);
 
   /// Re-derives the oid allocator's floor from the committed directory —
@@ -215,9 +211,9 @@ class ObjectStore : public HeapApplier {
   /// Caller must hold mutex_.
   Result<RecordId> InsertRecord(std::string_view payload);
 
-  /// The one heap install path behind ApplyPut, SystemPut and
-  /// SystemApplyBatch: writes the image as 1..n chunk records over the
-  /// object's old chain, then notifies the observer (user classes only).
+  /// The one heap install path behind ApplyPut and SystemApplyBatch:
+  /// writes the image as 1..n chunk records over the object's old chain,
+  /// then notifies the observer (user classes only).
   Status InstallImage(Oid oid, std::string_view class_name,
                       std::string_view state);
 
@@ -256,7 +252,7 @@ class ObjectStore : public HeapApplier {
   LockManager lock_manager_;
   std::unique_ptr<TransactionManager> txn_manager_;
   OidGenerator oids_;
-  std::atomic<uint64_t> system_txn_seq_{0};  ///< SystemPut id allocator.
+  std::atomic<uint64_t> system_txn_seq_{0};  ///< Mini-txn id allocator.
 
   /// Serializes whole checkpoints against each other and against Close —
   /// two interleaved capture/flush/truncate sequences could otherwise

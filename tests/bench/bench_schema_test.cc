@@ -30,6 +30,12 @@ std::string ReadFileOrEmpty(const std::string& path) {
   return buffer.str();
 }
 
+/// A suite's host fingerprint, as run_all.sh writes it.
+const char kHost[] =
+    "\"host\":{\"nproc\":\"4\",\"cpu_model\":\"Xeon\",\"affinity\":\"0-3\","
+    "\"compiler\":\"g++ 12.2.0\",\"build_type\":\"RelWithDebInfo\","
+    "\"sanitizer\":\"none\",\"git_sha\":\"7d68a8b\"}";
+
 /// Runs `cmd` through the shell, discarding its output. Returns exit code.
 int RunCmd(const std::string& cmd) {
   int rc = std::system((cmd + " > /dev/null 2>&1").c_str());
@@ -71,8 +77,31 @@ TEST(BenchSchemaTest, SuiteMergeOfReportsValidates) {
   ASSERT_FALSE(report.empty());
 
   // The exact merge run_all.sh performs.
-  const std::string suite = "{\"schema\":\"sentinel-bench-suite-v1\","
-                            "\"benches\":[" + report + "," + report + "]}";
+  const std::string suite =
+      std::string("{\"schema\":\"sentinel-bench-suite-v1\",") + kHost +
+      ",\"benches\":[" + report + "," + report + "]}";
+  Status valid = ValidateBenchJsonText(suite);
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
+}
+
+TEST(BenchSchemaTest, SuiteWithoutHostFailsValidation) {
+  const std::string benches = "\"benches\":[]";
+  const std::string schema = "{\"schema\":\"sentinel-bench-suite-v1\",";
+  EXPECT_FALSE(ValidateBenchJsonText(schema + benches + "}").ok());
+  EXPECT_FALSE(
+      ValidateBenchJsonText(schema + "\"host\":\"x\"," + benches + "}").ok());
+  EXPECT_FALSE(
+      ValidateBenchJsonText(schema + "\"host\":{}," + benches + "}").ok());
+  std::string numeric_nproc = kHost;
+  numeric_nproc.replace(numeric_nproc.find("\"4\""), 3, "4");
+  EXPECT_FALSE(
+      ValidateBenchJsonText(schema + numeric_nproc + "," + benches + "}").ok());
+}
+
+TEST(BenchSchemaTest, SuiteWithHostPassesValidation) {
+  const std::string suite =
+      std::string("{\"schema\":\"sentinel-bench-suite-v1\",") + kHost +
+      ",\"benches\":[]}";
   Status valid = ValidateBenchJsonText(suite);
   EXPECT_TRUE(valid.ok()) << valid.ToString();
 }

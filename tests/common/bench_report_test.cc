@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 namespace sentinel {
 namespace {
@@ -22,6 +23,13 @@ BenchReport MakeReport() {
   report.Add(r);
   return report;
 }
+
+/// A suite's head up to its benches: the schema and a host fingerprint.
+const std::string kSuiteHead =
+    R"({"schema":"sentinel-bench-suite-v1",)"
+    R"("host":{"nproc":"4","cpu_model":"Xeon","affinity":"0-3",)"
+    R"("compiler":"g++ 12.2.0","build_type":"RelWithDebInfo",)"
+    R"("sanitizer":"none","git_sha":"7d68a8b"})";
 
 TEST(BenchReportTest, ToJsonMatchesSchema) {
   std::string json = MakeReport().ToJson();
@@ -65,14 +73,14 @@ TEST(BenchReportTest, WriteFileFailsOnUnwritablePath) {
 }
 
 TEST(BenchReportValidateTest, AcceptsSuiteOfReports) {
-  std::string suite = R"({"schema":"sentinel-bench-suite-v1","benches":[)" +
+  std::string suite = kSuiteHead + R"(,"benches":[)" +
                       MakeReport().ToJson() + "," +
                       BenchReport("other").ToJson() + "]}";
   EXPECT_TRUE(ValidateBenchJsonText(suite).ok());
 }
 
 TEST(BenchReportValidateTest, RejectsMalformedDocuments) {
-  const char* bad[] = {
+  const std::string bad[] = {
       "not json at all",
       R"({"schema":"wrong-schema","binary":"b","results":[]})",
       R"({"binary":"b","results":[]})",
@@ -88,11 +96,11 @@ TEST(BenchReportValidateTest, RejectsMalformedDocuments) {
       R"({"schema":"sentinel-bench-v1","binary":"b",
           "results":[{"name":"x","iterations":1,"real_ns_per_iter":1,
                       "counters":{"k":"not-a-number"}}]})",
-      R"({"schema":"sentinel-bench-suite-v1","benches":{}})",
-      R"({"schema":"sentinel-bench-suite-v1"})",
-      R"({"schema":"sentinel-bench-suite-v1","benches":[{"schema":"bad"}]})",
+      kSuiteHead + R"(,"benches":{}})",
+      kSuiteHead + "}",
+      kSuiteHead + R"(,"benches":[{"schema":"bad"}]})",
   };
-  for (const char* text : bad) {
+  for (const std::string& text : bad) {
     EXPECT_FALSE(ValidateBenchJsonText(text).ok()) << text;
   }
 }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "../test_util.h"
 #include "common/clock.h"
 #include "core/database.h"
@@ -321,6 +323,49 @@ TEST_F(HistoryScanTest, RestartContinuesSeqsAboveTheSpilledHistory) {
   EXPECT_EQ(Prices(paged), Prices(spilled));
   ASSERT_TRUE(db->UnregisterLiveObject(&stock).ok());
   ASSERT_TRUE(db->Close().ok());
+}
+
+TEST_F(HistoryScanTest, ShardCountChangeKeepsEveryRowOnce) {
+  TempDir dir("hist_db");
+  Database::Options opts;
+  opts.occurrence_log_capacity = 2;
+  opts.history_spill = true;
+  // Opens the database with `shards` raise shards as a new process would
+  // (the logical clock starts over), checks the spilled history it finds,
+  // raises 5 prices from `base` on shard 0 (the oldest 3 spill) and closes.
+  auto reopen = [&](size_t shards, const std::vector<double>& expected,
+                    double base) {
+    Clock::ResetSequenceForTest(1);
+    opts.raise_shards = shards;
+    auto db = OpenDb(dir.path(), opts);
+    std::vector<EventOccurrence> rows;
+    ASSERT_TRUE(db->HistoryScan({}, &rows).ok());
+    EXPECT_EQ(Prices(rows), expected) << shards << " shards";
+    std::set<uint64_t> seqs;
+    for (const EventOccurrence& occ : rows) seqs.insert(occ.timestamp.seq);
+    EXPECT_EQ(seqs.size(), rows.size()) << "a seq is held by two rows";
+    ReactiveObject stock("Stock");
+    ASSERT_TRUE(db->RegisterLiveObject(&stock).ok());
+    RaisePrices(&stock, 5, base);
+    ASSERT_TRUE(db->UnregisterLiveObject(&stock).ok());
+    ASSERT_TRUE(db->Close().ok());
+  };
+
+  {  // Two shards: shard 0 spills 0..2, then shard 1 spills 10..12.
+    opts.raise_shards = 2;
+    auto db = OpenDb(dir.path(), opts);
+    RegisterStock(db.get());
+    ReactiveObject stock("Stock");
+    ASSERT_TRUE(db->RegisterLiveObject(&stock).ok());
+    RaisePrices(&stock, 5, 0);
+    Database::BindRaiseShard(1);
+    RaisePrices(&stock, 5, 10);
+    Database::BindRaiseShard(0);
+    ASSERT_TRUE(db->UnregisterLiveObject(&stock).ok());
+    ASSERT_TRUE(db->Close().ok());
+  }
+  reopen(1, {0, 1, 2, 10, 11, 12}, 100);
+  reopen(2, {0, 1, 2, 10, 11, 12, 100, 101, 102}, 200);
 }
 
 TEST_F(HistoryScanTest, ShardedLimitKeepsTheOldestRows) {

@@ -230,7 +230,10 @@ TEST_F(ObjectStoreTest, TornFirstWalRecordDoesNotHideLaterCommits) {
   ObjectStore reopened(metrics_);
   ASSERT_TRUE(reopened.Open(dir.path()).ok());
   const Oid oid = reopened.NewOid();
-  ASSERT_TRUE(reopened.SystemPut(oid, "C", "synced").ok());
+  ASSERT_TRUE(reopened
+                  .SystemApplyBatch(
+                      {{.oid = oid, .class_name = "C", .state = "synced"}})
+                  .ok());
 
   // The crash image: the files as they are now, with no Close.
   TempDir image("store-image");
